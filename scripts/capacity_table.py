@@ -8,13 +8,12 @@ from rspacelab import reporting as rep
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--format", choices=("text", "csv", "json"),
                     default="text")
     ap.add_argument("--out", default=None, help="write here instead of stdout")
     args = ap.parse_args()
 
-    rows = rep.capacity_table(seed=args.seed)
+    rows = rep.capacity_table()
     render = {"text": rep.table_text, "csv": rep.table_csv,
               "json": rep.table_json}[args.format]
     body = render(rows)

@@ -392,7 +392,7 @@ def make_involution(alg: LieAlgebraBasis, op: np.ndarray) -> Involution:
     # automorphism: op[b_i, b_j] = [op b_i, op b_j], checked on structure data
     c = alg.structure_constants
     lhs = np.einsum("ijk,lk->ijl", c, op)
-    rhs = np.einsum("pi,qj,pql->ijl", op, op, c)
+    rhs = np.einsum("pi,qj,pql->ijl", op, op, c, optimize=True)
     if np.abs(lhs - rhs).max() > 1e-8:
         raise NotAnAutomorphism("operator does not respect the bracket")
     if np.abs(op - op.T).max() > 1e-9:
@@ -449,8 +449,9 @@ def cartan_decompose(alg: LieAlgebraBasis, inv: Involution) -> CartanDecompositi
         # largest component of [a, b] outside span(target)
         if len(rows_a) == 0 or len(rows_b) == 0:
             return 0.0
-        br = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, c)
-        proj = np.einsum("abk,tk,tl->abl", br, target_rows, target_rows)
+        br = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, c, optimize=True)
+        proj = np.einsum("abk,tk,tl->abl", br, target_rows, target_rows,
+                         optimize=True)
         return float(np.abs(br - proj).max())
 
     checks = [

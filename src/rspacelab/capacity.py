@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 from scipy.linalg import expm
@@ -24,8 +24,8 @@ from . import roots as rt
 from .atlas import SpaceInstance
 
 
-class IrrationalRatioCap(RuntimeError):
-    """Every candidate direction had non-commensurable frequencies."""
+class LatticeError(RuntimeError):
+    """Active weights are incommensurable, or the shortest vector misses xi."""
 
 
 class GapMismatch(RuntimeError):
@@ -78,157 +78,96 @@ def c_model(s: SpaceInstance) -> float:
     return -al.killing(g, s.xi, s.xi)
 
 
-def _closure_period(freqs: np.ndarray, tol: float = 1e-9):
-    """Common period of frequencies, or None when some ratio is irrational."""
-    base = freqs.max()
-    ks = []
-    for w in freqs:
-        frac = Fraction(w / base).limit_denominator(64)
-        if abs(float(frac) - w / base) > tol:
-            return None
-        ks.append(frac)
-    denom = 1
-    for f in ks:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return 2.0 * np.pi * denom / base
-
-
-def _active_frequencies(s: SpaceInstance, x_lift: al.AlgebraElement,
-                        tol: float = 1e-9) -> np.ndarray:
-    """Distinct positive ad_x frequencies carried by xi."""
-    g = s.g_vee
-    adx = al.ad_operator(g, x_lift)
-    w, vecs = np.linalg.eigh(1j * adx)
-    xc = g.coords(s.xi)
-    weights = np.abs(np.conj(vecs.T) @ xc) ** 2
-    scale = max(np.abs(w).max(), 1.0)
-    active = np.abs(w)[weights > 1e-12 * (xc @ xc)]
-    active = active[active > tol * scale]
-    if len(active) == 0:
-        return np.array([])
-    active = np.sort(active)
-    out = [active[0]]
-    for v in active[1:]:
-        if v - out[-1] > tol * scale:
-            out.append(v)
-    return np.array(out)
-
-
-def _kernel_dirs(cov: np.ndarray):
-    """Orthonormal basis of the kernel of a single covector."""
-    nrm = np.linalg.norm(cov)
-    if nrm < 1e-12:
-        return []
-    return list(np.linalg.svd(cov[None, :] / nrm)[2][1:])
-
-
-def _active_weight_covectors(s: SpaceInstance) -> list:
-    """Covectors on the flat whose values are the ad frequencies xi carries.
-
-    These, not the isotropy roots, govern closure of orbit geodesics: a
-    direction is periodic iff the weights that overlap xi are commensurable
-    on it.  Keeps the original scale so integer resonances stay meaningful."""
+def _active_weights(s: SpaceInstance) -> np.ndarray:
+    """Every nonzero joint ad frequency on the flat whose eigenvector
+    overlaps xi, one row per eigenvector; alpha and 2 alpha both stay."""
     st = ob.structure(s)
     g = s.g_vee
     alphas, vecs = rt._joint_eigen(g, st.a_flat.basis, seed=3571)
     xc = g.coords(s.xi)
-    total = xc @ xc
-    out = {}
-    for alpha, col in zip(alphas, vecs.T):
-        if np.abs(np.conj(col) @ xc) ** 2 <= 1e-12 * total:
-            continue
-        nrm = np.linalg.norm(alpha)
-        if nrm < 1e-9:
-            continue
-        key = alpha / nrm
-        lead = key[np.nonzero(np.abs(key) > 1e-9)[0][0]]
-        if lead < 0:
-            key = -key
-        out.setdefault(tuple(np.round(key, 9)), alpha)
-    return list(out.values())
+    overlap = np.abs(np.conj(vecs.T) @ xc) ** 2 > 1e-12 * (xc @ xc)
+    nonzero = np.linalg.norm(alphas, axis=1) > 1e-9
+    return alphas[overlap & nonzero]
 
 
-def _candidate_directions(s: SpaceInstance, samples: int, seed: int):
-    """Unit directions in the flat likely to carry short closed geodesics:
-    basis directions, root kernels and their intersections, low-order
-    rational resonances between root pairs, and a seeded random sample."""
-    from itertools import combinations
+def _unit_lattice(s: SpaceInstance) -> dict:
+    """Closing vectors of the flat as an integer lattice with its speed form.
 
-    st = ob.structure(s)
-    r = st.rank_n
-    covs = [root.covector for root in st.sigma_roots.roots]
-    covs.extend(_active_weight_covectors(s))
-    cands = [row for row in np.eye(r)]
-    for cov in covs:
-        cands.extend(_kernel_dirs(cov))
-    if r >= 2 and covs:
-        # lines where r - 1 independent roots vanish simultaneously
-        for subset in combinations(range(len(covs)), r - 1):
-            m = np.array([covs[i] for i in subset])
-            _, sv, vt = np.linalg.svd(m)
-            null = vt[np.sum(sv > 1e-9):]
-            if null.shape[0] == 1:
-                cands.append(null[0])
-    if r == 2:
-        # resonant lines m * alpha = +- n * beta for low-order (m, n)
-        for i, j in combinations(range(len(covs)), 2):
-            for m in range(1, 17):
-                for n in range(1, 17):
-                    if gcd(m, n) > 1:
-                        continue
-                    for sgn in (1.0, -1.0):
-                        cands.extend(_kernel_dirs(m * covs[i] + sgn * n * covs[j]))
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        cands.append(rng.normal(size=r))
-    out = []
-    for c in cands:
-        nrm = np.linalg.norm(c)
-        if nrm > 1e-9:
-            out.append(np.asarray(c, float) / nrm)
-    return out
-
-
-def systole_flat(s: SpaceInstance, samples: int = 64, seed: int = 0) -> float:
-    """Shortest closed orbit geodesic through xi in the flat metric."""
-    return systole_details(s, samples, seed)["systole"]
-
-
-def systole_details(s: SpaceInstance, samples: int = 64, seed: int = 0) -> dict:
-    st = ob.structure(s)
+    X in the flat closes, Ad(exp X) xi = xi, iff w(X) is in 2 pi Z for every
+    active weight w.  In coordinates z, where basis weight j takes the value
+    2 pi z_j, every active weight is a rational combination num/den of the
+    basis, so the closing vectors are the z in Z^k with num z = 0 mod den.
+    gram is the speed form -B([X, xi], [X, xi])/c_model in these coordinates
+    and lift maps z to flat coordinates.
+    """
     g = s.g_vee
-    cm = c_model(s)
-    best = np.inf
-    best_dir = None
-    skipped = 0
-    tested = 0
-    for u in _candidate_directions(s, samples, seed):
-        x = st.a_flat.lift(u)
-        freqs = _active_frequencies(s, x)
-        if len(freqs) == 0:
-            continue
-        period = _closure_period(freqs)
-        if period is None:
-            skipped += 1
-            continue
-        tested += 1
-        v = al.bracket(x, s.xi)
-        speed = np.sqrt(-al.killing(g, v, v) / cm)
-        length = period * speed
-        if length < best - 1e-12:
-            best = length
-            best_dir = u
-    if not np.isfinite(best):
-        raise IrrationalRatioCap(
-            f"no commensurable direction among {skipped} candidates")
-    # closure sanity on the winner
-    x = st.a_flat.lift(best_dir)
-    period = _closure_period(_active_frequencies(s, x))
-    moved = al.conjugate(s.xi, x, period)
-    assert np.abs(moved.entries - s.xi.entries).max() < 1e-8
-    return {"systole": float(best), "direction": best_dir,
-            "skipped_irrational": skipped, "tested": tested,
-            "c_model": cm}
+    ws = _active_weights(s)
+    basis = []
+    for w in ws[np.argsort(np.linalg.norm(ws, axis=1), kind="stable")]:
+        if np.linalg.matrix_rank(np.array(basis + [w]), tol=1e-8) > len(basis):
+            basis.append(w)
+    basis = np.array(basis)
+    coeffs = ws @ np.linalg.pinv(basis)
+    fracs = [Fraction(float(c)).limit_denominator(64) for c in coeffs.ravel()]
+    den = lcm(*(f.denominator for f in fracs))
+    num = np.array([int(f * den) for f in fracs]).reshape(coeffs.shape)
+    if np.abs(num @ basis / den - ws).max() > 1e-8:
+        raise LatticeError("active weights are not commensurable")
+    # row j is the flat vector on which basis weight i takes 2 pi delta_ij
+    lift = 2.0 * np.pi * np.linalg.pinv(basis).T
+    adxi = al.ad_operator(g, s.xi)
+    vel = (adxi @ (lift @ ob.structure(s).a_flat.basis).T).T
+    gram = -(vel @ g.killing_matrix @ vel.T) / c_model(s)
+    return {"weights": basis, "num": num, "den": den, "gram": gram,
+            "lift": lift}
+
+
+def _proven_box(lat: dict) -> np.ndarray:
+    """Half-widths b with every closing z no longer than den * e_j in the box.
+
+    den * e_j always closes; any z with z^T G z <= R^2 has
+    |z_i| <= R sqrt((G^-1)_ii) by Cauchy-Schwarz.
+    """
+    gram = lat["gram"]
+    r2 = lat["den"] ** 2 * np.diag(gram).min()
+    reach = np.sqrt(r2 * np.diag(np.linalg.inv(gram)))
+    return np.floor(reach + 1e-9).astype(int)
+
+
+def _shortest_in_box(lat: dict, box) -> tuple:
+    """Shortest nonzero closing z with |z_i| <= box_i: (z, length, count)."""
+    axes = [np.arange(-b, b + 1) for b in box]
+    zs = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+    zs = zs[np.any(zs != 0, axis=1)]
+    closes = np.all((zs @ lat["num"].T) % lat["den"] == 0, axis=1)
+    q = np.einsum("ni,ij,nj->n", zs, lat["gram"], zs)
+    q[~closes] = np.inf
+    best = int(np.argmin(q))
+    return zs[best], float(np.sqrt(q[best])), len(zs)
+
+
+def systole_flat(s: SpaceInstance) -> float:
+    """Shortest closed orbit geodesic through xi in the flat metric."""
+    return systole_details(s)["systole"]
+
+
+def systole_details(s: SpaceInstance) -> dict:
+    """Exact flat systole: the shortest nonzero vector of the unit lattice.
+
+    `tested` counts the integer vectors evaluated inside the proven box;
+    nothing is skipped, so `skipped_irrational` is always 0.
+    """
+    st = ob.structure(s)
+    lat = _unit_lattice(s)
+    box = _proven_box(lat)
+    z, length, count = _shortest_in_box(lat, box)
+    x = z @ lat["lift"]
+    moved = al.conjugate(s.xi, st.a_flat.lift(x), 1.0)
+    if np.abs(moved.entries - s.xi.entries).max() > 1e-8:
+        raise LatticeError("the shortest lattice vector does not close")
+    return {"systole": length, "direction": x / np.linalg.norm(x),
+            "closing": z, "box": box, "lattice": lat,
+            "skipped_irrational": 0, "tested": count, "c_model": c_model(s)}
 
 
 def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
@@ -239,13 +178,19 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
     x = st.a_flat.lift(np.asarray(direction, float))
     xi_m = s.xi.entries
     ts = np.linspace(0.0, t_max, grid + 1)[1:]
-    rot = expm(x.entries * (t_max / grid))
-    cur = np.array(xi_m)
-    dists = []
-    for _ in ts:
-        cur = rot @ cur @ rot.T
-        dists.append(np.abs(cur - xi_m).max())
-    dists = np.array(dists)
+    # rot^k for k = 1..block by doubling, then block by block from rot^block
+    block = min(grid, 1024)
+    pows = expm(x.entries * (t_max / grid))[None]
+    while len(pows) < block:
+        pows = np.concatenate([pows, pows[-1] @ pows])
+    pows = pows[:block]
+    dists = np.empty(grid)
+    base = np.eye(len(xi_m))
+    for start in range(0, grid, block):
+        r = base @ pows[:grid - start]
+        moved = r @ xi_m @ r.transpose(0, 2, 1)
+        dists[start:start + len(r)] = np.abs(moved - xi_m).max(axis=(1, 2))
+        base = r[-1]
     scale = np.abs(xi_m).max()
 
     def dist(t):
@@ -287,8 +232,8 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
 # capacities of the unit sphere bundle
 
 
-def capacities_U(s: SpaceInstance, sys_flat: float | None = None,
-                 samples: int = 64, seed: int = 0) -> CapacityReport:
+def capacities_U(s: SpaceInstance,
+                 sys_flat: float | None = None) -> CapacityReport:
     """Gromov and Hofer-Zehnder capacity of U_1 N by the rank dichotomy.
 
     The normalized side (reference systole 2 pi) satisfies
@@ -300,7 +245,7 @@ def capacities_U(s: SpaceInstance, sys_flat: float | None = None,
     st = ob.structure(s)
     ratio = st.ratio
     if sys_flat is None:
-        sys_flat = systole_flat(s, samples=samples, seed=seed)
+        sys_flat = systole_flat(s)
     if ratio == 2:
         value_flat = sys_flat
         value_norm = ctx.sys_reference
@@ -324,8 +269,8 @@ def capacities_U(s: SpaceInstance, sys_flat: float | None = None,
                 "deck_flagged": bool(flagged)})
 
 
-def chz_disc(s: SpaceInstance, sys_flat: float | None = None,
-             samples: int = 64, seed: int = 0) -> CapacityReport:
+def chz_disc(s: SpaceInstance,
+             sys_flat: float | None = None) -> CapacityReport:
     """Hofer-Zehnder capacity of the unit disc bundle, where known.
 
     Simply connected rows use the systole; real projective spaces double
@@ -334,7 +279,7 @@ def chz_disc(s: SpaceInstance, sys_flat: float | None = None,
     """
     d = s.descriptor
     if sys_flat is None:
-        sys_flat = systole_flat(s, samples=samples, seed=seed)
+        sys_flat = systole_flat(s)
     if d.table_pi1 == "trivial":
         val, tag = sys_flat, "disc_simply_connected"
         formula = "c_HZ(D1) = sys (simply connected)"
@@ -354,18 +299,21 @@ def chz_disc(s: SpaceInstance, sys_flat: float | None = None,
                           extras={"sys_flat": float(sys_flat)})
 
 
-def capacity_hermitian_ambient(s: SpaceInstance, gaps: dict | None = None,
-                               restarts: int = 50, seed: int = 0) -> CapacityReport:
+def capacity_hermitian_ambient(s: SpaceInstance,
+                               gaps: dict | None = None) -> CapacityReport:
     """Capacities of the ambient Hermitian orbit from the critical ladder.
 
     c_G = 4 pi (lowest gap) and c_HZ = 4 pi rank(N_C) (total spread); both
-    are checked against the computed critical values of the orbit
-    Hamiltonian to relative 1e-3.
+    are checked to relative 1e-3 against the critical values of the orbit
+    Hamiltonian: by default the exact Weyl ladder, or any gap report passed
+    as gaps, such as a descent one from orbit.critical_gap_report.
     """
     st = ob.structure(s)
     c_g = 4.0 * np.pi
     c_hz = 4.0 * np.pi * st.rank_nc
-    gaps = gaps or ob.critical_gap_report(s, restarts=restarts, seed=seed)
+    if gaps is None:
+        vals = ob.weyl_critical_values(s)
+        gaps = {"max_gap": vals[-1] - vals[0], "smin_gap": vals[1] - vals[0]}
     if abs(gaps["max_gap"] - c_hz) > 1e-3 * c_hz:
         raise GapMismatch(
             f"total gap {gaps['max_gap']:.6f} vs 4 pi rank = {c_hz:.6f}")

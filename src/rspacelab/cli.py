@@ -69,7 +69,8 @@ def _build_parser() -> _Parser:
 
     r = sub.add_parser("report", help="render the capacity summary table")
     r.add_argument("--seed", type=int, default=0,
-                   help="seed for the sampled systole search (default: 0)")
+                   help="accepted and ignored: systoles are exact, so the "
+                        "report does not depend on a seed")
     r.add_argument("--space", help="restrict to one catalogue row id")
     r.add_argument("--params", help="comma separated integers")
     r.add_argument("--format", choices=_FORMATS, default="text",
@@ -206,7 +207,7 @@ def cmd_report(args) -> int:
                    if d.instantiable and d.id == space]
         if not entries:
             raise _UsageError(f"no catalogue row matches {space!r}")
-    rows = rep.capacity_table(entries, seed=args.seed)
+    rows = rep.capacity_table(entries)
     render = {"json": rep.table_json, "csv": rep.table_csv,
               "text": rep.table_text}[args.format]
     return _emit(render(rows), args.out)

@@ -144,7 +144,7 @@ def find_maximal_abelian(side: Subspace, seed: int,
             certified = True
             break
         # pairwise bracket residual on the candidate span
-        br = np.einsum("ai,bj,ijk->abk", span, span, c)
+        br = np.einsum("ai,bj,ijk->abk", span, span, c, optimize=True)
         if np.abs(br).max() < 1e-10:
             certified = True
             break

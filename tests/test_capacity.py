@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rspacelab import algebra as al
+from rspacelab import atlas
 from rspacelab import capacity as cap
 from rspacelab import orbit as ob
 
@@ -20,12 +21,26 @@ PINS = [
     ("unitary_group", (3,), 2.0 * np.pi),
     ("grassmann_quaternionic", (1, 1), 2.0 * np.pi),
     ("symplectic_group", (1,), 2.0 * np.pi),
+    # the rest of the instantiable catalogue
+    ("grassmann_real", (1, 1), np.pi),
+    ("grassmann_real", (2, 2), np.pi),
+    ("orthogonal_group", (3,), np.sqrt(8.0 / 3.0) * np.pi),
+    ("orthogonal_group", (5,), np.sqrt(8.0 / 5.0) * np.pi),
+    ("unitary_mod_symplectic", (2,), SQRT2PI),
+    ("symplectic_group", (2,), SQRT2PI),
+    ("unitary_mod_orthogonal", (2,), SQRT2PI),
+    ("unitary_mod_orthogonal", (3,), 2.0 / np.sqrt(3.0) * np.pi),
+    ("grassmann_complex_hermitian", (1, 1), 2.0 * np.pi),
+    ("grassmann_complex_hermitian", (1, 2), np.sqrt(3.0) * np.pi),
+    ("orthogonal_mod_unitary_hermitian", (3,), np.sqrt(8.0 / 3.0) * np.pi),
+    ("symplectic_mod_unitary_hermitian", (1,), 2.0 * np.pi),
+    ("quadric_complex_hermitian", (2,), SQRT2PI),
 ]
 
 
 @pytest.mark.parametrize("rid,params,want", PINS)
 def test_pinned_systoles(pool, rid, params, want):
-    assert abs(cap.systole_flat(pool(rid, *params), seed=0) - want) < 1e-6
+    assert abs(cap.systole_flat(pool(rid, *params)) - want) <= 1e-9 * want
 
 
 @pytest.mark.parametrize("rid,params", [("sphere", (2,)),
@@ -34,16 +49,67 @@ def test_pinned_systoles(pool, rid, params, want):
                                         ("grassmann_real", (1, 2))])
 def test_scan_oracle_agrees_with_frequency_systole(pool, rid, params):
     s = pool(rid, *params)
-    d = cap.systole_details(s, seed=0)
+    d = cap.systole_details(s)
     scan = cap.systole_scan_oracle(s, np.asarray(d["direction"]))
     assert abs(scan - d["systole"]) < 1e-6 * d["systole"]
 
 
-def test_systole_search_reports_its_workload(pool):
-    d = cap.systole_details(pool("orthogonal_group", 5), seed=0)
-    assert np.isfinite(d["systole"]) and d["tested"] >= 1
-    # a rank-two row mixes commensurable and incommensurable directions
-    assert d["skipped_irrational"] >= 1
+def test_systole_pins_cover_the_catalogue():
+    rows = {(d.id, d.params) for d in atlas.list_entries() if d.instantiable}
+    assert rows == {(rid, params) for rid, params, _ in PINS}
+
+
+@pytest.mark.parametrize("rid,params,want", PINS)
+def test_proven_box_agrees_with_a_wider_search(pool, rid, params, want):
+    d = cap.systole_details(pool(rid, *params))
+    lat, box = d["lattice"], np.asarray(d["box"])
+    z, length, count = cap._shortest_in_box(lat, box + 3)
+    assert count > d["tested"]
+    assert abs(length - d["systole"]) <= 1e-12 * d["systole"]
+
+
+def test_unit_lattice_on_orthogonal_group(pool):
+    s = pool("orthogonal_group", 5)
+    d = cap.systole_details(s)
+    lat = d["lattice"]
+    ws = cap._active_weights(s)
+    basis = lat["weights"]
+    # a basis of active weights that spans every active weight with
+    # coefficients num / den
+    assert basis.shape == (2, 2)
+    assert all(np.abs(ws - b).max(axis=1).min() < 1e-12 for b in basis)
+    assert np.linalg.matrix_rank(ws, tol=1e-8) == 2
+    assert np.abs(lat["num"] @ basis / lat["den"] - ws).max() < 1e-9
+    # the box holds every z no longer than the closing vector den * e_j
+    radius = lat["den"] * np.sqrt(np.diag(lat["gram"]).min())
+    reach = radius * np.sqrt(np.diag(np.linalg.inv(lat["gram"])))
+    box = np.asarray(d["box"])
+    assert np.all(reach < box + 1)
+    assert d["tested"] == np.prod(2 * box + 1) - 1
+    assert d["skipped_irrational"] == 0
+    z = np.asarray(d["closing"])
+    assert np.all(lat["num"] @ z % lat["den"] == 0)
+    assert abs(np.sqrt(z @ lat["gram"] @ z) - d["systole"]) < 1e-12
+    scan = cap.systole_scan_oracle(s, d["direction"])
+    assert abs(scan - d["systole"]) < 1e-6 * d["systole"]
+
+
+def test_bc_row_keeps_alpha_beside_two_alpha(pool, monkeypatch):
+    s = pool("grassmann_complex_hermitian", 1, 2)
+    covs = [r.covector for r in ob.structure(s).sigma_roots.roots]
+    assert any(np.allclose(b, 2 * a) for a in covs for b in covs)
+    d = cap.systole_details(s)
+    scan = cap.systole_scan_oracle(s, d["direction"])
+    assert abs(scan - d["systole"]) < 1e-6 * d["systole"]
+    # xi carries alpha alone; with 2 alpha listed ahead of it the lattice
+    # must not change, while 2 alpha alone gives a vector that does not close
+    alpha = cap._active_weights(s)
+    monkeypatch.setattr(cap, "_active_weights",
+                        lambda _s: np.vstack([2 * alpha, alpha]))
+    assert abs(cap.systole_details(s)["systole"] - d["systole"]) < 1e-12
+    monkeypatch.setattr(cap, "_active_weights", lambda _s: 2 * alpha)
+    with pytest.raises(cap.LatticeError):
+        cap.systole_details(s)
 
 
 def test_flat_metric_scale_per_family(pool):
@@ -64,7 +130,7 @@ def test_flat_metric_scale_per_family(pool):
 ])
 def test_capacity_dichotomy(pool, rid, params):
     s = pool(rid, *params)
-    r = cap.capacities_U(s, seed=0)
+    r = cap.capacities_U(s)
     assert abs(r.extras["cross_check_normalized"] - 4.0 * np.pi) < 1e-9
     assert r.c_G == r.c_HZ
     ratio = r.extras["rank_ratio"]
@@ -80,7 +146,7 @@ def test_deck_flags_fire_exactly_on_shortened_systoles(pool):
                         ("symplectic_group", (1,)),
                         ("quadric_real", (1, 2)), ("quadric_real", (2, 2)),
                         ("grassmann_real", (1, 2))]:
-        r = cap.capacities_U(pool(rid, *params), seed=0)
+        r = cap.capacities_U(pool(rid, *params))
         flagged[(rid, params)] = r.extras["deck_flagged"]
     assert not flagged[("sphere", (2,))]
     assert not flagged[("unitary_group", (2,))]
@@ -100,23 +166,30 @@ def test_deck_flags_fire_exactly_on_shortened_systoles(pool):
 ])
 def test_disc_capacity_dispatch(pool, rid, params, tag, factor):
     s = pool(rid, *params)
-    d = cap.chz_disc(s, seed=0)
+    d = cap.chz_disc(s)
     assert d.case_tag == tag
     assert abs(d.c_HZ - factor * d.extras["sys_flat"]) < 1e-9
 
 
 def test_disc_capacity_unknown_cases(pool):
     for rid, params in [("unitary_group", (2,)), ("grassmann_real", (2, 2))]:
-        d = cap.chz_disc(pool(rid, *params), seed=0)
+        d = cap.chz_disc(pool(rid, *params))
         assert d.case_tag == "disc_unknown"
         assert d.c_HZ == "unknown"
 
 
 def test_hermitian_ambient_capacities(pool):
     s = pool("grassmann_complex_hermitian", 1, 1)
-    r = cap.capacity_hermitian_ambient(s, restarts=30, seed=0)
+    r = cap.capacity_hermitian_ambient(s)
     assert abs(r.c_G - 4.0 * np.pi) < 1e-9
     assert abs(r.c_HZ - 8.0 * np.pi) < 1e-9
+    # the default ladder is the exact Weyl one
+    assert abs(r.extras["max_gap"] - 8.0 * np.pi) < 1e-9
+    assert abs(r.extras["smin_gap"] - 4.0 * np.pi) < 1e-9
+    # a descent ladder passed in is held to the same formulas
+    descent = ob.critical_gap_report(s, restarts=50, seed=0)
+    r = cap.capacity_hermitian_ambient(s, gaps=descent)
+    assert r.extras["max_gap"] == descent["max_gap"]
     assert abs(r.extras["max_gap"] - 8.0 * np.pi) < 1e-3 * 8.0 * np.pi
     with pytest.raises(cap.GapMismatch):
         cap.capacity_hermitian_ambient(
