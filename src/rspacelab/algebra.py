@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 TOL_ALG = 1e-10
 
@@ -350,11 +349,33 @@ def ad_from_coords(alg: LieAlgebraBasis, xc: np.ndarray) -> np.ndarray:
     return np.einsum("i,ijk->kj", np.asarray(xc, float), alg.structure_constants)
 
 
+def skew_flow(a: np.ndarray):
+    """t -> exp(t a) for a real antisymmetric matrix a.
+
+    1j*a is Hermitian, so with 1j*a = V diag(lam) V^H from eigh the
+    exponential is V diag(exp(-1j*t*lam)) V^H, a real orthogonal matrix;
+    one decomposition serves every t.  eigh reads one triangle only, hence
+    the antisymmetry check.
+    """
+    a = np.asarray(a, dtype=float)
+    scale = max(1.0, np.abs(a).max(initial=0.0))
+    if np.abs(a + a.T).max(initial=0.0) > 1e-10 * scale:
+        raise AlgebraMismatch("the exponent is not an antisymmetric matrix")
+    lam, v = np.linalg.eigh(1j * a)
+    vh = v.conj().T
+    return lambda t: ((v * np.exp(-1j * t * lam)) @ vh).real
+
+
+def expm_skew(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a real antisymmetric matrix a."""
+    return skew_flow(a)(1.0)
+
+
 def conjugate(x: AlgebraElement, generator: AlgebraElement, t: float = 1.0) -> AlgebraElement:
     """Ad(exp(t g)) x, computed in the matrix representation."""
     if x.algebra_id != generator.algebra_id:
         raise AlgebraMismatch(f"{x.algebra_id} vs {generator.algebra_id}")
-    r = expm(t * generator.entries)
+    r = expm_skew(t * generator.entries)
     # generators are antisymmetric here, so r is orthogonal and r^-1 = r^T
     return AlgebraElement(x.algebra_id, r @ x.entries @ r.T)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import algebra as al
 from . import roots as rt
@@ -361,7 +360,7 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     if not ok or np.abs(freqs).max() < 0.5:
         raise UnsupportedRow(f"{d.id}: ad_xi spectrum is not {{0, +-i}}")
 
-    theta = al.make_involution(g, expm(np.pi * adxi))
+    theta = al.make_involution(g, al.expm_skew(np.pi * adxi))
     comm = theta.operator_matrix @ sigma.operator_matrix \
         - sigma.operator_matrix @ theta.operator_matrix
     assert np.abs(comm).max() < 1e-9

@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import algebra as al
 from . import orbit as ob
@@ -180,7 +179,7 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
     ts = np.linspace(0.0, t_max, grid + 1)[1:]
     # rot^k for k = 1..block by doubling, then block by block from rot^block
     block = min(grid, 1024)
-    pows = expm(x.entries * (t_max / grid))[None]
+    pows = al.expm_skew(x.entries * (t_max / grid))[None]
     while len(pows) < block:
         pows = np.concatenate([pows, pows[-1] @ pows])
     pows = pows[:block]
@@ -194,7 +193,7 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
     scale = np.abs(xi_m).max()
 
     def dist(t):
-        r = expm(x.entries * t)
+        r = al.expm_skew(x.entries * t)
         return np.abs(r @ xi_m @ r.T - xi_m).max()
 
     v = al.bracket(x, s.xi)

@@ -118,10 +118,7 @@ def _atlas_entries(space, params):
     if space is None:
         return atlas.default_entries()
     if params is not None:
-        try:
-            return [atlas.descriptor(space, *params)]
-        except atlas.UnsupportedRow as e:
-            raise _UsageError(str(e))
+        return [atlas.descriptor(space, *params)]
     hits = [d for d in atlas.default_entries()
             if space == d.id or space == d.table_row]
     if not hits:
@@ -198,10 +195,7 @@ def cmd_report(args) -> int:
     if space is None:
         entries = None
     elif params is not None:
-        try:
-            entries = [atlas.descriptor(space, *params)]
-        except atlas.UnsupportedRow as e:
-            raise _UsageError(str(e))
+        entries = [atlas.descriptor(space, *params)]
     else:
         entries = [d for d in atlas.list_entries()
                    if d.instantiable and d.id == space]
@@ -219,7 +213,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return {"atlas": cmd_atlas, "verify": cmd_verify,
                 "report": cmd_report}[args.command](args)
-    except _UsageError as e:
+    # a row or size outside the catalogue surfaces while instantiating
+    except (_UsageError, atlas.UnsupportedRow, atlas.SizeOutOfRange) as e:
         print(f"rspacelab: {e}", file=sys.stderr)
         return EX_USAGE
     except SystemExit as e:  # --help / --version

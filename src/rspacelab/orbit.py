@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import weakref
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import algebra as al
 from . import roots as rt
@@ -173,10 +172,14 @@ def transport(pt: OrbitPoint, generator: al.AlgebraElement, t: float = 1.0) -> O
                       log=pt.log + ((generator, float(t)),))
 
 
-def random_orbit_point(s: SpaceInstance, seed: int) -> OrbitPoint:
+def random_orbit_point(s: SpaceInstance, seed) -> OrbitPoint:
+    """k . xi for k from an 8-step Gaussian random walk on K, which spreads
+    close to the Haar measure; seed is an int or a SeedSequence."""
     rng = np.random.default_rng(seed)
-    gen = s.g_vee.random_element(rng)
-    return transport(base_point(s), gen, 1.0)
+    pt = base_point(s)
+    for _ in range(8):
+        pt = transport(pt, s.g_vee.random_element(rng))
+    return pt
 
 
 def make_tangent(pt: OrbitPoint, generator: al.AlgebraElement) -> OrbitTangent:
@@ -406,7 +409,6 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     if covs.size == 0:
         raise NotOnRealForm("flat carries no roots; box test is vacuous")
 
-    xi_pt = base_point(s)
     n_int = samples // 2
     report = {"interior_pass": 0, "interior_total": 0,
               "exterior_pass": 0, "exterior_total": 0,
@@ -422,12 +424,14 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
         x_lift = st.a_flat.lift(x_coords)
 
         k_gen = g.from_coords(rng.normal(size=s.k_basis.shape[0]) @ s.k_basis)
-        x_pt = transport(xi_pt, k_gen, 1.0)
-        v0 = al.bracket(x_lift, s.xi)
-        rmat = expm(k_gen.entries)
-        v_vec = g.element(rmat @ v0.entries @ rmat.T)
-        tangent = OrbitTangent(base=x_pt, generator=al.conjugate(
-            -1.0 * x_lift, k_gen, 1.0), vector=v_vec)
+        rmat = al.expm_skew(k_gen.entries)
+
+        def move(y):  # Ad(exp k_gen) y, all three from one exponential
+            return g.element(rmat @ y.entries @ rmat.T)
+
+        x_pt = OrbitPoint(space=s, value=move(s.xi), log=((k_gen, 1.0),))
+        tangent = OrbitTangent(base=x_pt, generator=move(-1.0 * x_lift),
+                               vector=move(al.bracket(x_lift, s.xi)))
 
         mu = moment_tn(x_pt, tangent)
         mu_k = st.k_alg.coords(mu.entries)
@@ -477,11 +481,13 @@ def _descend(s: SpaceInstance, pt: OrbitPoint, max_iter: int = 10000) -> OrbitPo
         if it > max_iter:
             raise NonConvergence(f"descent exceeded {max_iter} iterations")
         step = -grad / max(np.linalg.norm(grad), 1e-30)
-        gen = g.from_coords(step)
+        flow = al.skew_flow(g.from_coords(step).entries)
+        am = g.from_coords(a).entries
         decr = np.linalg.norm(grad)
         accepted = False
         for _ in range(40):
-            cand = al.conjugate(g.from_coords(a), gen, eta)
+            r = flow(eta)
+            cand = r @ am @ r.T
             cval, cgrad = _merit_and_grad(s, g.coords(cand))
             if cval <= val - 0.3 * eta * decr:
                 a, val, grad = g.coords(cand), cval, cgrad
@@ -502,7 +508,9 @@ def _descend(s: SpaceInstance, pt: OrbitPoint, max_iter: int = 10000) -> OrbitPo
             break
         # d/du_i Ad(e^U) a = [b_i, a]; columns indexed by i
         jac = adxi @ np.einsum("ijk,j->ki", s.g_vee.structure_constants, a)
-        u, *_ = np.linalg.lstsq(lmat.T @ jac, -(lmat.T @ r), rcond=None)
+        # cut the near-null singular directions: dividing round-off by them
+        # throws the step off the critical set
+        u, *_ = np.linalg.lstsq(lmat.T @ jac, -(lmat.T @ r), rcond=1e-10)
         step = g.from_coords(u)
         nrm = np.linalg.norm(u)
         if nrm > 0.5:
@@ -560,8 +568,8 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     """
     clusters: list[list] = []
     values: list[float] = []
-    pts = [base_point(s)] + [random_orbit_point(s, seed + 1000 + i)
-                             for i in range(restarts - 1)]
+    pts = [base_point(s)] + [random_orbit_point(s, ss) for ss in
+                             np.random.SeedSequence(seed).spawn(restarts - 1)]
     for pt in pts:
         crit = _descend(s, pt)
         gn = riemannian_gradient_norm(crit)

@@ -161,13 +161,15 @@ def test_criterion_7_structural_suite(pool):
             continue
         st = ob.structure(s)
         cascade_ok &= st.sos.count == st.rank_nc
-    idx_ok = all(c["computed"] % 2 == 0 if isinstance(c["computed"], int)
-                 else True
-                 for c in report["checks"] if c["id"].endswith("hessian_even"))
+    idx_checks = [c for c in report["checks"]
+                  if c["id"].startswith("critical.indices[")]
+    idx_ok = bool(idx_checks) and all(i % 2 == 0 for c in idx_checks
+                                      for i in c["computed"])
     n = len(report["checks"])
     ok = suite_ok and cascade_ok and idx_ok
     _verdict(7, "algebra, root and orbit identities hold at tolerance", ok,
-             f"{n} checks, cascades fill the rank on every instance")
+             f"{n} checks, {len(idx_checks)} even index lists, cascades fill "
+             "the rank on every instance")
 
 
 # 8. Finsler geometry of the momentum body ---------------------------------
@@ -186,7 +188,7 @@ def test_criterion_8_finsler_norms(pool):
         s = pool(rid, *params)
         box = fin.unit_ball_vs_box(s, samples=1000, seed=29)
         frac_min = min(frac_min, box["fraction"])
-        if fin.norm_kernel(s).shape[1] == 0:
+        if fin.norm_kernel(s).shape[0] == 0:
             spread_max = max(spread_max,
                              fin.f2_vs_riemannian(s, seed=29)["spread"])
         mono_max = max(mono_max,

@@ -176,3 +176,29 @@ def test_elements_of_different_algebras_do_not_mix():
     b = al.build_algebra("so", 4)
     with pytest.raises(al.AlgebraMismatch):
         al.bracket(a.basis[0], b.basis[0])
+
+
+def test_expm_skew_matches_the_pade_exponential():
+    expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
+    rng = np.random.default_rng(11)
+    for n in range(2, 25):
+        for _ in range(3):
+            m = rng.normal(size=(n, n))
+            a = m - m.T
+            r = al.expm_skew(a)
+            assert np.abs(r - expm(a)).max() <= 1e-12
+            assert np.abs(r @ r.T - np.eye(n)).max() <= 1e-12
+    # pi times a block rotation generator: eigenvalues +-i pi, each repeated
+    j = np.kron(np.eye(4), [[0.0, -1.0], [1.0, 0.0]])
+    r = al.expm_skew(np.pi * j)
+    assert np.abs(r - expm(np.pi * j)).max() <= 1e-12
+    assert np.abs(r + np.eye(8)).max() <= 1e-12
+
+
+def test_expm_skew_rejects_a_non_antisymmetric_matrix():
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(5, 5))
+    with pytest.raises(al.AlgebraMismatch):
+        al.expm_skew(m)
+    with pytest.raises(al.AlgebraMismatch):
+        al.expm_skew(m - m.T + 1e-6 * (m + m.T))

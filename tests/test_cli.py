@@ -3,6 +3,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from rspacelab import cli
 
@@ -140,3 +146,37 @@ def test_unwritable_output_path_is_an_io_error(capsys):
 def test_version_and_help_exit_cleanly(capsys):
     assert cli.main(["--version"]) == 0
     assert cli.main(["--help"]) == 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "--space", "sphere", "--params", "30"],
+    ["report", "--space", "grassmann_real", "--params", "7,7"],
+], ids=["atlas", "report"])
+def test_size_outside_the_window_is_a_usage_error(argv):
+    proc = run_child("-m", "rspacelab", *argv)
+    assert proc.returncode == cli.EX_USAGE
+    assert proc.stderr.startswith("rspacelab: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_commands_run_without_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    proc = run_child("-c", "import sys; from rspacelab import cli; "
+                           "code = cli.main(sys.argv[1:]); "
+                           "print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'scipy'), file=sys.stderr); "
+                           "sys.exit(code)",
+                     "report", "--space", "sphere", "--params", "3")
+    assert proc.returncode == cli.EX_OK, proc.stderr
+    assert "sphere(3)" in proc.stdout
+    assert proc.stderr.strip() == "[]"

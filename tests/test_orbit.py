@@ -224,3 +224,43 @@ def test_reflection_ladder_hand_values(pool):
     s2 = pool("sphere", 2)
     assert np.allclose(ob.weyl_critical_values(s2),
                        [-4.0 * np.pi, 0.0, 4.0 * np.pi], atol=1e-9)
+
+
+def test_random_orbit_points_reach_every_level(pool):
+    # a Haar-uniform point of CP1 x CP1 flows to the top level with
+    # probability 1/4; a draw that stays near xi rarely gets there
+    s = pool("grassmann_complex_hermitian", 1, 1)
+    top = ob.weyl_critical_values(s)[-1]
+    ends = [ob.hamiltonian(ob._descend(s, ob.random_orbit_point(s, i)))
+            for i in range(300)]
+    share = np.mean([abs(h - top) < 1e-3 for h in ends])
+    assert share >= 0.18
+
+
+def test_nearby_master_seeds_share_no_restart(monkeypatch):
+    starts = []
+    draw = ob.random_orbit_point
+
+    def record(s, seed):
+        pt = draw(s, seed)
+        starts[-1].append(pt.value.entries)
+        return pt
+
+    monkeypatch.setattr(ob, "random_orbit_point", record)
+    for seed in (5, 6):
+        starts.append([])
+        ob.find_critical_points(_S2[0], restarts=20, seed=seed)
+    assert len(starts[0]) == len(starts[1]) == 19
+    gaps = [np.abs(a - b).max() for a in starts[0] for b in starts[1]]
+    assert min(gaps) > 1e-6
+
+
+@pytest.mark.parametrize("rid,params", [("unitary_group", (2,)),
+                                        ("orthogonal_group", (5,))])
+def test_descent_certifies_off_the_benchmark_orbits(pool, rid, params):
+    # the Gauss-Newton polish must not amplify round-off along the
+    # near-null directions of its Jacobian
+    s = pool(rid, *params)
+    clusters = ob.find_critical_points(s, restarts=50, seed=1)
+    assert np.allclose([c.value for c in clusters], ob.weyl_critical_values(s),
+                       atol=1e-4)
