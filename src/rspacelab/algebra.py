@@ -24,6 +24,10 @@ TOL_ALG = 1e-10
 # family -> inclusive size range keeping real matrices at most 24x24
 _SIZE_RANGE = {"so": (2, 24), "su": (2, 12), "u": (1, 12), "sp": (1, 6)}
 
+# the sampling oracles stack their samples in blocks of at most this many
+# complex matrix entries (1 MiB), so their memory is bounded on large algebras
+_BLOCK_ENTRIES = 1 << 16
+
 
 class UnsupportedFamily(ValueError):
     """Family label outside {so, su, u, sp}."""
@@ -118,6 +122,16 @@ class LieAlgebraBasis:
     def from_coords(self, v: np.ndarray) -> AlgebraElement:
         m = (np.asarray(v, float) @ self._flat).reshape(self.size, self.size)
         return AlgebraElement(self.algebra_id, m)
+
+    def stack_coords(self, ms: np.ndarray) -> np.ndarray:
+        """Coordinates of every matrix in a (..., size, size) stack."""
+        ms = np.asarray(ms, float)
+        return ms.reshape(ms.shape[:-2] + (-1,)) @ self._flat.T
+
+    def stack_matrices(self, vs: np.ndarray) -> np.ndarray:
+        """Matrices of every coordinate vector in a (..., dim) stack."""
+        vs = np.asarray(vs, float)
+        return (vs @ self._flat).reshape(vs.shape[:-1] + (self.size, self.size))
 
     def element(self, m: np.ndarray) -> AlgebraElement:
         """Wrap a matrix, checking it actually lies in the span."""
@@ -338,6 +352,13 @@ def pairing(alg: LieAlgebraBasis, x: AlgebraElement, y: AlgebraElement) -> float
     return -killing(alg, x, y)
 
 
+def sample_blocks(count: int, entries: int) -> list:
+    """Slices cutting count samples of entries matrix entries each into the
+    stacked blocks of the sampling oracles."""
+    step = max(1, _BLOCK_ENTRIES // entries)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def ad_operator(alg: LieAlgebraBasis, x: AlgebraElement) -> np.ndarray:
     """Matrix of ad_x = [x, .] in the basis coordinates of alg."""
     xc = alg.coords(x)
@@ -346,28 +367,42 @@ def ad_operator(alg: LieAlgebraBasis, x: AlgebraElement) -> np.ndarray:
 
 
 def ad_from_coords(alg: LieAlgebraBasis, xc: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ijk->kj", np.asarray(xc, float), alg.structure_constants)
+    """ad of coordinate vectors xc, shape (..., dim) -> (..., dim, dim)."""
+    xc = np.asarray(xc, float)
+    c = alg.structure_constants
+    if xc.ndim == 1:  # the descent iterates on these exact sums
+        return np.einsum("i,ijk->kj", xc, c)
+    d = alg.dim
+    ad = (xc @ c.reshape(d, d * d)).reshape(xc.shape[:-1] + (d, d))
+    return ad.swapaxes(-1, -2)
 
 
 def skew_flow(a: np.ndarray):
-    """t -> exp(t a) for a real antisymmetric matrix a.
+    """t -> exp(t a) for a real antisymmetric matrix a, or a (..., n, n)
+    stack of them.
 
     1j*a is Hermitian, so with 1j*a = V diag(lam) V^H from eigh the
     exponential is V diag(exp(-1j*t*lam)) V^H, a real orthogonal matrix;
     one decomposition serves every t.  eigh reads one triangle only, hence
-    the antisymmetry check.
+    the antisymmetry check, made on every slice.
     """
     a = np.asarray(a, dtype=float)
-    scale = max(1.0, np.abs(a).max(initial=0.0))
-    if np.abs(a + a.T).max(initial=0.0) > 1e-10 * scale:
+    if a.ndim == 2:
+        bad = (np.abs(a + a.T).max(initial=0.0)
+               > 1e-10 * max(1.0, np.abs(a).max(initial=0.0)))
+    else:  # the same test, one scale per slice
+        bad = (np.abs(a + a.swapaxes(-1, -2)).max(axis=(-2, -1))
+               > 1e-10 * np.abs(a).max(axis=(-2, -1), initial=1.0)).any()
+    if bad:
         raise AlgebraMismatch("the exponent is not an antisymmetric matrix")
     lam, v = np.linalg.eigh(1j * a)
-    vh = v.conj().T
+    lam = lam[..., None, :]  # broadcast along the rows of each slice
+    vh = v.conj().swapaxes(-1, -2)
     return lambda t: ((v * np.exp(-1j * t * lam)) @ vh).real
 
 
 def expm_skew(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a real antisymmetric matrix a."""
+    """exp(a) for a real antisymmetric matrix a, or a (..., n, n) stack."""
     return skew_flow(a)(1.0)
 
 

@@ -26,6 +26,13 @@ class DegenerateNorm(RuntimeError):
     """Every flat direction is in the kernel of the norm."""
 
 
+def _schatten(sv: np.ndarray, p: float) -> np.ndarray:
+    """Schatten p-norm of each row of singular values."""
+    if np.isinf(p):
+        return sv.max(axis=-1)
+    return (sv ** p).sum(axis=-1) ** (1.0 / p)
+
+
 @dataclass(frozen=True, eq=False)
 class FinslerNorm:
     """Schatten p-norm of ad_a on the isotropy algebra, a in flat coords."""
@@ -34,16 +41,23 @@ class FinslerNorm:
     p: float
 
     def singular_values(self, u) -> np.ndarray:
+        """Singular values of ad_a on k for one flat vector u, or one row of
+        them per vector of a stack, computed in stacked blocks."""
         st = ob.structure(self.space)
-        x = st.a_in_k.lift(np.asarray(u, float))
-        adx = al.ad_operator(st.k_alg, x)
-        return np.abs(np.linalg.eigvalsh(1j * adx))
+        xs = np.atleast_2d(np.asarray(u, float)) @ st.a_in_k.basis
+        d = st.k_alg.dim
+        sv = np.empty((len(xs), d))
+        for b in al.sample_blocks(len(xs), d * d):
+            adx = al.ad_from_coords(st.k_alg, xs[b])
+            sv[b] = np.abs(np.linalg.eigvalsh(1j * adx))
+        return sv if np.ndim(u) > 1 else sv[0]
+
+    def values(self, us) -> np.ndarray:
+        """F_p of every row of the stack us."""
+        return _schatten(self.singular_values(np.asarray(us, float)), self.p)
 
     def __call__(self, u) -> float:
-        sv = self.singular_values(u)
-        if np.isinf(self.p):
-            return float(sv.max())
-        return float((sv ** self.p).sum() ** (1.0 / self.p))
+        return float(self.values([u])[0])
 
 
 def finsler_norm(s: SpaceInstance, p: float = np.inf) -> FinslerNorm:
@@ -69,17 +83,24 @@ def unit_ball_vs_box(s: SpaceInstance, samples: int = 400,
     """Sampled equivalence of {F_inf < 1} with the open root box."""
     st = ob.structure(s)
     f = finsler_norm(s, np.inf)
+    covs = np.array([r.covector for r in st.sigma_roots.roots]).reshape(
+        -1, st.rank_n)
     rng = np.random.default_rng(seed)
-    agree = 0
-    for _ in range(samples):
-        u = rng.normal(size=st.rank_n)
-        fu = f(u)
-        if fu > 1e-12:
-            # rescale to straddle the boundary
-            u = u * (rng.uniform(0.3, 1.7) / fu)
-        in_ball = f(u) < 1.0
-        in_box = rt.box_contains(st.sigma_roots, u, 1.0)
-        agree += in_ball == in_box
+    us = np.empty((samples, st.rank_n))
+    moved = np.zeros(samples, bool)
+    stretch = np.empty(samples)
+    for i in range(samples):
+        us[i] = rng.normal(size=st.rank_n)
+        # F_inf(u), the largest root value, is zero on the common kernel of
+        # the roots; elsewhere u is rescaled to straddle the boundary
+        if np.abs(covs @ us[i]).max(initial=0.0) > 1e-12:
+            moved[i] = True
+            stretch[i] = rng.uniform(0.3, 1.7)
+    fu = f.values(us[moved])
+    us[moved] *= (stretch[moved] / fu)[:, None]
+    in_ball = f.values(us) < 1.0
+    in_box = np.abs(us @ covs.T).max(axis=1, initial=0.0) < 1.0
+    agree = int(np.sum(in_ball == in_box))
     return {"samples": samples, "agree": agree,
             "fraction": agree / samples}
 
@@ -95,18 +116,13 @@ def f2_vs_riemannian(s: SpaceInstance, samples: int = 200,
     ker = norm_kernel(s)
     if ker.shape[0] == st.rank_n:
         raise DegenerateNorm(f"{s.descriptor.label}: all roots vanish")
-    f2 = finsler_norm(s, 2.0)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(samples):
-        u = rng.normal(size=st.rank_n)
-        u = u - ker.T @ (ker @ u)
-        if np.linalg.norm(u) < 1e-6:
-            continue
-        x = st.a_flat.lift(u)
-        riem = np.sqrt(ob.inner(s, x, x))
-        ratios.append(f2(u) / riem)
-    ratios = np.array(ratios)
+    # one row per draw, the same numbers as one rng.normal(size=rank) each
+    us = np.random.default_rng(seed).normal(size=(samples, st.rank_n))
+    us = us - (us @ ker.T) @ ker
+    us = us[np.linalg.norm(us, axis=1) >= 1e-6]
+    xc = us @ st.a_flat.basis  # g coordinates of the lifts
+    riem = np.sqrt(np.sum((xc @ st.metric) * xc, axis=1))
+    ratios = finsler_norm(s, 2.0).values(us) / riem
     const = float(np.median(ratios))
     spread = float(ratios.max() - ratios.min()) / const
     return {"constant": const, "spread": spread,
@@ -120,21 +136,18 @@ def norm_monotonicity(s: SpaceInstance, samples: int = 100, seed: int = 0,
     st = ob.structure(s)
     exps = sorted(set(ps) | {1.0}) + [np.inf]
     norms = [finsler_norm(s, p) for p in exps]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    mult = None
-    for _ in range(samples):
-        u = rng.normal(size=st.rank_n)
-        vals = [f(u) for f in norms]  # descending in the exponent
-        for lo, hi in zip(vals[1:], vals[:-1]):
-            worst = max(worst, lo - hi)
-        if st.rank_n == 1 and vals[-1] > 1e-12:
-            mult = vals[0] / vals[-1]  # F_1 / F_inf
+    us = np.random.default_rng(seed).normal(size=(samples, st.rank_n))
+    sv = norms[-1].singular_values(us)
+    # one column per exponent; the norms descend along each row
+    vals = np.stack([_schatten(sv, f.p) for f in norms], axis=1)
+    worst = float(np.max(vals[:, 1:] - vals[:, :-1], initial=0.0))
     out = {"worst_violation": worst, "exponents": exps}
-    if mult is not None:
-        sv = norms[-1].singular_values(np.ones(1))
-        nonzero = sv[sv > 1e-9 * max(sv.max(), 1.0)]
-        out["rank1_multiplier"] = float(mult)
+    live = vals[:, -1] > 1e-12
+    if st.rank_n == 1 and live.any():
+        last = np.flatnonzero(live)[-1]
+        sv1 = norms[-1].singular_values(np.ones(1))
+        nonzero = sv1[sv1 > 1e-9 * max(sv1.max(), 1.0)]
+        out["rank1_multiplier"] = float(vals[last, 0] / vals[last, -1])
         out["rank1_nonzero_count"] = len(nonzero)
         # F_1 = count * F_inf only when one magnitude carries the spectrum
         out["rank1_single_magnitude"] = bool(

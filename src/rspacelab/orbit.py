@@ -175,11 +175,27 @@ def transport(pt: OrbitPoint, generator: al.AlgebraElement, t: float = 1.0) -> O
 def random_orbit_point(s: SpaceInstance, seed) -> OrbitPoint:
     """k . xi for k from an 8-step Gaussian random walk on K, which spreads
     close to the Haar measure; seed is an int or a SeedSequence."""
-    rng = np.random.default_rng(seed)
-    pt = base_point(s)
-    for _ in range(8):
-        pt = transport(pt, s.g_vee.random_element(rng))
-    return pt
+    return random_orbit_points(s, [seed])[0]
+
+
+def random_orbit_points(s: SpaceInstance, seeds) -> list:
+    """random_orbit_point for each seed, the walks stacked side by side."""
+    g = s.g_vee
+    n = g.size
+    # walk i draws its 8 steps from its own generator, in order
+    steps = np.array([np.random.default_rng(seed).normal(size=(8, g.dim))
+                      for seed in seeds]).reshape(-1, 8, g.dim)
+    pts = []
+    for b in al.sample_blocks(len(steps), 8 * n * n):
+        rots = al.expm_skew(g.stack_matrices(steps[b]))
+        x = np.broadcast_to(s.xi.entries, (len(rots), n, n))
+        for i in range(8):
+            x = rots[:, i] @ x @ rots[:, i].swapaxes(-1, -2)
+        for row, value in zip(steps[b], x):
+            log = tuple((g.from_coords(c), 1.0) for c in row)
+            pts.append(OrbitPoint(space=s, log=log,
+                                  value=al.AlgebraElement(g.algebra_id, value)))
+    return pts
 
 
 def make_tangent(pt: OrbitPoint, generator: al.AlgebraElement) -> OrbitTangent:
@@ -245,16 +261,23 @@ def complex_structure_check(x: OrbitPoint) -> float:
 def moment_tn(x: OrbitPoint, v: OrbitTangent) -> al.AlgebraElement:
     """Tangent-bundle momentum [x, v]; requires x and v on the real form."""
     _check_same_base(x, v)
-    s = x.space
-    xc = s.g_vee.coords(x.value)
-    vc = s.g_vee.coords(v.vector)
-    if np.linalg.norm(s.sigma.apply_coords(xc) + xc) > 1e-8 * max(1, np.linalg.norm(xc)):
-        raise NotOnRealForm("point is not sigma-odd")
-    if np.linalg.norm(s.sigma.apply_coords(vc) + vc) > 1e-8 * max(1, np.linalg.norm(vc)):
-        raise NotOnRealForm("velocity is not sigma-odd")
-    mu = al.bracket(x.value, v.vector)
-    muc = s.g_vee.coords(mu)
-    assert np.linalg.norm(muc - al.project_onto(s.k_basis, muc)) < 1e-8
+    mu = _momentum_tn(x.space, x.value.entries, v.vector.entries)
+    return al.AlgebraElement(x.value.algebra_id, mu)
+
+
+def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """[x, v] for point and velocity matrices, single or (..., n, n) stacks,
+    after checking that every pair lies on the real form."""
+    g = s.g_vee
+    for m, what in ((x, "point"), (v, "velocity")):
+        c = g.stack_coords(m)
+        odd = np.linalg.norm(c @ s.sigma.operator_matrix.T + c, axis=-1)
+        if np.any(odd > 1e-8 * np.maximum(1.0, np.linalg.norm(c, axis=-1))):
+            raise NotOnRealForm(f"{what} is not sigma-odd")
+    mu = x @ v - v @ x
+    muc = g.stack_coords(mu)
+    off_k = muc - (muc @ s.k_basis.T) @ s.k_basis
+    assert np.all(np.linalg.norm(off_k, axis=-1) < 1e-8)
     return mu
 
 
@@ -289,56 +312,70 @@ def flat_model(s: SpaceInstance, v) -> FlatModelPoint:
     return FlatModelPoint(space=s, v=v, point=transport(base_point(s), gen, 1.0))
 
 
-def _flat_cut_distance(s: SpaceInstance, v: np.ndarray) -> float:
-    """Distance of root values to the half-period shell pi/2 + pi Z."""
+def _flat_points(s: SpaceInstance, vs: np.ndarray) -> np.ndarray:
+    """Matrices of flat_model(s, v).point for every row v of vs."""
     st = structure(s)
-    vals = np.array([r.covector @ v for r in st.sigma_bar_roots.roots])
-    if len(vals) == 0:
-        return np.inf
-    m = np.mod(vals - np.pi / 2.0, np.pi)
-    return float(np.minimum(m, np.pi - m).min())
+    xi = s.xi.entries
+    vt = s.g_vee.stack_matrices(vs @ st.abar.basis)
+    rot = al.expm_skew(xi @ vt - vt @ xi)
+    return rot @ xi @ rot.swapaxes(-1, -2)
+
+
+def _flat_cut_distance(s: SpaceInstance, v) -> np.ndarray:
+    """Distance of root values to the half-period shell pi/2 + pi Z, for
+    one flat vector or for every row of a stack."""
+    st = structure(s)
+    covs = np.array([r.covector for r in st.sigma_bar_roots.roots]).reshape(
+        -1, st.rank_nc)
+    m = np.mod(np.asarray(v, float) @ covs.T - np.pi / 2.0, np.pi)
+    return np.minimum(m, np.pi - m).min(axis=-1, initial=np.inf)
 
 
 def delta_contains(fp: FlatModelPoint, band: float = 1e-6) -> bool:
     """Whether the flat point lies on the cut set Delta, within band."""
-    return _flat_cut_distance(fp.space, fp.v) < band
+    return bool(_flat_cut_distance(fp.space, fp.v) < band)
 
 
-def _geometric_cut_indicator(model: str, s: SpaceInstance, fp: FlatModelPoint) -> float:
-    """Scaled distance from the brute-force cut condition.
+def _geometric_cut_indicator(model: str, s: SpaceInstance,
+                             pts: np.ndarray) -> np.ndarray:
+    """Scaled distance from the brute-force cut condition, for each point
+    matrix of a stack.
 
     For the circle model the cut set is where the point is sigma-fixed; for
     the product of two spheres it is where the two block components agree
     (antipode per factor, through the swap).
     """
-    g = s.g_vee
-    pc = g.coords(fp.point.value)
-    scale = np.linalg.norm(pc)
+    pc = s.g_vee.stack_coords(pts)
+    scale = np.linalg.norm(pc, axis=-1)
     if model == "cp1":
-        return float(np.linalg.norm(s.sigma.apply_coords(pc) - pc)) / scale
+        moved = pc @ s.sigma.operator_matrix.T - pc
+        return np.linalg.norm(moved, axis=-1) / scale
     if model == "cp1xcp1":
-        m = fp.point.value.entries
-        half = m.shape[0] // 2
-        return float(np.linalg.norm(m[:half, :half] - m[half:, half:])) / scale
+        half = pts.shape[-1] // 2
+        diff = pts[..., :half, :half] - pts[..., half:, half:]
+        return np.linalg.norm(diff, axis=(-2, -1)) / scale
     raise ValueError(f"unknown cut model {model!r}")
 
 
-def cut_locus_oracle_check(model: str, samples: int = 1000, seed: int = 5,
-                           band: float = 1e-6) -> dict:
+# cut model -> the catalogue row (id, params) it is sampled on
+CUT_MODEL_ROWS = {"cp1": ("grassmann_real", (1, 1)),
+                  "cp1xcp1": ("grassmann_complex_hermitian", (1, 1))}
+
+
+def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
+                           seed: int = 5, band: float = 1e-6) -> dict:
     """Compare delta_contains with an explicit cut-locus computation.
 
-    Half the samples are constructed on the half-period shell (the predicate
-    must fire and the brute-force cut condition must hold); half are drawn
+    s is the instance of the model's row in CUT_MODEL_ROWS.  Half the
+    samples are constructed on the half-period shell (the predicate must
+    fire and the brute-force cut condition must hold); half are drawn
     uniformly and kept only when safely off the shell (both must be false).
     """
-    from . import atlas
-    if model == "cp1":
-        d = atlas.descriptor("grassmann_real", 1, 1)
-    elif model == "cp1xcp1":
-        d = atlas.descriptor("grassmann_complex_hermitian", 1, 1)
-    else:
+    if model not in CUT_MODEL_ROWS:
         raise ValueError(f"unknown cut model {model!r}")
-    s = atlas.instantiate(d)
+    if (s.descriptor.id, s.descriptor.params) != CUT_MODEL_ROWS[model]:
+        raise ValueError(f"cut model {model!r} is not sampled on "
+                         f"{s.descriptor.label}")
     st = structure(s)
     roots = [r.covector for r in st.sigma_bar_roots.roots]
     rng = np.random.default_rng(seed)
@@ -350,41 +387,34 @@ def cut_locus_oracle_check(model: str, samples: int = 1000, seed: int = 5,
     r_dim = st.rank_n
     live = [b for b in roots if np.linalg.norm(b[:r_dim]) > 1e-9]
 
-    def pad(u):
-        v = np.zeros(st.rank_nc)
-        v[:r_dim] = u
-        return v
-
-    mism = 0
-    skipped = 0
-    tested = 0
+    vs = np.zeros((samples, st.rank_nc))
+    on_shell = np.arange(samples) % 2 == 0
     for i in range(samples):
-        on_shell = i % 2 == 0
-        if on_shell:
+        if on_shell[i]:
             beta = live[rng.integers(len(live))]
             u = rng.normal(size=r_dim) * scale * 0.3
             # slide along beta so that beta(v) sits exactly on the shell
             bsub = beta[:r_dim]
             target = np.pi / 2.0 + np.pi * rng.integers(-1, 1)
-            u = u + (target - beta @ pad(u)) * bsub / (bsub @ bsub)
-            v = pad(u)
-            if _flat_cut_distance(s, v) > band / 10.0:
-                skipped += 1  # another root moved it off its own shell
-                continue
+            u = u + (target - bsub @ u) * bsub / (bsub @ bsub)
         else:
-            v = pad(rng.normal(size=r_dim) * scale)
-            if _flat_cut_distance(s, v) < 1e-4:
-                skipped += 1
-                continue
-        fp = flat_model(s, v)
-        pred = delta_contains(fp, band)
-        geo = _geometric_cut_indicator(model, s, fp)
-        oracle = geo < 1e-6 if on_shell else geo > 1e-6
-        tested += 1
-        if pred != on_shell or not oracle:
-            mism += 1
-    return {"model": model, "samples": samples, "tested": tested,
-            "skipped": skipped, "mismatches": mism}
+            u = rng.normal(size=r_dim) * scale
+        vs[i, :r_dim] = u
+    dist = _flat_cut_distance(s, vs)
+    # skip shell draws that another root moved off its own shell, and
+    # uniform draws too close to the shell
+    keep = np.where(on_shell, dist <= band / 10.0, dist >= 1e-4)
+    vs, on_shell, dist = vs[keep], on_shell[keep], dist[keep]
+
+    geo = np.empty(len(vs))
+    n = s.g_vee.size
+    for b in al.sample_blocks(len(vs), n * n):
+        geo[b] = _geometric_cut_indicator(model, s, _flat_points(s, vs[b]))
+    pred = dist < band  # delta_contains on each kept point
+    oracle = np.where(on_shell, geo < 1e-6, geo > 1e-6)
+    mism = int(np.sum((pred != on_shell) | ~oracle))
+    return {"model": model, "samples": samples, "tested": len(vs),
+            "skipped": samples - len(vs), "mismatches": mism}
 
 
 # ---------------------------------------------------------------------------
@@ -410,55 +440,52 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
         raise NotOnRealForm("flat carries no roots; box test is vacuous")
 
     n_int = samples // 2
-    report = {"interior_pass": 0, "interior_total": 0,
-              "exterior_pass": 0, "exterior_total": 0,
-              "max_spectral_mismatch": 0.0}
+    interior, xs, ks = [], [], []
     for i in range(samples):
-        interior = i < n_int
         u = rng.normal(size=st.rank_n)
         m = np.abs(covs @ u).max()
         if m < 1e-9:
             continue
-        t = rng.uniform(0.1, 0.95) if interior else rng.uniform(1.05, 2.0)
-        x_coords = u * (t * r / m)
-        x_lift = st.a_flat.lift(x_coords)
+        t = rng.uniform(0.1, 0.95) if i < n_int else rng.uniform(1.05, 2.0)
+        interior.append(i < n_int)
+        xs.append(u * (t * r / m))
+        ks.append(rng.normal(size=s.k_basis.shape[0]))
+    interior = np.array(interior, bool)
+    xs = np.array(xs).reshape(-1, st.rank_n)
+    ks = np.array(ks).reshape(-1, s.k_basis.shape[0])
 
-        k_gen = g.from_coords(rng.normal(size=s.k_basis.shape[0]) @ s.k_basis)
-        rmat = al.expm_skew(k_gen.entries)
-
-        def move(y):  # Ad(exp k_gen) y, all three from one exponential
-            return g.element(rmat @ y.entries @ rmat.T)
-
-        x_pt = OrbitPoint(space=s, value=move(s.xi), log=((k_gen, 1.0),))
-        tangent = OrbitTangent(base=x_pt, generator=move(-1.0 * x_lift),
-                               vector=move(al.bracket(x_lift, s.xi)))
-
-        mu = moment_tn(x_pt, tangent)
-        mu_k = st.k_alg.coords(mu.entries)
-        lam = float(np.abs(np.linalg.eigvalsh(
-            1j * rt.ad_from_coords(st.k_alg, mu_k))).max())
-        target = float(np.abs(covs @ x_coords).max())
-        report["max_spectral_mismatch"] = max(
-            report["max_spectral_mismatch"], abs(lam - target))
-        inside = lam < r
-        if interior:
-            report["interior_total"] += 1
-            report["interior_pass"] += int(inside)
-        else:
-            report["exterior_total"] += 1
-            report["exterior_pass"] += int(not inside)
-    return report
+    xi = s.xi.entries
+    n, kd = g.size, st.k_alg.dim
+    lam = np.empty(len(xs))
+    for b in al.sample_blocks(len(xs), n * n + kd * kd):
+        x_lift = g.stack_matrices(xs[b] @ st.a_flat.basis)
+        rot = al.expm_skew(g.stack_matrices(ks[b] @ s.k_basis))
+        rot_t = rot.swapaxes(-1, -2)
+        # Ad(exp k_gen) of the point xi and of the velocity [X, xi]
+        pts = rot @ xi @ rot_t
+        vel = rot @ (x_lift @ xi - xi @ x_lift) @ rot_t
+        mu_k = st.k_alg.stack_coords(_momentum_tn(s, pts, vel))
+        ad = rt.ad_from_coords(st.k_alg, mu_k)
+        lam[b] = np.abs(np.linalg.eigvalsh(1j * ad)).max(axis=-1)
+    target = np.abs(xs @ covs.T).max(axis=1, initial=0.0)
+    inside = lam < r
+    return {"interior_pass": int(np.sum(inside & interior)),
+            "interior_total": int(np.sum(interior)),
+            "exterior_pass": int(np.sum(~inside & ~interior)),
+            "exterior_total": int(np.sum(~interior)),
+            "max_spectral_mismatch": float(
+                np.max(np.abs(lam - target), initial=0.0))}
 
 
 # ---------------------------------------------------------------------------
 # critical points of the orbit Hamiltonian
 
 
-def _merit_and_grad(s: SpaceInstance, a_coords: np.ndarray):
-    """Merit |[xi, a]|^2 in the calibrated metric, and its chart gradient."""
+def _merit_and_grad(s: SpaceInstance, a_coords: np.ndarray, adxi: np.ndarray):
+    """Merit |[xi, a]|^2 in the calibrated metric, and its chart gradient;
+    adxi is ad_operator(g, xi)."""
     g = s.g_vee
     st = structure(s)
-    adxi = al.ad_operator(g, s.xi)
     r = adxi @ a_coords
     w = adxi.T @ (st.metric @ r)
     ada = rt.ad_from_coords(g, a_coords)
@@ -472,7 +499,7 @@ def _descend(s: SpaceInstance, pt: OrbitPoint, max_iter: int = 10000) -> OrbitPo
     st = structure(s)
     adxi = al.ad_operator(g, s.xi)
     a = g.coords(pt.value)
-    val, grad = _merit_and_grad(s, a)
+    val, grad = _merit_and_grad(s, a, adxi)
     scale = max(1.0, -al.killing(g, s.xi, s.xi))
     eta = 0.1
     it = 0
@@ -487,10 +514,10 @@ def _descend(s: SpaceInstance, pt: OrbitPoint, max_iter: int = 10000) -> OrbitPo
         accepted = False
         for _ in range(40):
             r = flow(eta)
-            cand = r @ am @ r.T
-            cval, cgrad = _merit_and_grad(s, g.coords(cand))
+            cand = g.coords(r @ am @ r.T)
+            cval, cgrad = _merit_and_grad(s, cand, adxi)
             if cval <= val - 0.3 * eta * decr:
-                a, val, grad = g.coords(cand), cval, cgrad
+                a, val, grad = cand, cval, cgrad
                 eta = min(eta * 2.0, 1.0)
                 accepted = True
                 break
@@ -568,8 +595,8 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     """
     clusters: list[list] = []
     values: list[float] = []
-    pts = [base_point(s)] + [random_orbit_point(s, ss) for ss in
-                             np.random.SeedSequence(seed).spawn(restarts - 1)]
+    pts = [base_point(s)] + random_orbit_points(
+        s, np.random.SeedSequence(seed).spawn(restarts - 1))
     for pt in pts:
         crit = _descend(s, pt)
         gn = riemannian_gradient_norm(crit)

@@ -103,10 +103,6 @@ class InstancePool:
         return self._live[key]
 
 
-def _norm(x: al.AlgebraElement) -> float:
-    return float(np.linalg.norm(x.entries))
-
-
 # cascade triples are complexified, stored as (real, imaginary) pairs
 def _cbracket(a, b):
     return (al.bracket(a[0], b[0]) - al.bracket(a[1], b[1]),
@@ -240,17 +236,17 @@ def suite_orbit(pool, spaces, seed, tol):
         g = s.g_vee
         x = ob.random_orbit_point(s, seed + 100 * k)
 
+        cert = ob.certificate_residual(x)
         checks.append(_check(
             f"orbit.certificate[{lab}]",
             "sample points stay on the orbit",
-            ob.certificate_residual(x) <= 1e-9,
-            ob.certificate_residual(x), 0.0, 1e-9))
+            cert <= 1e-9, cert, 0.0, 1e-9))
 
+        j2 = ob.complex_structure_check(x)
         checks.append(_check(
             f"orbit.complex_structure[{lab}]",
             "the squared tangent rotation is minus the identity",
-            ob.complex_structure_check(x) <= tol["j2"],
-            ob.complex_structure_check(x), 0.0, tol["j2"]))
+            j2 <= tol["j2"], j2, 0.0, tol["j2"]))
 
         frame = ob.tangent_frame(x)
         omega, tans = _form_matrix(x, frame)
@@ -281,8 +277,8 @@ def suite_orbit(pool, spaces, seed, tol):
 
         base = ob.base_point(s)
         h0 = ob.hamiltonian(base)
-        hs = [ob.hamiltonian(ob.random_orbit_point(s, seed + 100 * k + 2 + j))
-              for j in range(40)]
+        hs = [ob.hamiltonian(p) for p in ob.random_orbit_points(
+            s, [seed + 100 * k + 2 + j for j in range(40)])]
         checks.append(_check(
             f"orbit.height_minimum[{lab}]",
             "the height function is minimized at the distinguished point",
@@ -304,7 +300,9 @@ def suite_orbit(pool, spaces, seed, tol):
 def suite_delta(pool, models, seed, tol, samples=400):
     checks = []
     for model in models:
-        r = ob.cut_locus_oracle_check(model, samples=samples, seed=seed,
+        rid, params = ob.CUT_MODEL_ROWS[model]
+        r = ob.cut_locus_oracle_check(model, pool.get(rid, params),
+                                      samples=samples, seed=seed,
                                       band=tol["band"])
         checks.append(_check(
             f"delta.oracle[{model}]",
@@ -421,8 +419,11 @@ def suite_finsler(pool, spaces, seed, tol):
             "the spectral-radius unit ball is the open root box",
             ub["fraction"] == 1.0, ub["fraction"], 1.0, 0.0))
 
-        if fin.norm_kernel(s).shape[0] < st.rank_n:
+        try:
             f2 = fin.f2_vs_riemannian(s, samples=120, seed=seed)
+        except fin.DegenerateNorm:  # every root vanishes on the flat
+            pass
+        else:
             checks.append(_check(
                 f"finsler.quadratic[{lab}]",
                 "the Schatten-2 norm is a constant multiple of the metric",

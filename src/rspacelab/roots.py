@@ -57,10 +57,6 @@ def k_side(dec: CartanDecomposition) -> Subspace:
     return Subspace(dec.alg, dec.k_basis, "k")
 
 
-def p_side(dec: CartanDecomposition) -> Subspace:
-    return Subspace(dec.alg, dec.p_basis, "p")
-
-
 @dataclass(frozen=True, eq=False)
 class AbelianSubspace:
     """Maximal abelian subspace of a side, with the seed that found it."""

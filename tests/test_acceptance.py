@@ -62,12 +62,13 @@ def test_criterion_2_energy_ladders(pool):
 
 # 3. cut shell oracle ------------------------------------------------------
 
-def test_criterion_3_cut_shell_oracle():
+def test_criterion_3_cut_shell_oracle(pool):
     bad = 0
     tested = 0
     for model in ("cp1", "cp1xcp1"):
-        rpt = ob.cut_locus_oracle_check(model, samples=1000, seed=7,
-                                        band=1e-6)
+        rid, params = ob.CUT_MODEL_ROWS[model]
+        rpt = ob.cut_locus_oracle_check(model, pool(rid, *params),
+                                        samples=1000, seed=7, band=1e-6)
         bad += rpt["mismatches"]
         tested += rpt["tested"]
     ok = bad == 0 and tested >= 1500

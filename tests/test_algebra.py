@@ -202,3 +202,59 @@ def test_expm_skew_rejects_a_non_antisymmetric_matrix():
         al.expm_skew(m)
     with pytest.raises(al.AlgebraMismatch):
         al.expm_skew(m - m.T + 1e-6 * (m + m.T))
+
+
+def test_stacked_expm_skew_matches_the_pade_exponential():
+    expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
+    rng = np.random.default_rng(13)
+    for n in (2, 5, 8, 16):
+        m = rng.normal(size=(4, 3, n, n)) * rng.uniform(0.1, 5.0, (4, 3, 1, 1))
+        a = m - m.swapaxes(-1, -2)
+        r = al.expm_skew(a)
+        assert r.shape == a.shape
+        for idx in np.ndindex(a.shape[:-2]):
+            assert np.abs(r[idx] - expm(a[idx])).max() <= 1e-12
+            assert np.abs(r[idx] - al.expm_skew(a[idx])).max() <= 1e-12
+    flow = al.skew_flow(a)
+    for t in (0.0, -0.7, 2.5):
+        assert np.abs(flow(t)[1, 2] - expm(t * a[1, 2])).max() <= 1e-12
+
+
+def test_stacked_expm_skew_rejects_one_bad_slice():
+    rng = np.random.default_rng(14)
+    m = rng.normal(size=(6, 5, 5))
+    good = m - m.swapaxes(-1, -2)
+    al.expm_skew(good)
+    for k in range(len(good)):
+        bad = good.copy()
+        bad[k, 0, 1] += 1e-6
+        with pytest.raises(al.AlgebraMismatch):
+            al.expm_skew(bad)
+    # the tolerance follows each slice's own scale: a large neighbour does
+    # not excuse a small slice
+    bad = good.copy()
+    bad[0] *= 1e6
+    bad[3, 0, 1] += 1e-6
+    with pytest.raises(al.AlgebraMismatch):
+        al.expm_skew(bad)
+
+
+def test_stacked_ad_matches_one_vector_at_a_time():
+    g = al.build_algebra("su", 3)
+    xs = np.random.default_rng(15).normal(size=(2, 7, g.dim))
+    ads = al.ad_from_coords(g, xs)
+    for idx in np.ndindex(xs.shape[:-1]):
+        assert np.abs(ads[idx] - al.ad_from_coords(g, xs[idx])).max() <= 1e-13
+    mats = g.stack_matrices(xs)
+    assert np.abs(mats[1, 3] - g.from_coords(xs[1, 3]).entries).max() <= 1e-15
+    assert np.abs(g.stack_coords(mats) - xs).max() <= 1e-13
+
+
+def test_sample_blocks_cover_every_sample_once():
+    for count in (0, 1, 7, 1000):
+        for entries in (1, 64, 5000, 10 ** 6):
+            blocks = al.sample_blocks(count, entries)
+            covered = [i for b in blocks for i in range(count)[b]]
+            assert covered == list(range(count))
+            assert all(len(range(count)[b]) * entries <= al._BLOCK_ENTRIES
+                       or len(range(count)[b]) == 1 for b in blocks)

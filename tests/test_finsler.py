@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rspacelab import algebra as al
 from rspacelab import atlas
 from rspacelab import finsler as fin
 from rspacelab import orbit as ob
 from rspacelab import roots as rt
+from rspacelab.reporting import _STRUCTURAL_SPACES
 
 _U2 = [atlas.instantiate(atlas.descriptor("unitary_group", 2))]
 
@@ -117,3 +119,96 @@ def test_spectral_norm_matches_largest_root_value(pool):
         assert abs(f(u) - np.abs(covs @ u).max()) < 1e-9
         assert rt.box_contains(st_.sigma_roots, u, f(u) + 1e-9)
         assert not rt.box_contains(st_.sigma_roots, u, f(u) - 1e-9)
+
+
+# --- block evaluation against the per-sample loops ------------------------
+
+def _loop_norm(s, p, u):
+    """F_p(u) from one ad matrix of the lifted flat vector."""
+    st_ = ob.structure(s)
+    adx = al.ad_operator(st_.k_alg, st_.a_in_k.lift(u))
+    sv = np.abs(np.linalg.eigvalsh(1j * adx))
+    return sv.max() if np.isinf(p) else (sv ** p).sum() ** (1.0 / p)
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
+
+
+@pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
+def test_block_norm_matches_the_one_row_calls(pool, rid, params):
+    s = pool(rid, *params)
+    us = np.random.default_rng(31).normal(size=(60, ob.structure(s).rank_n))
+    for p in (1.0, 2.0, 4.0, np.inf):
+        f = fin.finsler_norm(s, p)
+        block = f.values(us)
+        for u, v in zip(us, block):
+            assert _close(v, f(u)) and _close(v, _loop_norm(s, p, u))
+
+
+@pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
+def test_block_oracles_match_the_sample_loops(pool, rid, params):
+    s = pool(rid, *params)
+    st_ = ob.structure(s)
+
+    # unit_ball_vs_box, one sample at a time
+    rng = np.random.default_rng(3)
+    agree = 0
+    for _ in range(300):
+        u = rng.normal(size=st_.rank_n)
+        fu = _loop_norm(s, np.inf, u)
+        if fu > 1e-12:
+            u = u * (rng.uniform(0.3, 1.7) / fu)
+        agree += ((_loop_norm(s, np.inf, u) < 1.0)
+                  == rt.box_contains(st_.sigma_roots, u, 1.0))
+    assert fin.unit_ball_vs_box(s, samples=300, seed=3)["agree"] == agree
+
+    # f2_vs_riemannian
+    ker = fin.norm_kernel(s)
+    rng = np.random.default_rng(4)
+    ratios = []
+    for _ in range(90):
+        u = rng.normal(size=st_.rank_n)
+        u = u - ker.T @ (ker @ u)
+        if np.linalg.norm(u) < 1e-6:
+            continue
+        x = st_.a_flat.lift(u)
+        ratios.append(_loop_norm(s, 2.0, u) / np.sqrt(ob.inner(s, x, x)))
+    r = fin.f2_vs_riemannian(s, samples=90, seed=4)
+    assert r["samples"] == len(ratios)
+    assert _close(r["constant"], float(np.median(ratios)))
+    assert abs(r["spread"] - (max(ratios) - min(ratios)) / r["constant"]) \
+        <= 1e-12
+
+    # norm_monotonicity
+    rng = np.random.default_rng(5)
+    exps = [1.0, 2.0, 4.0, np.inf]
+    worst, mult = 0.0, None
+    for _ in range(70):
+        u = rng.normal(size=st_.rank_n)
+        vals = [_loop_norm(s, p, u) for p in exps]
+        for lo, hi in zip(vals[1:], vals[:-1]):
+            worst = max(worst, lo - hi)
+        if st_.rank_n == 1 and vals[-1] > 1e-12:
+            mult = vals[0] / vals[-1]
+    mo = fin.norm_monotonicity(s, samples=70, seed=5)
+    assert abs(mo["worst_violation"] - worst) <= 1e-12
+    assert ("rank1_multiplier" in mo) == (mult is not None)
+    if mult is not None:
+        assert _close(mo["rank1_multiplier"], mult)
+
+
+def test_block_size_changes_no_value(pool, monkeypatch):
+    s = pool("unitary_group", 2)
+    whole = (fin.unit_ball_vs_box(s, samples=200, seed=8),
+             fin.f2_vs_riemannian(s, samples=50, seed=8),
+             fin.norm_monotonicity(s, samples=50, seed=8))
+    monkeypatch.setattr(al, "_BLOCK_ENTRIES", 3 * 49)  # blocks of 3 samples
+    cut = (fin.unit_ball_vs_box(s, samples=200, seed=8),
+           fin.f2_vs_riemannian(s, samples=50, seed=8),
+           fin.norm_monotonicity(s, samples=50, seed=8))
+    assert whole[0] == cut[0]
+    for a, b in zip(whole[1:], cut[1:]):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert np.allclose(a[k], b[k], rtol=1e-12, atol=1e-15)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rspacelab import algebra as al
 from rspacelab import atlas
 from rspacelab import orbit as ob
+from rspacelab.reporting import _STRUCTURAL_SPACES
 
 _S2 = [atlas.instantiate(atlas.descriptor("sphere", 2))]
 
@@ -179,8 +180,10 @@ def test_shell_predicate_basics(pool):
 
 
 @pytest.mark.parametrize("model", ["cp1", "cp1xcp1"])
-def test_cut_locus_oracle(model):
-    r = ob.cut_locus_oracle_check(model, samples=400, seed=5)
+def test_cut_locus_oracle(pool, model):
+    rid, params = ob.CUT_MODEL_ROWS[model]
+    r = ob.cut_locus_oracle_check(model, pool(rid, *params), samples=400,
+                                  seed=5)
     assert r["mismatches"] == 0
     assert r["tested"] >= 300
 
@@ -239,14 +242,14 @@ def test_random_orbit_points_reach_every_level(pool):
 
 def test_nearby_master_seeds_share_no_restart(monkeypatch):
     starts = []
-    draw = ob.random_orbit_point
+    draw = ob.random_orbit_points
 
-    def record(s, seed):
-        pt = draw(s, seed)
-        starts[-1].append(pt.value.entries)
-        return pt
+    def record(s, seeds):
+        pts = draw(s, seeds)
+        starts[-1].extend(pt.value.entries for pt in pts)
+        return pts
 
-    monkeypatch.setattr(ob, "random_orbit_point", record)
+    monkeypatch.setattr(ob, "random_orbit_points", record)
     for seed in (5, 6):
         starts.append([])
         ob.find_critical_points(_S2[0], restarts=20, seed=seed)
@@ -264,3 +267,168 @@ def test_descent_certifies_off_the_benchmark_orbits(pool, rid, params):
     clusters = ob.find_critical_points(s, restarts=50, seed=1)
     assert np.allclose([c.value for c in clusters], ob.weyl_critical_values(s),
                        atol=1e-4)
+
+
+# --- stacked oracles against the per-sample public functions -------------
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1.0)
+
+
+@pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
+def test_stacked_walks_match_the_transport_loop(pool, rid, params):
+    s = pool(rid, *params)
+    seeds = [7, 8] + np.random.SeedSequence(3).spawn(5)
+    pts = ob.random_orbit_points(s, seeds)
+    assert len(pts) == len(seeds)
+    for seed, pt in zip(seeds, pts):
+        rng = np.random.default_rng(seed)
+        ref = ob.base_point(s)
+        for _ in range(8):
+            ref = ob.transport(ref, s.g_vee.random_element(rng))
+        assert _rel(pt.value.entries, ref.value.entries) <= 1e-12
+        assert _rel(ob.random_orbit_point(s, seed).value.entries,
+                    ref.value.entries) <= 1e-12
+        assert len(pt.log) == len(ref.log) == 8
+        for (a, ta), (b, tb) in zip(pt.log, ref.log):
+            assert ta == tb and np.abs(a.entries - b.entries).max() <= 1e-15
+
+
+@pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
+def test_stacked_flat_points_match_flat_model(pool, rid, params):
+    s = pool(rid, *params)
+    st_ = ob.structure(s)
+    beta = st_.sigma_bar_roots.roots[0].covector
+    vs = np.random.default_rng(9).normal(size=(30, st_.rank_nc))
+    # half of them slid onto the half-period shell of beta
+    vs[::2] += np.outer((np.pi / 2.0 - vs[::2] @ beta) / (beta @ beta), beta)
+    pts = ob._flat_points(s, vs)
+    dist = ob._flat_cut_distance(s, vs)
+    for v, pt, d in zip(vs, pts, dist):
+        fp = ob.flat_model(s, v)
+        assert _rel(pt, fp.point.value.entries) <= 1e-12
+        assert (d < 1e-6) == ob.delta_contains(fp, 1e-6)
+    assert ob.delta_contains(ob.flat_model(s, vs[0]), 1e-6)
+
+
+def _cut_oracle_loop(model, s, samples, seed, band):
+    """The cut-locus oracle one sample at a time, through flat_model."""
+    st_ = ob.structure(s)
+    roots = [r.covector for r in st_.sigma_bar_roots.roots]
+    rng = np.random.default_rng(seed)
+    scale = np.pi / max(np.linalg.norm(r) for r in roots)
+    r_dim = st_.rank_n
+    live = [b for b in roots if np.linalg.norm(b[:r_dim]) > 1e-9]
+    mism = skipped = tested = 0
+    for i in range(samples):
+        on_shell = i % 2 == 0
+        v = np.zeros(st_.rank_nc)
+        if on_shell:
+            beta = live[rng.integers(len(live))]
+            u = rng.normal(size=r_dim) * scale * 0.3
+            bsub = beta[:r_dim]
+            target = np.pi / 2.0 + np.pi * rng.integers(-1, 1)
+            v[:r_dim] = u + (target - bsub @ u) * bsub / (bsub @ bsub)
+            if ob._flat_cut_distance(s, v) > band / 10.0:
+                skipped += 1
+                continue
+        else:
+            v[:r_dim] = rng.normal(size=r_dim) * scale
+            if ob._flat_cut_distance(s, v) < 1e-4:
+                skipped += 1
+                continue
+        fp = ob.flat_model(s, v)
+        geo = ob._geometric_cut_indicator(model, s,
+                                          fp.point.value.entries[None])[0]
+        tested += 1
+        oracle = geo < 1e-6 if on_shell else geo > 1e-6
+        if ob.delta_contains(fp, band) != on_shell or not oracle:
+            mism += 1
+    return {"model": model, "samples": samples, "tested": tested,
+            "skipped": skipped, "mismatches": mism}
+
+
+@pytest.mark.parametrize("model", sorted(ob.CUT_MODEL_ROWS))
+def test_stacked_cut_oracle_matches_the_sample_loop(pool, model):
+    rid, params = ob.CUT_MODEL_ROWS[model]
+    s = pool(rid, *params)
+    for seed in (0, 1):
+        assert (ob.cut_locus_oracle_check(model, s, samples=300, seed=seed)
+                == _cut_oracle_loop(model, s, 300, seed, 1e-6))
+
+
+def test_cut_oracle_refuses_a_foreign_instance(pool):
+    with pytest.raises(ValueError):
+        ob.cut_locus_oracle_check("cp1", pool("sphere", 2), samples=10)
+    with pytest.raises(ValueError):
+        ob.cut_locus_oracle_check("torus", pool("grassmann_real", 1, 1))
+
+
+@pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
+def test_stacked_moment_check_matches_moment_tn(pool, rid, params):
+    s = pool(rid, *params)
+    st_ = ob.structure(s)
+    g = s.g_vee
+    covs = np.array([root.covector for root in st_.sigma_roots.roots])
+    rng = np.random.default_rng(21)
+    ref = {"interior_pass": 0, "interior_total": 0,
+           "exterior_pass": 0, "exterior_total": 0}
+    worst = 0.0
+    for i in range(120):
+        interior = i < 60
+        u = rng.normal(size=st_.rank_n)
+        m = np.abs(covs @ u).max()
+        if m < 1e-9:
+            continue
+        t = rng.uniform(0.1, 0.95) if interior else rng.uniform(1.05, 2.0)
+        x_coords = u * (t * st_.ratio / m)
+        x_lift = st_.a_flat.lift(x_coords)
+        k_gen = g.from_coords(rng.normal(size=s.k_basis.shape[0]) @ s.k_basis)
+        x_pt = ob.transport(ob.base_point(s), k_gen)
+        tangent = ob.OrbitTangent(
+            base=x_pt, generator=al.conjugate(-1.0 * x_lift, k_gen),
+            vector=al.conjugate(al.bracket(x_lift, s.xi), k_gen))
+        mu = ob.moment_tn(x_pt, tangent)
+        stacked = ob._momentum_tn(s, x_pt.value.entries[None],
+                                  tangent.vector.entries[None])[0]
+        assert _rel(stacked, mu.entries) <= 1e-12
+        lam = np.abs(np.linalg.eigvalsh(
+            1j * al.ad_operator(st_.k_alg, mu))).max()
+        worst = max(worst, abs(lam - np.abs(covs @ x_coords).max()))
+        side = "interior" if interior else "exterior"
+        ref[f"{side}_total"] += 1
+        ref[f"{side}_pass"] += int((lam < st_.ratio) == interior)
+    got = ob.moment_image_spectrum_check(s, samples=120, seed=21)
+    assert {k: got[k] for k in ref} == ref
+    assert abs(got["max_spectral_mismatch"] - worst) <= 1e-12
+
+
+def test_stacked_momentum_refuses_a_point_off_the_real_form(pool):
+    s = pool("quadric_real", 1, 2)
+    on = ob.base_point(s).value.entries
+    off = ob.random_orbit_point(s, 12).value.entries
+    ob._momentum_tn(s, np.stack([on, on]), np.zeros((2,) + on.shape))
+    with pytest.raises(ob.NotOnRealForm):
+        ob._momentum_tn(s, np.stack([on, off]), np.zeros((2,) + on.shape))
+
+
+def test_sampling_oracles_ignore_the_block_size(pool, monkeypatch):
+    s = pool("unitary_group", 2)
+    cp1 = pool("grassmann_real", 1, 1)
+
+    def run():
+        return (ob.moment_image_spectrum_check(s, samples=100, seed=2),
+                ob.cut_locus_oracle_check("cp1", cp1, samples=100, seed=2),
+                [p.value.entries for p in
+                 ob.random_orbit_points(s, range(10))])
+
+    whole = run()
+    monkeypatch.setattr(al, "_BLOCK_ENTRIES", 200)  # a handful per block
+    cut = run()
+    assert whole[1] == cut[1]
+    assert {k: v for k, v in whole[0].items() if k != "max_spectral_mismatch"} \
+        == {k: v for k, v in cut[0].items() if k != "max_spectral_mismatch"}
+    assert abs(whole[0]["max_spectral_mismatch"]
+               - cut[0]["max_spectral_mismatch"]) <= 1e-12
+    for a, b in zip(whole[2], cut[2]):
+        assert np.abs(a - b).max() <= 1e-13
