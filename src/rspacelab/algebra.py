@@ -379,7 +379,7 @@ def ad_from_coords(alg: LieAlgebraBasis, xc: np.ndarray) -> np.ndarray:
 
 def skew_flow(a: np.ndarray):
     """t -> exp(t a) for a real antisymmetric matrix a, or a (..., n, n)
-    stack of them.
+    stack of them; t is one number, or one per slice (shape (...,)).
 
     1j*a is Hermitian, so with 1j*a = V diag(lam) V^H from eigh the
     exponential is V diag(exp(-1j*t*lam)) V^H, a real orthogonal matrix;
@@ -398,7 +398,8 @@ def skew_flow(a: np.ndarray):
     lam, v = np.linalg.eigh(1j * a)
     lam = lam[..., None, :]  # broadcast along the rows of each slice
     vh = v.conj().swapaxes(-1, -2)
-    return lambda t: ((v * np.exp(-1j * t * lam)) @ vh).real
+    return lambda t: ((v * np.exp(-1j * np.asarray(t, float)[..., None, None]
+                                  * lam)) @ vh).real
 
 
 def expm_skew(a: np.ndarray) -> np.ndarray:

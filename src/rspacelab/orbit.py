@@ -12,6 +12,7 @@ corresponding sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import weakref
 
 import numpy as np
@@ -481,69 +482,99 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
 # critical points of the orbit Hamiltonian
 
 
-def _merit_and_grad(s: SpaceInstance, a_coords: np.ndarray, adxi: np.ndarray):
-    """Merit |[xi, a]|^2 in the calibrated metric, and its chart gradient;
-    adxi is ad_operator(g, xi)."""
-    g = s.g_vee
-    st = structure(s)
-    r = adxi @ a_coords
-    w = adxi.T @ (st.metric @ r)
-    ada = rt.ad_from_coords(g, a_coords)
-    grad = -2.0 * (ada.T @ w)
-    return float(r @ st.metric @ r), grad
+def _merits_and_grads(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray):
+    """Merit |[xi, a]|^2 in the calibrated metric, and its chart gradient,
+    for every row of a (k, dim) coordinate stack; adxi is ad_operator(g, xi)."""
+    r = a @ adxi.T
+    mr = r @ structure(s).metric
+    ada = rt.ad_from_coords(s.g_vee, a)
+    grad = -2.0 * ((mr @ adxi)[:, None, :] @ ada)[:, 0]
+    return np.einsum("ki,ki->k", mr, r), grad
 
 
-def _descend(s: SpaceInstance, pt: OrbitPoint, max_iter: int = 10000) -> OrbitPoint:
-    """Armijo descent on the merit, then Gauss-Newton polish."""
+def _descend(s: SpaceInstance, pts: list, max_iter: int = 10000) -> list:
+    """Armijo descent on the merit, then Gauss-Newton polish, of every
+    start point.
+
+    The restarts move in lockstep on coordinate stacks, in blocks cut by
+    al.sample_blocks, but each keeps its own step size, tests and stopping
+    rules, so it takes the path it would take alone.
+    """
     g = s.g_vee
-    st = structure(s)
     adxi = al.ad_operator(g, s.xi)
-    a = g.coords(pt.value)
-    val, grad = _merit_and_grad(s, a, adxi)
     scale = max(1.0, -al.killing(g, s.xi, s.xi))
-    eta = 0.1
-    it = 0
-    while val > 1e-22 * scale and np.linalg.norm(grad) > 1e-12 * scale:
-        it += 1
+    a = g.stack_coords(np.array([pt.value.entries for pt in pts]))
+    for b in al.sample_blocks(len(pts), g.dim * g.dim):
+        a[b] = _armijo(s, a[b], adxi, scale, max_iter)
+        a[b] = _gauss_newton(s, a[b], adxi, scale)
+    return [OrbitPoint(space=s, value=g.from_coords(c), log=pt.log)
+            for pt, c in zip(pts, a)]
+
+
+def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray, scale: float,
+            max_iter: int) -> np.ndarray:
+    """Armijo descent on the merit along geodesics of K, for every row of
+    a (k, dim) coordinate stack."""
+    g = s.g_vee
+    a = a.copy()
+    val, grad = _merits_and_grads(s, a, adxi)
+    eta = np.full(len(a), 0.1)
+    live = np.arange(len(a))
+    for it in range(1, 502):  # a restart stops after its 501st step
+        decr = np.linalg.norm(grad[live], axis=1)
+        keep = (val[live] > 1e-22 * scale) & (decr > 1e-12 * scale)
+        live, decr = live[keep], decr[keep]
+        if live.size == 0:
+            break
         if it > max_iter:
             raise NonConvergence(f"descent exceeded {max_iter} iterations")
-        step = -grad / max(np.linalg.norm(grad), 1e-30)
-        flow = al.skew_flow(g.from_coords(step).entries)
-        am = g.from_coords(a).entries
-        decr = np.linalg.norm(grad)
-        accepted = False
+        step = -grad[live] / np.maximum(decr, 1e-30)[:, None]
+        flow = al.skew_flow(g.stack_matrices(step))
+        am = g.stack_matrices(a[live])
+        todo = np.arange(len(live))  # positions in live still searching
         for _ in range(40):
-            r = flow(eta)
-            cand = g.coords(r @ am @ r.T)
-            cval, cgrad = _merit_and_grad(s, cand, adxi)
-            if cval <= val - 0.3 * eta * decr:
-                a, val, grad = cand, cval, cgrad
-                eta = min(eta * 2.0, 1.0)
-                accepted = True
+            i = live[todo]
+            r = flow(eta[live])[todo]
+            cand = g.stack_coords(r @ am[todo] @ r.swapaxes(-1, -2))
+            cval, cgrad = _merits_and_grads(s, cand, adxi)
+            ok = cval <= val[i] - 0.3 * eta[i] * decr[todo]
+            a[i[ok]], val[i[ok]], grad[i[ok]] = cand[ok], cval[ok], cgrad[ok]
+            eta[i] = np.where(ok, np.minimum(eta[i] * 2.0, 1.0), eta[i] * 0.5)
+            todo = todo[~ok]
+            if todo.size == 0:
                 break
-            eta *= 0.5
-        if not accepted:
-            break  # stationary for the merit; polish decides
-        if it > 500:
-            break
+        # a restart that found no step is stationary for the merit; the
+        # polish decides
+        live = np.delete(live, todo)
+    return a
 
-    # Gauss-Newton on the residual r(u) = ad_xi Ad(e^U) a in the metric
-    lmat = st.metric_chol
+
+def _gauss_newton(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray,
+                  scale: float) -> np.ndarray:
+    """Gauss-Newton on the residual r(u) = ad_xi Ad(e^U) a in the metric,
+    for every row of a (k, dim) coordinate stack."""
+    g = s.g_vee
+    a = a.copy()
+    lmat = structure(s).metric_chol
+    live = np.arange(len(a))
     for _ in range(60):
-        r = adxi @ a
-        if np.linalg.norm(r) < 1e-15 * np.sqrt(scale):
+        r = a[live] @ adxi.T
+        keep = np.linalg.norm(r, axis=1) >= 1e-15 * np.sqrt(scale)
+        live, r = live[keep], r[keep]
+        if live.size == 0:
             break
-        # d/du_i Ad(e^U) a = [b_i, a]; columns indexed by i
-        jac = adxi @ np.einsum("ijk,j->ki", s.g_vee.structure_constants, a)
-        # cut the near-null singular directions: dividing round-off by them
-        # throws the step off the critical set
-        u, *_ = np.linalg.lstsq(lmat.T @ jac, -(lmat.T @ r), rcond=1e-10)
-        step = g.from_coords(u)
-        nrm = np.linalg.norm(u)
-        if nrm > 0.5:
-            step = step * (0.5 / nrm)
-        a = g.coords(al.conjugate(g.from_coords(a), step, 1.0))
-    return OrbitPoint(space=s, value=g.from_coords(a), log=pt.log)
+        # d/du_i Ad(e^U) a = [b_i, a] = -ad_a b_i; columns indexed by i
+        jac = -adxi @ rt.ad_from_coords(g, a[live])
+        # cut the singular values below 1e-10 of the largest, as
+        # lstsq(rcond=1e-10) does: dividing round-off by the near-null
+        # directions throws the step off the critical set
+        pinv = np.linalg.pinv(lmat.T @ jac, rcond=1e-10)
+        u = -(pinv @ (r @ lmat)[:, :, None])[:, :, 0]
+        u *= (0.5 / np.maximum(np.linalg.norm(u, axis=1), 0.5))[:, None]
+        rot = al.expm_skew(g.stack_matrices(u))
+        am = g.stack_matrices(a[live])
+        a[live] = g.stack_coords(rot @ am @ rot.swapaxes(-1, -2))
+    return a
 
 
 def riemannian_gradient_norm(pt: OrbitPoint) -> float:
@@ -589,16 +620,19 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
                          seed: int = 0) -> list:
     """Critical clusters of the orbit Hamiltonian, sorted by value.
 
-    Each restart flows a random orbit point to the critical set (descent on
-    the squared bracket merit with a Gauss-Newton polish), certifies the
-    Riemannian gradient of H below 1e-7, and clusters by critical value.
+    Restart 0 starts at xi, restart i > 0 at a random orbit point drawn
+    from child i - 1 of SeedSequence(seed).  All restarts flow to the
+    critical set together (_descend: descent on the squared bracket merit
+    with a Gauss-Newton polish, run in lockstep on stacked coordinates,
+    each restart with its own step size and stopping rules).  Each end
+    point must certify a Riemannian gradient of H below 1e-7, else
+    NonConvergence; the ends are then clustered by critical value.
     """
     clusters: list[list] = []
     values: list[float] = []
     pts = [base_point(s)] + random_orbit_points(
         s, np.random.SeedSequence(seed).spawn(restarts - 1))
-    for pt in pts:
-        crit = _descend(s, pt)
+    for crit in _descend(s, pts):
         gn = riemannian_gradient_norm(crit)
         if gn > 1e-7:
             raise NonConvergence(f"certificate failed, grad norm {gn:.2e}")
@@ -641,28 +675,52 @@ def critical_gap_report(s: SpaceInstance, clusters=None, restarts: int = 50,
                             sorted(clusters, key=lambda c: c.value)]}
 
 
+def _cell_keys(ys: np.ndarray, cell: float, tol: float) -> list:
+    """For each row y of ys, the key of its grid cell, then the keys of the
+    neighbouring cells that a point within tol of y can fall in (across each
+    face that y is that close to).  Cells are centred on multiples of cell."""
+    q = ys / cell
+    base = np.rint(q)
+    off = q - base
+    step = np.where(off > 0.5 - tol / cell, 1,
+                    np.where(off < tol / cell - 0.5, -1, 0))
+    out = []
+    for b, near in zip(base.astype(int).tolist(), step.tolist()):
+        choices = [(0, d) if d else (0,) for d in near]
+        out.append([tuple(x + e for x, e in zip(b, d))
+                    for d in itertools.product(*choices)])
+    return out
+
+
 def weyl_critical_values(s: SpaceInstance) -> list:
     """Frozen enumeration of critical values via root reflections.
 
     The critical set of the pairing meets the torus in the reflection orbit
     of xi, so the values can be generated without any optimization; used to
-    cross-check the descent pipeline.
+    cross-check the descent pipeline.  Points closer than 1e-8 are one
+    point; the seen points are hashed by grid cell, so each new point is
+    compared with its own and neighbouring cells only.
     """
     st = structure(s)
     g = s.g_vee
     t = st.sos.torus
     gt = -(t.basis @ g.killing_matrix @ t.basis.T)
-    spaces = rt.complex_root_spaces(g, t)
+    betas = np.array([sp.covector for sp in rt.complex_root_spaces(g, t)])
+    bvecs = np.linalg.solve(gt, betas.T).T
+    # reflection in beta: x -> x - 2 beta(x) / beta(bvec) bvec
+    coef = 2.0 / np.einsum("ri,ri->r", betas, bvecs)
     xi_t = t.coords_of(g.coords(s.xi))
+    cell, tol = 1e-6, 1e-8
     seen = [xi_t]
+    cells = {_cell_keys(xi_t[None], cell, tol)[0][0]: [xi_t]}
     queue = [xi_t]
     while queue:
         x = queue.pop()
-        for sp in spaces:
-            beta = sp.covector
-            bvec = np.linalg.solve(gt, beta)
-            y = x - (2.0 * (beta @ x) / (beta @ bvec)) * bvec
-            if all(np.linalg.norm(y - z) > 1e-8 for z in seen):
+        ys = x - (coef * (betas @ x))[:, None] * bvecs
+        for y, keys in zip(ys, _cell_keys(ys, cell, tol)):
+            if all(np.linalg.norm(y - z) > tol
+                   for k in keys for z in cells.get(k, ())):
+                cells.setdefault(keys[0], []).append(y)
                 seen.append(y)
                 queue.append(y)
     vals = sorted(2.0 * np.pi * float(-(xi_t @ gt @ w)) / st.c_orbit

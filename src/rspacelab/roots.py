@@ -281,16 +281,6 @@ def box_contains(roots: RestrictedRootSystem, x, r: float) -> bool:
     return bool(np.abs(vals).max() < r)
 
 
-def roots_to_jsonable(rs: RestrictedRootSystem) -> dict:
-    return {
-        "basis": [list(map(float, row)) for row in rs.subspace.basis],
-        "seed": int(rs.subspace.seed),
-        "zero_multiplicity": int(rs.zero_multiplicity),
-        "roots": [{"coords": [float(c) for c in r.covector],
-                   "mult": int(r.multiplicity)} for r in rs.roots],
-    }
-
-
 # ---------------------------------------------------------------------------
 # complex root spaces and the strongly orthogonal cascade
 

@@ -218,6 +218,10 @@ def test_stacked_expm_skew_matches_the_pade_exponential():
     flow = al.skew_flow(a)
     for t in (0.0, -0.7, 2.5):
         assert np.abs(flow(t)[1, 2] - expm(t * a[1, 2])).max() <= 1e-12
+    ts = rng.uniform(-3.0, 3.0, a.shape[:-2])  # one t per slice
+    r = flow(ts)
+    for idx in np.ndindex(a.shape[:-2]):
+        assert np.abs(r[idx] - expm(ts[idx] * a[idx])).max() <= 1e-12
 
 
 def test_stacked_expm_skew_rejects_one_bad_slice():

@@ -180,3 +180,14 @@ def test_commands_run_without_scipy():
     assert proc.returncode == cli.EX_OK, proc.stderr
     assert "sphere(3)" in proc.stdout
     assert proc.stderr.strip() == "[]"
+
+
+def test_critical_ladders_script_prints_a_ladder_per_orbit():
+    proc = run_child("scripts/critical_ladders.py", "--restarts", "10")
+    assert proc.returncode == 0, proc.stderr
+    blocks = proc.stdout.strip().split("\n\n")
+    assert len(blocks) == 5
+    for block in blocks:
+        assert "predicted ladder:" in block
+        assert "max gap" in block
+        assert block.count("  value ") >= 2

@@ -234,10 +234,59 @@ def test_random_orbit_points_reach_every_level(pool):
     # probability 1/4; a draw that stays near xi rarely gets there
     s = pool("grassmann_complex_hermitian", 1, 1)
     top = ob.weyl_critical_values(s)[-1]
-    ends = [ob.hamiltonian(ob._descend(s, ob.random_orbit_point(s, i)))
-            for i in range(300)]
-    share = np.mean([abs(h - top) < 1e-3 for h in ends])
+    ends = ob._descend(s, ob.random_orbit_points(s, range(300)))
+    share = np.mean([abs(ob.hamiltonian(e) - top) < 1e-3 for e in ends])
     assert share >= 0.18
+
+
+@pytest.mark.parametrize("rid,params", [("grassmann_real", (1, 1)),
+                                        ("grassmann_complex_hermitian", (1, 1)),
+                                        ("unitary_group", (2,))])
+def test_stacked_descent_matches_one_restart_at_a_time(pool, rid, params):
+    # restarts move in lockstep, but each keeps its own step size and
+    # stopping rules, so a stack ends where its restarts end alone
+    s = pool(rid, *params)
+    pts = [ob.base_point(s)] + ob.random_orbit_points(
+        s, np.random.SeedSequence(4).spawn(11))
+    ends = ob._descend(s, pts)
+    assert len(ends) == len(pts)
+    for pt, end in zip(pts, ends):
+        alone = ob._descend(s, [pt])[0]
+        assert _rel(end.value.entries, alone.value.entries) <= 1e-12
+        assert end.log is pt.log
+        assert ob.riemannian_gradient_norm(end) <= 1e-7
+
+
+def test_one_restart_over_max_iter_fails_the_stack(pool):
+    s = pool("grassmann_complex_hermitian", 1, 1)
+    base = ob.base_point(s)  # critical already: never iterates
+    assert len(ob._descend(s, [base, base], max_iter=0)) == 2
+    with pytest.raises(ob.NonConvergence):
+        ob._descend(s, [base, ob.random_orbit_point(s, 3), base], max_iter=2)
+
+
+_CATALOGUE = [(d.id, d.params) for d in atlas.list_entries() if d.instantiable]
+
+
+def _even_ladder(s):
+    h0 = ob.hamiltonian(ob.base_point(s))
+    return h0 + 4.0 * np.pi * np.arange(ob.structure(s).rank_nc + 1)
+
+
+@pytest.mark.parametrize("rid,params", _CATALOGUE)
+def test_reflection_ladder_is_the_even_ladder(pool, rid, params):
+    # H(xi) is the bottom level and the levels step by 4 pi, rank_nc times
+    s = pool(rid, *params)
+    ladder = ob.weyl_critical_values(s)
+    assert len(ladder) == ob.structure(s).rank_nc + 1
+    assert np.allclose(ladder, _even_ladder(s), rtol=0, atol=1e-9)
+
+
+def test_reflection_ladder_on_a_large_orbit():
+    # 252 torus points and 90 roots: a pairwise dedup is quadratic here
+    s = atlas.instantiate(atlas.descriptor("unitary_group", 5))
+    assert np.allclose(ob.weyl_critical_values(s), _even_ladder(s),
+                       rtol=0, atol=1e-9)
 
 
 def test_nearby_master_seeds_share_no_restart(monkeypatch):

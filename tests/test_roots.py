@@ -146,12 +146,3 @@ def test_maximal_abelian_is_abelian_and_certified(pool):
             x = a.lift(np.eye(a.dim)[i])
             y = a.lift(np.eye(a.dim)[j])
             assert np.abs(al.bracket(x, y).entries).max() < 1e-9
-
-
-def test_roots_serialization_round_trip(pool):
-    rr = ob.structure(pool("sphere", 2)).sigma_roots
-    blob = rt.roots_to_jsonable(rr)
-    assert blob["zero_multiplicity"] == rr.zero_multiplicity
-    assert len(blob["roots"]) == len(rr.roots)
-
-
