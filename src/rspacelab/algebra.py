@@ -157,17 +157,18 @@ def _structure_data(mats: Sequence[np.ndarray], algebra_id: str, family: str,
     assert np.allclose(gram, np.eye(d), atol=1e-12), "basis not orthonormal"
 
     stacked = np.stack(mats)
-    # brackets[i,j] = [b_i, b_j]
-    brackets = np.einsum("iab,jbc->ijac", stacked, stacked) - np.einsum(
-        "jab,ibc->ijac", stacked, stacked)
+    # brackets[i,j] = [b_i, b_j], flattened
+    prods = stacked[:, None] @ stacked[None, :]
+    brackets = (prods - prods.swapaxes(0, 1)).reshape(d * d, sz * sz)
     # c[i,j,k] = <[b_i,b_j], b_k>_F
-    c = np.einsum("ijab,kab->ijk", brackets, stacked)
+    c = brackets @ flat.T
     if check_closure:
-        recon = np.einsum("ijk,kab->ijab", c, stacked)
-        res = np.abs(recon - brackets).max()
+        res = np.abs(c @ flat - brackets).max()
         if res > 1e-9:
             raise AlgebraMismatch(f"span not closed under bracket ({res:.2e})")
-    killing = np.einsum("ikl,jlk->ij", c, c)
+    c = c.reshape(d, d, d)
+    # B[i,j] = sum_kl c[i,k,l] c[j,l,k]
+    killing = c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T
     elems = [AlgebraElement(algebra_id, m) for m in mats]
     return LieAlgebraBasis(family=family, n=n, algebra_id=algebra_id,
                            basis=elems, structure_constants=_frozen(c),
@@ -361,20 +362,41 @@ def sample_blocks(count: int, entries: int) -> list:
 
 def ad_operator(alg: LieAlgebraBasis, x: AlgebraElement) -> np.ndarray:
     """Matrix of ad_x = [x, .] in the basis coordinates of alg."""
-    xc = alg.coords(x)
-    # [x, b_j] = sum_i x_i c[i,j,k] b_k
-    return np.einsum("i,ijk->kj", xc, alg.structure_constants)
+    return ad_from_coords(alg, alg.coords(x))
 
 
 def ad_from_coords(alg: LieAlgebraBasis, xc: np.ndarray) -> np.ndarray:
     """ad of coordinate vectors xc, shape (..., dim) -> (..., dim, dim)."""
     xc = np.asarray(xc, float)
-    c = alg.structure_constants
-    if xc.ndim == 1:  # the descent iterates on these exact sums
-        return np.einsum("i,ijk->kj", xc, c)
     d = alg.dim
-    ad = (xc @ c.reshape(d, d * d)).reshape(xc.shape[:-1] + (d, d))
-    return ad.swapaxes(-1, -2)
+    # [x, b_j] = sum_i x_i c[i,j,k] b_k
+    ad = xc @ alg.structure_constants.reshape(d, d * d)
+    return ad.reshape(xc.shape[:-1] + (d, d)).swapaxes(-1, -2)
+
+
+def bracket_residual(alg: LieAlgebraBasis, rows_a: np.ndarray,
+                     rows_b: np.ndarray, target: np.ndarray) -> float:
+    """Largest coordinate of [a, b] outside span(target), over the rows a of
+    rows_a and b of rows_b; target has orthonormal rows, possibly none."""
+    # column b of br[a] holds the coordinates of [a, b]
+    br = ad_from_coords(alg, rows_a) @ rows_b.T
+    return float(np.abs(br - target.T @ (target @ br)).max(initial=0.0))
+
+
+def jacobi_residual(alg: LieAlgebraBasis) -> float:
+    """Largest entry of the Jacobi sum over all basis triples,
+    [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j], one i at a time."""
+    d = alg.dim
+    c = alg.structure_constants
+    rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
+    worst = 0.0
+    for i in range(d):
+        # jac[j, k, l]: coordinate l of the sum for the triple (b_i, b_j, b_k)
+        jac = ((c[i] @ rows).reshape(d, d, d)
+               + (cols @ c[:, i]).reshape(d, d, d)
+               + (c[:, i] @ rows).reshape(d, d, d).swapaxes(0, 1))
+        worst = max(worst, float(np.abs(jac).max()))
+    return worst
 
 
 def skew_flow(a: np.ndarray):
@@ -387,13 +409,8 @@ def skew_flow(a: np.ndarray):
     the antisymmetry check, made on every slice.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim == 2:
-        bad = (np.abs(a + a.T).max(initial=0.0)
-               > 1e-10 * max(1.0, np.abs(a).max(initial=0.0)))
-    else:  # the same test, one scale per slice
-        bad = (np.abs(a + a.swapaxes(-1, -2)).max(axis=(-2, -1))
-               > 1e-10 * np.abs(a).max(axis=(-2, -1), initial=1.0)).any()
-    if bad:
+    if (np.abs(a + a.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+            > 1e-10 * np.abs(a).max(axis=(-2, -1), initial=1.0)).any():
         raise AlgebraMismatch("the exponent is not an antisymmetric matrix")
     lam, v = np.linalg.eigh(1j * a)
     lam = lam[..., None, :]  # broadcast along the rows of each slice
@@ -448,8 +465,8 @@ def make_involution(alg: LieAlgebraBasis, op: np.ndarray) -> Involution:
         raise NotAnInvolution("operator squared is not the identity")
     # automorphism: op[b_i, b_j] = [op b_i, op b_j], checked on structure data
     c = alg.structure_constants
-    lhs = np.einsum("ijk,lk->ijl", c, op)
-    rhs = np.einsum("pi,qj,pql->ijl", op, op, c, optimize=True)
+    lhs = c @ op.T
+    rhs = op.T @ (op.T @ c.reshape(d, d * d)).reshape(d, d, d)
     if np.abs(lhs - rhs).max() > 1e-8:
         raise NotAnAutomorphism("operator does not respect the bracket")
     if np.abs(op - op.T).max() > 1e-9:
@@ -500,21 +517,10 @@ def cartan_decompose(alg: LieAlgebraBasis, inv: Involution) -> CartanDecompositi
     if inv.algebra_id != alg.algebra_id:
         raise AlgebraMismatch(f"{inv.algebra_id} vs {alg.algebra_id}")
     k, p = inv.plus_space, inv.minus_space
-    c = alg.structure_constants
-
-    def residual(rows_a, rows_b, target_rows):
-        # largest component of [a, b] outside span(target)
-        if len(rows_a) == 0 or len(rows_b) == 0:
-            return 0.0
-        br = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, c, optimize=True)
-        proj = np.einsum("abk,tk,tl->abl", br, target_rows, target_rows,
-                         optimize=True)
-        return float(np.abs(br - proj).max())
-
     checks = [
-        residual(k, k, k),   # [k,k] in k
-        residual(k, p, p),   # [k,p] in p
-        residual(p, p, k),   # [p,p] in k
+        bracket_residual(alg, k, k, k),   # [k,k] in k
+        bracket_residual(alg, k, p, p),   # [k,p] in p
+        bracket_residual(alg, p, p, k),   # [p,p] in k
     ]
     if max(checks) > TOL_ALG:
         raise NotAnAutomorphism(

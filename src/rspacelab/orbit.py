@@ -40,11 +40,10 @@ class FewerThanTwoClusters(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OrbitPoint:
-    """A point on the adjoint orbit of xi, with its construction log."""
+    """A point on the adjoint orbit of xi."""
 
     space: SpaceInstance
     value: al.AlgebraElement
-    log: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +163,11 @@ def inner(s: SpaceInstance, x: al.AlgebraElement, y: al.AlgebraElement) -> float
 
 
 def base_point(s: SpaceInstance) -> OrbitPoint:
-    return OrbitPoint(space=s, value=s.xi, log=())
+    return OrbitPoint(space=s, value=s.xi)
 
 
 def transport(pt: OrbitPoint, generator: al.AlgebraElement, t: float = 1.0) -> OrbitPoint:
-    value = al.conjugate(pt.value, generator, t)
-    return OrbitPoint(space=pt.space, value=value,
-                      log=pt.log + ((generator, float(t)),))
+    return OrbitPoint(space=pt.space, value=al.conjugate(pt.value, generator, t))
 
 
 def random_orbit_point(s: SpaceInstance, seed) -> OrbitPoint:
@@ -192,10 +189,8 @@ def random_orbit_points(s: SpaceInstance, seeds) -> list:
         x = np.broadcast_to(s.xi.entries, (len(rots), n, n))
         for i in range(8):
             x = rots[:, i] @ x @ rots[:, i].swapaxes(-1, -2)
-        for row, value in zip(steps[b], x):
-            log = tuple((g.from_coords(c), 1.0) for c in row)
-            pts.append(OrbitPoint(space=s, log=log,
-                                  value=al.AlgebraElement(g.algebra_id, value)))
+        pts.extend(OrbitPoint(space=s, value=al.AlgebraElement(g.algebra_id, value))
+                   for value in x)
     return pts
 
 
@@ -507,8 +502,7 @@ def _descend(s: SpaceInstance, pts: list, max_iter: int = 10000) -> list:
     for b in al.sample_blocks(len(pts), g.dim * g.dim):
         a[b] = _armijo(s, a[b], adxi, scale, max_iter)
         a[b] = _gauss_newton(s, a[b], adxi, scale)
-    return [OrbitPoint(space=s, value=g.from_coords(c), log=pt.log)
-            for pt, c in zip(pts, a)]
+    return [OrbitPoint(space=s, value=g.from_coords(c)) for c in a]
 
 
 def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray, scale: float,

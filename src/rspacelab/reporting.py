@@ -118,31 +118,17 @@ def _cdiff(a, b, scale):
     return (a[0] - scale * b[0], a[1] - scale * b[1])
 
 
-def _grading_residual(g, rows_a, rows_b, target_rows):
-    """max component of [a_i, b_j] outside span(target) over basis pairs."""
-    c = np.asarray(g.structure_constants)
-    bk = np.einsum("ia,jb,abm->ijm", rows_a, rows_b, c, optimize=True)
-    perp = bk - np.einsum("ijm,rm,rs->ijs", bk, target_rows, target_rows,
-                            optimize=True)
-    return float(np.abs(perp).max())
-
-
 def suite_algebra(pool, spaces, seed, tol):
     checks = []
     for rid, params in spaces:
         s = pool.get(rid, params)
         g = s.g_vee
         lab = s.descriptor.label
-        c = np.asarray(g.structure_constants)
-
-        jac = (np.einsum("ijm,mkl->ijkl", c, c)
-               + np.einsum("jkm,mil->ijkl", c, c)
-               + np.einsum("kim,mjl->ijkl", c, c))
+        jac = al.jacobi_residual(g)
         checks.append(_check(
             f"algebra.jacobi[{lab}]",
             "structure constants satisfy the Jacobi identity",
-            np.abs(jac).max() <= tol["alg"], float(np.abs(jac).max()),
-            0.0, tol["alg"]))
+            jac <= tol["alg"], jac, 0.0, tol["alg"]))
 
         ev = np.linalg.eigvalsh(np.asarray(g.killing_matrix))
         if g.family in _KILLING_FACTOR:
@@ -159,9 +145,9 @@ def suite_algebra(pool, spaces, seed, tol):
 
         for name, dec in (("order2", s.theta_decomp), ("real", s.sigma_decomp)):
             k, p = dec.k_basis, dec.p_basis
-            res = max(_grading_residual(g, k, k, k),
-                      _grading_residual(g, k, p, p),
-                      _grading_residual(g, p, p, k))
+            res = max(al.bracket_residual(g, k, k, k),
+                      al.bracket_residual(g, k, p, p),
+                      al.bracket_residual(g, p, p, k))
             checks.append(_check(
                 f"algebra.grading.{name}[{lab}]",
                 "brackets respect the +/-1 eigenspace splitting",

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraElement, LieAlgebraBasis, CartanDecomposition,
-                      ad_from_coords, AlgebraMismatch)
+                      ad_from_coords, bracket_residual, AlgebraMismatch)
 
 TOL_ROOT = 1e-6
 TOL_SL2 = 1e-8
@@ -133,15 +133,13 @@ def find_maximal_abelian(side: Subspace, seed: int,
     for m in mc:
         span = _kernel_within(span, ad_from_coords(alg, m))
 
-    c = alg.structure_constants
     certified = False
     for _ in range(rounds):
         if span.shape[0] <= 1:
             certified = True
             break
-        # pairwise bracket residual on the candidate span
-        br = np.einsum("ai,bj,ijk->abk", span, span, c, optimize=True)
-        if np.abs(br).max() < 1e-10:
+        # the candidate span is abelian when [span, span] has no component
+        if bracket_residual(alg, span, span, np.zeros((0, alg.dim))) < 1e-10:
             certified = True
             break
         x = rng.normal(size=span.shape[0]) @ span

@@ -1,11 +1,15 @@
 """Structure constants, Killing data and embeddings of the base families."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspacelab import algebra as al
+from rspacelab import reporting as rp
 
 DIMS = {("so", 4): 6, ("so", 5): 10, ("su", 2): 3, ("su", 3): 8,
         ("u", 2): 4, ("sp", 1): 3, ("sp", 2): 10}
@@ -262,3 +266,63 @@ def test_sample_blocks_cover_every_sample_once():
             assert covered == list(range(count))
             assert all(len(range(count)[b]) * entries <= al._BLOCK_ENTRIES
                        or len(range(count)[b]) == 1 for b in blocks)
+
+
+# --- the bracket kernels against the dense einsums they replace ------------
+
+def _dense_jacobi(c):
+    jac = (np.einsum("ijm,mkl->ijkl", c, c)
+           + np.einsum("jkm,mil->ijkl", c, c)
+           + np.einsum("kim,mjl->ijkl", c, c))
+    return float(np.abs(jac).max())
+
+
+def test_jacobi_residual_matches_the_dense_tensor(pool):
+    algs = [al.build_algebra("so", 5), al.build_algebra("su", 3),
+            pool("grassmann_complex_hermitian", 1, 1).g_vee]
+    assert algs[2].family == "sum"
+    for g in algs:
+        c = np.asarray(g.structure_constants)
+        assert abs(al.jacobi_residual(g) - _dense_jacobi(c)) <= 1e-14
+        bent = c.copy()
+        bent[np.unravel_index(np.abs(c).argmax(), c.shape)] += 0.01
+        h = dataclasses.replace(g, structure_constants=bent)
+        assert abs(al.jacobi_residual(h) - _dense_jacobi(bent)) <= 1e-14
+        assert al.jacobi_residual(h) >= 1e-3
+
+
+def _einsum_residual(g, rows_a, rows_b, target):
+    br = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, g.structure_constants,
+                   optimize=True)
+    proj = np.einsum("abk,tk,tl->abl", br, target, target, optimize=True)
+    return float(np.abs(br - proj).max())
+
+
+@pytest.mark.parametrize("rid,params", rp._STRUCTURAL_SPACES)
+def test_bracket_residual_matches_the_einsum(pool, rid, params):
+    s = pool(rid, *params)
+    g = s.g_vee
+    none = np.zeros((0, g.dim))
+    for dec in (s.theta_decomp, s.sigma_decomp):
+        k, p = dec.k_basis, dec.p_basis
+        for a, b, t in ((k, k, k), (k, p, p), (p, p, k), (k, k, none)):
+            assert abs(al.bracket_residual(g, a, b, t)
+                       - _einsum_residual(g, a, b, t)) <= 1e-14
+        # [k, p] lies in p, which is orthogonal to k
+        wrong = al.bracket_residual(g, k, p, k)
+        assert abs(wrong - _einsum_residual(g, k, p, k)) <= 1e-14
+        assert wrong >= 0.1
+
+
+def test_algebra_suite_memory_is_cubic():
+    pool = rp.InstancePool()
+    rows = [("sphere", (8,))]
+    d = pool.get(*rows[0]).g_vee.dim
+    tracemalloc.start()
+    try:
+        checks = rp.suite_algebra(pool, rows, 0, rp.DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c["status"] for c in checks] == ["pass"] * 4
+    assert peak <= 16 * d ** 3 * 8

@@ -253,7 +253,6 @@ def test_stacked_descent_matches_one_restart_at_a_time(pool, rid, params):
     for pt, end in zip(pts, ends):
         alone = ob._descend(s, [pt])[0]
         assert _rel(end.value.entries, alone.value.entries) <= 1e-12
-        assert end.log is pt.log
         assert ob.riemannian_gradient_norm(end) <= 1e-7
 
 
@@ -338,9 +337,6 @@ def test_stacked_walks_match_the_transport_loop(pool, rid, params):
         assert _rel(pt.value.entries, ref.value.entries) <= 1e-12
         assert _rel(ob.random_orbit_point(s, seed).value.entries,
                     ref.value.entries) <= 1e-12
-        assert len(pt.log) == len(ref.log) == 8
-        for (a, ta), (b, tb) in zip(pt.log, ref.log):
-            assert ta == tb and np.abs(a.entries - b.entries).max() <= 1e-15
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
