@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Energy ladders: gradient-found critical values against the reflection
-enumeration, with Hessian indices and basin populations."""
+"""Energy ladders: the closed-form critical levels with their Morse indices,
+beside the gradient-found clusters with their exact-Hessian indices and
+basin populations, and how many predicted levels the descent reached."""
 
 import argparse
 
@@ -22,18 +23,21 @@ def main():
     args = ap.parse_args()
 
     for rid, params in ORBITS:
-        s = atlas.instantiate(atlas.descriptor(rid, *params))
+        s = atlas.instance(rid, *params)
         st = ob.structure(s)
         clusters = ob.find_critical_points(s, restarts=args.restarts,
                                            seed=args.seed)
         rpt = ob.critical_gap_report(s, clusters=clusters)
-        predicted = ob.weyl_critical_values(s)
+        predicted = ob.critical_ladder(s)
         print(f"{s.descriptor.label}  (rank {st.rank_nc})")
-        print(f"  predicted ladder: "
-              f"{', '.join(f'{v / np.pi:+.3f}*pi' for v in predicted)}")
+        print("  predicted ladder: " + ", ".join(
+            f"{v / np.pi:+.3f}*pi (index {i})" for v, i in predicted))
         for c in sorted(clusters, key=lambda c: c.value):
             print(f"  value {c.value / np.pi:+.3f}*pi  index {c.hessian_index}"
                   f"  basin {c.population}/{args.restarts}")
+        found = sum(any(abs(v - c.value) <= 1e-3 * 4 * np.pi for c in clusters)
+                    for v, _ in predicted)
+        print(f"  found {found} of {len(predicted)} predicted levels")
         print(f"  max gap {rpt['max_gap'] / np.pi:.3f}*pi"
               f"  ({rpt['max_gap'] / (4 * np.pi):.3f} of 4*pi),"
               f"  lowest step {rpt['smin_gap'] / np.pi:.3f}*pi")

@@ -401,7 +401,9 @@ def jacobi_residual(alg: LieAlgebraBasis) -> float:
 
 def skew_flow(a: np.ndarray):
     """t -> exp(t a) for a real antisymmetric matrix a, or a (..., n, n)
-    stack of them; t is one number, or one per slice (shape (...,)).
+    stack of them; t is one number, or one per slice (shape (...,)).  The
+    callable's at= picks slices along the first axis, and only those are
+    exponentiated (t then matches the picked stack).
 
     1j*a is Hermitian, so with 1j*a = V diag(lam) V^H from eigh the
     exponential is V diag(exp(-1j*t*lam)) V^H, a real orthogonal matrix;
@@ -415,8 +417,10 @@ def skew_flow(a: np.ndarray):
     lam, v = np.linalg.eigh(1j * a)
     lam = lam[..., None, :]  # broadcast along the rows of each slice
     vh = v.conj().swapaxes(-1, -2)
-    return lambda t: ((v * np.exp(-1j * np.asarray(t, float)[..., None, None]
-                                  * lam)) @ vh).real
+    def flow(t, at=slice(None)):
+        t = np.asarray(t, float)[..., None, None]
+        return ((v[at] * np.exp(-1j * t * lam[at])) @ vh[at]).real
+    return flow
 
 
 def expm_skew(a: np.ndarray) -> np.ndarray:

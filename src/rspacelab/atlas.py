@@ -13,6 +13,7 @@ and Hermitian spaces via the doubled ambient k + k with the swap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -376,6 +377,12 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
                          xi=xi, k_basis=k, h_basis=h, l_basis=l,
                          p_vee_basis=p_vee, theta_decomp=tdec,
                          sigma_decomp=sdec)
+
+
+@functools.cache
+def instance(row_id: str, *params: int) -> SpaceInstance:
+    """instantiate(descriptor(row_id, *params)), made once per process."""
+    return instantiate(descriptor(row_id, *params))
 
 
 def rank_ratio(s: SpaceInstance, seed: int = 11) -> int:

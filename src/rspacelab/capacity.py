@@ -27,10 +27,6 @@ class LatticeError(RuntimeError):
     """Active weights are incommensurable, or the shortest vector misses xi."""
 
 
-class GapMismatch(RuntimeError):
-    """Critical gaps disagree with the capacity formulas."""
-
-
 @dataclass(frozen=True)
 class NormalizationContext:
     """Frozen conventions: unit radius, generator area, reference systole."""
@@ -298,33 +294,15 @@ def chz_disc(s: SpaceInstance,
                           extras={"sys_flat": float(sys_flat)})
 
 
-def capacity_hermitian_ambient(s: SpaceInstance,
-                               gaps: dict | None = None) -> CapacityReport:
-    """Capacities of the ambient Hermitian orbit from the critical ladder.
-
-    c_G = 4 pi (lowest gap) and c_HZ = 4 pi rank(N_C) (total spread); both
-    are checked to relative 1e-3 against the critical values of the orbit
-    Hamiltonian: by default the exact Weyl ladder, or any gap report passed
-    as gaps, such as a descent one from orbit.critical_gap_report.
-    """
-    st = ob.structure(s)
-    c_g = 4.0 * np.pi
-    c_hz = 4.0 * np.pi * st.rank_nc
-    if gaps is None:
-        vals = ob.weyl_critical_values(s)
-        gaps = {"max_gap": vals[-1] - vals[0], "smin_gap": vals[1] - vals[0]}
-    if abs(gaps["max_gap"] - c_hz) > 1e-3 * c_hz:
-        raise GapMismatch(
-            f"total gap {gaps['max_gap']:.6f} vs 4 pi rank = {c_hz:.6f}")
-    if abs(gaps["smin_gap"] - c_g) > 1e-3 * c_g:
-        raise GapMismatch(
-            f"lowest gap {gaps['smin_gap']:.6f} vs 4 pi = {c_g:.6f}")
+def capacity_hermitian_ambient(s: SpaceInstance) -> CapacityReport:
+    """Capacities of the ambient Hermitian orbit from the critical ladder:
+    c_G is its lowest step (4 pi) and c_HZ its total spread (4 pi rank)."""
+    levels = [v for v, _ in ob.critical_ladder(s)]
     return CapacityReport(
-        space_id=s.descriptor.label, c_G=c_g, c_HZ=c_hz,
-        case_tag="hermitian_ambient",
-        formula_ref="c_G = 4pi, c_HZ = 4pi * rank (ambient orbit)",
-        extras={"rank_nc": st.rank_nc, "max_gap": gaps["max_gap"],
-                "smin_gap": gaps["smin_gap"]})
+        space_id=s.descriptor.label, c_G=levels[1] - levels[0],
+        c_HZ=levels[-1] - levels[0], case_tag="hermitian_ambient",
+        formula_ref="c_G = lowest step, c_HZ = spread of the critical ladder",
+        extras={"rank_nc": ob.structure(s).rank_nc, "levels": levels})
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,14 @@ corresponding sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import itertools
-import weakref
 
 import numpy as np
 
 from . import algebra as al
 from . import roots as rt
-from .atlas import SpaceInstance, intersect_rows
+from .atlas import SpaceInstance
 
 
 class BaseMismatch(ValueError):
@@ -95,15 +95,10 @@ class InstanceStructure:
     metric_chol: np.ndarray
 
 
-# keyed on instance identity; weak so cache entries die with their instance
-_STRUCTURE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def structure(s: SpaceInstance, seed: int = 23) -> InstanceStructure:
-    hit = _STRUCTURE_CACHE.get(s)
-    if hit is not None:
-        return hit
+@functools.cache  # keyed on instance identity
+def structure(s: SpaceInstance) -> InstanceStructure:
     g = s.g_vee
+    seed = 23  # fixed, so one instance has one structure
     sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi, seed=seed)
 
     # squared Killing length of the xi component in one cascade su(2);
@@ -139,14 +134,12 @@ def structure(s: SpaceInstance, seed: int = 23) -> InstanceStructure:
 
     metric = -bmat / c_orbit
     chol = np.linalg.cholesky(metric)
-    st = InstanceStructure(sos=sos, c_orbit=c_orbit, rank_nc=rank_nc,
-                           rank_n=rank_n, ratio=ratio, k_alg=k_alg,
-                           a_flat=a_flat, a_in_k=a_in_k,
-                           sigma_roots=sigma_roots, abar=abar,
-                           sigma_bar_roots=sigma_bar_roots,
-                           metric=metric, metric_chol=chol)
-    _STRUCTURE_CACHE[s] = st
-    return st
+    return InstanceStructure(sos=sos, c_orbit=c_orbit, rank_nc=rank_nc,
+                             rank_n=rank_n, ratio=ratio, k_alg=k_alg,
+                             a_flat=a_flat, a_in_k=a_in_k,
+                             sigma_roots=sigma_roots, abar=abar,
+                             sigma_bar_roots=sigma_bar_roots,
+                             metric=metric, metric_chol=chol)
 
 
 def calibration(s: SpaceInstance) -> float:
@@ -528,7 +521,7 @@ def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray, scale: float,
         todo = np.arange(len(live))  # positions in live still searching
         for _ in range(40):
             i = live[todo]
-            r = flow(eta[live])[todo]
+            r = flow(eta[i], at=todo)
             cand = g.stack_coords(r @ am[todo] @ r.swapaxes(-1, -2))
             cval, cgrad = _merits_and_grads(s, cand, adxi)
             ok = cval <= val[i] - 0.3 * eta[i] * decr[todo]
@@ -582,32 +575,22 @@ def riemannian_gradient_norm(pt: OrbitPoint) -> float:
     return float(np.linalg.norm(comps))
 
 
-def _hessian_index(pt: OrbitPoint, h: float = 1e-4) -> int:
-    """Morse index of H at a critical point, by central differences in a chart."""
+def morse_index(pt: OrbitPoint) -> int:
+    """Morse index of H at a critical point x, from its exact Hessian.
+
+    H(Ad(e^U) x) = H(x) + Q(U) + O(U^3) with Q(U) = -(pi/c) B([xi, U], [x, U])
+    (the first order term vanishes with [xi, x]); Q is taken on the
+    generators U of tangent_frame(x), and the eigenvalues below -1e-8 of
+    the largest |eigenvalue| are counted.
+    """
     s = pt.space
     g = s.g_vee
+    adxi, adx = al.ad_operator(g, s.xi), al.ad_operator(g, pt.value)
+    q = adxi.T @ g.killing_matrix @ adx
+    q = -0.5 * np.pi / structure(s).c_orbit * (q + q.T)
     frame = tangent_frame(pt)
-    d = frame.shape[0]
-
-    def f(u):
-        gen = g.from_coords(u @ frame)
-        return hamiltonian(transport(pt, gen, 1.0))
-
-    hess = np.empty((d, d))
-    f0 = f(np.zeros(d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        fpp = f(ei)
-        fmm = f(-ei)
-        hess[i, i] = (fpp - 2 * f0 + fmm) / h**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            val = (f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)) / (4 * h**2)
-            hess[i, j] = hess[j, i] = val
-    w = np.linalg.eigvalsh(hess)
-    return int(np.sum(w < -1e-5))
+    w = np.linalg.eigvalsh(frame @ q @ frame.T)
+    return int(np.sum(w < -1e-8 * np.abs(w).max()))
 
 
 def find_critical_points(s: SpaceInstance, restarts: int = 50,
@@ -648,7 +631,7 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
         out.append(CriticalCluster(
             representative=rep,
             value=float(np.mean([vals[i] for i in grp])),
-            hessian_index=_hessian_index(rep),
+            hessian_index=morse_index(rep),
             population=len(grp)))
     return out
 
@@ -667,6 +650,32 @@ def critical_gap_report(s: SpaceInstance, clusters=None, restarts: int = 50,
                         sorted(clusters, key=lambda c: c.value)],
             "populations": [c.population for c in
                             sorted(clusters, key=lambda c: c.value)]}
+
+
+def critical_ladder(s: SpaceInstance) -> list:
+    """Critical levels of H with their Morse indices, as sorted
+    (level, index) pairs; the production ladder.
+
+    On the cascade torus, level j sits at x_j, the reflection of xi in the
+    first j cascade roots (strongly orthogonal, so the reflections
+    commute), j = 0..rank_nc, with value 2 pi B(xi, x_j)/c.  The Hessian
+    there is diagonal on the root spaces, with sign beta(xi) beta(x_j) on
+    the real 2-plane of +-beta, so the index counts the torus roots beta
+    with beta(xi) beta(x_j) < 0 (Bott, Bull. SMF 84 (1956); Atiyah, Bull.
+    LMS 14 (1982)).
+    """
+    st = structure(s)
+    t = st.sos.torus
+    gt = -(t.basis @ s.g_vee.killing_matrix @ t.basis.T)
+    xi_t = t.coords_of(s.g_vee.coords(s.xi))
+    xs = [xi_t]
+    for gamma in st.sos.gammas:
+        gv = np.linalg.solve(gt, gamma)
+        xs.append(xs[-1] - 2.0 * (gamma @ xs[-1]) / (gamma @ gv) * gv)
+    b_xi = st.sos.roots @ xi_t
+    return sorted((2.0 * np.pi * float(-(xi_t @ gt @ x)) / st.c_orbit,
+                   int(np.sum(b_xi * (st.sos.roots @ x) < -1e-8)))
+                  for x in xs)
 
 
 def _cell_keys(ys: np.ndarray, cell: float, tol: float) -> list:
@@ -690,8 +699,8 @@ def weyl_critical_values(s: SpaceInstance) -> list:
     """Frozen enumeration of critical values via root reflections.
 
     The critical set of the pairing meets the torus in the reflection orbit
-    of xi, so the values can be generated without any optimization; used to
-    cross-check the descent pipeline.  Points closer than 1e-8 are one
+    of xi, so the values can be generated without any optimization; the
+    oracle of critical_ladder and of the descent.  Points closer than 1e-8 are one
     point; the seen points are hashed by grid cell, so each new point is
     compared with its own and neighbouring cells only.
     """
@@ -699,7 +708,7 @@ def weyl_critical_values(s: SpaceInstance) -> list:
     g = s.g_vee
     t = st.sos.torus
     gt = -(t.basis @ g.killing_matrix @ t.basis.T)
-    betas = np.array([sp.covector for sp in rt.complex_root_spaces(g, t)])
+    betas = st.sos.roots
     bvecs = np.linalg.solve(gt, betas.T).T
     # reflection in beta: x -> x - 2 beta(x) / beta(bvec) bvec
     coef = 2.0 / np.einsum("ri,ri->r", betas, bvecs)

@@ -90,19 +90,6 @@ def _check(cid, claim, ok, computed, expected, tol):
             "tolerance": float(tol)}
 
 
-class InstancePool:
-    """Shared instantiation cache so suites reuse orbit structure."""
-
-    def __init__(self):
-        self._live = {}
-
-    def get(self, rid, params):
-        key = (rid, tuple(params))
-        if key not in self._live:
-            self._live[key] = atlas.instantiate(atlas.descriptor(rid, *params))
-        return self._live[key]
-
-
 # cascade triples are complexified, stored as (real, imaginary) pairs
 def _cbracket(a, b):
     return (al.bracket(a[0], b[0]) - al.bracket(a[1], b[1]),
@@ -118,10 +105,10 @@ def _cdiff(a, b, scale):
     return (a[0] - scale * b[0], a[1] - scale * b[1])
 
 
-def suite_algebra(pool, spaces, seed, tol):
+def suite_algebra(spaces, seed, tol):
     checks = []
     for rid, params in spaces:
-        s = pool.get(rid, params)
+        s = atlas.instance(rid, *params)
         g = s.g_vee
         lab = s.descriptor.label
         jac = al.jacobi_residual(g)
@@ -155,10 +142,10 @@ def suite_algebra(pool, spaces, seed, tol):
     return checks
 
 
-def suite_roots(pool, spaces, seed, tol):
+def suite_roots(spaces, seed, tol):
     checks = []
     for rid, params in spaces:
-        s = pool.get(rid, params)
+        s = atlas.instance(rid, *params)
         lab = s.descriptor.label
         st = ob.structure(s)
 
@@ -214,10 +201,10 @@ def _form_matrix(x, frame):
     return m, tans
 
 
-def suite_orbit(pool, spaces, seed, tol):
+def suite_orbit(spaces, seed, tol):
     checks = []
     for k, (rid, params) in enumerate(spaces):
-        s = pool.get(rid, params)
+        s = atlas.instance(rid, *params)
         lab = s.descriptor.label
         g = s.g_vee
         x = ob.random_orbit_point(s, seed + 100 * k)
@@ -283,11 +270,11 @@ def suite_orbit(pool, spaces, seed, tol):
     return checks
 
 
-def suite_delta(pool, models, seed, tol, samples=400):
+def suite_delta(models, seed, tol, samples=400):
     checks = []
     for model in models:
         rid, params = ob.CUT_MODEL_ROWS[model]
-        r = ob.cut_locus_oracle_check(model, pool.get(rid, params),
+        r = ob.cut_locus_oracle_check(model, atlas.instance(rid, *params),
                                       samples=samples, seed=seed,
                                       band=tol["band"])
         checks.append(_check(
@@ -298,10 +285,10 @@ def suite_delta(pool, models, seed, tol, samples=400):
     return checks
 
 
-def suite_critical(pool, spaces, seed, tol, restarts=50):
+def suite_critical(spaces, seed, tol, restarts=50):
     checks = []
     for rid, params in spaces:
-        s = pool.get(rid, params)
+        s = atlas.instance(rid, *params)
         lab = s.descriptor.label
         st = ob.structure(s)
         rep = ob.critical_gap_report(s, restarts=restarts, seed=seed)
@@ -319,18 +306,23 @@ def suite_critical(pool, spaces, seed, tol, restarts=50):
             abs(rep["smin_gap"] - 4.0 * np.pi) <= tol["gap_rel"] * 4.0 * np.pi,
             rep["smin_gap"], 4.0 * np.pi, tol["gap_rel"]))
 
+        # the closed-form index of the ladder level each cluster lands on
+        ladder = ob.critical_ladder(s)
+        want = [next((i for v, i in ladder
+                      if abs(v - c) <= tol["gap_rel"] * 4.0 * np.pi), None)
+                for c in rep["values"]]
         checks.append(_check(
             f"critical.indices[{lab}]",
             "all descent indices are even",
-            all(i % 2 == 0 for i in rep["indices"]),
-            list(rep["indices"]), "even", 0.0))
+            rep["indices"] == want and all(i % 2 == 0 for i in want),
+            list(rep["indices"]), want, 0.0))
     return checks
 
 
-def suite_capacity(pool, spaces, seed, tol):
+def suite_capacity(spaces, seed, tol):
     checks = []
     for rid, params in spaces:
-        s = pool.get(rid, params)
+        s = atlas.instance(rid, *params)
         lab = s.descriptor.label
         sd = cap.systole_details(s)
         sys_flat = sd["systole"]
@@ -381,8 +373,8 @@ def suite_capacity(pool, spaces, seed, tol):
 
         if s.descriptor.hermitian:
             h = cap.capacity_hermitian_ambient(s)
-            st = ob.structure(s)
-            want = [4.0 * np.pi, 4.0 * np.pi * st.rank_nc]
+            vals = ob.weyl_critical_values(s)  # the enumeration oracle
+            want = [vals[1] - vals[0], vals[-1] - vals[0]]
             ok = (abs(h.c_G - want[0]) <= tol["gap_rel"] * want[0]
                   and abs(h.c_HZ - want[1]) <= tol["gap_rel"] * want[1])
             checks.append(_check(
@@ -392,10 +384,10 @@ def suite_capacity(pool, spaces, seed, tol):
     return checks
 
 
-def suite_finsler(pool, spaces, seed, tol):
+def suite_finsler(spaces, seed, tol):
     checks = []
     for rid, params in spaces:
-        s = pool.get(rid, params)
+        s = atlas.instance(rid, *params)
         lab = s.descriptor.label
         st = ob.structure(s)
 
@@ -461,14 +453,13 @@ def run_suites(names, seed, space=None, params=None, tol=None) -> dict:
         if n not in _SUITES:
             raise UnknownSuite(f"unknown suite {n!r}")
     tol = {**DEFAULT_TOL, **(tol or {})}
-    pool = InstancePool()
     checks = []
     for n in SUITE_NAMES:
         if n not in names:
             continue
         fn, defaults = _SUITES[n]
         members = _filtered(defaults, space, params)
-        checks.extend(fn(pool, members, seed + SUITE_OFFSETS[n], tol))
+        checks.extend(fn(members, seed + SUITE_OFFSETS[n], tol))
     return {"meta": {"version": __version__, "seed": int(seed)},
             "checks": checks}
 

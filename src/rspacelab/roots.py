@@ -340,6 +340,7 @@ class StronglyOrthogonalSet:
     gammas: list
     triples: list
     torus: AbelianSubspace
+    roots: np.ndarray  # covector rows of every root of the torus action
 
     @property
     def count(self) -> int:
@@ -450,4 +451,5 @@ def cascade_strongly_orthogonal(dec: CartanDecomposition, z: AlgebraElement,
             assert not _is_root(spaces, gammas[i] + gammas[j])
             assert not _is_root(spaces, gammas[i] - gammas[j])
     return StronglyOrthogonalSet(gammas=[tri.root for tri in triples],
-                                 triples=triples, torus=t)
+                                 triples=triples, torus=t,
+                                 roots=np.array([s.covector for s in spaces]))

@@ -45,11 +45,11 @@ _LADDER = [
 ]
 
 
-def test_criterion_2_energy_ladders(pool):
+def test_criterion_2_energy_ladders():
     t0 = time.monotonic()
     worst = 0.0
     for rid, params, rank in _LADDER:
-        s = pool(rid, *params)
+        s = atlas.instance(rid, *params)
         rpt = ob.critical_gap_report(s, restarts=50, seed=3)
         worst = max(worst,
                     abs(rpt["max_gap"] - 4.0 * PI * rank) / (4.0 * PI * rank),
@@ -62,12 +62,12 @@ def test_criterion_2_energy_ladders(pool):
 
 # 3. cut shell oracle ------------------------------------------------------
 
-def test_criterion_3_cut_shell_oracle(pool):
+def test_criterion_3_cut_shell_oracle():
     bad = 0
     tested = 0
     for model in ("cp1", "cp1xcp1"):
         rid, params = ob.CUT_MODEL_ROWS[model]
-        rpt = ob.cut_locus_oracle_check(model, pool(rid, *params),
+        rpt = ob.cut_locus_oracle_check(model, atlas.instance(rid, *params),
                                         samples=1000, seed=7, band=1e-6)
         bad += rpt["mismatches"]
         tested += rpt["tested"]
@@ -83,10 +83,10 @@ _MOMENT_ROWS = [("sphere", (2,)), ("quadric_real", (1, 2)),
                 ("grassmann_complex_hermitian", (1, 1))]
 
 
-def test_criterion_4_momentum_box(pool):
+def test_criterion_4_momentum_box():
     total_in = total_out = pass_in = pass_out = 0
     for rid, params in _MOMENT_ROWS:
-        rpt = ob.moment_image_spectrum_check(pool(rid, *params),
+        rpt = ob.moment_image_spectrum_check(atlas.instance(rid, *params),
                                              samples=2000, seed=13)
         pass_in += rpt["interior_pass"]
         total_in += rpt["interior_total"]
@@ -100,12 +100,12 @@ def test_criterion_4_momentum_box(pool):
 
 # 5. capacity dichotomy and disc dispatch over the full sweep --------------
 
-def test_criterion_5_capacity_calculator(pool):
+def test_criterion_5_capacity_calculator():
     worst = 0.0
     checked = 0
     for d in atlas.list_entries():
         try:
-            s = pool(d.id, *d.params)
+            s = atlas.instance(d.id, *d.params)
         except atlas.UnsupportedRow:
             continue
         sys_flat = cap.systole_flat(s)
@@ -135,10 +135,10 @@ _SYS_PINS = [("sphere", (2,), 2.0 * PI), ("sphere", (3,), 2.0 * PI),
              ("quadric_real", (2, 2), np.sqrt(2.0) * PI)]
 
 
-def test_criterion_6_systole_values(pool):
+def test_criterion_6_systole_values():
     worst = 0.0
     for rid, params, want in _SYS_PINS:
-        s = pool(rid, *params)
+        s = atlas.instance(rid, *params)
         det = cap.systole_details(s)
         scan = cap.systole_scan_oracle(s, np.asarray(det["direction"]))
         worst = max(worst, abs(det["systole"] - want),
@@ -150,14 +150,14 @@ def test_criterion_6_systole_values(pool):
 
 # 7. structural identities everywhere --------------------------------------
 
-def test_criterion_7_structural_suite(pool):
+def test_criterion_7_structural_suite():
     report = rep.run_suites(["algebra", "roots", "orbit", "critical"],
                             seed=2024)
     suite_ok = rep.all_passed(report)
     cascade_ok = True
     for d in atlas.list_entries():
         try:
-            s = pool(d.id, *d.params)
+            s = atlas.instance(d.id, *d.params)
         except atlas.UnsupportedRow:
             continue
         st = ob.structure(s)
@@ -181,12 +181,12 @@ _FINSLER_ROWS = [("sphere", (2,)), ("sphere", (3,)), ("quadric_real", (1, 2)),
                  ("grassmann_complex_hermitian", (1, 1))]
 
 
-def test_criterion_8_finsler_norms(pool):
+def test_criterion_8_finsler_norms():
     frac_min = 1.0
     spread_max = 0.0
     mono_max = 0.0
     for rid, params in _FINSLER_ROWS:
-        s = pool(rid, *params)
+        s = atlas.instance(rid, *params)
         box = fin.unit_ball_vs_box(s, samples=1000, seed=29)
         frac_min = min(frac_min, box["fraction"])
         if fin.norm_kernel(s).shape[0] == 0:

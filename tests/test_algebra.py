@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspacelab import algebra as al
+from rspacelab import atlas
 from rspacelab import reporting as rp
 
 DIMS = {("so", 4): 6, ("so", 5): 10, ("su", 2): 3, ("su", 3): 8,
@@ -277,9 +278,9 @@ def _dense_jacobi(c):
     return float(np.abs(jac).max())
 
 
-def test_jacobi_residual_matches_the_dense_tensor(pool):
+def test_jacobi_residual_matches_the_dense_tensor():
     algs = [al.build_algebra("so", 5), al.build_algebra("su", 3),
-            pool("grassmann_complex_hermitian", 1, 1).g_vee]
+            atlas.instance("grassmann_complex_hermitian", 1, 1).g_vee]
     assert algs[2].family == "sum"
     for g in algs:
         c = np.asarray(g.structure_constants)
@@ -299,8 +300,8 @@ def _einsum_residual(g, rows_a, rows_b, target):
 
 
 @pytest.mark.parametrize("rid,params", rp._STRUCTURAL_SPACES)
-def test_bracket_residual_matches_the_einsum(pool, rid, params):
-    s = pool(rid, *params)
+def test_bracket_residual_matches_the_einsum(rid, params):
+    s = atlas.instance(rid, *params)
     g = s.g_vee
     none = np.zeros((0, g.dim))
     for dec in (s.theta_decomp, s.sigma_decomp):
@@ -315,12 +316,11 @@ def test_bracket_residual_matches_the_einsum(pool, rid, params):
 
 
 def test_algebra_suite_memory_is_cubic():
-    pool = rp.InstancePool()
     rows = [("sphere", (8,))]
-    d = pool.get(*rows[0]).g_vee.dim
+    d = atlas.instance("sphere", 8).g_vee.dim
     tracemalloc.start()
     try:
-        checks = rp.suite_algebra(pool, rows, 0, rp.DEFAULT_TOL)
+        checks = rp.suite_algebra(rows, 0, rp.DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

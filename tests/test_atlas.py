@@ -35,8 +35,8 @@ def test_default_entries_cover_every_row_once():
     ("symplectic_group", (1,), 2),
     ("grassmann_complex_hermitian", (1, 2), 2),
 ])
-def test_rank_ratio_hand_values(pool, rid, params, ratio):
-    assert atlas.rank_ratio(pool(rid, *params)) == ratio
+def test_rank_ratio_hand_values(rid, params, ratio):
+    assert atlas.rank_ratio(atlas.instance(rid, *params)) == ratio
 
 
 def test_exceptional_rows_refuse_to_instantiate():
@@ -55,8 +55,8 @@ def test_parameter_validation():
         atlas.descriptor("no_such_row", 2)
 
 
-def test_grading_element_structure(pool):
-    s = pool("quadric_real", 1, 2)
+def test_grading_element_structure():
+    s = atlas.instance("quadric_real", 1, 2)
     g = s.g_vee
     xc = g.coords(s.xi)
     # the real involution reverses the grading element
@@ -68,8 +68,8 @@ def test_grading_element_structure(pool):
     assert np.abs(comm).max() < 1e-9
 
 
-def test_isotropy_splits_inside_the_fixed_algebra(pool):
-    s = pool("sphere", 2)
+def test_isotropy_splits_inside_the_fixed_algebra():
+    s = atlas.instance("sphere", 2)
     assert s.l_basis.shape[0] + s.h_basis.shape[0] == s.k_basis.shape[0]
     # l sits in the -1 side of theta, h in the +1 side
     th = s.theta.operator_matrix

@@ -7,6 +7,7 @@ from rspacelab import algebra as al
 from rspacelab import atlas
 from rspacelab import capacity as cap
 from rspacelab import orbit as ob
+from rspacelab import reporting as rep
 
 SQRT2PI = np.sqrt(2.0) * np.pi
 
@@ -39,16 +40,16 @@ PINS = [
 
 
 @pytest.mark.parametrize("rid,params,want", PINS)
-def test_pinned_systoles(pool, rid, params, want):
-    assert abs(cap.systole_flat(pool(rid, *params)) - want) <= 1e-9 * want
+def test_pinned_systoles(rid, params, want):
+    assert abs(cap.systole_flat(atlas.instance(rid, *params)) - want) <= 1e-9 * want
 
 
 @pytest.mark.parametrize("rid,params", [("sphere", (2,)),
                                         ("quadric_real", (1, 2)),
                                         ("unitary_group", (2,)),
                                         ("grassmann_real", (1, 2))])
-def test_scan_oracle_agrees_with_frequency_systole(pool, rid, params):
-    s = pool(rid, *params)
+def test_scan_oracle_agrees_with_frequency_systole(rid, params):
+    s = atlas.instance(rid, *params)
     d = cap.systole_details(s)
     scan = cap.systole_scan_oracle(s, np.asarray(d["direction"]))
     assert abs(scan - d["systole"]) < 1e-6 * d["systole"]
@@ -60,16 +61,16 @@ def test_systole_pins_cover_the_catalogue():
 
 
 @pytest.mark.parametrize("rid,params,want", PINS)
-def test_proven_box_agrees_with_a_wider_search(pool, rid, params, want):
-    d = cap.systole_details(pool(rid, *params))
+def test_proven_box_agrees_with_a_wider_search(rid, params, want):
+    d = cap.systole_details(atlas.instance(rid, *params))
     lat, box = d["lattice"], np.asarray(d["box"])
     z, length, count = cap._shortest_in_box(lat, box + 3)
     assert count > d["tested"]
     assert abs(length - d["systole"]) <= 1e-12 * d["systole"]
 
 
-def test_unit_lattice_on_orthogonal_group(pool):
-    s = pool("orthogonal_group", 5)
+def test_unit_lattice_on_orthogonal_group():
+    s = atlas.instance("orthogonal_group", 5)
     d = cap.systole_details(s)
     lat = d["lattice"]
     ws = cap._active_weights(s)
@@ -94,8 +95,8 @@ def test_unit_lattice_on_orthogonal_group(pool):
     assert abs(scan - d["systole"]) < 1e-6 * d["systole"]
 
 
-def test_bc_row_keeps_alpha_beside_two_alpha(pool, monkeypatch):
-    s = pool("grassmann_complex_hermitian", 1, 2)
+def test_bc_row_keeps_alpha_beside_two_alpha(monkeypatch):
+    s = atlas.instance("grassmann_complex_hermitian", 1, 2)
     covs = [r.covector for r in ob.structure(s).sigma_roots.roots]
     assert any(np.allclose(b, 2 * a) for a in covs for b in covs)
     d = cap.systole_details(s)
@@ -112,12 +113,12 @@ def test_bc_row_keeps_alpha_beside_two_alpha(pool, monkeypatch):
         cap.systole_details(s)
 
 
-def test_flat_metric_scale_per_family(pool):
-    s = pool("grassmann_real", 1, 2)
+def test_flat_metric_scale_per_family():
+    s = atlas.instance("grassmann_real", 1, 2)
     assert abs(cap.c_model(s) - 4.0 * 3) < 1e-9
-    u = pool("unitary_group", 2)
+    u = atlas.instance("unitary_group", 2)
     assert abs(cap.c_model(u) - 2.0 * 2) < 1e-9
-    sph = pool("sphere", 2)
+    sph = atlas.instance("sphere", 2)
     want = -al.killing(sph.g_vee, sph.xi, sph.xi)
     assert abs(cap.c_model(sph) - want) < 1e-9
 
@@ -128,8 +129,8 @@ def test_flat_metric_scale_per_family(pool):
     ("unitary_group", (2,)), ("grassmann_quaternionic", (1, 1)),
     ("grassmann_complex_hermitian", (1, 1)),
 ])
-def test_capacity_dichotomy(pool, rid, params):
-    s = pool(rid, *params)
+def test_capacity_dichotomy(rid, params):
+    s = atlas.instance(rid, *params)
     r = cap.capacities_U(s)
     assert abs(r.extras["cross_check_normalized"] - 4.0 * np.pi) < 1e-9
     assert r.c_G == r.c_HZ
@@ -139,14 +140,14 @@ def test_capacity_dichotomy(pool, rid, params):
     assert r.case_tag == f"ratio{ratio}"
 
 
-def test_deck_flags_fire_exactly_on_shortened_systoles(pool):
+def test_deck_flags_fire_exactly_on_shortened_systoles():
     flagged = {}
     for rid, params in [("sphere", (2,)), ("unitary_group", (2,)),
                         ("grassmann_quaternionic", (1, 1)),
                         ("symplectic_group", (1,)),
                         ("quadric_real", (1, 2)), ("quadric_real", (2, 2)),
                         ("grassmann_real", (1, 2))]:
-        r = cap.capacities_U(pool(rid, *params))
+        r = cap.capacities_U(atlas.instance(rid, *params))
         flagged[(rid, params)] = r.extras["deck_flagged"]
     assert not flagged[("sphere", (2,))]
     assert not flagged[("unitary_group", (2,))]
@@ -164,36 +165,51 @@ def test_deck_flags_fire_exactly_on_shortened_systoles(pool):
     ("quadric_real", (1, 2), "disc_quadric", np.sqrt(2.0)),
     ("quadric_real", (2, 2), "disc_quadric", np.sqrt(2.0)),
 ])
-def test_disc_capacity_dispatch(pool, rid, params, tag, factor):
-    s = pool(rid, *params)
+def test_disc_capacity_dispatch(rid, params, tag, factor):
+    s = atlas.instance(rid, *params)
     d = cap.chz_disc(s)
     assert d.case_tag == tag
     assert abs(d.c_HZ - factor * d.extras["sys_flat"]) < 1e-9
 
 
-def test_disc_capacity_unknown_cases(pool):
+def test_disc_capacity_unknown_cases():
     for rid, params in [("unitary_group", (2,)), ("grassmann_real", (2, 2))]:
-        d = cap.chz_disc(pool(rid, *params))
+        d = cap.chz_disc(atlas.instance(rid, *params))
         assert d.case_tag == "disc_unknown"
         assert d.c_HZ == "unknown"
 
 
-def test_hermitian_ambient_capacities(pool):
-    s = pool("grassmann_complex_hermitian", 1, 1)
+def test_hermitian_ambient_capacities():
+    s = atlas.instance("grassmann_complex_hermitian", 1, 1)
     r = cap.capacity_hermitian_ambient(s)
     assert abs(r.c_G - 4.0 * np.pi) < 1e-9
     assert abs(r.c_HZ - 8.0 * np.pi) < 1e-9
-    # the default ladder is the exact Weyl one
-    assert abs(r.extras["max_gap"] - 8.0 * np.pi) < 1e-9
-    assert abs(r.extras["smin_gap"] - 4.0 * np.pi) < 1e-9
-    # a descent ladder passed in is held to the same formulas
+    # the closed-form ladder is the exact Weyl one
+    assert np.allclose(r.extras["levels"], ob.weyl_critical_values(s),
+                       rtol=0, atol=1e-9)
+    # and the descent ladder agrees with the formulas
     descent = ob.critical_gap_report(s, restarts=50, seed=0)
-    r = cap.capacity_hermitian_ambient(s, gaps=descent)
-    assert r.extras["max_gap"] == descent["max_gap"]
-    assert abs(r.extras["max_gap"] - 8.0 * np.pi) < 1e-3 * 8.0 * np.pi
-    with pytest.raises(cap.GapMismatch):
-        cap.capacity_hermitian_ambient(
-            s, gaps={"max_gap": 1.0, "smin_gap": 1.0})
+    assert abs(descent["max_gap"] - r.c_HZ) < 1e-3 * r.c_HZ
+    assert abs(descent["smin_gap"] - r.c_G) < 1e-3 * r.c_G
+
+
+def test_ambient_gate_fails_against_a_shifted_oracle(monkeypatch):
+    rows = [("grassmann_complex_hermitian", (1, 1))]
+
+    def ambient():
+        return [c for c in rep.suite_capacity(rows, 0, rep.DEFAULT_TOL)
+                if c["id"].startswith("capacity.ambient[")]
+
+    good = ambient()
+    assert [c["status"] for c in good] == ["pass"]
+    assert np.allclose(good[0]["expected"], [4.0 * np.pi, 8.0 * np.pi],
+                       rtol=0, atol=1e-12)
+    weyl = ob.weyl_critical_values
+    monkeypatch.setattr(ob, "weyl_critical_values", lambda s: [
+        v + 0.05 * 4.0 * np.pi * j for j, v in enumerate(weyl(s))])
+    bad = ambient()
+    assert [c["status"] for c in bad] == ["fail"]
+    assert bad[0]["computed"] == good[0]["computed"]
 
 
 def test_quadric_spectrum_shortest_entries():
@@ -218,14 +234,14 @@ def test_split_quadric_spectrum_keeps_factor_loops():
     assert plain[0][1] is True and abs(plain[0][0] - 2.0 * np.pi) < 1e-12
 
 
-def test_disc_membership_is_strict(pool):
-    s = pool("sphere", 2)
+def test_disc_membership_is_strict():
+    s = atlas.instance("sphere", 2)
     x = ob.base_point(s)
     g = s.g_vee
     v = ob.make_tangent(x, g.from_coords(s.k_basis[0]))
     nrm = np.sqrt(ob.inner(s, v.vector, v.vector))
     assert cap.disc_contains(s, x, v, nrm * 1.0001)
     assert not cap.disc_contains(s, x, v, nrm)  # the boundary is excluded
-    other = pool("sphere", 3)
+    other = atlas.instance("sphere", 3)
     with pytest.raises(ob.BaseMismatch):
         cap.disc_contains(other, x, v, 1.0)

@@ -21,8 +21,8 @@ ROWS = [("sphere", (2,)), ("sphere", (3,)), ("quadric_real", (1, 2)),
 
 
 @pytest.mark.parametrize("rid,params", ROWS)
-def test_spectral_ball_is_the_root_box(pool, rid, params):
-    r = fin.unit_ball_vs_box(pool(rid, *params), samples=400, seed=0)
+def test_spectral_ball_is_the_root_box(rid, params):
+    r = fin.unit_ball_vs_box(atlas.instance(rid, *params), samples=400, seed=0)
     assert r["fraction"] == 1.0
 
 
@@ -34,16 +34,16 @@ def test_spectral_ball_is_the_root_box(pool, rid, params):
     ("unitary_group", (2,), 0.5),
     ("grassmann_quaternionic", (1, 1), 0.75),
 ])
-def test_quadratic_norm_is_a_metric_multiple(pool, rid, params, kappa):
-    r = fin.f2_vs_riemannian(pool(rid, *params), samples=150, seed=0)
+def test_quadratic_norm_is_a_metric_multiple(rid, params, kappa):
+    r = fin.f2_vs_riemannian(atlas.instance(rid, *params), samples=150, seed=0)
     assert r["spread"] <= 1e-8
     # the squared constant over the orbit scale is the trace form index
     assert abs(r["kappa"] - kappa) < 1e-9
 
 
 @pytest.mark.parametrize("rid,params", ROWS)
-def test_schatten_chain_is_monotone(pool, rid, params):
-    r = fin.norm_monotonicity(pool(rid, *params), samples=100, seed=0)
+def test_schatten_chain_is_monotone(rid, params):
+    r = fin.norm_monotonicity(atlas.instance(rid, *params), samples=100, seed=0)
     assert r["worst_violation"] <= 1e-10
 
 
@@ -53,23 +53,23 @@ def test_schatten_chain_is_monotone(pool, rid, params):
     ("symplectic_group", (1,), 4),
     ("grassmann_complex_hermitian", (1, 1), 2),
 ])
-def test_trace_norm_multiplier_on_line_flats(pool, rid, params, mult):
-    r = fin.norm_monotonicity(pool(rid, *params), samples=40, seed=0)
+def test_trace_norm_multiplier_on_line_flats(rid, params, mult):
+    r = fin.norm_monotonicity(atlas.instance(rid, *params), samples=40, seed=0)
     assert r["rank1_single_magnitude"] is True
     assert abs(r["rank1_multiplier"] - mult) < 1e-9
     assert r["rank1_nonzero_count"] == mult
 
 
-def test_two_magnitude_spectra_break_the_multiplier(pool):
+def test_two_magnitude_spectra_break_the_multiplier():
     # +/- alpha and +/- 2 alpha both act, so trace/spectral is not the count
-    r = fin.norm_monotonicity(pool("grassmann_complex_hermitian", 1, 2),
+    r = fin.norm_monotonicity(atlas.instance("grassmann_complex_hermitian", 1, 2),
                               samples=40, seed=0)
     assert r["rank1_single_magnitude"] is False
     assert abs(r["rank1_multiplier"] - r["rank1_nonzero_count"]) > 0.1
 
 
-def test_rootless_flat_degenerates(pool):
-    rp1 = pool("grassmann_real", 1, 1)
+def test_rootless_flat_degenerates():
+    rp1 = atlas.instance("grassmann_real", 1, 1)
     assert fin.norm_kernel(rp1).shape[0] == ob.structure(rp1).rank_n
     with pytest.raises(fin.DegenerateNorm):
         fin.f2_vs_riemannian(rp1)
@@ -77,13 +77,13 @@ def test_rootless_flat_degenerates(pool):
     assert fin.unit_ball_vs_box(rp1, samples=50, seed=0)["fraction"] == 1.0
 
 
-def test_kernel_is_empty_on_rooted_rows(pool):
-    assert fin.norm_kernel(pool("sphere", 2)).shape[0] == 0
+def test_kernel_is_empty_on_rooted_rows():
+    assert fin.norm_kernel(atlas.instance("sphere", 2)).shape[0] == 0
 
 
-def test_exponent_validation(pool):
+def test_exponent_validation():
     with pytest.raises(ValueError):
-        fin.finsler_norm(pool("sphere", 2), 0.5)
+        fin.finsler_norm(atlas.instance("sphere", 2), 0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,8 +108,8 @@ def test_norm_triangle_inequality(seed):
         assert f(u + v) <= f(u) + f(v) + 1e-10
 
 
-def test_spectral_norm_matches_largest_root_value(pool):
-    s = pool("quadric_real", 2, 2)
+def test_spectral_norm_matches_largest_root_value():
+    s = atlas.instance("quadric_real", 2, 2)
     st_ = ob.structure(s)
     f = fin.finsler_norm(s, np.inf)
     rng = np.random.default_rng(4)
@@ -136,8 +136,8 @@ def _close(a, b, rel=1e-12):
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
-def test_block_norm_matches_the_one_row_calls(pool, rid, params):
-    s = pool(rid, *params)
+def test_block_norm_matches_the_one_row_calls(rid, params):
+    s = atlas.instance(rid, *params)
     us = np.random.default_rng(31).normal(size=(60, ob.structure(s).rank_n))
     for p in (1.0, 2.0, 4.0, np.inf):
         f = fin.finsler_norm(s, p)
@@ -147,8 +147,8 @@ def test_block_norm_matches_the_one_row_calls(pool, rid, params):
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
-def test_block_oracles_match_the_sample_loops(pool, rid, params):
-    s = pool(rid, *params)
+def test_block_oracles_match_the_sample_loops(rid, params):
+    s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
 
     # unit_ball_vs_box, one sample at a time
@@ -198,8 +198,8 @@ def test_block_oracles_match_the_sample_loops(pool, rid, params):
         assert _close(mo["rank1_multiplier"], mult)
 
 
-def test_block_size_changes_no_value(pool, monkeypatch):
-    s = pool("unitary_group", 2)
+def test_block_size_changes_no_value(monkeypatch):
+    s = atlas.instance("unitary_group", 2)
     whole = (fin.unit_ball_vs_box(s, samples=200, seed=8),
              fin.f2_vs_riemannian(s, samples=50, seed=8),
              fin.norm_monotonicity(s, samples=50, seed=8))

@@ -8,49 +8,50 @@ from hypothesis import strategies as st
 from rspacelab import algebra as al
 from rspacelab import atlas
 from rspacelab import orbit as ob
+from rspacelab import reporting as rep
 from rspacelab.reporting import _STRUCTURAL_SPACES
 
 _S2 = [atlas.instantiate(atlas.descriptor("sphere", 2))]
 
 
-def test_structure_is_cached_per_instance(pool):
-    s = pool("sphere", 2)
+def test_structure_is_cached_per_instance():
+    s = atlas.instance("sphere", 2)
     assert ob.structure(s) is ob.structure(s)
     fresh = atlas.instantiate(atlas.descriptor("sphere", 2))
     assert ob.structure(fresh) is not ob.structure(s)
     assert ob.structure(fresh).rank_nc == ob.structure(s).rank_nc
 
 
-def test_calibration_hand_values(pool):
+def test_calibration_hand_values():
     # scale c with metric -B/c, set by the cascade sl2 of the ambient orbit
     for rid, params, c in [("grassmann_real", (1, 1), 2.0),
                            ("grassmann_complex_hermitian", (1, 1), 2.0),
                            ("sphere", (2,), 2.0),
                            ("sphere", (3,), 3.0),
                            ("grassmann_real", (1, 2), 3.0)]:
-        assert abs(ob.calibration(pool(rid, *params)) - c) < 1e-9
+        assert abs(ob.calibration(atlas.instance(rid, *params)) - c) < 1e-9
 
 
-def test_transport_stays_on_the_orbit(pool):
-    s = pool("quadric_real", 1, 2)
+def test_transport_stays_on_the_orbit():
+    s = atlas.instance("quadric_real", 1, 2)
     pt = ob.random_orbit_point(s, 4)
     assert ob.certificate_residual(pt) < 1e-9
     again = ob.transport(pt, s.g_vee.random_element(np.random.default_rng(5)))
     assert ob.certificate_residual(again) < 1e-9
 
 
-def test_tangent_frame_is_metric_orthonormal(pool):
-    s = pool("sphere", 2)
+def test_tangent_frame_is_metric_orthonormal():
+    s = atlas.instance("sphere", 2)
     x = ob.random_orbit_point(s, 8)
     frame = ob.tangent_frame(x)
     gram = frame @ ob.structure(s).metric @ frame.T
     assert np.abs(gram - np.eye(len(frame))).max() < 1e-8
 
 
-def test_complex_structure_squares_to_minus_one(pool):
+def test_complex_structure_squares_to_minus_one():
     for rid, params in [("sphere", (2,)), ("unitary_group", (2,)),
                         ("grassmann_real", (1, 2))]:
-        x = ob.random_orbit_point(pool(rid, *params), 11)
+        x = ob.random_orbit_point(atlas.instance(rid, *params), 11)
         assert ob.complex_structure_check(x) < 1e-7
 
 
@@ -69,8 +70,8 @@ def test_two_form_is_antisymmetric_and_bilinear(seed):
     assert abs(ob.kks(x, vc, w) - c * ob.kks(x, v, w)) < 1e-7
 
 
-def test_two_form_rejects_foreign_tangents(pool):
-    s = pool("sphere", 2)
+def test_two_form_rejects_foreign_tangents():
+    s = atlas.instance("sphere", 2)
     x = ob.random_orbit_point(s, 1)
     y = ob.random_orbit_point(s, 2)
     v = ob.make_tangent(y, s.xi)
@@ -78,10 +79,10 @@ def test_two_form_rejects_foreign_tangents(pool):
         ob.kks(x, v, v)
 
 
-def test_hamiltonian_field_is_the_circle_action(pool):
+def test_hamiltonian_field_is_the_circle_action():
     # dH(w) = -2 pi omega(V, w) with V the xi rotation generator as built
     # by make_tangent; the action field itself is -V
-    s = pool("sphere", 2)
+    s = atlas.instance("sphere", 2)
     x = ob.random_orbit_point(s, 9)
     g = s.g_vee
     rng = np.random.default_rng(1)
@@ -94,8 +95,8 @@ def test_hamiltonian_field_is_the_circle_action(pool):
     assert abs(d_h + 2.0 * np.pi * ob.kks(x, v, w)) < 1e-5
 
 
-def test_flow_closes_with_period_one(pool):
-    s = pool("unitary_group", 2)
+def test_flow_closes_with_period_one():
+    s = atlas.instance("unitary_group", 2)
     pt = ob.random_orbit_point(s, 3)
     assert ob.flow_closure_residual(s, pt) < 1e-9
 
@@ -112,8 +113,8 @@ def test_height_minimum_at_the_base_point():
     assert max(vals) <= h0 + 4.0 * np.pi + 1e-9
 
 
-def test_momentum_requires_the_real_form(pool):
-    s = pool("sphere", 2)
+def test_momentum_requires_the_real_form():
+    s = atlas.instance("sphere", 2)
     x = ob.base_point(s)
     k_gen = s.g_vee.from_coords(s.k_basis[0])
     v = ob.make_tangent(x, k_gen)
@@ -125,8 +126,8 @@ def test_momentum_requires_the_real_form(pool):
         ob.moment_tn(off, ob.make_tangent(off, k_gen))
 
 
-def test_orbit_momentum_is_equivariant(pool):
-    s = pool("quadric_real", 1, 2)
+def test_orbit_momentum_is_equivariant():
+    s = atlas.instance("quadric_real", 1, 2)
     g = s.g_vee
     x = ob.random_orbit_point(s, 6)
     eta = g.from_coords(al.project_onto(s.k_basis,
@@ -137,8 +138,8 @@ def test_orbit_momentum_is_equivariant(pool):
     assert np.abs(lhs.entries - rhs.entries).max() < 1e-9
 
 
-def test_one_form_pairs_with_horizontal_parts(pool):
-    s = pool("sphere", 2)
+def test_one_form_pairs_with_horizontal_parts():
+    s = atlas.instance("sphere", 2)
     x = ob.base_point(s)
     g = s.g_vee
     k_gen = g.from_coords(s.k_basis[0])
@@ -154,8 +155,8 @@ def test_one_form_pairs_with_horizontal_parts(pool):
         assert abs(ob.canonical_one_form(x, v, w)) < 1e-9
 
 
-def test_flat_model_contract(pool):
-    s = pool("sphere", 2)
+def test_flat_model_contract():
+    s = atlas.instance("sphere", 2)
     st_ = ob.structure(s)
     fp = ob.flat_model(s, np.zeros(st_.rank_nc))
     assert np.abs(fp.point.value.entries - s.xi.entries).max() < 1e-12
@@ -166,8 +167,8 @@ def test_flat_model_contract(pool):
     assert np.abs(fp.point.value.entries - want.entries).max() < 1e-10
 
 
-def test_shell_predicate_basics(pool):
-    s = pool("grassmann_real", 1, 1)
+def test_shell_predicate_basics():
+    s = atlas.instance("grassmann_real", 1, 1)
     st_ = ob.structure(s)
     beta = st_.sigma_bar_roots.roots[0].covector
     on = ob.flat_model(s, (np.pi / 2.0) * beta / (beta @ beta))
@@ -180,9 +181,9 @@ def test_shell_predicate_basics(pool):
 
 
 @pytest.mark.parametrize("model", ["cp1", "cp1xcp1"])
-def test_cut_locus_oracle(pool, model):
+def test_cut_locus_oracle(model):
     rid, params = ob.CUT_MODEL_ROWS[model]
-    r = ob.cut_locus_oracle_check(model, pool(rid, *params), samples=400,
+    r = ob.cut_locus_oracle_check(model, atlas.instance(rid, *params), samples=400,
                                   seed=5)
     assert r["mismatches"] == 0
     assert r["tested"] >= 300
@@ -192,8 +193,8 @@ def test_cut_locus_oracle(pool, model):
                                         ("quadric_real", (1, 2)),
                                         ("unitary_group", (2,)),
                                         ("grassmann_real", (1, 2))])
-def test_moment_image_membership(pool, rid, params):
-    r = ob.moment_image_spectrum_check(pool(rid, *params), samples=300,
+def test_moment_image_membership(rid, params):
+    r = ob.moment_image_spectrum_check(atlas.instance(rid, *params), samples=300,
                                        seed=17)
     assert r["interior_pass"] == r["interior_total"]
     assert r["exterior_pass"] == r["exterior_total"]
@@ -210,8 +211,8 @@ def test_projective_line_has_two_critical_clusters():
     assert lo.population + hi.population == 30
 
 
-def test_gap_report_matches_the_reflection_ladder(pool):
-    s = pool("sphere", 2)
+def test_gap_report_matches_the_reflection_ladder():
+    s = atlas.instance("sphere", 2)
     rep = ob.critical_gap_report(s, restarts=30, seed=1)
     ladder = ob.weyl_critical_values(s)
     assert np.allclose(rep["values"], ladder, atol=1e-6)
@@ -220,19 +221,19 @@ def test_gap_report_matches_the_reflection_ladder(pool):
     assert all(i % 2 == 0 for i in rep["indices"])
 
 
-def test_reflection_ladder_hand_values(pool):
-    cp1 = pool("grassmann_real", 1, 1)
+def test_reflection_ladder_hand_values():
+    cp1 = atlas.instance("grassmann_real", 1, 1)
     assert np.allclose(ob.weyl_critical_values(cp1),
                        [-2.0 * np.pi, 2.0 * np.pi])
-    s2 = pool("sphere", 2)
+    s2 = atlas.instance("sphere", 2)
     assert np.allclose(ob.weyl_critical_values(s2),
                        [-4.0 * np.pi, 0.0, 4.0 * np.pi], atol=1e-9)
 
 
-def test_random_orbit_points_reach_every_level(pool):
+def test_random_orbit_points_reach_every_level():
     # a Haar-uniform point of CP1 x CP1 flows to the top level with
     # probability 1/4; a draw that stays near xi rarely gets there
-    s = pool("grassmann_complex_hermitian", 1, 1)
+    s = atlas.instance("grassmann_complex_hermitian", 1, 1)
     top = ob.weyl_critical_values(s)[-1]
     ends = ob._descend(s, ob.random_orbit_points(s, range(300)))
     share = np.mean([abs(ob.hamiltonian(e) - top) < 1e-3 for e in ends])
@@ -242,10 +243,10 @@ def test_random_orbit_points_reach_every_level(pool):
 @pytest.mark.parametrize("rid,params", [("grassmann_real", (1, 1)),
                                         ("grassmann_complex_hermitian", (1, 1)),
                                         ("unitary_group", (2,))])
-def test_stacked_descent_matches_one_restart_at_a_time(pool, rid, params):
+def test_stacked_descent_matches_one_restart_at_a_time(rid, params):
     # restarts move in lockstep, but each keeps its own step size and
     # stopping rules, so a stack ends where its restarts end alone
-    s = pool(rid, *params)
+    s = atlas.instance(rid, *params)
     pts = [ob.base_point(s)] + ob.random_orbit_points(
         s, np.random.SeedSequence(4).spawn(11))
     ends = ob._descend(s, pts)
@@ -256,8 +257,8 @@ def test_stacked_descent_matches_one_restart_at_a_time(pool, rid, params):
         assert ob.riemannian_gradient_norm(end) <= 1e-7
 
 
-def test_one_restart_over_max_iter_fails_the_stack(pool):
-    s = pool("grassmann_complex_hermitian", 1, 1)
+def test_one_restart_over_max_iter_fails_the_stack():
+    s = atlas.instance("grassmann_complex_hermitian", 1, 1)
     base = ob.base_point(s)  # critical already: never iterates
     assert len(ob._descend(s, [base, base], max_iter=0)) == 2
     with pytest.raises(ob.NonConvergence):
@@ -273,19 +274,73 @@ def _even_ladder(s):
 
 
 @pytest.mark.parametrize("rid,params", _CATALOGUE)
-def test_reflection_ladder_is_the_even_ladder(pool, rid, params):
-    # H(xi) is the bottom level and the levels step by 4 pi, rank_nc times
-    s = pool(rid, *params)
+def test_reflection_ladder_is_the_even_ladder(rid, params):
+    # H(xi) is the bottom level and the levels step by 4 pi, rank_nc times;
+    # the closed-form ladder is the enumerated one
+    s = atlas.instance(rid, *params)
     ladder = ob.weyl_critical_values(s)
     assert len(ladder) == ob.structure(s).rank_nc + 1
     assert np.allclose(ladder, _even_ladder(s), rtol=0, atol=1e-9)
+    closed = [v for v, _ in ob.critical_ladder(s)]
+    assert len(closed) == len(ladder)
+    assert np.allclose(closed, ladder, rtol=0, atol=1e-9)
 
 
 def test_reflection_ladder_on_a_large_orbit():
     # 252 torus points and 90 roots: a pairwise dedup is quadratic here
     s = atlas.instantiate(atlas.descriptor("unitary_group", 5))
-    assert np.allclose(ob.weyl_critical_values(s), _even_ladder(s),
-                       rtol=0, atol=1e-9)
+    ladder = ob.weyl_critical_values(s)
+    assert np.allclose(ladder, _even_ladder(s), rtol=0, atol=1e-9)
+    closed = [v for v, _ in ob.critical_ladder(s)]
+    assert len(closed) == len(ladder)
+    assert np.allclose(closed, ladder, rtol=0, atol=1e-9)
+
+
+# Morse indices of the clusters of find_critical_points(restarts=50, seed=3)
+# as central differences of H (h = 1e-4, eigenvalues below -1e-5) gave them
+_FD_INDICES = [
+    ("grassmann_real", (1, 1), [0, 2]),
+    ("grassmann_complex_hermitian", (1, 1), [0, 2, 4]),
+    ("sphere", (2,), [0, 2, 4]),
+    ("sphere", (3,), [0, 2, 6]),
+    ("grassmann_real", (1, 2), [0, 2]),
+    ("unitary_group", (2,), [0, 2, 8]),
+    ("unitary_group", (3,), [0, 2, 8]),
+    ("orthogonal_group", (5,), [0, 2, 12]),
+    ("symplectic_group", (2,), [0, 2, 6, 12]),
+]
+
+
+@pytest.mark.parametrize("rid,params,fd", _FD_INDICES)
+def test_descent_indices_match_the_closed_form(rid, params, fd):
+    # the exact Hessian reproduces the finite differences, and each cluster
+    # has the closed-form index of the level it lands on
+    s = atlas.instance(rid, *params)
+    clusters = ob.find_critical_points(s, restarts=50, seed=3)
+    assert [c.hessian_index for c in clusters] == fd
+    ladder = ob.critical_ladder(s)
+    landed = [min(ladder, key=lambda lv: abs(lv[0] - c.value))
+              for c in clusters]
+    assert all(abs(v - c.value) < 1e-6 for (v, _), c in zip(landed, clusters))
+    assert [i for _, i in landed] == fd
+
+
+def test_index_gate_fails_on_a_wrong_closed_form_index(monkeypatch):
+    rows = [("grassmann_complex_hermitian", (1, 1))]
+
+    def indices():
+        return [c for c in rep.suite_critical(rows, 0, rep.DEFAULT_TOL)
+                if c["id"].startswith("critical.indices[")]
+
+    good = indices()
+    assert [c["status"] for c in good] == ["pass"]
+    assert good[0]["computed"] == good[0]["expected"] == [0, 2, 4]
+    ladder = ob.critical_ladder
+    monkeypatch.setattr(ob, "critical_ladder", lambda s: [
+        (v, i + 2 * (j == 1)) for j, (v, i) in enumerate(ladder(s))])
+    bad = indices()
+    assert [c["status"] for c in bad] == ["fail"]
+    assert bad[0]["expected"] == [0, 4, 4]
 
 
 def test_nearby_master_seeds_share_no_restart(monkeypatch):
@@ -308,10 +363,10 @@ def test_nearby_master_seeds_share_no_restart(monkeypatch):
 
 @pytest.mark.parametrize("rid,params", [("unitary_group", (2,)),
                                         ("orthogonal_group", (5,))])
-def test_descent_certifies_off_the_benchmark_orbits(pool, rid, params):
+def test_descent_certifies_off_the_benchmark_orbits(rid, params):
     # the Gauss-Newton polish must not amplify round-off along the
     # near-null directions of its Jacobian
-    s = pool(rid, *params)
+    s = atlas.instance(rid, *params)
     clusters = ob.find_critical_points(s, restarts=50, seed=1)
     assert np.allclose([c.value for c in clusters], ob.weyl_critical_values(s),
                        atol=1e-4)
@@ -324,8 +379,8 @@ def _rel(a, b):
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
-def test_stacked_walks_match_the_transport_loop(pool, rid, params):
-    s = pool(rid, *params)
+def test_stacked_walks_match_the_transport_loop(rid, params):
+    s = atlas.instance(rid, *params)
     seeds = [7, 8] + np.random.SeedSequence(3).spawn(5)
     pts = ob.random_orbit_points(s, seeds)
     assert len(pts) == len(seeds)
@@ -340,8 +395,8 @@ def test_stacked_walks_match_the_transport_loop(pool, rid, params):
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
-def test_stacked_flat_points_match_flat_model(pool, rid, params):
-    s = pool(rid, *params)
+def test_stacked_flat_points_match_flat_model(rid, params):
+    s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
     beta = st_.sigma_bar_roots.roots[0].covector
     vs = np.random.default_rng(9).normal(size=(30, st_.rank_nc))
@@ -394,24 +449,24 @@ def _cut_oracle_loop(model, s, samples, seed, band):
 
 
 @pytest.mark.parametrize("model", sorted(ob.CUT_MODEL_ROWS))
-def test_stacked_cut_oracle_matches_the_sample_loop(pool, model):
+def test_stacked_cut_oracle_matches_the_sample_loop(model):
     rid, params = ob.CUT_MODEL_ROWS[model]
-    s = pool(rid, *params)
+    s = atlas.instance(rid, *params)
     for seed in (0, 1):
         assert (ob.cut_locus_oracle_check(model, s, samples=300, seed=seed)
                 == _cut_oracle_loop(model, s, 300, seed, 1e-6))
 
 
-def test_cut_oracle_refuses_a_foreign_instance(pool):
+def test_cut_oracle_refuses_a_foreign_instance():
     with pytest.raises(ValueError):
-        ob.cut_locus_oracle_check("cp1", pool("sphere", 2), samples=10)
+        ob.cut_locus_oracle_check("cp1", atlas.instance("sphere", 2), samples=10)
     with pytest.raises(ValueError):
-        ob.cut_locus_oracle_check("torus", pool("grassmann_real", 1, 1))
+        ob.cut_locus_oracle_check("torus", atlas.instance("grassmann_real", 1, 1))
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
-def test_stacked_moment_check_matches_moment_tn(pool, rid, params):
-    s = pool(rid, *params)
+def test_stacked_moment_check_matches_moment_tn(rid, params):
+    s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
     g = s.g_vee
     covs = np.array([root.covector for root in st_.sigma_roots.roots])
@@ -448,8 +503,8 @@ def test_stacked_moment_check_matches_moment_tn(pool, rid, params):
     assert abs(got["max_spectral_mismatch"] - worst) <= 1e-12
 
 
-def test_stacked_momentum_refuses_a_point_off_the_real_form(pool):
-    s = pool("quadric_real", 1, 2)
+def test_stacked_momentum_refuses_a_point_off_the_real_form():
+    s = atlas.instance("quadric_real", 1, 2)
     on = ob.base_point(s).value.entries
     off = ob.random_orbit_point(s, 12).value.entries
     ob._momentum_tn(s, np.stack([on, on]), np.zeros((2,) + on.shape))
@@ -457,9 +512,9 @@ def test_stacked_momentum_refuses_a_point_off_the_real_form(pool):
         ob._momentum_tn(s, np.stack([on, off]), np.zeros((2,) + on.shape))
 
 
-def test_sampling_oracles_ignore_the_block_size(pool, monkeypatch):
-    s = pool("unitary_group", 2)
-    cp1 = pool("grassmann_real", 1, 1)
+def test_sampling_oracles_ignore_the_block_size(monkeypatch):
+    s = atlas.instance("unitary_group", 2)
+    cp1 = atlas.instance("grassmann_real", 1, 1)
 
     def run():
         return (ob.moment_image_spectrum_check(s, samples=100, seed=2),

@@ -20,25 +20,25 @@ STRUCT_ROWS = [("sphere", (2,)), ("sphere", (3,)), ("quadric_real", (1, 2)),
 
 
 @pytest.mark.parametrize("rid,params", STRUCT_ROWS)
-def test_multiplicities_fill_the_algebra(pool, rid, params):
-    st_ = ob.structure(pool(rid, *params))
+def test_multiplicities_fill_the_algebra(rid, params):
+    st_ = ob.structure(atlas.instance(rid, *params))
     rr = st_.sigma_roots
     total = sum(r.multiplicity for r in rr.roots) + rr.zero_multiplicity
     assert total == st_.k_alg.dim
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_sphere_root_pattern(pool, n):
+def test_sphere_root_pattern(n):
     # one +/- pair whose multiplicity is the equator dimension
-    rr = ob.structure(pool("sphere", n)).sigma_roots
+    rr = ob.structure(atlas.instance("sphere", n)).sigma_roots
     assert len(rr.roots) == 2
     assert {r.multiplicity for r in rr.roots} == {n - 1}
     a, b = (r.covector for r in rr.roots)
     assert np.linalg.norm(a + b) < 1e-9
 
 
-def test_split_quadric_root_pattern(pool):
-    rr = ob.structure(pool("quadric_real", 2, 2)).sigma_roots
+def test_split_quadric_root_pattern():
+    rr = ob.structure(atlas.instance("quadric_real", 2, 2)).sigma_roots
     assert len(rr.roots) == 4
     assert all(r.multiplicity == 1 for r in rr.roots)
     covs = np.array([r.covector for r in rr.roots])
@@ -50,24 +50,24 @@ def test_split_quadric_root_pattern(pool):
         assert min(np.linalg.norm(a + b) for b in covs) < 1e-9
 
 
-def test_covectors_pair_up(pool):
+def test_covectors_pair_up():
     for rid, params in STRUCT_ROWS:
         covs = [r.covector
-                for r in ob.structure(pool(rid, *params)).sigma_roots.roots]
+                for r in ob.structure(atlas.instance(rid, *params)).sigma_roots.roots]
         for a in covs:
             assert min(np.linalg.norm(a + b) for b in covs) < 1e-8
 
 
 @pytest.mark.parametrize("rid,params", STRUCT_ROWS)
-def test_cascade_count_is_complex_rank(pool, rid, params):
-    s = pool(rid, *params)
+def test_cascade_count_is_complex_rank(rid, params):
+    s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
     sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi, seed=0)
     assert sos.count == st_.rank_nc
 
 
-def test_cascade_triples_satisfy_sl2_relations(pool):
-    s = pool("sphere", 3)
+def test_cascade_triples_satisfy_sl2_relations():
+    s = atlas.instance("sphere", 3)
     sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi, seed=0)
 
     def cb(a, b):
@@ -89,8 +89,8 @@ def test_cascade_triples_satisfy_sl2_relations(pool):
         assert cn((xy[0] - t.H[0], xy[1] - t.H[1])) < 1e-8 * cn(t.H)
 
 
-def test_strongly_orthogonal_sums_are_not_roots(pool):
-    s = pool("sphere", 2)
+def test_strongly_orthogonal_sums_are_not_roots():
+    s = atlas.instance("sphere", 2)
     st_ = ob.structure(s)
     sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi, seed=0)
     gammas = np.array(sos.gammas)
@@ -107,8 +107,8 @@ def test_strongly_orthogonal_sums_are_not_roots(pool):
                 assert dist > 1e-6, "cascade produced a non-orthogonal pair"
 
 
-def test_box_boundary_is_excluded(pool):
-    st_ = ob.structure(pool("sphere", 2))
+def test_box_boundary_is_excluded():
+    st_ = ob.structure(atlas.instance("sphere", 2))
     rr = st_.sigma_roots
     alpha = rr.roots[0].covector
     x = alpha / (alpha @ alpha)  # alpha(x) = 1 exactly
@@ -127,17 +127,17 @@ def test_box_membership_is_scale_invariant(seed, t):
     assert rt.box_contains(rr, x, r) == rt.box_contains(rr, t * x, t * r)
 
 
-def test_rootless_flat_contains_everything(pool):
+def test_rootless_flat_contains_everything():
     # the circle has no isotropy roots at all
-    st_ = ob.structure(pool("grassmann_real", 1, 1))
+    st_ = ob.structure(atlas.instance("grassmann_real", 1, 1))
     assert st_.sigma_roots.roots == [] \
         or all(np.linalg.norm(r.covector) < 1e-9
                for r in st_.sigma_roots.roots)
     assert rt.box_contains(st_.sigma_roots, np.ones(st_.rank_n) * 1e6, 1.0)
 
 
-def test_maximal_abelian_is_abelian_and_certified(pool):
-    s = pool("quadric_real", 2, 2)
+def test_maximal_abelian_is_abelian_and_certified():
+    s = atlas.instance("quadric_real", 2, 2)
     sub = rt.Subspace(s.g_vee, s.l_basis, "l")
     a = rt.find_maximal_abelian(sub, seed=5)
     assert rt.rank_of(a) == 2
