@@ -14,10 +14,11 @@ ever exponentiate is a real orthogonal matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from ._record import dataclass, field
 
 TOL_ALG = 1e-10
 

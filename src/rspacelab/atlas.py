@@ -12,13 +12,13 @@ and Hermitian spaces via the doubled ambient k + k with the swap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 
 import numpy as np
 
 from . import algebra as al
 from . import roots as rt
+from ._record import dataclass
 from .algebra import SizeOutOfRange  # re-exported for callers
 
 _PI1 = ("trivial", "Z", "Z2")
@@ -322,6 +322,10 @@ def descriptor(row_id: str, *params: int) -> RSpaceDescriptor:
     if row_id not in _ROWS:
         raise UnsupportedRow(f"unknown catalogue row {row_id!r}")
     builder, check, pi1, ratio, herm, label = _ROWS[row_id]
+    arity = check.__code__.co_argcount
+    if len(params) != arity:
+        raise UnsupportedRow(f"{row_id} takes {arity} parameter(s), "
+                             f"got {len(params)}")
     if not check(*params):
         raise UnsupportedRow(f"parameters {params} out of range for {row_id}")
     return RSpaceDescriptor(id=row_id, params=tuple(params),

@@ -11,7 +11,6 @@ geodesic comes from a deck transformation fail it and are flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -20,6 +19,7 @@ import numpy as np
 from . import algebra as al
 from . import orbit as ob
 from . import roots as rt
+from ._record import dataclass, field
 from .atlas import SpaceInstance
 
 

@@ -12,13 +12,12 @@ form index of k inside the ambient algebra and is reported, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import algebra as al
 from . import orbit as ob
 from . import roots as rt
+from ._record import dataclass
 from .atlas import SpaceInstance
 
 

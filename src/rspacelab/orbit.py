@@ -11,7 +11,6 @@ corresponding sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 import itertools
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import algebra as al
 from . import roots as rt
+from ._record import dataclass
 from .atlas import SpaceInstance
 
 

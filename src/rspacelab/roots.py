@@ -8,11 +8,11 @@ in these coordinates, so i*ad is Hermitian and eigh applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import dataclass
 from .algebra import (AlgebraElement, LieAlgebraBasis, CartanDecomposition,
                       ad_from_coords, bracket_residual, AlgebraMismatch)
 

@@ -169,6 +169,21 @@ def test_size_outside_the_window_is_a_usage_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["atlas", "--space", "sphere", "--params", ""], 1),
+    (["atlas", "--space", "sphere", "--params", "1,2,3"], 1),
+    (["report", "--space", "sphere", "--params", "2,3"], 1),
+    (["report", "--space", "grassmann_real", "--params", "1"], 2),
+    (["verify", "--seed", "1", "--suite", "algebra", "--space", "sphere",
+      "--params", "2,3"], 1),
+], ids=["atlas-none", "atlas-three", "report-two", "report-one", "verify-two"])
+def test_wrong_parameter_count_is_a_usage_error(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EX_USAGE and out == ""
+    assert err.startswith("rspacelab: ") and err.count("\n") == 1
+    assert f"takes {expected} parameter(s)" in err
+
+
 def test_commands_run_without_scipy():
     # numpy is the only runtime dependency; scipy is a test-only oracle
     proc = run_child("-c", "import sys; from rspacelab import cli; "

@@ -1,0 +1,154 @@
+"""Frozen record classes, and checks over the package source as a whole."""
+
+import ast
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rspacelab import algebra, atlas, capacity, finsler, orbit, roots
+from rspacelab import _record
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rspacelab"
+
+RECORDS = [cls for mod in (algebra, atlas, capacity, finsler, orbit, roots)
+           for _, cls in inspect.getmembers(mod, inspect.isclass)
+           if cls.__module__ == mod.__name__
+           and getattr(cls.__init__, "__module__", None) == _record.__name__]
+
+VALUE_RECORDS = {"AlgebraElement", "RSpaceDescriptor", "NormalizationContext",
+                 "GeodesicSpectrum", "CapacityReport", "Root"}
+
+# arguments that pass each __post_init__; every other record takes anything
+_VALID_ARGS = {
+    "AlgebraElement": ("so(2)", np.eye(2)),
+    "RSpaceDescriptor": ("sphere", (2,), "trivial", 2, False, "8a"),
+}
+
+
+def _args(cls):
+    return _VALID_ARGS.get(cls.__name__) or tuple(
+        object() for _ in cls.__annotations__)
+
+
+def test_every_record_class_is_found():
+    assert len(RECORDS) == 22
+    assert {c.__name__ for c in RECORDS if c.__eq__ is not object.__eq__} \
+        == VALUE_RECORDS
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_records_are_frozen(cls):
+    x = cls(*_args(cls))
+    name = next(iter(cls.__annotations__))
+    with pytest.raises(AttributeError):
+        setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.not_a_field = 1
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_keyword_and_positional_construction_agree(cls):
+    args = _args(cls)
+    names = list(cls.__annotations__)
+    x = cls(*args)
+    y = cls(**dict(zip(names, args)))
+    for name in names:
+        assert getattr(y, name) is getattr(x, name) or \
+            np.array_equal(getattr(y, name), getattr(x, name))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_bad_arguments_raise_type_error(cls):
+    args = _args(cls)
+    name = next(iter(cls.__annotations__))
+    with pytest.raises(TypeError, match="unexpected"):
+        cls(*args, bogus=1)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*args, **{name: args[0]})
+    with pytest.raises(TypeError):
+        cls(*[object()] * (len(cls.__annotations__) + 1))
+    if cls is capacity.NormalizationContext:
+        assert cls() == cls(1.0, 4.0 * np.pi, 2.0 * np.pi)
+    else:
+        with pytest.raises(TypeError, match="missing"):
+            cls()
+
+
+@pytest.mark.parametrize("cls", [c for c in RECORDS
+                                 if c.__name__ not in VALUE_RECORDS],
+                         ids=lambda c: c.__name__)
+def test_identity_records_compare_by_identity(cls):
+    args = _args(cls)
+    x, twin = cls(*args), cls(*args)
+    assert x == x and x != twin
+    assert len({x, twin, x}) == 2
+
+
+def test_descriptor_has_value_equality_and_hash():
+    a = atlas.descriptor("sphere", 3)
+    b = atlas.RSpaceDescriptor(*_VALID_ARGS["RSpaceDescriptor"])
+    assert a == atlas.descriptor("sphere", 3) and a is not atlas.descriptor(
+        "sphere", 3)
+    assert hash(a) == hash(atlas.descriptor("sphere", 3))
+    assert a != b and len({a, b, atlas.descriptor("sphere", 3)}) == 2
+    assert atlas.RSpaceDescriptor.instantiable is True
+    assert b.instantiable is True
+    with pytest.raises(AssertionError):
+        atlas.RSpaceDescriptor("x", (), "Q", 1, False, "0")
+
+
+def test_repr_lists_fields_but_not_the_flat_basis():
+    g = algebra.build_algebra("so", 3)
+    text = repr(g)
+    assert text.startswith("LieAlgebraBasis(family='so', n=3, ")
+    assert "killing_matrix=" in text and "_flat" not in text
+    assert repr(roots.Root(np.zeros(1), 2)) == \
+        "Root(covector=array([0.]), multiplicity=2)"
+
+
+def test_each_capacity_report_gets_its_own_extras():
+    a = capacity.CapacityReport("s", 1.0, 2.0, "tag", "ref")
+    b = capacity.CapacityReport("s", 1.0, 2.0, "tag", "ref")
+    a.extras["k"] = 1
+    assert b.extras == {} and a.extras is not b.extras
+    assert "extras" not in vars(capacity.CapacityReport)
+
+
+def test_algebra_element_entries_are_read_only():
+    m = np.eye(2)
+    e = algebra.AlgebraElement("so(2)", m)
+    assert not e.entries.flags.writeable
+    with pytest.raises(ValueError):
+        e.entries[0, 0] = 2.0
+    assert (e + e).entries[0, 0] == 2.0 and not (e + e).entries.flags.writeable
+
+
+def test_the_cli_never_imports_dataclasses():
+    # the stdlib decorator generates and execs code per class at import
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rspacelab", "atlas",
+         "--space", "sphere", "--params", "2"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "sphere(2)" in proc.stdout
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "rspacelab.cli" in imported and "numpy.random" in imported
+    assert "dataclasses" not in imported
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_sources_parse_as_python_3_10(path):
+    # requires-python is >=3.10; the suite itself runs on a newer interpreter
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
