@@ -24,12 +24,11 @@ def main():
 
     for rid, params in ORBITS:
         s = atlas.instance(rid, *params)
-        st = ob.structure(s)
         clusters = ob.find_critical_points(s, restarts=args.restarts,
                                            seed=args.seed)
         rpt = ob.critical_gap_report(s, clusters=clusters)
         predicted = ob.critical_ladder(s)
-        print(f"{s.descriptor.label}  (rank {st.rank_nc})")
+        print(f"{s.descriptor.label}  (rank {s.abar.dim})")
         print("  predicted ladder: " + ", ".join(
             f"{v / np.pi:+.3f}*pi (index {i})" for v, i in predicted))
         for c in sorted(clusters, key=lambda c: c.value):

@@ -45,8 +45,12 @@ class RSpaceDescriptor:
     instantiable: bool = True
 
     def __post_init__(self):
-        assert self.table_pi1 in _PI1
-        assert self.table_ratio in (1, 2)
+        if self.table_pi1 not in _PI1:
+            raise UnsupportedRow(f"{self.id}: pi_1 {self.table_pi1!r} "
+                                 f"is none of {_PI1}")
+        if self.table_ratio not in (1, 2):
+            raise UnsupportedRow(f"{self.id}: rank ratio "
+                                 f"{self.table_ratio!r} is neither 1 nor 2")
 
     @property
     def label(self) -> str:
@@ -60,7 +64,10 @@ class SpaceInstance:
 
     k/h/l/p_vee bases are orthonormal coordinate rows over g_vee:
     k is the sigma-fixed algebra, h its intersection with the theta-fixed
-    algebra, l = k cap p_vee the tangent directions of N at xi.
+    algebra, l = k cap p_vee the tangent directions of N at xi.  The flat
+    pair is a_flat, maximal abelian in l, and abar, maximal abelian in
+    p_vee with a_flat's basis as its leading rows; their dimensions are
+    rank(N) and rank(N_C).
     """
 
     descriptor: RSpaceDescriptor
@@ -74,6 +81,8 @@ class SpaceInstance:
     p_vee_basis: np.ndarray
     theta_decomp: al.CartanDecomposition
     sigma_decomp: al.CartanDecomposition
+    a_flat: rt.AbelianSubspace
+    abar: rt.AbelianSubspace
 
 
 def intersect_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -227,39 +236,40 @@ def _pi1_quadric(p, q):
     return "Z" if p == 1 else "Z2"
 
 
-# id -> (builder, param check, pi1 rule, ratio, hermitian, row label)
+# id -> (builder, family, scale, offset, lowest parameter, pi1 rule, ratio,
+# hermitian, row label).  The row's ambient algebra (for Hermitian rows, each
+# of its two factors) is family(scale * sum(params) + offset), so the top of
+# the parameter window comes from algebra._SIZE_RANGE.
 _ROWS = {
-    "grassmann_real": (_build_grassmann_real,
-                       lambda p, q: 1 <= p <= q,
+    "grassmann_real": (_build_grassmann_real, "su", 1, 0, 1,
                        _pi1_grassmann_real, 1, False, "1"),
-    "grassmann_quaternionic": (_build_grassmann_quaternionic,
-                               lambda p, q: 1 <= p <= q,
+    "grassmann_quaternionic": (_build_grassmann_quaternionic, "su", 2, 0, 1,
                                lambda *a: "trivial", 2, False, "2"),
-    "unitary_group": (_build_unitary_group, lambda n: n >= 2,
+    "unitary_group": (_build_unitary_group, "su", 2, 0, 2,
                       lambda *a: "Z", 1, False, "3"),
-    "orthogonal_group": (_build_orthogonal_group, lambda n: n >= 3,
+    "orthogonal_group": (_build_orthogonal_group, "so", 2, 0, 3,
                          lambda *a: "Z2", 1, False, "4"),
-    "unitary_mod_symplectic": (_build_unitary_mod_symplectic, lambda n: n >= 2,
+    "unitary_mod_symplectic": (_build_unitary_mod_symplectic, "so", 4, 0, 2,
                                lambda *a: "Z", 1, False, "5"),
-    "symplectic_group": (_build_symplectic_group, lambda n: n >= 1,
+    "symplectic_group": (_build_symplectic_group, "sp", 2, 0, 1,
                          lambda *a: "trivial", 2, False, "6"),
-    "unitary_mod_orthogonal": (_build_unitary_mod_orthogonal, lambda n: n >= 2,
+    "unitary_mod_orthogonal": (_build_unitary_mod_orthogonal, "sp", 1, 0, 2,
                                lambda *a: "Z", 1, False, "7"),
-    "sphere": (_build_sphere, lambda n: n >= 2,
+    "sphere": (_build_sphere, "so", 1, 2, 2,
                lambda *a: "trivial", 2, False, "8a"),
-    "quadric_real": (_build_quadric, lambda p, q: 1 <= p <= q,
+    "quadric_real": (_build_quadric, "so", 1, 2, 1,
                      _pi1_quadric, 1, False, "8bc"),
     "grassmann_complex_hermitian": (_build_grassmann_complex_hermitian,
-                                    lambda p, q: 1 <= p <= q,
+                                    "su", 1, 0, 1,
                                     lambda *a: "trivial", 2, True, "H1"),
-    "orthogonal_mod_unitary_hermitian": (_build_orthogonal_mod_unitary_hermitian,
-                                         lambda n: n >= 2,
-                                         lambda *a: "trivial", 2, True, "H2"),
-    "symplectic_mod_unitary_hermitian": (_build_symplectic_mod_unitary_hermitian,
-                                         lambda n: n >= 1,
-                                         lambda *a: "trivial", 2, True, "H3"),
+    "orthogonal_mod_unitary_hermitian": (
+        _build_orthogonal_mod_unitary_hermitian, "so", 2, 0, 2,
+        lambda *a: "trivial", 2, True, "H2"),
+    "symplectic_mod_unitary_hermitian": (
+        _build_symplectic_mod_unitary_hermitian, "sp", 1, 0, 1,
+        lambda *a: "trivial", 2, True, "H3"),
     "quadric_complex_hermitian": (_build_quadric_complex_hermitian,
-                                  lambda n: n >= 2,
+                                  "so", 1, 2, 2,
                                   lambda *a: "trivial", 2, True, "H4"),
 }
 
@@ -318,16 +328,31 @@ _DEFAULT_ROW_PARAMS = {
 }
 
 
+def window(row_id: str) -> tuple:
+    """(arity, lowest, top) of a row: one parameter n with
+    lowest <= n <= top, or two with lowest <= p <= q and p + q <= top."""
+    builder, family, scale, offset, low = _ROWS[row_id][:5]
+    top = (al._SIZE_RANGE[family][1] - offset) // scale
+    return builder.__code__.co_argcount, low, top
+
+
 def descriptor(row_id: str, *params: int) -> RSpaceDescriptor:
     if row_id not in _ROWS:
         raise UnsupportedRow(f"unknown catalogue row {row_id!r}")
-    builder, check, pi1, ratio, herm, label = _ROWS[row_id]
-    arity = check.__code__.co_argcount
+    pi1, ratio, herm, label = _ROWS[row_id][5:]
+    arity, low, top = window(row_id)
     if len(params) != arity:
         raise UnsupportedRow(f"{row_id} takes {arity} parameter(s), "
                              f"got {len(params)}")
-    if not check(*params):
-        raise UnsupportedRow(f"parameters {params} out of range for {row_id}")
+    if arity == 1:
+        ok = low <= params[0] <= top
+        text = f"{low} <= n <= {top}"
+    else:
+        ok = low <= params[0] <= params[1] and sum(params) <= top
+        text = f"{low} <= p <= q, p + q <= {top}"
+    if not ok:
+        inner = ",".join(str(x) for x in params)
+        raise UnsupportedRow(f"{row_id}({inner}) outside the window {text}")
     return RSpaceDescriptor(id=row_id, params=tuple(params),
                             table_pi1=pi1(*params), table_ratio=ratio,
                             hermitian=herm, table_row=label)
@@ -348,7 +373,8 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     """Realize a catalogue row, validating the defining structure.
 
     Checks: sigma(xi) = -xi, the spectrum of ad_xi is {0, +-i}, sigma and
-    theta = exp(pi ad_xi) commute, and k splits as h + l.
+    theta = exp(pi ad_xi) commute, and k splits as h + l; the flat pair is
+    certified maximal by find_maximal_abelian.
     """
     if not d.instantiable:
         raise UnsupportedRow(f"{d.id} needs an exceptional ambient algebra")
@@ -377,10 +403,13 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     l = intersect_rows(k, p_vee)
     h = intersect_rows(k, tdec.k_basis)
     assert l.shape[0] + h.shape[0] == k.shape[0]
+    a_flat = rt.find_maximal_abelian(rt.Subspace(g, l, "l"))
+    abar = rt.find_maximal_abelian(rt.Subspace(g, p_vee, "p_vee"),
+                                   must_contain=a_flat.basis)
     return SpaceInstance(descriptor=d, g_vee=g, theta=theta, sigma=sigma,
                          xi=xi, k_basis=k, h_basis=h, l_basis=l,
                          p_vee_basis=p_vee, theta_decomp=tdec,
-                         sigma_decomp=sdec)
+                         sigma_decomp=sdec, a_flat=a_flat, abar=abar)
 
 
 @functools.cache
@@ -389,12 +418,9 @@ def instance(row_id: str, *params: int) -> SpaceInstance:
     return instantiate(descriptor(row_id, *params))
 
 
-def rank_ratio(s: SpaceInstance, seed: int = 11) -> int:
-    """rank(N_C) / rank(N), from maximal abelian subspaces in p and l."""
-    rk_nc = rt.find_maximal_abelian(
-        rt.Subspace(s.g_vee, s.p_vee_basis, "p_vee"), seed).dim
-    rk_n = rt.find_maximal_abelian(
-        rt.Subspace(s.g_vee, s.l_basis, "l"), seed + 1).dim
+def rank_ratio(s: SpaceInstance) -> int:
+    """rank(N_C) / rank(N), the dimensions of the flat pair."""
+    rk_nc, rk_n = s.abar.dim, s.a_flat.dim
     if rk_nc % rk_n:
         raise RatioNotIntegral(f"{rk_nc} not a multiple of {rk_n}")
     return rk_nc // rk_n

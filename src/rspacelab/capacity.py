@@ -20,7 +20,7 @@ from . import algebra as al
 from . import orbit as ob
 from . import roots as rt
 from ._record import dataclass, field
-from .atlas import SpaceInstance
+from .atlas import SpaceInstance, rank_ratio
 
 
 class LatticeError(RuntimeError):
@@ -76,9 +76,8 @@ def c_model(s: SpaceInstance) -> float:
 def _active_weights(s: SpaceInstance) -> np.ndarray:
     """Every nonzero joint ad frequency on the flat whose eigenvector
     overlaps xi, one row per eigenvector; alpha and 2 alpha both stay."""
-    st = ob.structure(s)
     g = s.g_vee
-    alphas, vecs = rt._joint_eigen(g, st.a_flat.basis, seed=3571)
+    alphas, vecs = rt._joint_eigen(g, s.a_flat.basis)
     xc = g.coords(s.xi)
     overlap = np.abs(np.conj(vecs.T) @ xc) ** 2 > 1e-12 * (xc @ xc)
     nonzero = np.linalg.norm(alphas, axis=1) > 1e-9
@@ -111,7 +110,7 @@ def _unit_lattice(s: SpaceInstance) -> dict:
     # row j is the flat vector on which basis weight i takes 2 pi delta_ij
     lift = 2.0 * np.pi * np.linalg.pinv(basis).T
     adxi = al.ad_operator(g, s.xi)
-    vel = (adxi @ (lift @ ob.structure(s).a_flat.basis).T).T
+    vel = (adxi @ (lift @ s.a_flat.basis).T).T
     gram = -(vel @ g.killing_matrix @ vel.T) / c_model(s)
     return {"weights": basis, "num": num, "den": den, "gram": gram,
             "lift": lift}
@@ -152,12 +151,11 @@ def systole_details(s: SpaceInstance) -> dict:
     `tested` counts the integer vectors evaluated inside the proven box;
     nothing is skipped, so `skipped_irrational` is always 0.
     """
-    st = ob.structure(s)
     lat = _unit_lattice(s)
     box = _proven_box(lat)
     z, length, count = _shortest_in_box(lat, box)
     x = z @ lat["lift"]
-    moved = al.conjugate(s.xi, st.a_flat.lift(x), 1.0)
+    moved = al.conjugate(s.xi, s.a_flat.lift(x), 1.0)
     if np.abs(moved.entries - s.xi.entries).max() > 1e-8:
         raise LatticeError("the shortest lattice vector does not close")
     return {"systole": length, "direction": x / np.linalg.norm(x),
@@ -169,8 +167,7 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
                         t_max: float = 30.0, grid: int = 60000) -> float:
     """Brute-force first recurrence time of the orbit curve along a
     direction, refined by bisection; independent of the frequency logic."""
-    st = ob.structure(s)
-    x = st.a_flat.lift(np.asarray(direction, float))
+    x = s.a_flat.lift(np.asarray(direction, float))
     xi_m = s.xi.entries
     ts = np.linspace(0.0, t_max, grid + 1)[1:]
     # rot^k for k = 1..block by doubling, then block by block from rot^block
@@ -237,8 +234,7 @@ def capacities_U(s: SpaceInstance,
     happens exactly when a deck transformation shortens the systole.
     """
     ctx = NormalizationContext()
-    st = ob.structure(s)
-    ratio = st.ratio
+    ratio = rank_ratio(s)
     if sys_flat is None:
         sys_flat = systole_flat(s)
     if ratio == 2:
@@ -302,7 +298,7 @@ def capacity_hermitian_ambient(s: SpaceInstance) -> CapacityReport:
         space_id=s.descriptor.label, c_G=levels[1] - levels[0],
         c_HZ=levels[-1] - levels[0], case_tag="hermitian_ambient",
         formula_ref="c_G = lowest step, c_HZ = spread of the critical ladder",
-        extras={"rank_nc": ob.structure(s).rank_nc, "levels": levels})
+        extras={"rank_nc": s.abar.dim, "levels": levels})
 
 
 # ---------------------------------------------------------------------------

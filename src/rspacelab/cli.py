@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from . import atlas
-from . import reporting as rep
+from .verify_options import DEFAULT_TOL, SUITE_NAMES
 
 EX_OK = 0
 EX_VERIFY = 2
@@ -57,12 +57,12 @@ def _build_parser() -> _Parser:
                    help="master seed; per-suite seeds are fixed offsets")
     v.add_argument("--suite", action="append",
                    help="suite name, repeatable or comma separated "
-                        f"(default: all of {', '.join(rep.SUITE_NAMES)})")
+                        f"(default: all of {', '.join(SUITE_NAMES)})")
     v.add_argument("--space", help="restrict suites to one row id or model")
     v.add_argument("--params", help="comma separated integers")
     v.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a tolerance, repeatable "
-                        f"(names: {', '.join(sorted(rep.DEFAULT_TOL))})")
+                        f"(names: {', '.join(sorted(DEFAULT_TOL))})")
     v.add_argument("--format", choices=_FORMATS, default="json",
                    help="output format (default: json)")
     v.add_argument("--out", help="write to this path instead of stdout")
@@ -92,7 +92,7 @@ def _parse_tol(pairs):
     out = {}
     for item in pairs or []:
         name, _, value = item.partition("=")
-        if name not in rep.DEFAULT_TOL:
+        if name not in DEFAULT_TOL:
             raise _UsageError(f"unknown tolerance {name!r}")
         try:
             out[name] = float(value)
@@ -159,7 +159,7 @@ def cmd_atlas(args) -> int:
 
 def _parse_suites(items):
     if not items:
-        return list(rep.SUITE_NAMES)
+        return list(SUITE_NAMES)
     names = []
     for item in items:
         names.extend(t.strip() for t in item.split(",") if t.strip())
@@ -167,6 +167,8 @@ def _parse_suites(items):
 
 
 def cmd_verify(args) -> int:
+    from . import reporting as rep  # atlas never loads the suites
+
     suites = _parse_suites(args.suite)
     space = args.space
     known = set(atlas._ROWS) | set(rep._DELTA_MODELS)
@@ -190,6 +192,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import reporting as rep
+
     space = args.space
     params = _parse_params(args.params)
     if space is None:

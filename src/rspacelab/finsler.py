@@ -70,7 +70,7 @@ def norm_kernel(s: SpaceInstance) -> np.ndarray:
     st = ob.structure(s)
     covs = [r.covector for r in st.sigma_roots.roots]
     if not covs:
-        return np.eye(st.rank_n)
+        return np.eye(s.a_flat.dim)
     m = np.array(covs)
     _, sv, vt = np.linalg.svd(m)
     keep = int(np.sum(sv > 1e-9 * sv[0]))
@@ -83,13 +83,13 @@ def unit_ball_vs_box(s: SpaceInstance, samples: int = 400,
     st = ob.structure(s)
     f = finsler_norm(s, np.inf)
     covs = np.array([r.covector for r in st.sigma_roots.roots]).reshape(
-        -1, st.rank_n)
+        -1, s.a_flat.dim)
     rng = np.random.default_rng(seed)
-    us = np.empty((samples, st.rank_n))
+    us = np.empty((samples, s.a_flat.dim))
     moved = np.zeros(samples, bool)
     stretch = np.empty(samples)
     for i in range(samples):
-        us[i] = rng.normal(size=st.rank_n)
+        us[i] = rng.normal(size=s.a_flat.dim)
         # F_inf(u), the largest root value, is zero on the common kernel of
         # the roots; elsewhere u is rescaled to straddle the boundary
         if np.abs(covs @ us[i]).max(initial=0.0) > 1e-12:
@@ -113,13 +113,13 @@ def f2_vs_riemannian(s: SpaceInstance, samples: int = 200,
     """
     st = ob.structure(s)
     ker = norm_kernel(s)
-    if ker.shape[0] == st.rank_n:
+    if ker.shape[0] == s.a_flat.dim:
         raise DegenerateNorm(f"{s.descriptor.label}: all roots vanish")
     # one row per draw, the same numbers as one rng.normal(size=rank) each
-    us = np.random.default_rng(seed).normal(size=(samples, st.rank_n))
+    us = np.random.default_rng(seed).normal(size=(samples, s.a_flat.dim))
     us = us - (us @ ker.T) @ ker
     us = us[np.linalg.norm(us, axis=1) >= 1e-6]
-    xc = us @ st.a_flat.basis  # g coordinates of the lifts
+    xc = us @ s.a_flat.basis  # g coordinates of the lifts
     riem = np.sqrt(np.sum((xc @ st.metric) * xc, axis=1))
     ratios = finsler_norm(s, 2.0).values(us) / riem
     const = float(np.median(ratios))
@@ -132,17 +132,16 @@ def norm_monotonicity(s: SpaceInstance, samples: int = 100, seed: int = 0,
                       ps: tuple = (1.0, 2.0, 4.0)) -> dict:
     """Worst violation of the Schatten chain F_inf <= F_p <= F_q <= F_1
     for p >= q, plus the trace-to-spectral multiplier on rank one rows."""
-    st = ob.structure(s)
     exps = sorted(set(ps) | {1.0}) + [np.inf]
     norms = [finsler_norm(s, p) for p in exps]
-    us = np.random.default_rng(seed).normal(size=(samples, st.rank_n))
+    us = np.random.default_rng(seed).normal(size=(samples, s.a_flat.dim))
     sv = norms[-1].singular_values(us)
     # one column per exponent; the norms descend along each row
     vals = np.stack([_schatten(sv, f.p) for f in norms], axis=1)
     worst = float(np.max(vals[:, 1:] - vals[:, :-1], initial=0.0))
     out = {"worst_violation": worst, "exponents": exps}
     live = vals[:, -1] > 1e-12
-    if st.rank_n == 1 and live.any():
+    if s.a_flat.dim == 1 and live.any():
         last = np.flatnonzero(live)[-1]
         sv1 = norms[-1].singular_values(np.ones(1))
         nonzero = sv1[sv1 > 1e-9 * max(sv1.max(), 1.0)]

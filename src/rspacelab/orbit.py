@@ -19,7 +19,7 @@ import numpy as np
 from . import algebra as al
 from . import roots as rt
 from ._record import dataclass
-from .atlas import SpaceInstance
+from .atlas import SpaceInstance, rank_ratio
 
 
 class BaseMismatch(ValueError):
@@ -78,18 +78,14 @@ class CriticalCluster:
 
 @dataclass(frozen=True, eq=False)
 class InstanceStructure:
-    """Derived data shared by the orbit, capacity and Finsler layers."""
+    """Cascade, calibration and root data shared by the orbit and Finsler
+    layers and by verify; the flat pair itself lives on the instance."""
 
     sos: rt.StronglyOrthogonalSet
     c_orbit: float
-    rank_nc: int
-    rank_n: int
-    ratio: int
     k_alg: al.LieAlgebraBasis
-    a_flat: rt.AbelianSubspace       # maximal abelian in l, over g coords
-    a_in_k: rt.AbelianSubspace       # same matrices, over k_alg coords
-    sigma_roots: rt.RestrictedRootSystem   # roots of (k, a)
-    abar: rt.AbelianSubspace         # maximal abelian in p_vee, contains a
+    a_in_k: rt.AbelianSubspace       # s.a_flat's matrices, over k_alg coords
+    sigma_roots: rt.RestrictedRootSystem   # roots of (k, a_flat)
     sigma_bar_roots: rt.RestrictedRootSystem  # roots of (g, abar)
     metric: np.ndarray               # -B/c on g coordinates
     metric_chol: np.ndarray
@@ -98,8 +94,7 @@ class InstanceStructure:
 @functools.cache  # keyed on instance identity
 def structure(s: SpaceInstance) -> InstanceStructure:
     g = s.g_vee
-    seed = 23  # fixed, so one instance has one structure
-    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi, seed=seed)
+    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
 
     # squared Killing length of the xi component in one cascade su(2);
     # every cascade root must give the same number
@@ -114,30 +109,19 @@ def structure(s: SpaceInstance) -> InstanceStructure:
     c_orbit = cs[0]
     assert max(cs) - min(cs) < 1e-8 * max(1.0, c_orbit)
 
-    a_flat = rt.find_maximal_abelian(
-        rt.Subspace(g, s.l_basis, "l"), seed=seed + 1)
-    abar = rt.find_maximal_abelian(
-        rt.Subspace(g, s.p_vee_basis, "p_vee"), seed=seed + 2,
-        must_contain=[row for row in a_flat.basis])
-    rank_n, rank_nc = a_flat.dim, abar.dim
-    ratio = rank_nc // rank_n
-
     k_alg = al.subalgebra(g, s.k_basis, "k")
-    # the same abelian subspace, in k coordinates
-    a_rows_k = np.array([k_alg.coords(a_flat.lift(e).entries)
-                         for e in np.eye(rank_n)])
+    # the flat of l, in k coordinates
+    a_rows_k = np.array([k_alg.coords(s.a_flat.lift(e).entries)
+                         for e in np.eye(s.a_flat.dim)])
     a_in_k = rt.AbelianSubspace(
-        ambient=rt.Subspace(k_alg, np.eye(k_alg.dim), "k"),
-        basis=a_rows_k, seed=a_flat.seed)
+        ambient=rt.Subspace(k_alg, np.eye(k_alg.dim), "k"), basis=a_rows_k)
     sigma_roots = rt.compute_restricted_roots(k_alg, a_in_k)
-    sigma_bar_roots = rt.compute_restricted_roots(g, abar)
+    sigma_bar_roots = rt.compute_restricted_roots(g, s.abar)
 
     metric = -bmat / c_orbit
     chol = np.linalg.cholesky(metric)
-    return InstanceStructure(sos=sos, c_orbit=c_orbit, rank_nc=rank_nc,
-                             rank_n=rank_n, ratio=ratio, k_alg=k_alg,
-                             a_flat=a_flat, a_in_k=a_in_k,
-                             sigma_roots=sigma_roots, abar=abar,
+    return InstanceStructure(sos=sos, c_orbit=c_orbit, k_alg=k_alg,
+                             a_in_k=a_in_k, sigma_roots=sigma_roots,
                              sigma_bar_roots=sigma_bar_roots,
                              metric=metric, metric_chol=chol)
 
@@ -294,18 +278,16 @@ def moment_nc(a: OrbitPoint) -> al.AlgebraElement:
 
 def flat_model(s: SpaceInstance, v) -> FlatModelPoint:
     """Exponential of the flat: point = Ad(exp([xi, v~])) xi for v in abar coords."""
-    st = structure(s)
     v = np.asarray(v, float)
-    vt = st.abar.lift(v)
+    vt = s.abar.lift(v)
     gen = al.bracket(s.xi, vt)
     return FlatModelPoint(space=s, v=v, point=transport(base_point(s), gen, 1.0))
 
 
 def _flat_points(s: SpaceInstance, vs: np.ndarray) -> np.ndarray:
     """Matrices of flat_model(s, v).point for every row v of vs."""
-    st = structure(s)
     xi = s.xi.entries
-    vt = s.g_vee.stack_matrices(vs @ st.abar.basis)
+    vt = s.g_vee.stack_matrices(vs @ s.abar.basis)
     rot = al.expm_skew(xi @ vt - vt @ xi)
     return rot @ xi @ rot.swapaxes(-1, -2)
 
@@ -315,7 +297,7 @@ def _flat_cut_distance(s: SpaceInstance, v) -> np.ndarray:
     one flat vector or for every row of a stack."""
     st = structure(s)
     covs = np.array([r.covector for r in st.sigma_bar_roots.roots]).reshape(
-        -1, st.rank_nc)
+        -1, s.abar.dim)
     m = np.mod(np.asarray(v, float) @ covs.T - np.pi / 2.0, np.pi)
     return np.minimum(m, np.pi - m).min(axis=-1, initial=np.inf)
 
@@ -373,10 +355,10 @@ def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
     # the tangent-bundle image covers the flat only along the leading
     # rank(N) coordinates (the small flat sits first in abar), so the
     # equivalence with the brute-force cut condition is sampled there
-    r_dim = st.rank_n
+    r_dim = s.a_flat.dim
     live = [b for b in roots if np.linalg.norm(b[:r_dim]) > 1e-9]
 
-    vs = np.zeros((samples, st.rank_nc))
+    vs = np.zeros((samples, s.abar.dim))
     on_shell = np.arange(samples) % 2 == 0
     for i in range(samples):
         if on_shell[i]:
@@ -423,7 +405,7 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     st = structure(s)
     g = s.g_vee
     rng = np.random.default_rng(seed)
-    r = float(st.ratio)
+    r = float(rank_ratio(s))
     covs = np.array([root.covector for root in st.sigma_roots.roots])
     if covs.size == 0:
         raise NotOnRealForm("flat carries no roots; box test is vacuous")
@@ -431,7 +413,7 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     n_int = samples // 2
     interior, xs, ks = [], [], []
     for i in range(samples):
-        u = rng.normal(size=st.rank_n)
+        u = rng.normal(size=s.a_flat.dim)
         m = np.abs(covs @ u).max()
         if m < 1e-9:
             continue
@@ -440,14 +422,14 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
         xs.append(u * (t * r / m))
         ks.append(rng.normal(size=s.k_basis.shape[0]))
     interior = np.array(interior, bool)
-    xs = np.array(xs).reshape(-1, st.rank_n)
+    xs = np.array(xs).reshape(-1, s.a_flat.dim)
     ks = np.array(ks).reshape(-1, s.k_basis.shape[0])
 
     xi = s.xi.entries
     n, kd = g.size, st.k_alg.dim
     lam = np.empty(len(xs))
     for b in al.sample_blocks(len(xs), n * n + kd * kd):
-        x_lift = g.stack_matrices(xs[b] @ st.a_flat.basis)
+        x_lift = g.stack_matrices(xs[b] @ s.a_flat.basis)
         rot = al.expm_skew(g.stack_matrices(ks[b] @ s.k_basis))
         rot_t = rot.swapaxes(-1, -2)
         # Ad(exp k_gen) of the point xi and of the velocity [X, xi]

@@ -4,6 +4,12 @@ All subspaces are row matrices of coordinates over the ambient algebra's
 trace-orthonormal basis.  Joint eigendata of a commuting family is computed
 from one generic linear combination; ad operators are exactly antisymmetric
 in these coordinates, so i*ad is Hermitian and eigh applies.
+
+Generic elements are fixed, not drawn: their weights are square roots of
+primes (generic_weights), and the certificates each search already runs
+(abelian stabilization with the centralizer dimension, the joint-eigen
+residual, a functional vanishing on no root) prove they were generic
+enough; a failed certificate raises a typed error.
 """
 
 from __future__ import annotations
@@ -59,11 +65,10 @@ def k_side(dec: CartanDecomposition) -> Subspace:
 
 @dataclass(frozen=True, eq=False)
 class AbelianSubspace:
-    """Maximal abelian subspace of a side, with the seed that found it."""
+    """Maximal abelian subspace of a side."""
 
     ambient: Subspace
     basis: np.ndarray  # rows, orthonormal for the trace form
-    seed: int
 
     @property
     def dim(self) -> int:
@@ -105,28 +110,44 @@ def _gram_schmidt(rows_list: Sequence[np.ndarray], tol: float = 1e-9) -> np.ndar
     return np.array(out) if out else np.zeros((0, len(rows_list[0])))
 
 
-def find_maximal_abelian(side: Subspace, seed: int,
-                         must_contain: Sequence = (),
+def generic_weights(n: int, start: int = 0) -> np.ndarray:
+    """Fixed generic weights: the square roots of the primes number
+    start .. start + n - 1 (2 is number 0).
+
+    Square roots of distinct primes satisfy no rational linear relation, so
+    a combination with these weights vanishes on no nonzero rational vector.
+    """
+    count = start + n
+    limit = 16 * (count + 8)  # above the count-th prime while count < 10^6
+    sieve = np.ones(limit, bool)
+    sieve[:2] = False
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.sqrt(np.flatnonzero(sieve)[start:count].astype(float))
+
+
+def find_maximal_abelian(side: Subspace, must_contain: Sequence = (),
                          rounds: int = 10) -> AbelianSubspace:
     """Maximal abelian subspace of side, via centralizer refinement.
 
-    Draws a generic element of the current candidate span and intersects
-    with its kernel until the span stabilizes as abelian; certifies
-    maximality by checking the centralizer of the result inside the full
-    side has the same dimension.  Deterministic given the seed.
+    Intersects the current candidate span with the kernel of a fixed
+    generic element of it (weights shifted by one prime per round) until
+    the span stabilizes as abelian; certifies maximality by checking the
+    centralizer of the result inside the full side has the same dimension.
 
     Args:
         side: subspace to search inside (closed under no bracket assumption).
-        seed: RNG seed for the generic draws.
         must_contain: elements (or coordinate vectors) the subspace must
-            contain; they have to commute with each other.
-        rounds: redraw budget before giving up.
+            contain; they have to commute with each other.  They come first
+            in the basis.
+        rounds: refinement budget before giving up.
 
     Raises:
-        MaximalityNotCertified: refinement did not stabilize in budget.
+        MaximalityNotCertified: refinement did not stabilize in budget, or
+            the result is not maximal.
     """
     alg = side.alg
-    rng = np.random.default_rng(seed)
     mc = [alg.coords(m) if isinstance(m, AlgebraElement) else np.asarray(m, float)
           for m in must_contain]
     span = side.coords
@@ -134,7 +155,7 @@ def find_maximal_abelian(side: Subspace, seed: int,
         span = _kernel_within(span, ad_from_coords(alg, m))
 
     certified = False
-    for _ in range(rounds):
+    for r in range(rounds):
         if span.shape[0] <= 1:
             certified = True
             break
@@ -142,7 +163,7 @@ def find_maximal_abelian(side: Subspace, seed: int,
         if bracket_residual(alg, span, span, np.zeros((0, alg.dim))) < 1e-10:
             certified = True
             break
-        x = rng.normal(size=span.shape[0]) @ span
+        x = generic_weights(span.shape[0], r) @ span
         span = _kernel_within(span, ad_from_coords(alg, x))
     if not certified:
         raise MaximalityNotCertified(
@@ -158,7 +179,7 @@ def find_maximal_abelian(side: Subspace, seed: int,
 
     basis = _gram_schmidt(list(mc) + list(span))
     assert basis.shape[0] == span.shape[0]
-    return AbelianSubspace(ambient=side, basis=basis, seed=seed)
+    return AbelianSubspace(ambient=side, basis=basis)
 
 
 def rank_of(a: AbelianSubspace) -> int:
@@ -169,18 +190,20 @@ def rank_of(a: AbelianSubspace) -> int:
 # joint eigendata and clustering
 
 
-def _joint_eigen(alg: LieAlgebraBasis, rows: np.ndarray, seed: int,
-                 attempts: int = 5):
+def _joint_eigen(alg: LieAlgebraBasis, rows: np.ndarray, attempts: int = 5):
     """Simultaneous eigendata of the commuting family {ad_h : h in rows}.
+
+    Diagonalizes one fixed generic combination, its weights shifted by one
+    prime per attempt, and accepts the eigenvectors once every member of the
+    family is diagonal on them to 1e-8.
 
     Returns (alphas, vecs): alphas[m, j] is the frequency of ad_{rows[j]} on
     eigenvector column vecs[:, m], meaning ad_h v = i alpha(h) v.
     """
     ads = [ad_from_coords(alg, row) for row in rows]
-    rng = np.random.default_rng(seed)
     last = None
-    for _ in range(attempts):
-        cvec = rng.normal(size=len(ads))
+    for attempt in range(attempts):
+        cvec = generic_weights(len(ads), attempt)
         m = sum(cv * a for cv, a in zip(cvec, ads))
         _, vecs = np.linalg.eigh(1j * m)
         alphas = np.empty((vecs.shape[1], len(ads)))
@@ -193,7 +216,7 @@ def _joint_eigen(alg: LieAlgebraBasis, rows: np.ndarray, seed: int,
             return alphas, vecs
         last = residual
     raise ClusteringAmbiguous(
-        f"joint diagonalization residual {last:.2e} after {attempts} draws")
+        f"joint diagonalization residual {last:.2e} after {attempts} attempts")
 
 
 def _cluster_covectors(alphas: np.ndarray, tol: float = TOL_ROOT):
@@ -252,7 +275,7 @@ def compute_restricted_roots(alg: LieAlgebraBasis,
     zero multiplicity) to the ambient real dimension, and
     -B(x, x) = sum over roots of mult * alpha(x)^2 holds exactly.
     """
-    alphas, _ = _joint_eigen(alg, a.basis, seed=a.seed + 7919)
+    alphas, _ = _joint_eigen(alg, a.basis)
     centers, groups = _cluster_covectors(alphas)
     roots = []
     zero_mult = 0
@@ -296,7 +319,7 @@ class ComplexRootSpace:
 
 
 def complex_root_spaces(alg: LieAlgebraBasis, t: AbelianSubspace):
-    alphas, vecs = _joint_eigen(alg, t.basis, seed=t.seed + 104729)
+    alphas, vecs = _joint_eigen(alg, t.basis)
     centers, groups = _cluster_covectors(alphas)
     out = []
     for center, g in zip(centers, groups):
@@ -398,8 +421,8 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: AbelianSubspace,
                      root=beta, real_span=real_span)
 
 
-def cascade_strongly_orthogonal(dec: CartanDecomposition, z: AlgebraElement,
-                                seed: int = 0) -> StronglyOrthogonalSet:
+def cascade_strongly_orthogonal(dec: CartanDecomposition,
+                                z: AlgebraElement) -> StronglyOrthogonalSet:
     """Strongly orthogonal noncompact positive roots, highest first.
 
     Needs a Hermitian pair: z central in k with ad_z^2 = -1 on p.  Roots are
@@ -407,6 +430,10 @@ def cascade_strongly_orthogonal(dec: CartanDecomposition, z: AlgebraElement,
     the root evaluates to +1 on z.  At each step the highest remaining root
     (for a fixed generic functional) is kept and everything not strongly
     orthogonal to it is discarded.
+
+    Raises:
+        ClusteringAmbiguous: the functional vanishes on a root, so it picks
+            no positive system.
     """
     alg = dec.alg
     adz = ad_from_coords(alg, alg.coords(z))
@@ -416,7 +443,7 @@ def cascade_strongly_orthogonal(dec: CartanDecomposition, z: AlgebraElement,
     if dec.k_basis.shape[0] and np.abs(adz @ dec.k_basis.T).max() > 1e-8:
         raise NotHermitian("z is not central in k")
 
-    t = find_maximal_abelian(k_side(dec), seed=seed + 31, must_contain=[z])
+    t = find_maximal_abelian(k_side(dec), must_contain=[z])
     spaces = complex_root_spaces(alg, t)
     z_t = t.coords_of(alg.coords(z))
 
@@ -428,8 +455,10 @@ def cascade_strongly_orthogonal(dec: CartanDecomposition, z: AlgebraElement,
     if not pool:
         raise CascadeStalled("no noncompact positive roots")
 
-    rng = np.random.default_rng(seed + 57)
-    func = rng.normal(size=t.dim)
+    func = generic_weights(t.dim)
+    covs = np.array([s.covector for s in spaces])
+    if np.abs(covs @ func).min() <= 1e-9 * np.linalg.norm(func):
+        raise ClusteringAmbiguous("cascade functional vanishes on a root")
     gammas = []
     guard = 0
     while pool:
@@ -452,4 +481,4 @@ def cascade_strongly_orthogonal(dec: CartanDecomposition, z: AlgebraElement,
             assert not _is_root(spaces, gammas[i] - gammas[j])
     return StronglyOrthogonalSet(gammas=[tri.root for tri in triples],
                                  triples=triples, torus=t,
-                                 roots=np.array([s.covector for s in spaces]))
+                                 roots=covs)

@@ -1,10 +1,17 @@
 """Catalogue construction and the rank-ratio table."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rspacelab import algebra as al
 from rspacelab import atlas
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_full_sweep_reproduces_the_table():
@@ -88,3 +95,130 @@ def test_labels_are_stable():
     d = atlas.descriptor("grassmann_real", 1, 2)
     assert d.label == "grassmann_real(1,2)"
     assert d.table_row == "1"
+
+
+# (row, params, rank N, rank N_C, ratio) on the default sweep, as the seeded
+# random searches found them before the searches became seedless
+_SWEEP_RANKS = [
+    ("grassmann_real", (1, 1), 1, 1, 1),
+    ("grassmann_real", (1, 2), 1, 1, 1),
+    ("grassmann_real", (2, 2), 2, 2, 1),
+    ("grassmann_quaternionic", (1, 1), 1, 2, 2),
+    ("unitary_group", (2,), 2, 2, 1),
+    ("unitary_group", (3,), 3, 3, 1),
+    ("orthogonal_group", (3,), 1, 1, 1),
+    ("orthogonal_group", (5,), 2, 2, 1),
+    ("unitary_mod_symplectic", (2,), 2, 2, 1),
+    ("symplectic_group", (1,), 1, 2, 2),
+    ("symplectic_group", (2,), 2, 4, 2),
+    ("unitary_mod_orthogonal", (2,), 2, 2, 1),
+    ("unitary_mod_orthogonal", (3,), 3, 3, 1),
+    ("sphere", (2,), 1, 2, 2),
+    ("sphere", (3,), 1, 2, 2),
+    ("sphere", (4,), 1, 2, 2),
+    ("quadric_real", (1, 2), 2, 2, 1),
+    ("quadric_real", (2, 2), 2, 2, 1),
+    ("grassmann_complex_hermitian", (1, 1), 1, 2, 2),
+    ("grassmann_complex_hermitian", (1, 2), 1, 2, 2),
+    ("orthogonal_mod_unitary_hermitian", (3,), 1, 2, 2),
+    ("symplectic_mod_unitary_hermitian", (1,), 1, 2, 2),
+    ("quadric_complex_hermitian", (2,), 2, 4, 2),
+]
+
+
+def test_sweep_ranks_cover_the_default_sweep():
+    assert [(rid, p) for rid, p, *_ in _SWEEP_RANKS] == [
+        (d.id, d.params) for d in atlas.list_entries() if d.instantiable]
+
+
+@pytest.mark.parametrize("rid,params,rank_n,rank_nc,ratio", _SWEEP_RANKS)
+def test_flat_pair_on_the_instance(rid, params, rank_n, rank_nc, ratio):
+    s = atlas.instance(rid, *params)
+    assert (s.a_flat.dim, s.abar.dim) == (rank_n, rank_nc)
+    assert atlas.rank_ratio(s) == ratio
+    # abar extends a_flat: its leading rows are a_flat's basis
+    assert np.abs(s.abar.basis[:rank_n] - s.a_flat.basis).max() < 1e-12
+    assert np.abs(s.a_flat.basis @ s.l_basis.T @ s.l_basis
+                  - s.a_flat.basis).max() < 1e-9
+
+
+def test_flat_pair_is_the_same_on_every_instantiation():
+    a = atlas.instantiate(atlas.descriptor("quadric_real", 2, 2))
+    b = atlas.instantiate(atlas.descriptor("quadric_real", 2, 2))
+    assert np.array_equal(a.a_flat.basis, b.a_flat.basis)
+    assert np.array_equal(a.abar.basis, b.abar.basis)
+
+
+# largest n, or largest p + q, per row: the row's algebra at that size is
+# the top of algebra._SIZE_RANGE or just under it
+_WINDOW_TOPS = {"grassmann_real": 12, "grassmann_quaternionic": 6,
+                "unitary_group": 6, "orthogonal_group": 12,
+                "unitary_mod_symplectic": 6, "symplectic_group": 3,
+                "unitary_mod_orthogonal": 6, "sphere": 22, "quadric_real": 22,
+                "grassmann_complex_hermitian": 12,
+                "orthogonal_mod_unitary_hermitian": 12,
+                "symplectic_mod_unitary_hermitian": 6,
+                "quadric_complex_hermitian": 22}
+
+
+class _Built(Exception):
+    pass
+
+
+def _requested_algebra(monkeypatch, rid, params):
+    """(family, n) the row's builder asks build_algebra for, without
+    building it."""
+    def stop(family, n):
+        raise _Built(family, n)
+    monkeypatch.setattr(atlas.al, "build_algebra", stop)
+    with pytest.raises(_Built) as e:
+        atlas._ROWS[rid][0](*params)
+    return e.value.args
+
+
+@pytest.mark.parametrize("rid", sorted(_WINDOW_TOPS))
+def test_descriptor_window_ends_at_the_size_range(monkeypatch, rid):
+    top = _WINDOW_TOPS[rid]
+    arity = atlas.window(rid)[0]
+    inside = [(top,)] if arity == 1 else [(1, top - 1),
+                                          (top // 2, top - top // 2)]
+    past = (top + 1,) if arity == 1 else (1, top)
+    for params in inside:
+        assert atlas.descriptor(rid, *params).params == params
+    with pytest.raises(atlas.UnsupportedRow, match="outside the window"):
+        atlas.descriptor(rid, *past)
+    family, n = _requested_algebra(monkeypatch, rid, inside[0])
+    lo, hi = al._SIZE_RANGE[family]
+    assert lo <= n <= hi
+    assert _requested_algebra(monkeypatch, rid, past)[1] > hi
+
+
+def test_window_error_names_the_row():
+    with pytest.raises(atlas.UnsupportedRow,
+                       match=r"^symplectic_group\(4\) outside the window "
+                             r"1 <= n <= 3$"):
+        atlas.descriptor("symplectic_group", 4)
+    with pytest.raises(atlas.UnsupportedRow,
+                       match=r"^grassmann_real\(7,7\) outside the window "
+                             r"1 <= p <= q, p \+ q <= 12$"):
+        atlas.descriptor("grassmann_real", 7, 7)
+
+
+def test_descriptor_validation_survives_python_O():
+    # -O strips assert statements, so the table checks must raise
+    code = """
+from rspacelab import atlas
+for args in (("x", (), "Q", 1, False, "0"), ("x", (), "Q", 7, False, "0"),
+             ("x", (), "Z", 7, False, "0")):
+    try:
+        atlas.RSpaceDescriptor(*args)
+    except atlas.UnsupportedRow:
+        continue
+    raise SystemExit(f"accepted {args}")
+assert False, "asserts run"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -206,3 +206,52 @@ def test_critical_ladders_script_prints_a_ladder_per_orbit():
         assert "predicted ladder:" in block
         assert "max gap" in block
         assert block.count("  value ") >= 2
+
+
+@pytest.mark.parametrize("space,params", [("grassmann_real", "1,1"),
+                                          ("quadric_real", "1,1")])
+def test_verify_skips_the_vacuous_moment_claim(space, params):
+    # no root lives on these flats, so the momentum box claim is vacuous:
+    # it is named on stderr and left out of the report
+    for seed in (1, 2, 3):
+        proc = run_child("-m", "rspacelab", "verify", "--seed", str(seed),
+                         "--space", space, "--params", params)
+        assert proc.returncode == cli.EX_OK, proc.stderr
+        label = f"{space}({params})"
+        assert (f"rspacelab: skipped orbit.moment_membership[{label}]: "
+                "flat carries no roots") in proc.stderr
+        ids = [c["id"] for c in json.loads(proc.stdout)["checks"]]
+        assert f"orbit.certificate[{label}]" in ids
+        assert f"orbit.moment_membership[{label}]" not in ids
+
+
+def test_report_builds_no_cascade(capsys, monkeypatch):
+    from rspacelab import orbit, roots
+    calls = {"structure": 0, "cascade": 0, "maximal": 0}
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(orbit, "structure",
+                        count("structure", orbit.structure))
+    monkeypatch.setattr(roots, "cascade_strongly_orthogonal",
+                        count("cascade", roots.cascade_strongly_orthogonal))
+    monkeypatch.setattr(roots, "find_maximal_abelian",
+                        count("maximal", roots.find_maximal_abelian))
+    code, out, _ = run(capsys, "report", "--format", "json")
+    assert code == cli.EX_OK
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 23
+    # two searches per instance: the flat of l and the one of p_vee
+    assert calls == {"structure": 0, "cascade": 0, "maximal": 2 * len(rows)}
+
+
+def test_size_error_names_the_row(capsys):
+    code, out, err = run(capsys, "report", "--space", "symplectic_group",
+                         "--params", "4")
+    assert code == cli.EX_USAGE and out == ""
+    assert err == ("rspacelab: symplectic_group(4) outside the window "
+                   "1 <= n <= 3\n")

@@ -70,7 +70,7 @@ def test_two_magnitude_spectra_break_the_multiplier():
 
 def test_rootless_flat_degenerates():
     rp1 = atlas.instance("grassmann_real", 1, 1)
-    assert fin.norm_kernel(rp1).shape[0] == ob.structure(rp1).rank_n
+    assert fin.norm_kernel(rp1).shape[0] == rp1.a_flat.dim
     with pytest.raises(fin.DegenerateNorm):
         fin.f2_vs_riemannian(rp1)
     # the box test stays vacuously perfect: no roots, everything inside
@@ -92,7 +92,7 @@ def test_norm_homogeneity(seed, t):
     s = _U2[0]
     f = fin.finsler_norm(s, 2.0)
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=ob.structure(s).rank_n)
+    u = rng.normal(size=s.a_flat.dim)
     assert abs(f(t * u) - abs(t) * f(u)) < 1e-8 * max(1.0, f(u))
 
 
@@ -101,8 +101,8 @@ def test_norm_homogeneity(seed, t):
 def test_norm_triangle_inequality(seed):
     s = _U2[0]
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=ob.structure(s).rank_n)
-    v = rng.normal(size=ob.structure(s).rank_n)
+    u = rng.normal(size=s.a_flat.dim)
+    v = rng.normal(size=s.a_flat.dim)
     for p in (1.0, 2.0, np.inf):
         f = fin.finsler_norm(s, p)
         assert f(u + v) <= f(u) + f(v) + 1e-10
@@ -115,7 +115,7 @@ def test_spectral_norm_matches_largest_root_value():
     rng = np.random.default_rng(4)
     covs = np.array([r.covector for r in st_.sigma_roots.roots])
     for _ in range(20):
-        u = rng.normal(size=st_.rank_n)
+        u = rng.normal(size=s.a_flat.dim)
         assert abs(f(u) - np.abs(covs @ u).max()) < 1e-9
         assert rt.box_contains(st_.sigma_roots, u, f(u) + 1e-9)
         assert not rt.box_contains(st_.sigma_roots, u, f(u) - 1e-9)
@@ -138,7 +138,7 @@ def _close(a, b, rel=1e-12):
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
 def test_block_norm_matches_the_one_row_calls(rid, params):
     s = atlas.instance(rid, *params)
-    us = np.random.default_rng(31).normal(size=(60, ob.structure(s).rank_n))
+    us = np.random.default_rng(31).normal(size=(60, s.a_flat.dim))
     for p in (1.0, 2.0, 4.0, np.inf):
         f = fin.finsler_norm(s, p)
         block = f.values(us)
@@ -155,7 +155,7 @@ def test_block_oracles_match_the_sample_loops(rid, params):
     rng = np.random.default_rng(3)
     agree = 0
     for _ in range(300):
-        u = rng.normal(size=st_.rank_n)
+        u = rng.normal(size=s.a_flat.dim)
         fu = _loop_norm(s, np.inf, u)
         if fu > 1e-12:
             u = u * (rng.uniform(0.3, 1.7) / fu)
@@ -168,11 +168,11 @@ def test_block_oracles_match_the_sample_loops(rid, params):
     rng = np.random.default_rng(4)
     ratios = []
     for _ in range(90):
-        u = rng.normal(size=st_.rank_n)
+        u = rng.normal(size=s.a_flat.dim)
         u = u - ker.T @ (ker @ u)
         if np.linalg.norm(u) < 1e-6:
             continue
-        x = st_.a_flat.lift(u)
+        x = s.a_flat.lift(u)
         ratios.append(_loop_norm(s, 2.0, u) / np.sqrt(ob.inner(s, x, x)))
     r = fin.f2_vs_riemannian(s, samples=90, seed=4)
     assert r["samples"] == len(ratios)
@@ -185,11 +185,11 @@ def test_block_oracles_match_the_sample_loops(rid, params):
     exps = [1.0, 2.0, 4.0, np.inf]
     worst, mult = 0.0, None
     for _ in range(70):
-        u = rng.normal(size=st_.rank_n)
+        u = rng.normal(size=s.a_flat.dim)
         vals = [_loop_norm(s, p, u) for p in exps]
         for lo, hi in zip(vals[1:], vals[:-1]):
             worst = max(worst, lo - hi)
-        if st_.rank_n == 1 and vals[-1] > 1e-12:
+        if s.a_flat.dim == 1 and vals[-1] > 1e-12:
             mult = vals[0] / vals[-1]
     mo = fin.norm_monotonicity(s, samples=70, seed=5)
     assert abs(mo["worst_violation"] - worst) <= 1e-12

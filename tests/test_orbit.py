@@ -19,7 +19,7 @@ def test_structure_is_cached_per_instance():
     assert ob.structure(s) is ob.structure(s)
     fresh = atlas.instantiate(atlas.descriptor("sphere", 2))
     assert ob.structure(fresh) is not ob.structure(s)
-    assert ob.structure(fresh).rank_nc == ob.structure(s).rank_nc
+    assert fresh.abar.dim == s.abar.dim
 
 
 def test_calibration_hand_values():
@@ -157,12 +157,11 @@ def test_one_form_pairs_with_horizontal_parts():
 
 def test_flat_model_contract():
     s = atlas.instance("sphere", 2)
-    st_ = ob.structure(s)
-    fp = ob.flat_model(s, np.zeros(st_.rank_nc))
+    fp = ob.flat_model(s, np.zeros(s.abar.dim))
     assert np.abs(fp.point.value.entries - s.xi.entries).max() < 1e-12
-    v = 0.3 * np.ones(st_.rank_nc)
+    v = 0.3 * np.ones(s.abar.dim)
     fp = ob.flat_model(s, v)
-    gen = al.bracket(s.xi, st_.abar.lift(v))
+    gen = al.bracket(s.xi, s.abar.lift(v))
     want = al.conjugate(s.xi, gen, 1.0)
     assert np.abs(fp.point.value.entries - want.entries).max() < 1e-10
 
@@ -270,7 +269,7 @@ _CATALOGUE = [(d.id, d.params) for d in atlas.list_entries() if d.instantiable]
 
 def _even_ladder(s):
     h0 = ob.hamiltonian(ob.base_point(s))
-    return h0 + 4.0 * np.pi * np.arange(ob.structure(s).rank_nc + 1)
+    return h0 + 4.0 * np.pi * np.arange(s.abar.dim + 1)
 
 
 @pytest.mark.parametrize("rid,params", _CATALOGUE)
@@ -279,7 +278,7 @@ def test_reflection_ladder_is_the_even_ladder(rid, params):
     # the closed-form ladder is the enumerated one
     s = atlas.instance(rid, *params)
     ladder = ob.weyl_critical_values(s)
-    assert len(ladder) == ob.structure(s).rank_nc + 1
+    assert len(ladder) == s.abar.dim + 1
     assert np.allclose(ladder, _even_ladder(s), rtol=0, atol=1e-9)
     closed = [v for v, _ in ob.critical_ladder(s)]
     assert len(closed) == len(ladder)
@@ -399,7 +398,7 @@ def test_stacked_flat_points_match_flat_model(rid, params):
     s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
     beta = st_.sigma_bar_roots.roots[0].covector
-    vs = np.random.default_rng(9).normal(size=(30, st_.rank_nc))
+    vs = np.random.default_rng(9).normal(size=(30, s.abar.dim))
     # half of them slid onto the half-period shell of beta
     vs[::2] += np.outer((np.pi / 2.0 - vs[::2] @ beta) / (beta @ beta), beta)
     pts = ob._flat_points(s, vs)
@@ -417,12 +416,12 @@ def _cut_oracle_loop(model, s, samples, seed, band):
     roots = [r.covector for r in st_.sigma_bar_roots.roots]
     rng = np.random.default_rng(seed)
     scale = np.pi / max(np.linalg.norm(r) for r in roots)
-    r_dim = st_.rank_n
+    r_dim = s.a_flat.dim
     live = [b for b in roots if np.linalg.norm(b[:r_dim]) > 1e-9]
     mism = skipped = tested = 0
     for i in range(samples):
         on_shell = i % 2 == 0
-        v = np.zeros(st_.rank_nc)
+        v = np.zeros(s.abar.dim)
         if on_shell:
             beta = live[rng.integers(len(live))]
             u = rng.normal(size=r_dim) * scale * 0.3
@@ -476,13 +475,13 @@ def test_stacked_moment_check_matches_moment_tn(rid, params):
     worst = 0.0
     for i in range(120):
         interior = i < 60
-        u = rng.normal(size=st_.rank_n)
+        u = rng.normal(size=s.a_flat.dim)
         m = np.abs(covs @ u).max()
         if m < 1e-9:
             continue
         t = rng.uniform(0.1, 0.95) if interior else rng.uniform(1.05, 2.0)
-        x_coords = u * (t * st_.ratio / m)
-        x_lift = st_.a_flat.lift(x_coords)
+        x_coords = u * (t * atlas.rank_ratio(s) / m)
+        x_lift = s.a_flat.lift(x_coords)
         k_gen = g.from_coords(rng.normal(size=s.k_basis.shape[0]) @ s.k_basis)
         x_pt = ob.transport(ob.base_point(s), k_gen)
         tangent = ob.OrbitTangent(
@@ -497,7 +496,7 @@ def test_stacked_moment_check_matches_moment_tn(rid, params):
         worst = max(worst, abs(lam - np.abs(covs @ x_coords).max()))
         side = "interior" if interior else "exterior"
         ref[f"{side}_total"] += 1
-        ref[f"{side}_pass"] += int((lam < st_.ratio) == interior)
+        ref[f"{side}_pass"] += int((lam < atlas.rank_ratio(s)) == interior)
     got = ob.moment_image_spectrum_check(s, samples=120, seed=21)
     assert {k: got[k] for k in ref} == ref
     assert abs(got["max_spectral_mismatch"] - worst) <= 1e-12

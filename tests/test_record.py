@@ -101,8 +101,10 @@ def test_descriptor_has_value_equality_and_hash():
     assert a != b and len({a, b, atlas.descriptor("sphere", 3)}) == 2
     assert atlas.RSpaceDescriptor.instantiable is True
     assert b.instantiable is True
-    with pytest.raises(AssertionError):
+    with pytest.raises(atlas.UnsupportedRow):
         atlas.RSpaceDescriptor("x", (), "Q", 1, False, "0")
+    with pytest.raises(atlas.UnsupportedRow):
+        atlas.RSpaceDescriptor("x", (), "Z", 7, False, "0")
 
 
 def test_repr_lists_fields_but_not_the_flat_basis():
@@ -131,20 +133,36 @@ def test_algebra_element_entries_are_read_only():
     assert (e + e).entries[0, 0] == 2.0 and not (e + e).entries.flags.writeable
 
 
-def test_the_cli_never_imports_dataclasses():
-    # the stdlib decorator generates and execs code per class at import
+def _child_imports(*argv):
+    """stdout and the set of modules of a `python -m rspacelab` child,
+    read from its -X importtime list."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "rspacelab", "atlas",
-         "--space", "sphere", "--params", "2"],
+        [sys.executable, "-X", "importtime", "-m", "rspacelab", *argv],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "sphere(2)" in proc.stdout
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "rspacelab.cli" in imported and "numpy.random" in imported
+    return proc.stdout, {line.rsplit("|", 1)[1].strip()
+                         for line in proc.stderr.splitlines()
+                         if line.startswith("import time:")}
+
+
+def test_the_cli_never_imports_dataclasses():
+    # the stdlib decorator generates and execs code per class at import
+    out, imported = _child_imports("atlas", "--space", "sphere",
+                                   "--params", "2")
+    assert "sphere(2)" in out
+    assert "rspacelab.cli" in imported and "numpy" in imported
     assert "dataclasses" not in imported
+    # the production path draws no random numbers and atlas runs no suite
+    assert "numpy.random" not in imported
+    assert "rspacelab.reporting" not in imported
+
+
+def test_report_never_imports_numpy_random():
+    out, imported = _child_imports("report", "--space", "sphere",
+                                   "--params", "2")
+    assert "sphere(2)" in out and "rspacelab.reporting" in imported
+    assert "numpy.random" not in imported
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

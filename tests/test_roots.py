@@ -61,14 +61,13 @@ def test_covectors_pair_up():
 @pytest.mark.parametrize("rid,params", STRUCT_ROWS)
 def test_cascade_count_is_complex_rank(rid, params):
     s = atlas.instance(rid, *params)
-    st_ = ob.structure(s)
-    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi, seed=0)
-    assert sos.count == st_.rank_nc
+    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
+    assert sos.count == s.abar.dim
 
 
 def test_cascade_triples_satisfy_sl2_relations():
     s = atlas.instance("sphere", 3)
-    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi, seed=0)
+    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
 
     def cb(a, b):
         return (al.bracket(a[0], b[0]) - al.bracket(a[1], b[1]),
@@ -92,7 +91,7 @@ def test_cascade_triples_satisfy_sl2_relations():
 def test_strongly_orthogonal_sums_are_not_roots():
     s = atlas.instance("sphere", 2)
     st_ = ob.structure(s)
-    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi, seed=0)
+    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
     gammas = np.array(sos.gammas)
     if len(gammas) < 2:
         return
@@ -129,20 +128,66 @@ def test_box_membership_is_scale_invariant(seed, t):
 
 def test_rootless_flat_contains_everything():
     # the circle has no isotropy roots at all
-    st_ = ob.structure(atlas.instance("grassmann_real", 1, 1))
+    s = atlas.instance("grassmann_real", 1, 1)
+    st_ = ob.structure(s)
     assert st_.sigma_roots.roots == [] \
         or all(np.linalg.norm(r.covector) < 1e-9
                for r in st_.sigma_roots.roots)
-    assert rt.box_contains(st_.sigma_roots, np.ones(st_.rank_n) * 1e6, 1.0)
+    assert rt.box_contains(st_.sigma_roots, np.ones(s.a_flat.dim) * 1e6, 1.0)
 
 
 def test_maximal_abelian_is_abelian_and_certified():
     s = atlas.instance("quadric_real", 2, 2)
     sub = rt.Subspace(s.g_vee, s.l_basis, "l")
-    a = rt.find_maximal_abelian(sub, seed=5)
+    a = rt.find_maximal_abelian(sub)
     assert rt.rank_of(a) == 2
     for i in range(a.dim):
         for j in range(a.dim):
             x = a.lift(np.eye(a.dim)[i])
             y = a.lift(np.eye(a.dim)[j])
             assert np.abs(al.bracket(x, y).entries).max() < 1e-9
+
+
+def test_generic_weights_are_square_roots_of_primes():
+    assert np.allclose(rt.generic_weights(5) ** 2, [2, 3, 5, 7, 11])
+    assert np.allclose(rt.generic_weights(3, 2) ** 2, [5, 7, 11])
+    w = rt.generic_weights(400, 10)
+    assert len(w) == 400 and np.all(np.diff(w) > 0)
+
+
+def _zero_weights(n, start=0):
+    return np.zeros(n)
+
+
+def test_a_degenerate_element_fails_the_abelian_certificate(monkeypatch):
+    monkeypatch.setattr(rt, "generic_weights", _zero_weights)
+    d = atlas.descriptor("sphere", 3)
+    with pytest.raises(rt.MaximalityNotCertified):
+        atlas.instantiate(d)
+
+
+def test_a_degenerate_combination_fails_the_eigen_residual(monkeypatch):
+    s = atlas.instantiate(atlas.descriptor("quadric_real", 2, 2))
+    monkeypatch.setattr(rt, "generic_weights", _zero_weights)
+    with pytest.raises(rt.ClusteringAmbiguous):
+        rt.compute_restricted_roots(s.g_vee, s.abar)
+
+
+def test_a_degenerate_element_fails_the_structure(monkeypatch):
+    s = atlas.instantiate(atlas.descriptor("grassmann_complex_hermitian", 1, 2))
+    monkeypatch.setattr(rt, "generic_weights", _zero_weights)
+    with pytest.raises((rt.MaximalityNotCertified, rt.ClusteringAmbiguous)):
+        ob.structure(s)
+
+
+def test_a_degenerate_functional_fails_the_cascade(monkeypatch):
+    s = atlas.instantiate(atlas.descriptor("grassmann_complex_hermitian", 1, 2))
+    torus = rt.find_maximal_abelian(rt.k_side(s.theta_decomp),
+                                    must_contain=[s.xi])
+    spaces = rt.complex_root_spaces(s.g_vee, torus)
+    # only the functional degenerates: torus and roots are the generic ones
+    monkeypatch.setattr(rt, "find_maximal_abelian", lambda *a, **k: torus)
+    monkeypatch.setattr(rt, "complex_root_spaces", lambda *a: spaces)
+    monkeypatch.setattr(rt, "generic_weights", _zero_weights)
+    with pytest.raises(rt.ClusteringAmbiguous, match="vanishes on a root"):
+        rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
