@@ -7,17 +7,23 @@ sphere, principal angles, bi-invariant Frobenius) and drives the reported
 systoles.  The 4 pi cross-check holds identically on the normalized side
 and is audited, not assumed, on the flat side: rows whose shortest closed
 geodesic comes from a deck transformation fail it and are flagged.
+
+The capacity table that `report` prints is built and rendered here, so
+`report` loads neither `orbit` nor the verify suites (`reporting`).
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
 from . import algebra as al
-from . import orbit as ob
+from . import atlas
 from . import roots as rt
 from ._record import dataclass, field
 from .atlas import SpaceInstance, rank_ratio
@@ -293,6 +299,7 @@ def chz_disc(s: SpaceInstance,
 def capacity_hermitian_ambient(s: SpaceInstance) -> CapacityReport:
     """Capacities of the ambient Hermitian orbit from the critical ladder:
     c_G is its lowest step (4 pi) and c_HZ its total spread (4 pi rank)."""
+    from . import orbit as ob  # report never loads the orbit oracles
     levels = [v for v, _ in ob.critical_ladder(s)]
     return CapacityReport(
         space_id=s.descriptor.label, c_G=levels[1] - levels[0],
@@ -341,7 +348,68 @@ def quadric_geodesic_spectrum(p: int, q: int,
 def disc_contains(s: SpaceInstance, x: ob.OrbitPoint, v: ob.OrbitTangent,
                   r: float) -> bool:
     """Strict disc bundle test |v|_x < r in the calibrated metric."""
+    from . import orbit as ob
     if x.space is not s:
         raise ob.BaseMismatch("point belongs to a different instance")
     nrm2 = ob.inner(s, v.vector, v.vector)
     return bool(np.sqrt(max(nrm2, 0.0)) < r)
+
+
+# ---------------------------------------------------------------------------
+# capacity summary table and its renderers
+
+
+def capacity_table(entries=None, seed: int = 0) -> list:
+    """One row per instantiable catalogue entry with the headline numbers.
+
+    The systoles are exact, so seed changes nothing; it is accepted so that
+    callers passing a seed keep working.
+    """
+    rows = []
+    for d in entries if entries is not None else atlas.list_entries():
+        if not d.instantiable:
+            continue
+        s = atlas.instantiate(d)
+        sd = systole_details(s)
+        r = capacities_U(s, sys_flat=sd["systole"])
+        disc = chz_disc(s, sys_flat=sd["systole"])
+        rows.append({"space": d.label,
+                     "sys": float(sd["systole"]),
+                     "ratio": int(r.extras["rank_ratio"]),
+                     "c_G_U1": float(r.c_G),
+                     "c_HZ_U1": float(r.c_HZ),
+                     "c_HZ_D1": disc.c_HZ if isinstance(disc.c_HZ, str)
+                     else float(disc.c_HZ)})
+    return rows
+
+
+def table_json(rows: list) -> str:
+    return json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
+
+
+def table_csv(rows: list) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    cols = ["space", "sys", "ratio", "c_G_U1", "c_HZ_U1", "c_HZ_D1"]
+    w.writerow(cols)
+    for r in rows:
+        w.writerow([r[c] for c in cols])
+    return buf.getvalue()
+
+
+def _pi_units(v) -> str:
+    if isinstance(v, str):
+        return v
+    return f"{v / np.pi:.6f}*pi"
+
+
+def table_text(rows: list) -> str:
+    header = (f"{'space':36s} {'sys':>14s} {'ratio':>5s} "
+              f"{'c_G(U1)':>14s} {'c_HZ(U1)':>14s} {'c_HZ(D1)':>14s}")
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        lines.append(f"{r['space']:36s} {_pi_units(r['sys']):>14s} "
+                     f"{r['ratio']:5d} {_pi_units(r['c_G_U1']):>14s} "
+                     f"{_pi_units(r['c_HZ_U1']):>14s} "
+                     f"{_pi_units(r['c_HZ_D1']):>14s}")
+    return "\n".join(lines) + "\n"

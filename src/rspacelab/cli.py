@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from . import reporting as rep
+    from . import capacity as cap  # the table path, without the suites
 
     space = args.space
     params = _parse_params(args.params)
@@ -205,9 +205,9 @@ def cmd_report(args) -> int:
                    if d.instantiable and d.id == space]
         if not entries:
             raise _UsageError(f"no catalogue row matches {space!r}")
-    rows = rep.capacity_table(entries)
-    render = {"json": rep.table_json, "csv": rep.table_csv,
-              "text": rep.table_text}[args.format]
+    rows = cap.capacity_table(entries)
+    render = {"json": cap.table_json, "csv": cap.table_csv,
+              "text": cap.table_text}[args.format]
     return _emit(render(rows), args.out)
 
 

@@ -584,14 +584,16 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     critical set together (_descend: descent on the squared bracket merit
     with a Gauss-Newton polish, run in lockstep on stacked coordinates,
     each restart with its own step size and stopping rules).  Each end
-    point must certify a Riemannian gradient of H below 1e-7, else
-    NonConvergence; the ends are then clustered by critical value.
+    point must be finite and certify a Riemannian gradient of H below 1e-7,
+    else NonConvergence; the ends are then clustered by critical value.
     """
     clusters: list[list] = []
     values: list[float] = []
     pts = [base_point(s)] + random_orbit_points(
         s, np.random.SeedSequence(seed).spawn(restarts - 1))
     for crit in _descend(s, pts):
+        if not np.isfinite(crit.value.entries).all():
+            raise NonConvergence("descent ended at a non-finite point")
         gn = riemannian_gradient_norm(crit)
         if gn > 1e-7:
             raise NonConvergence(f"certificate failed, grad norm {gn:.2e}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from . import atlas
 from . import capacity as cap
 from . import finsler as fin
 from . import orbit as ob
+from .capacity import capacity_table, table_csv, table_json, table_text
 from .verify_options import DEFAULT_TOL, SUITE_NAMES
 
 
@@ -78,6 +80,19 @@ def _skip(cid, why):
     """Name a check whose claim is vacuous on a row.  The note goes to
     stderr, so the report itself stays a function of the seed."""
     print(f"rspacelab: skipped {cid}: {why}", file=sys.stderr)
+
+
+def _error(suite, e):
+    """The check record of an exception that escaped a suite.  Where it was
+    raised goes to stderr, so the report stays a function of the seed."""
+    import traceback  # on the error path only
+
+    where = traceback.extract_tb(e.__traceback__)[-1]
+    print(f"rspacelab: suite {suite} raised at "
+          f"{os.path.basename(where.filename)}:{where.lineno}", file=sys.stderr)
+    return {"id": f"{suite}.error", "claim": f"suite {suite} ran to the end",
+            "status": "error", "computed": f"{type(e).__name__}: {e}",
+            "expected": "no exception", "tolerance": 0.0}
 
 
 # cascade triples are complexified, stored as (real, imaginary) pairs
@@ -441,7 +456,8 @@ def _filtered(defaults, space, params):
 
 
 def run_suites(names, seed, space=None, params=None, tol=None) -> dict:
-    """Run the named suites and assemble the report dictionary."""
+    """Run the named suites and assemble the report dictionary; a suite
+    that raises gives one `<suite>.error` record and the rest still run."""
     for n in names:
         if n not in _SUITES:
             raise UnknownSuite(f"unknown suite {n!r}")
@@ -452,7 +468,12 @@ def run_suites(names, seed, space=None, params=None, tol=None) -> dict:
             continue
         fn, defaults = _SUITES[n]
         members = _filtered(defaults, space, params)
-        checks.extend(fn(members, seed + SUITE_OFFSETS[n], tol))
+        try:
+            checks.extend(fn(members, seed + SUITE_OFFSETS[n], tol))
+        except (atlas.UnsupportedRow, atlas.SizeOutOfRange):
+            raise  # a row outside the catalogue is a usage error
+        except Exception as e:
+            checks.append(_error(n, e))
     return {"meta": {"version": __version__, "seed": int(seed)},
             "checks": checks}
 
@@ -489,62 +510,4 @@ def report_text(report: dict) -> str:
     n = len(report["checks"])
     good = sum(c["status"] == "pass" for c in report["checks"])
     lines.append(f"{good}/{n} checks passed (seed {report['meta']['seed']})")
-    return "\n".join(lines) + "\n"
-
-
-# --- capacity summary table --------------------------------------------
-
-def capacity_table(entries=None, seed: int = 0) -> list:
-    """One row per instantiable catalogue entry with the headline numbers.
-
-    The systoles are exact, so seed changes nothing; it is accepted so that
-    callers passing a seed keep working.
-    """
-    rows = []
-    for d in entries if entries is not None else atlas.list_entries():
-        if not d.instantiable:
-            continue
-        s = atlas.instantiate(d)
-        sd = cap.systole_details(s)
-        r = cap.capacities_U(s, sys_flat=sd["systole"])
-        disc = cap.chz_disc(s, sys_flat=sd["systole"])
-        rows.append({"space": d.label,
-                     "sys": float(sd["systole"]),
-                     "ratio": int(r.extras["rank_ratio"]),
-                     "c_G_U1": float(r.c_G),
-                     "c_HZ_U1": float(r.c_HZ),
-                     "c_HZ_D1": disc.c_HZ if isinstance(disc.c_HZ, str)
-                     else float(disc.c_HZ)})
-    return rows
-
-
-def table_json(rows: list) -> str:
-    return json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
-
-
-def table_csv(rows: list) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    cols = ["space", "sys", "ratio", "c_G_U1", "c_HZ_U1", "c_HZ_D1"]
-    w.writerow(cols)
-    for r in rows:
-        w.writerow([r[c] for c in cols])
-    return buf.getvalue()
-
-
-def _pi_units(v) -> str:
-    if isinstance(v, str):
-        return v
-    return f"{v / np.pi:.6f}*pi"
-
-
-def table_text(rows: list) -> str:
-    header = (f"{'space':36s} {'sys':>14s} {'ratio':>5s} "
-              f"{'c_G(U1)':>14s} {'c_HZ(U1)':>14s} {'c_HZ(D1)':>14s}")
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(f"{r['space']:36s} {_pi_units(r['sys']):>14s} "
-                     f"{r['ratio']:5d} {_pi_units(r['c_G_U1']):>14s} "
-                     f"{_pi_units(r['c_HZ_U1']):>14s} "
-                     f"{_pi_units(r['c_HZ_D1']):>14s}")
     return "\n".join(lines) + "\n"

@@ -160,7 +160,9 @@ def run_child(*args):
 @pytest.mark.parametrize("argv", [
     ["atlas", "--space", "sphere", "--params", "30"],
     ["report", "--space", "grassmann_real", "--params", "7,7"],
-], ids=["atlas", "report"])
+    ["verify", "--seed", "1", "--suite", "algebra", "--space", "sphere",
+     "--params", "30"],
+], ids=["atlas", "report", "verify"])
 def test_size_outside_the_window_is_a_usage_error(argv):
     proc = run_child("-m", "rspacelab", *argv)
     assert proc.returncode == cli.EX_USAGE
@@ -255,3 +257,33 @@ def test_size_error_names_the_row(capsys):
     assert code == cli.EX_USAGE and out == ""
     assert err == ("rspacelab: symplectic_group(4) outside the window "
                    "1 <= n <= 3\n")
+
+
+def test_a_suite_that_raises_becomes_an_error_record(capsys, monkeypatch):
+    from rspacelab import reporting as rep
+
+    def broken(spaces, seed, tol):
+        raise ZeroDivisionError("no luck")
+
+    monkeypatch.setitem(rep._SUITES, "roots", (broken, rep._SUITES["roots"][1]))
+    code, out, err = run(capsys, "verify", "--seed", "1", "--suite",
+                         "algebra,roots,capacity", "--space", "sphere",
+                         "--params", "2", "--format", "json")
+    assert code == cli.EX_VERIFY and "Traceback" not in err
+    assert err.startswith("rspacelab: suite roots raised at test_cli.py:")
+    checks = json.loads(out)["checks"]
+    errors = [c for c in checks if c["status"] == "error"]
+    assert errors == [{"id": "roots.error",
+                       "claim": "suite roots ran to the end",
+                       "status": "error",
+                       "computed": "ZeroDivisionError: no luck",
+                       "expected": "no exception", "tolerance": 0.0}]
+    # the suites before and after it still run and pass
+    others = [c for c in checks if c["status"] != "error"]
+    assert {c["id"].split(".")[0] for c in others} == {"algebra", "capacity"}
+    assert {c["status"] for c in others} == {"pass"}
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--suite", "roots",
+                       "--space", "sphere", "--params", "2",
+                       "--format", "text")
+    assert code == cli.EX_VERIFY
+    assert out.startswith("ERROR roots.error  computed=ZeroDivisionError")

@@ -360,6 +360,25 @@ def test_nearby_master_seeds_share_no_restart(monkeypatch):
     assert min(gaps) > 1e-6
 
 
+def test_a_non_finite_descent_end_is_refused(monkeypatch):
+    # the end point never reaches the SVD of the gradient certificate
+    s = _S2[0]
+
+    def nan_ends(s, pts, max_iter=10000):
+        bad = np.full_like(s.xi.entries, np.nan)
+        return [ob.OrbitPoint(space=s, value=al.AlgebraElement(
+            s.g_vee.algebra_id, bad))] + pts[1:]
+
+    def no_svd(pt):
+        raise AssertionError("the certificate ran on a non-finite point")
+
+    monkeypatch.setattr(ob, "_descend", nan_ends)
+    monkeypatch.setattr(ob, "riemannian_gradient_norm", no_svd)
+    with pytest.raises(ob.NonConvergence,
+                       match="descent ended at a non-finite point"):
+        ob.find_critical_points(s, restarts=3, seed=0)
+
+
 @pytest.mark.parametrize("rid,params", [("unitary_group", (2,)),
                                         ("orthogonal_group", (5,))])
 def test_descent_certifies_off_the_benchmark_orbits(rid, params):

@@ -159,10 +159,21 @@ def test_the_cli_never_imports_dataclasses():
 
 
 def test_report_never_imports_numpy_random():
+    # the capacity table path loads neither the suites nor the oracles
     out, imported = _child_imports("report", "--space", "sphere",
                                    "--params", "2")
-    assert "sphere(2)" in out and "rspacelab.reporting" in imported
-    assert "numpy.random" not in imported
+    assert "sphere(2)" in out and "rspacelab.capacity" in imported
+    for name in ("rspacelab.reporting", "rspacelab.orbit",
+                 "rspacelab.finsler", "numpy.random"):
+        assert name not in imported
+
+
+def test_verify_still_loads_the_suites_and_the_oracles():
+    out, imported = _child_imports("verify", "--seed", "1", "--suite",
+                                   "capacity", "--space", "sphere",
+                                   "--params", "2")
+    assert "capacity.systole[sphere(2)]" in out
+    assert {"rspacelab.reporting", "rspacelab.orbit"} <= imported
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
