@@ -66,24 +66,6 @@ class AlgebraElement:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen(self.entries))
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.algebra_id != other.algebra_id:
-            raise AlgebraMismatch(f"{self.algebra_id} vs {other.algebra_id}")
-        return AlgebraElement(self.algebra_id, self.entries + other.entries)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.algebra_id != other.algebra_id:
-            raise AlgebraMismatch(f"{self.algebra_id} vs {other.algebra_id}")
-        return AlgebraElement(self.algebra_id, self.entries - other.entries)
-
-    def __mul__(self, t: float) -> "AlgebraElement":
-        return AlgebraElement(self.algebra_id, self.entries * float(t))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra_id, -self.entries)
-
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebraBasis:

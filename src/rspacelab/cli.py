@@ -98,6 +98,11 @@ def _parse_tol(pairs):
             out[name] = float(value)
         except ValueError:
             raise _UsageError(f"tolerance {name!r} needs a number")
+        # nan or a negative value fails checks that pass, inf or nan
+        # writes a report that is not JSON
+        if not 0.0 <= out[name] < float("inf"):
+            raise _UsageError(f"tolerance {name!r} needs a finite, "
+                              f"non-negative number, got {value!r}")
     return out
 
 

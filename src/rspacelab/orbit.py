@@ -12,7 +12,6 @@ corresponding sphere.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -82,6 +81,8 @@ class InstanceStructure:
     layers and by verify; the flat pair itself lives on the instance."""
 
     sos: rt.StronglyOrthogonalSet
+    torus_gram: np.ndarray           # -B on the cascade torus coords
+    xi_t: np.ndarray                 # xi in the cascade torus coords
     c_orbit: float
     k_alg: al.LieAlgebraBasis
     a_in_k: rt.AbelianSubspace       # s.a_flat's matrices, over k_alg coords
@@ -95,17 +96,16 @@ class InstanceStructure:
 def structure(s: SpaceInstance) -> InstanceStructure:
     g = s.g_vee
     sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
-
-    # squared Killing length of the xi component in one cascade su(2);
-    # every cascade root must give the same number
     bmat = g.killing_matrix
-    xic = g.coords(s.xi)
-    cs = []
-    for tri in sos.triples:
-        v = tri.real_span
-        gram = v @ bmat @ v.T
-        coeff = np.linalg.solve(gram, v @ bmat @ xic)
-        cs.append(float(-coeff @ gram @ coeff))
+    gt = -(sos.torus.basis @ bmat @ sos.torus.basis.T)
+    xi_t = sos.torus.coords_of(g.coords(s.xi))
+
+    # squared Killing length of the xi component in one cascade su(2): xi
+    # projects onto the coroot gt^-1 gamma, with length gamma(xi)^2 /
+    # gamma(gt^-1 gamma), and gamma(xi) = 1 for a noncompact positive root;
+    # every cascade root must give the same number
+    cs = [1.0 / float(gamma @ np.linalg.solve(gt, gamma))
+          for gamma in sos.gammas]
     c_orbit = cs[0]
     assert max(cs) - min(cs) < 1e-8 * max(1.0, c_orbit)
 
@@ -120,7 +120,8 @@ def structure(s: SpaceInstance) -> InstanceStructure:
 
     metric = -bmat / c_orbit
     chol = np.linalg.cholesky(metric)
-    return InstanceStructure(sos=sos, c_orbit=c_orbit, k_alg=k_alg,
+    return InstanceStructure(sos=sos, torus_gram=gt, xi_t=xi_t,
+                             c_orbit=c_orbit, k_alg=k_alg,
                              a_in_k=a_in_k, sigma_roots=sigma_roots,
                              sigma_bar_roots=sigma_bar_roots,
                              metric=metric, metric_chol=chol)
@@ -649,9 +650,7 @@ def critical_ladder(s: SpaceInstance) -> list:
     LMS 14 (1982)).
     """
     st = structure(s)
-    t = st.sos.torus
-    gt = -(t.basis @ s.g_vee.killing_matrix @ t.basis.T)
-    xi_t = t.coords_of(s.g_vee.coords(s.xi))
+    gt, xi_t = st.torus_gram, st.xi_t
     xs = [xi_t]
     for gamma in st.sos.gammas:
         gv = np.linalg.solve(gt, gamma)
@@ -662,56 +661,43 @@ def critical_ladder(s: SpaceInstance) -> list:
                   for x in xs)
 
 
-def _cell_keys(ys: np.ndarray, cell: float, tol: float) -> list:
-    """For each row y of ys, the key of its grid cell, then the keys of the
-    neighbouring cells that a point within tol of y can fall in (across each
-    face that y is that close to).  Cells are centred on multiples of cell."""
-    q = ys / cell
-    base = np.rint(q)
-    off = q - base
-    step = np.where(off > 0.5 - tol / cell, 1,
-                    np.where(off < tol / cell - 0.5, -1, 0))
-    out = []
-    for b, near in zip(base.astype(int).tolist(), step.tolist()):
-        choices = [(0, d) if d else (0,) for d in near]
-        out.append([tuple(x + e for x, e in zip(b, d))
-                    for d in itertools.product(*choices)])
-    return out
+def _weyl_orbit(s: SpaceInstance) -> np.ndarray:
+    """W . xi on the cascade torus, as rows of torus coordinates, from the
+    reflections of xi in the torus roots.
+
+    ad_xi has spectrum {0, +-i} and W permutes the roots, so every root
+    takes a value in {-1, 0, 1} on every point, and these values name the
+    point; the rounded values key the points seen.
+    """
+    st = structure(s)
+    betas = st.sos.roots
+    bvecs = np.linalg.solve(st.torus_gram, betas.T).T
+    # reflection in beta: x -> x - 2 beta(x) / beta(bvec) bvec
+    coef = 2.0 / np.einsum("ri,ri->r", betas, bvecs)
+    seen = {}
+    queue = [st.xi_t[None]]
+    while queue:
+        ys = queue.pop()
+        vals = ys @ betas.T
+        keys = np.rint(vals)
+        assert np.abs(vals - keys).max() < 1e-8, "root value off the integers"
+        for y, key, v in zip(ys, map(tuple, keys.astype(int).tolist()), vals):
+            if key not in seen:
+                seen[key] = y
+                queue.append(y - (coef * v)[:, None] * bvecs)
+    return np.array(list(seen.values()))
 
 
 def weyl_critical_values(s: SpaceInstance) -> list:
     """Frozen enumeration of critical values via root reflections.
 
     The critical set of the pairing meets the torus in the reflection orbit
-    of xi, so the values can be generated without any optimization; the
-    oracle of critical_ladder and of the descent.  Points closer than 1e-8 are one
-    point; the seen points are hashed by grid cell, so each new point is
-    compared with its own and neighbouring cells only.
+    of xi (_weyl_orbit), so the values can be generated without any
+    optimization; the oracle of critical_ladder and of the descent.
     """
     st = structure(s)
-    g = s.g_vee
-    t = st.sos.torus
-    gt = -(t.basis @ g.killing_matrix @ t.basis.T)
-    betas = st.sos.roots
-    bvecs = np.linalg.solve(gt, betas.T).T
-    # reflection in beta: x -> x - 2 beta(x) / beta(bvec) bvec
-    coef = 2.0 / np.einsum("ri,ri->r", betas, bvecs)
-    xi_t = t.coords_of(g.coords(s.xi))
-    cell, tol = 1e-6, 1e-8
-    seen = [xi_t]
-    cells = {_cell_keys(xi_t[None], cell, tol)[0][0]: [xi_t]}
-    queue = [xi_t]
-    while queue:
-        x = queue.pop()
-        ys = x - (coef * (betas @ x))[:, None] * bvecs
-        for y, keys in zip(ys, _cell_keys(ys, cell, tol)):
-            if all(np.linalg.norm(y - z) > tol
-                   for k in keys for z in cells.get(k, ())):
-                cells.setdefault(keys[0], []).append(y)
-                seen.append(y)
-                queue.append(y)
-    vals = sorted(2.0 * np.pi * float(-(xi_t @ gt @ w)) / st.c_orbit
-                  for w in seen)
+    vals = sorted(2.0 * np.pi * float(-(st.xi_t @ st.torus_gram @ w))
+                  / st.c_orbit for w in _weyl_orbit(s))
     out = [vals[0]]
     for v in vals[1:]:
         if v - out[-1] > 1e-6:

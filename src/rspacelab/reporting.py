@@ -21,15 +21,21 @@ import numpy as np
 from . import __version__
 from . import algebra as al
 from . import atlas
-from . import capacity as cap
-from . import finsler as fin
 from . import orbit as ob
-from .capacity import capacity_table, table_csv, table_json, table_text
 from .verify_options import DEFAULT_TOL, SUITE_NAMES
 
 
 class UnknownSuite(ValueError):
     """Suite name outside the published set."""
+
+
+def __getattr__(name):
+    """The capacity table and its renderers, re-exported from capacity;
+    served on first use, so verify loads capacity only for its suite."""
+    if name in ("capacity_table", "table_csv", "table_json", "table_text"):
+        from . import capacity
+        return getattr(capacity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # master seed -> per-suite stream; offsets fixed so partial runs reproduce
@@ -93,21 +99,6 @@ def _error(suite, e):
     return {"id": f"{suite}.error", "claim": f"suite {suite} ran to the end",
             "status": "error", "computed": f"{type(e).__name__}: {e}",
             "expected": "no exception", "tolerance": 0.0}
-
-
-# cascade triples are complexified, stored as (real, imaginary) pairs
-def _cbracket(a, b):
-    return (al.bracket(a[0], b[0]) - al.bracket(a[1], b[1]),
-            al.bracket(a[0], b[1]) + al.bracket(a[1], b[0]))
-
-
-def _cnorm(a) -> float:
-    return float(np.hypot(np.linalg.norm(a[0].entries),
-                          np.linalg.norm(a[1].entries)))
-
-
-def _cdiff(a, b, scale):
-    return (a[0] - scale * b[0], a[1] - scale * b[1])
 
 
 def suite_algebra(spaces, seed, tol):
@@ -178,15 +169,13 @@ def suite_roots(spaces, seed, tol):
             len(sos.gammas) == s.abar.dim, len(sos.gammas),
             int(s.abar.dim), 0.0))
 
+        # relative Frobenius residuals of the complex triples
         res = 0.0
         for t in sos.triples:
-            res = max(res,
-                      _cnorm(_cdiff(_cbracket(t.H, t.X), t.X, 2.0))
-                      / _cnorm(t.X),
-                      _cnorm(_cdiff(_cbracket(t.H, t.Y), t.Y, -2.0))
-                      / _cnorm(t.Y),
-                      _cnorm(_cdiff(_cbracket(t.X, t.Y), t.H, 1.0))
-                      / _cnorm(t.H))
+            for a, b, c, k in ((t.H, t.X, t.X, 2.0), (t.H, t.Y, t.Y, -2.0),
+                               (t.X, t.Y, t.H, 1.0)):
+                res = max(res, float(np.linalg.norm(a @ b - b @ a - k * c)
+                                     / np.linalg.norm(c)))
         checks.append(_check(
             f"roots.sl2[{lab}]",
             "cascade triples satisfy the standard bracket relations",
@@ -329,6 +318,8 @@ def suite_critical(spaces, seed, tol, restarts=50):
 
 
 def suite_capacity(spaces, seed, tol):
+    from . import capacity as cap  # loaded for this suite only
+
     checks = []
     for rid, params in spaces:
         s = atlas.instance(rid, *params)
@@ -394,6 +385,8 @@ def suite_capacity(spaces, seed, tol):
 
 
 def suite_finsler(spaces, seed, tol):
+    from . import finsler as fin  # loaded for this suite only
+
     checks = []
     for rid, params in spaces:
         s = atlas.instance(rid, *params)

@@ -346,16 +346,14 @@ def _is_root(spaces, beta: np.ndarray) -> bool:
 class SL2Triple:
     """An sl2 with [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H.
 
-    Elements are complexified: stored as (real, imaginary) pairs of algebra
-    elements.  real_span rows give the compact real form su(2) inside the
-    ambient algebra, spanned by Re X, Im X, Im H.
+    H, X and Y are complex matrices of the complexified ambient algebra;
+    Re X, Im X and Im H span the compact real form su(2) inside it.
     """
 
-    H: tuple
-    X: tuple
-    Y: tuple
+    H: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
     root: np.ndarray
-    real_span: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,12 +380,7 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: AbelianSubspace,
     v = sp.vectors[:, 0]
     beta = np.array(beta, float)
 
-    def as_matrix(coords_c):
-        re = alg.from_coords(coords_c.real).entries
-        im = alg.from_coords(coords_c.imag).entries
-        return re + 1j * im
-
-    e_mat = as_matrix(v)
+    e_mat = alg.stack_matrices(v.real) + 1j * alg.stack_matrices(v.imag)
     c_mat = e_mat @ np.conj(e_mat) - np.conj(e_mat) @ e_mat  # [E, conj E]
     assert np.abs(c_mat.real).max() < 1e-9  # C = i T0 with T0 real, in the torus
     t0_coords = t.coords_of(alg.coords(c_mat.imag))
@@ -407,18 +400,7 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: AbelianSubspace,
     assert np.abs(comm(h_mat, y_mat) + 2 * y_mat).max() < TOL_SL2
     assert np.abs(comm(x_mat, y_mat) - h_mat).max() < TOL_SL2
 
-    def pack(m):
-        return (alg.element(np.ascontiguousarray(m.real)),
-                alg.element(np.ascontiguousarray(m.imag)))
-
-    real_span = _gram_schmidt([
-        alg.coords(np.ascontiguousarray(x_mat.real)),
-        alg.coords(np.ascontiguousarray(x_mat.imag)),
-        alg.coords(np.ascontiguousarray(h_mat.imag)),
-    ])
-    assert real_span.shape[0] == 3
-    return SL2Triple(H=pack(h_mat), X=pack(x_mat), Y=pack(y_mat),
-                     root=beta, real_span=real_span)
+    return SL2Triple(H=h_mat, X=x_mat, Y=y_mat, root=beta)
 
 
 def cascade_strongly_orthogonal(dec: CartanDecomposition,

@@ -98,6 +98,24 @@ def test_bad_tolerance_syntax_is_a_usage_error(capsys):
     assert code == cli.EX_USAGE
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_a_tolerance_off_the_finite_non_negatives_is_a_usage_error(capsys,
+                                                                   value):
+    # nan and -1 would fail passing checks; inf and nan would write NaN and
+    # Infinity, which are not JSON
+    code, out, err = run(capsys, "verify", "--seed", "5", "--suite", "algebra",
+                         "--space", "sphere", "--params", "2",
+                         "--tol", f"alg={value}")
+    assert code == cli.EX_USAGE and out == ""
+    assert "'alg'" in err and "finite, non-negative" in err
+
+
+def test_a_zero_tolerance_is_accepted(capsys):
+    code, _, _ = run(capsys, "verify", "--seed", "5", "--suite", "roots",
+                     "--space", "sphere", "--params", "2", "--tol", "sl2=0")
+    assert code in (cli.EX_OK, cli.EX_VERIFY)
+
+
 def test_same_seed_reports_are_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -1,5 +1,7 @@
 """Orbit geometry: points, the two-form, momentum, cut shells, descent."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,6 +297,49 @@ def test_reflection_ladder_on_a_large_orbit():
     assert np.allclose(closed, ladder, rtol=0, atol=1e-9)
 
 
+def _chi_quadric(m):
+    """Euler characteristic of the complex quadric Q_m."""
+    return m + 2 if m % 2 == 0 else m + 1
+
+
+# chi(N_C) per row: the torus-fixed points of the orbit are W . xi, so
+# their number is the Euler characteristic; a Hermitian row's orbit is the
+# square of its factor's
+_EULER = {
+    "grassmann_real": lambda p, q: comb(p + q, p),
+    "grassmann_quaternionic": lambda p, q: comb(2 * p + 2 * q, 2 * p),
+    "unitary_group": lambda n: comb(2 * n, n),
+    "orthogonal_group": lambda n: 2 ** (n - 1),
+    "unitary_mod_symplectic": lambda n: 2 ** (2 * n - 1),
+    "symplectic_group": lambda n: 2 ** (2 * n),
+    "unitary_mod_orthogonal": lambda n: 2 ** n,
+    "sphere": _chi_quadric,
+    "quadric_real": lambda p, q: _chi_quadric(p + q),
+    "grassmann_complex_hermitian": lambda p, q: comb(p + q, p) ** 2,
+    "orthogonal_mod_unitary_hermitian": lambda n: 2 ** (2 * n - 2),
+    "symplectic_mod_unitary_hermitian": lambda n: 2 ** (2 * n),
+    "quadric_complex_hermitian": lambda n: _chi_quadric(n) ** 2,
+}
+
+
+@pytest.mark.parametrize("rid,params", _CATALOGUE)
+def test_weyl_orbit_has_euler_characteristic_many_points(rid, params):
+    pts = ob._weyl_orbit(atlas.instance(rid, *params))
+    assert len(pts) == _EULER[rid](*params)
+    # distinct points: the root-value keys named no two alike
+    gaps = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    assert np.all(gaps[np.triu_indices(len(pts), 1)] > 1e-6)
+
+
+def test_a_root_value_off_the_integers_raises(monkeypatch):
+    s = atlas.instance("sphere", 2)
+    st_ = ob.structure(s)
+    moved = ob.InstanceStructure(**{**vars(st_), "xi_t": 1.01 * st_.xi_t})
+    monkeypatch.setattr(ob, "structure", lambda s: moved)
+    with pytest.raises(AssertionError, match="root value off the integers"):
+        ob._weyl_orbit(s)
+
+
 # Morse indices of the clusters of find_critical_points(restarts=50, seed=3)
 # as central differences of H (h = 1e-4, eigenvalues below -1e-5) gave them
 _FD_INDICES = [
@@ -504,7 +549,7 @@ def test_stacked_moment_check_matches_moment_tn(rid, params):
         k_gen = g.from_coords(rng.normal(size=s.k_basis.shape[0]) @ s.k_basis)
         x_pt = ob.transport(ob.base_point(s), k_gen)
         tangent = ob.OrbitTangent(
-            base=x_pt, generator=al.conjugate(-1.0 * x_lift, k_gen),
+            base=x_pt, generator=al.conjugate(s.a_flat.lift(-x_coords), k_gen),
             vector=al.conjugate(al.bracket(x_lift, s.xi), k_gen))
         mu = ob.moment_tn(x_pt, tangent)
         stacked = ob._momentum_tn(s, x_pt.value.entries[None],

@@ -130,7 +130,8 @@ def test_algebra_element_entries_are_read_only():
     assert not e.entries.flags.writeable
     with pytest.raises(ValueError):
         e.entries[0, 0] = 2.0
-    assert (e + e).entries[0, 0] == 2.0 and not (e + e).entries.flags.writeable
+    f = algebra.AlgebraElement("so(2)", 2.0 * m)
+    assert f.entries[0, 0] == 2.0 and not f.entries.flags.writeable
 
 
 def _child_imports(*argv):
@@ -168,12 +169,29 @@ def test_report_never_imports_numpy_random():
         assert name not in imported
 
 
+def test_verify_algebra_roots_loads_neither_capacity_nor_finsler():
+    # each suite loads the layer it runs; these two run neither
+    out, imported = _child_imports("verify", "--seed", "1", "--suite",
+                                   "algebra,roots", "--space", "sphere",
+                                   "--params", "2")
+    assert "roots.sl2[sphere(2)]" in out
+    assert {"rspacelab.reporting", "rspacelab.orbit"} <= imported
+    assert not {"rspacelab.capacity", "rspacelab.finsler"} & imported
+
+
 def test_verify_still_loads_the_suites_and_the_oracles():
     out, imported = _child_imports("verify", "--seed", "1", "--suite",
                                    "capacity", "--space", "sphere",
                                    "--params", "2")
     assert "capacity.systole[sphere(2)]" in out
     assert {"rspacelab.reporting", "rspacelab.orbit"} <= imported
+
+
+def test_readme_states_the_line_count_of_src():
+    # the count `wc -l src/rspacelab/*.py` prints, as the README gives it
+    lines = sum(p.read_text().count("\n") for p in SRC.glob("*.py"))
+    readme = (ROOT / "README.md").read_text()
+    assert f"`src/` holds {lines:,} lines of Python." in readme
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

@@ -70,22 +70,13 @@ def test_cascade_triples_satisfy_sl2_relations():
     sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
 
     def cb(a, b):
-        return (al.bracket(a[0], b[0]) - al.bracket(a[1], b[1]),
-                al.bracket(a[0], b[1]) + al.bracket(a[1], b[0]))
+        return a @ b - b @ a
 
-    def cn(a):
-        return np.hypot(np.linalg.norm(a[0].entries),
-                        np.linalg.norm(a[1].entries))
-
+    cn = np.linalg.norm  # Frobenius norm of a complex matrix
     for t in sos.triples:
-        hx = cb(t.H, t.X)
-        assert cn((hx[0] - 2.0 * t.X[0], hx[1] - 2.0 * t.X[1])) \
-            < 1e-8 * cn(t.X)
-        hy = cb(t.H, t.Y)
-        assert cn((hy[0] + 2.0 * t.Y[0], hy[1] + 2.0 * t.Y[1])) \
-            < 1e-8 * cn(t.Y)
-        xy = cb(t.X, t.Y)
-        assert cn((xy[0] - t.H[0], xy[1] - t.H[1])) < 1e-8 * cn(t.H)
+        assert cn(cb(t.H, t.X) - 2.0 * t.X) < 1e-8 * cn(t.X)
+        assert cn(cb(t.H, t.Y) + 2.0 * t.Y) < 1e-8 * cn(t.Y)
+        assert cn(cb(t.X, t.Y) - t.H) < 1e-8 * cn(t.H)
 
 
 def test_strongly_orthogonal_sums_are_not_roots():
