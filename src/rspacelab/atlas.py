@@ -403,8 +403,8 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     l = intersect_rows(k, p_vee)
     h = intersect_rows(k, tdec.k_basis)
     assert l.shape[0] + h.shape[0] == k.shape[0]
-    a_flat = rt.find_maximal_abelian(rt.Subspace(g, l, "l"))
-    abar = rt.find_maximal_abelian(rt.Subspace(g, p_vee, "p_vee"),
+    a_flat = rt.find_maximal_abelian(rt.Subspace(g, l))
+    abar = rt.find_maximal_abelian(rt.Subspace(g, p_vee),
                                    must_contain=a_flat.basis)
     return SpaceInstance(descriptor=d, g_vee=g, theta=theta, sigma=sigma,
                          xi=xi, k_basis=k, h_basis=h, l_basis=l,

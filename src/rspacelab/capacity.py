@@ -83,7 +83,8 @@ def _active_weights(s: SpaceInstance) -> np.ndarray:
     """Every nonzero joint ad frequency on the flat whose eigenvector
     overlaps xi, one row per eigenvector; alpha and 2 alpha both stay."""
     g = s.g_vee
-    alphas, vecs = rt._joint_eigen(g, s.a_flat.basis)
+    alphas, vecs = rt._joint_eigen([al.ad_from_coords(g, row)
+                                    for row in s.a_flat.basis])
     xc = g.coords(s.xi)
     overlap = np.abs(np.conj(vecs.T) @ xc) ** 2 > 1e-12 * (xc @ xc)
     nonzero = np.linalg.norm(alphas, axis=1) > 1e-9
@@ -144,11 +145,6 @@ def _shortest_in_box(lat: dict, box) -> tuple:
     q[~closes] = np.inf
     best = int(np.argmin(q))
     return zs[best], float(np.sqrt(q[best])), len(zs)
-
-
-def systole_flat(s: SpaceInstance) -> float:
-    """Shortest closed orbit geodesic through xi in the flat metric."""
-    return systole_details(s)["systole"]
 
 
 def systole_details(s: SpaceInstance) -> dict:
@@ -230,8 +226,7 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
 # capacities of the unit sphere bundle
 
 
-def capacities_U(s: SpaceInstance,
-                 sys_flat: float | None = None) -> CapacityReport:
+def capacities_U(s: SpaceInstance, sys_flat: float) -> CapacityReport:
     """Gromov and Hofer-Zehnder capacity of U_1 N by the rank dichotomy.
 
     The normalized side (reference systole 2 pi) satisfies
@@ -241,8 +236,6 @@ def capacities_U(s: SpaceInstance,
     """
     ctx = NormalizationContext()
     ratio = rank_ratio(s)
-    if sys_flat is None:
-        sys_flat = systole_flat(s)
     if ratio == 2:
         value_flat = sys_flat
         value_norm = ctx.sys_reference
@@ -266,8 +259,7 @@ def capacities_U(s: SpaceInstance,
                 "deck_flagged": bool(flagged)})
 
 
-def chz_disc(s: SpaceInstance,
-             sys_flat: float | None = None) -> CapacityReport:
+def chz_disc(s: SpaceInstance, sys_flat: float) -> CapacityReport:
     """Hofer-Zehnder capacity of the unit disc bundle, where known.
 
     Simply connected rows use the systole; real projective spaces double
@@ -275,8 +267,6 @@ def chz_disc(s: SpaceInstance,
     Other fundamental groups are reported as unknown.
     """
     d = s.descriptor
-    if sys_flat is None:
-        sys_flat = systole_flat(s)
     if d.table_pi1 == "trivial":
         val, tag = sys_flat, "disc_simply_connected"
         formula = "c_HZ(D1) = sys (simply connected)"

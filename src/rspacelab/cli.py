@@ -54,7 +54,8 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="run invariant suites")
     v.add_argument("--seed", type=int, required=True,
-                   help="master seed; per-suite seeds are fixed offsets")
+                   help="master seed, a non-negative integer; per-suite "
+                        "seeds are fixed offsets")
     v.add_argument("--suite", action="append",
                    help="suite name, repeatable or comma separated "
                         f"(default: all of {', '.join(SUITE_NAMES)})")
@@ -168,12 +169,16 @@ def _parse_suites(items):
     names = []
     for item in items:
         names.extend(t.strip() for t in item.split(",") if t.strip())
+    if not names:  # running nothing would pass the gate unevaluated
+        raise _UsageError(f"--suite names no suite in {items!r}")
     return names
 
 
 def cmd_verify(args) -> int:
     from . import reporting as rep  # atlas never loads the suites
 
+    if args.seed < 0:  # numpy refuses a negative seed + suite offset
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     suites = _parse_suites(args.suite)
     space = args.space
     known = set(atlas._ROWS) | set(rep._DELTA_MODELS)

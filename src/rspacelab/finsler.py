@@ -16,7 +16,6 @@ import numpy as np
 
 from . import algebra as al
 from . import orbit as ob
-from . import roots as rt
 from ._record import dataclass
 from .atlas import SpaceInstance
 
@@ -42,12 +41,12 @@ class FinslerNorm:
     def singular_values(self, u) -> np.ndarray:
         """Singular values of ad_a on k for one flat vector u, or one row of
         them per vector of a stack, computed in stacked blocks."""
-        st = ob.structure(self.space)
-        xs = np.atleast_2d(np.asarray(u, float)) @ st.a_in_k.basis
-        d = st.k_alg.dim
-        sv = np.empty((len(xs), d))
-        for b in al.sample_blocks(len(xs), d * d):
-            adx = al.ad_from_coords(st.k_alg, xs[b])
+        ads = ob.structure(self.space).flat_ad_k
+        us = np.atleast_2d(np.asarray(u, float))
+        r, d = ads.shape[:2]
+        sv = np.empty((len(us), d))
+        for b in al.sample_blocks(len(us), d * d):
+            adx = (us[b] @ ads.reshape(r, d * d)).reshape(-1, d, d)
             sv[b] = np.abs(np.linalg.eigvalsh(1j * adx))
         return sv if np.ndim(u) > 1 else sv[0]
 

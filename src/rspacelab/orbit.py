@@ -84,8 +84,7 @@ class InstanceStructure:
     torus_gram: np.ndarray           # -B on the cascade torus coords
     xi_t: np.ndarray                 # xi in the cascade torus coords
     c_orbit: float
-    k_alg: al.LieAlgebraBasis
-    a_in_k: rt.AbelianSubspace       # s.a_flat's matrices, over k_alg coords
+    flat_ad_k: np.ndarray            # ad of s.a_flat's basis on s.k_basis rows
     sigma_roots: rt.RestrictedRootSystem   # roots of (k, a_flat)
     sigma_bar_roots: rt.RestrictedRootSystem  # roots of (g, abar)
     metric: np.ndarray               # -B/c on g coordinates
@@ -109,27 +108,21 @@ def structure(s: SpaceInstance) -> InstanceStructure:
     c_orbit = cs[0]
     assert max(cs) - min(cs) < 1e-8 * max(1.0, c_orbit)
 
-    k_alg = al.subalgebra(g, s.k_basis, "k")
-    # the flat of l, in k coordinates
-    a_rows_k = np.array([k_alg.coords(s.a_flat.lift(e).entries)
-                         for e in np.eye(s.a_flat.dim)])
-    a_in_k = rt.AbelianSubspace(
-        ambient=rt.Subspace(k_alg, np.eye(k_alg.dim), "k"), basis=a_rows_k)
-    sigma_roots = rt.compute_restricted_roots(k_alg, a_in_k)
-    sigma_bar_roots = rt.compute_restricted_roots(g, s.abar)
+    # k is ad-invariant under the flat, so ad on k is the ambient ad
+    # compressed to the orthonormal rows of k
+    k = s.k_basis
+    flat_ad_k = k @ al.ad_from_coords(g, s.a_flat.basis) @ k.T
+    sigma_roots = rt.compute_restricted_roots(flat_ad_k, s.a_flat)
+    sigma_bar_roots = rt.compute_restricted_roots(
+        al.ad_from_coords(g, s.abar.basis), s.abar)
 
     metric = -bmat / c_orbit
     chol = np.linalg.cholesky(metric)
     return InstanceStructure(sos=sos, torus_gram=gt, xi_t=xi_t,
-                             c_orbit=c_orbit, k_alg=k_alg,
-                             a_in_k=a_in_k, sigma_roots=sigma_roots,
+                             c_orbit=c_orbit, flat_ad_k=flat_ad_k,
+                             sigma_roots=sigma_roots,
                              sigma_bar_roots=sigma_bar_roots,
                              metric=metric, metric_chol=chol)
-
-
-def calibration(s: SpaceInstance) -> float:
-    """The orbit scale c with metric -B/c."""
-    return structure(s).c_orbit
 
 
 def inner(s: SpaceInstance, x: al.AlgebraElement, y: al.AlgebraElement) -> float:
@@ -426,19 +419,18 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     xs = np.array(xs).reshape(-1, s.a_flat.dim)
     ks = np.array(ks).reshape(-1, s.k_basis.shape[0])
 
-    xi = s.xi.entries
-    n, kd = g.size, st.k_alg.dim
+    xi, k = s.xi.entries, s.k_basis
     lam = np.empty(len(xs))
-    for b in al.sample_blocks(len(xs), n * n + kd * kd):
+    for b in al.sample_blocks(len(xs), g.size ** 2 + g.dim ** 2):
         x_lift = g.stack_matrices(xs[b] @ s.a_flat.basis)
-        rot = al.expm_skew(g.stack_matrices(ks[b] @ s.k_basis))
+        rot = al.expm_skew(g.stack_matrices(ks[b] @ k))
         rot_t = rot.swapaxes(-1, -2)
         # Ad(exp k_gen) of the point xi and of the velocity [X, xi]
         pts = rot @ xi @ rot_t
         vel = rot @ (x_lift @ xi - xi @ x_lift) @ rot_t
-        mu_k = st.k_alg.stack_coords(_momentum_tn(s, pts, vel))
-        ad = rt.ad_from_coords(st.k_alg, mu_k)
-        lam[b] = np.abs(np.linalg.eigvalsh(1j * ad)).max(axis=-1)
+        mu = g.stack_coords(_momentum_tn(s, pts, vel))
+        ad_k = k @ al.ad_from_coords(g, mu) @ k.T
+        lam[b] = np.abs(np.linalg.eigvalsh(1j * ad_k)).max(axis=-1)
     target = np.abs(xs @ covs.T).max(axis=1, initial=0.0)
     inside = lam < r
     return {"interior_pass": int(np.sum(inside & interior)),

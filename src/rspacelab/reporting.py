@@ -150,7 +150,7 @@ def suite_roots(spaces, seed, tol):
         checks.append(_check(
             f"roots.count[{lab}]",
             "root multiplicities and the zero space fill the algebra",
-            total == st.k_alg.dim, int(total), int(st.k_alg.dim), 0.0))
+            total == len(s.k_basis), int(total), len(s.k_basis), 0.0))
 
         covs = [r.covector for r in st.sigma_roots.roots]
         worst = 0.0

@@ -52,7 +52,6 @@ class Subspace:
 
     alg: LieAlgebraBasis
     coords: np.ndarray
-    tag: str = ""
 
     @property
     def dim(self) -> int:
@@ -60,7 +59,7 @@ class Subspace:
 
 
 def k_side(dec: CartanDecomposition) -> Subspace:
-    return Subspace(dec.alg, dec.k_basis, "k")
+    return Subspace(dec.alg, dec.k_basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,25 +181,21 @@ def find_maximal_abelian(side: Subspace, must_contain: Sequence = (),
     return AbelianSubspace(ambient=side, basis=basis)
 
 
-def rank_of(a: AbelianSubspace) -> int:
-    return a.dim
-
-
 # ---------------------------------------------------------------------------
 # joint eigendata and clustering
 
 
-def _joint_eigen(alg: LieAlgebraBasis, rows: np.ndarray, attempts: int = 5):
-    """Simultaneous eigendata of the commuting family {ad_h : h in rows}.
+def _joint_eigen(ads, attempts: int = 5):
+    """Simultaneous eigendata of a commuting family of antisymmetric ad
+    matrices, a sequence or a (count, dim, dim) stack.
 
     Diagonalizes one fixed generic combination, its weights shifted by one
     prime per attempt, and accepts the eigenvectors once every member of the
     family is diagonal on them to 1e-8.
 
-    Returns (alphas, vecs): alphas[m, j] is the frequency of ad_{rows[j]} on
-    eigenvector column vecs[:, m], meaning ad_h v = i alpha(h) v.
+    Returns (alphas, vecs): alphas[m, j] is the frequency of ads[j] on
+    eigenvector column vecs[:, m], meaning ads[j] v = i alpha v.
     """
-    ads = [ad_from_coords(alg, row) for row in rows]
     last = None
     for attempt in range(attempts):
         cvec = generic_weights(len(ads), attempt)
@@ -267,15 +262,16 @@ class RestrictedRootSystem:
         return np.array([r.covector @ v for r in self.roots])
 
 
-def compute_restricted_roots(alg: LieAlgebraBasis,
+def compute_restricted_roots(ads: np.ndarray,
                              a: AbelianSubspace) -> RestrictedRootSystem:
-    """Joint ad spectrum of a's basis, clustered into restricted roots.
+    """Joint spectrum of ads, the (rank, dim, dim) stack of ad of a's basis
+    on an ad-invariant space, clustered into restricted roots.
 
     Multiplicities count complex joint eigenvectors, so they sum (with the
-    zero multiplicity) to the ambient real dimension, and
-    -B(x, x) = sum over roots of mult * alpha(x)^2 holds exactly.
+    zero multiplicity) to the dimension of that space, and the trace form
+    -tr(ad_x^2) there is the sum over roots of mult * alpha(x)^2.
     """
-    alphas, _ = _joint_eigen(alg, a.basis)
+    alphas, _ = _joint_eigen(ads)
     centers, groups = _cluster_covectors(alphas)
     roots = []
     zero_mult = 0
@@ -289,7 +285,7 @@ def compute_restricted_roots(alg: LieAlgebraBasis,
         match = [s for s in roots
                  if np.abs(s.covector + r.covector).max() <= 10 * TOL_ROOT]
         assert match and match[0].multiplicity == r.multiplicity
-    assert sum(r.multiplicity for r in roots) + zero_mult == alg.dim
+    assert sum(r.multiplicity for r in roots) + zero_mult == ads.shape[-1]
     return RestrictedRootSystem(subspace=a, roots=roots,
                                 zero_multiplicity=zero_mult)
 
@@ -319,7 +315,7 @@ class ComplexRootSpace:
 
 
 def complex_root_spaces(alg: LieAlgebraBasis, t: AbelianSubspace):
-    alphas, vecs = _joint_eigen(alg, t.basis)
+    alphas, vecs = _joint_eigen(ad_from_coords(alg, t.basis))
     centers, groups = _cluster_covectors(alphas)
     out = []
     for center, g in zip(centers, groups):

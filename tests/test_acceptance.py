@@ -108,7 +108,7 @@ def test_criterion_5_capacity_calculator():
             s = atlas.instance(d.id, *d.params)
         except atlas.UnsupportedRow:
             continue
-        sys_flat = cap.systole_flat(s)
+        sys_flat = cap.systole_details(s)["systole"]
         u1 = cap.capacities_U(s, sys_flat=sys_flat)
         ratio = u1.extras["rank_ratio"]
         want = sys_flat * (1.0 if ratio == 2 else 2.0)

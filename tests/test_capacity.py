@@ -11,6 +11,10 @@ from rspacelab import reporting as rep
 
 SQRT2PI = np.sqrt(2.0) * np.pi
 
+
+def _sys(s):
+    return cap.systole_details(s)["systole"]
+
 PINS = [
     ("sphere", (2,), 2.0 * np.pi),
     ("sphere", (3,), 2.0 * np.pi),
@@ -41,7 +45,8 @@ PINS = [
 
 @pytest.mark.parametrize("rid,params,want", PINS)
 def test_pinned_systoles(rid, params, want):
-    assert abs(cap.systole_flat(atlas.instance(rid, *params)) - want) <= 1e-9 * want
+    sys_flat = cap.systole_details(atlas.instance(rid, *params))["systole"]
+    assert abs(sys_flat - want) <= 1e-9 * want
 
 
 @pytest.mark.parametrize("rid,params", [("sphere", (2,)),
@@ -131,7 +136,7 @@ def test_flat_metric_scale_per_family():
 ])
 def test_capacity_dichotomy(rid, params):
     s = atlas.instance(rid, *params)
-    r = cap.capacities_U(s)
+    r = cap.capacities_U(s, _sys(s))
     assert abs(r.extras["cross_check_normalized"] - 4.0 * np.pi) < 1e-9
     assert r.c_G == r.c_HZ
     ratio = r.extras["rank_ratio"]
@@ -147,7 +152,8 @@ def test_deck_flags_fire_exactly_on_shortened_systoles():
                         ("symplectic_group", (1,)),
                         ("quadric_real", (1, 2)), ("quadric_real", (2, 2)),
                         ("grassmann_real", (1, 2))]:
-        r = cap.capacities_U(atlas.instance(rid, *params))
+        s = atlas.instance(rid, *params)
+        r = cap.capacities_U(s, _sys(s))
         flagged[(rid, params)] = r.extras["deck_flagged"]
     assert not flagged[("sphere", (2,))]
     assert not flagged[("unitary_group", (2,))]
@@ -167,14 +173,15 @@ def test_deck_flags_fire_exactly_on_shortened_systoles():
 ])
 def test_disc_capacity_dispatch(rid, params, tag, factor):
     s = atlas.instance(rid, *params)
-    d = cap.chz_disc(s)
+    d = cap.chz_disc(s, _sys(s))
     assert d.case_tag == tag
     assert abs(d.c_HZ - factor * d.extras["sys_flat"]) < 1e-9
 
 
 def test_disc_capacity_unknown_cases():
     for rid, params in [("unitary_group", (2,)), ("grassmann_real", (2, 2))]:
-        d = cap.chz_disc(atlas.instance(rid, *params))
+        s = atlas.instance(rid, *params)
+        d = cap.chz_disc(s, _sys(s))
         assert d.case_tag == "disc_unknown"
         assert d.c_HZ == "unknown"
 

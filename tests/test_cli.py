@@ -56,6 +56,22 @@ def test_verify_rejects_unknown_suite(capsys):
     assert code == cli.EX_USAGE and "nope" in err
 
 
+@pytest.mark.parametrize("suite", [",", ""])
+def test_verify_rejects_an_empty_suite_list(capsys, suite):
+    code, out, err = run(capsys, "verify", "--seed", "1", "--suite", suite)
+    assert code == cli.EX_USAGE and "--suite" in err and out == ""
+
+
+@pytest.mark.parametrize("seed,code", [("-1", cli.EX_USAGE),
+                                       ("-100", cli.EX_USAGE),
+                                       ("0", cli.EX_OK)])
+def test_verify_seed_must_be_non_negative(capsys, seed, code):
+    got, _, err = run(capsys, "verify", "--seed", seed, "--suite", "roots",
+                      "--space", "sphere", "--params", "2")
+    assert got == code
+    assert ("--seed" in err) == (code == cli.EX_USAGE)
+
+
 def test_verify_rejects_unknown_space(capsys):
     code, _, _ = run(capsys, "verify", "--seed", "1", "--space", "nope")
     assert code == cli.EX_USAGE

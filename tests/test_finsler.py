@@ -124,9 +124,12 @@ def test_spectral_norm_matches_largest_root_value():
 # --- block evaluation against the per-sample loops ------------------------
 
 def _loop_norm(s, p, u):
-    """F_p(u) from one ad matrix of the lifted flat vector."""
-    st_ = ob.structure(s)
-    adx = al.ad_operator(st_.k_alg, st_.a_in_k.lift(u))
+    """F_p(u) from one ad matrix of the lifted flat vector, built from the
+    commutators [x, k_i] projected on the k rows."""
+    g = s.g_vee
+    x = s.a_flat.lift(u).entries
+    ks = g.stack_matrices(s.k_basis)
+    adx = s.k_basis @ g.stack_coords(x @ ks - ks @ x).T
     sv = np.abs(np.linalg.eigvalsh(1j * adx))
     return sv.max() if np.isinf(p) else (sv ** p).sum() ** (1.0 / p)
 

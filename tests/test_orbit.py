@@ -12,6 +12,7 @@ from rspacelab import atlas
 from rspacelab import orbit as ob
 from rspacelab import reporting as rep
 from rspacelab.reporting import _STRUCTURAL_SPACES
+from rspacelab.verify_options import DEFAULT_TOL
 
 _S2 = [atlas.instantiate(atlas.descriptor("sphere", 2))]
 
@@ -24,6 +25,35 @@ def test_structure_is_cached_per_instance():
     assert fresh.abar.dim == s.abar.dim
 
 
+def test_structure_builds_no_second_algebra(monkeypatch):
+    # ad on k is the ambient ad compressed to the k rows; no subalgebra
+    s = atlas.instantiate(atlas.descriptor("grassmann_complex_hermitian", 1, 2))
+    calls = []
+    build = al._structure_data
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(al, "_structure_data", counted)
+    st_ = ob.structure(s)
+    assert calls == []
+    assert not any(isinstance(v, al.LieAlgebraBasis) for v in vars(st_).values())
+    k = len(s.k_basis)
+    assert st_.flat_ad_k.shape == (s.a_flat.dim, k, k)
+
+
+def test_structure_suites_pass_on_every_catalogue_row():
+    # the roots, orbit and Finsler suites read ad on k through structure
+    tol = dict(DEFAULT_TOL)
+    rows = atlas._DEFAULT_SWEEP
+    checks = (rep.suite_roots(rows, 1, tol) + rep.suite_orbit(rows, 2, tol)
+              + rep.suite_finsler(rows, 3, tol))
+    assert [c["id"] for c in checks if c["status"] != "pass"] == []
+    counted = {c["id"] for c in checks if c["id"].startswith("roots.count")}
+    assert len(counted) == len(rows) == 23
+
+
 def test_calibration_hand_values():
     # scale c with metric -B/c, set by the cascade sl2 of the ambient orbit
     for rid, params, c in [("grassmann_real", (1, 1), 2.0),
@@ -31,7 +61,8 @@ def test_calibration_hand_values():
                            ("sphere", (2,), 2.0),
                            ("sphere", (3,), 3.0),
                            ("grassmann_real", (1, 2), 3.0)]:
-        assert abs(ob.calibration(atlas.instance(rid, *params)) - c) < 1e-9
+        assert abs(ob.structure(atlas.instance(rid, *params)).c_orbit
+                   - c) < 1e-9
 
 
 def test_transport_stays_on_the_orbit():
@@ -527,6 +558,13 @@ def test_cut_oracle_refuses_a_foreign_instance():
         ob.cut_locus_oracle_check("torus", atlas.instance("grassmann_real", 1, 1))
 
 
+def _ad_on_k(s, x):
+    """ad of the matrix x on k, from the commutators [x, k_i] projected on
+    the k rows; independent of the structure constants."""
+    ks = s.g_vee.stack_matrices(s.k_basis)
+    return s.k_basis @ s.g_vee.stack_coords(x @ ks - ks @ x).T
+
+
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
 def test_stacked_moment_check_matches_moment_tn(rid, params):
     s = atlas.instance(rid, *params)
@@ -556,7 +594,7 @@ def test_stacked_moment_check_matches_moment_tn(rid, params):
                                   tangent.vector.entries[None])[0]
         assert _rel(stacked, mu.entries) <= 1e-12
         lam = np.abs(np.linalg.eigvalsh(
-            1j * al.ad_operator(st_.k_alg, mu))).max()
+            1j * _ad_on_k(s, mu.entries))).max()
         worst = max(worst, abs(lam - np.abs(covs @ x_coords).max()))
         side = "interior" if interior else "exterior"
         ref[f"{side}_total"] += 1
