@@ -168,57 +168,70 @@ def systole_details(s: SpaceInstance) -> dict:
 def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
                         t_max: float = 30.0, grid: int = 60000) -> float:
     """Brute-force first recurrence time of the orbit curve along a
-    direction, refined by bisection; independent of the frequency logic."""
+    direction; independent of the frequency logic.
+
+    The grid is walked block by block and each block is searched for dips
+    as soon as it is computed; a dip is refined by ternary search, and the
+    scan stops at the first one that is a true recurrence.
+    """
     x = s.a_flat.lift(np.asarray(direction, float))
     xi_m = s.xi.entries
+    flow = al.skew_flow(x.entries)  # one decomposition serves every t
     ts = np.linspace(0.0, t_max, grid + 1)[1:]
     # rot^k for k = 1..block by doubling, then block by block from rot^block
     block = min(grid, 1024)
-    pows = al.expm_skew(x.entries * (t_max / grid))[None]
+    pows = flow(t_max / grid)[None]
     while len(pows) < block:
         pows = np.concatenate([pows, pows[-1] @ pows])
     pows = pows[:block]
-    dists = np.empty(grid)
-    base = np.eye(len(xi_m))
-    for start in range(0, grid, block):
-        r = base @ pows[:grid - start]
-        moved = r @ xi_m @ r.transpose(0, 2, 1)
-        dists[start:start + len(r)] = np.abs(moved - xi_m).max(axis=(1, 2))
-        base = r[-1]
     scale = np.abs(xi_m).max()
 
     def dist(t):
-        r = al.expm_skew(x.entries * t)
+        r = flow(t)
         return np.abs(r @ xi_m @ r.T - xi_m).max()
 
     v = al.bracket(x, s.xi)
     speed = np.sqrt(-al.killing(s.g_vee, v, v) / c_model(s))
 
-    below = dists < 1e-2 * scale
-    risen = np.nonzero(dists > 0.1 * scale)[0]
-    if len(risen) == 0:
-        return np.inf
-    i = int(risen[0])  # skip the departure basin around t = 0
-    while i < len(ts):
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(ts) and below[j + 1]:
-            j += 1
-        lo = ts[i - 1] if i > 0 else 0.0
-        hi = ts[j + 1] if j + 1 < len(ts) else ts[j]
-        for _ in range(80):  # ternary search on the V-shaped dip
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if dist(m1) < dist(m2):
-                hi = m2
-            else:
-                lo = m1
-        t_star = 0.5 * (lo + hi)
-        if dist(t_star) < 1e-6 * scale:  # true recurrence, not a near miss
-            return float(t_star * speed)
-        i = j + 1
+    base = np.eye(len(xi_m))
+    left = False  # the curve has left the departure basin around t = 0
+    run = None  # first index of a dip still open at the end of the last block
+    for start in range(0, grid, block):
+        r = base @ pows[:grid - start]
+        moved = r @ xi_m @ r.transpose(0, 2, 1)
+        dists = np.abs(moved - xi_m).max(axis=(1, 2))
+        base, stop = r[-1], start + len(r)
+        off = 0
+        if not left:
+            risen = np.flatnonzero(dists > 0.1 * scale)
+            if len(risen) == 0:
+                continue
+            left, off = True, int(risen[0])
+        # +1 where a dip starts, -1 one past where it ends
+        edge = np.diff((dists[off:] < 1e-2 * scale).astype(np.int8),
+                       prepend=int(run is not None), append=0)
+        starts = np.flatnonzero(edge > 0) + start + off
+        ends = np.flatnonzero(edge < 0) + start + off - 1
+        if run is not None:
+            starts = np.r_[run, starts]
+        run = None
+        for i, j in zip(starts.tolist(), ends.tolist()):
+            if j + 1 == stop and stop < grid:
+                run = i  # the dip goes on into the next block
+                break
+            # a dip starts after the curve has risen, so i >= 1
+            lo = ts[i - 1]
+            hi = ts[j + 1] if j + 1 < grid else ts[j]
+            for _ in range(80):  # ternary search on the V-shaped dip
+                m1 = lo + (hi - lo) / 3
+                m2 = hi - (hi - lo) / 3
+                if dist(m1) < dist(m2):
+                    hi = m2
+                else:
+                    lo = m1
+            t_star = 0.5 * (lo + hi)
+            if dist(t_star) < 1e-6 * scale:  # true recurrence, not a near miss
+                return float(t_star * speed)
     return np.inf
 
 

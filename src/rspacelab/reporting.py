@@ -311,7 +311,8 @@ def suite_critical(spaces, seed, tol, restarts=50):
                 for c in rep["values"]]
         checks.append(_check(
             f"critical.indices[{lab}]",
-            "all descent indices are even",
+            "each descent index is the ladder's index at its level, "
+            "and every index is even",
             rep["indices"] == want and all(i % 2 == 0 for i in want),
             list(rep["indices"]), want, 0.0))
     return checks

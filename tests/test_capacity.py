@@ -58,6 +58,46 @@ def test_scan_oracle_agrees_with_frequency_systole(rid, params):
     d = cap.systole_details(s)
     scan = cap.systole_scan_oracle(s, np.asarray(d["direction"]))
     assert abs(scan - d["systole"]) < 1e-6 * d["systole"]
+    # the ternary refinement lands on the recurrence to rounding
+    assert abs(scan - d["systole"]) <= 1e-12 * d["systole"]
+
+
+def test_scan_oracle_walks_the_whole_grid_when_nothing_recurs():
+    # an irrational slope on the torus of quadric_real(1,2) never closes
+    q = atlas.instance("quadric_real", 1, 2)
+    irrational = np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0)
+    assert cap.systole_scan_oracle(q, irrational) == np.inf
+    # the sphere closes at t = 2 pi sqrt 2, past a window of 5
+    s = atlas.instance("sphere", 2)
+    d = cap.systole_details(s)
+    assert cap.systole_scan_oracle(s, d["direction"], t_max=5.0) == np.inf
+
+
+# the grid points on either side of the edge between blocks 16 and 17 of
+# 1024 points both lie in the dip at t ~ 8.868-8.904, which bottoms out at
+# t ~ 8.886: after the edge (t ~ 8.878) for 30.6, before it (~ 8.896) for 30.66
+@pytest.mark.parametrize("t_max", [30.6, 30.66])
+def test_scan_oracle_follows_a_dip_across_a_block_edge(t_max):
+    s = atlas.instance("sphere", 2)
+    d = cap.systole_details(s)
+    grid, edge = 60000, 17 * 1024
+    ts = np.linspace(0.0, t_max, grid + 1)[1:]
+    flow = al.skew_flow(s.a_flat.lift(d["direction"]).entries)
+    xi = s.xi.entries
+    for t in ts[edge - 1:edge + 1]:
+        r = flow(t)
+        assert np.abs(r @ xi @ r.T - xi).max() < 1e-2 * np.abs(xi).max()
+    scan = cap.systole_scan_oracle(s, d["direction"], t_max=t_max, grid=grid)
+    assert abs(scan - d["systole"]) <= 1e-12 * d["systole"]
+
+
+def test_scan_oracle_finds_a_late_recurrence():
+    # slope 1/2 first closes as the plain winding (2, 1), of length
+    # 2 pi sqrt 5, past the midpoint of the grid
+    q = atlas.instance("quadric_real", 1, 2)
+    u = np.array([1.0, 0.5]) / np.hypot(1.0, 0.5)
+    want = 2.0 * np.pi * np.sqrt(5.0)
+    assert abs(cap.systole_scan_oracle(q, u) - want) <= 1e-12 * want
 
 
 def test_systole_pins_cover_the_catalogue():

@@ -139,8 +139,8 @@ def test_height_minimum_at_the_base_point():
     cp1 = atlas.instantiate(atlas.descriptor("grassmann_real", 1, 1))
     h0 = ob.hamiltonian(ob.base_point(cp1))
     assert abs(h0 + 2.0 * np.pi) < 1e-9
-    vals = [ob.hamiltonian(ob.random_orbit_point(cp1, 10_000 + i))
-            for i in range(10_000)]
+    pts = ob.random_orbit_points(cp1, [10_000 + i for i in range(10_000)])
+    vals = [ob.hamiltonian(x) for x in pts]
     assert min(vals) >= h0 - 1e-9
     # the full spread of the projective line is one step of the ladder
     assert max(vals) <= h0 + 4.0 * np.pi + 1e-9

@@ -169,6 +169,14 @@ def test_report_never_imports_numpy_random():
         assert name not in imported
 
 
+def test_default_verify_never_imports_numpy_ma():
+    # np.median loads numpy.ma lazily; the Finsler constant takes the
+    # middle of one sort instead
+    out, imported = _child_imports("verify", "--seed", "7")
+    assert "finsler.quadratic[" in out and "numpy" in imported
+    assert "numpy.ma" not in imported
+
+
 def test_verify_algebra_roots_loads_neither_capacity_nor_finsler():
     # each suite loads the layer it runs; these two run neither
     out, imported = _child_imports("verify", "--seed", "1", "--suite",
