@@ -78,24 +78,24 @@ def norm_kernel(s: SpaceInstance) -> np.ndarray:
 
 def unit_ball_vs_box(s: SpaceInstance, samples: int = 400,
                      seed: int = 0) -> dict:
-    """Sampled equivalence of {F_inf < 1} with the open root box."""
+    """Sampled equivalence of {F_inf < 1} with the open root box.
+
+    The draws come from default_rng(seed) in two calls: the flat vectors,
+    normal of shape (samples, rank), then one stretch per sample, uniform
+    on [0.3, 1.7).  Each vector off the common root kernel is rescaled to
+    F_inf = its stretch, so the samples straddle the boundary.
+    """
     st = ob.structure(s)
     f = finsler_norm(s, np.inf)
     covs = np.array([r.covector for r in st.sigma_roots.roots]).reshape(
         -1, s.a_flat.dim)
     rng = np.random.default_rng(seed)
-    us = np.empty((samples, s.a_flat.dim))
-    moved = np.zeros(samples, bool)
-    stretch = np.empty(samples)
-    for i in range(samples):
-        us[i] = rng.normal(size=s.a_flat.dim)
-        # F_inf(u), the largest root value, is zero on the common kernel of
-        # the roots; elsewhere u is rescaled to straddle the boundary
-        if np.abs(covs @ us[i]).max(initial=0.0) > 1e-12:
-            moved[i] = True
-            stretch[i] = rng.uniform(0.3, 1.7)
-    fu = f.values(us[moved])
-    us[moved] *= (stretch[moved] / fu)[:, None]
+    us = rng.normal(size=(samples, s.a_flat.dim))
+    stretch = rng.uniform(0.3, 1.7, size=samples)
+    # F_inf(u), the largest root value, is zero on the common kernel of
+    # the roots; those vectors stay as drawn
+    moved = np.abs(us @ covs.T).max(axis=1, initial=0.0) > 1e-12
+    us[moved] *= (stretch[moved] / f.values(us[moved]))[:, None]
     in_ball = f.values(us) < 1.0
     in_box = np.abs(us @ covs.T).max(axis=1, initial=0.0) < 1.0
     agree = int(np.sum(in_ball == in_box))

@@ -180,16 +180,34 @@ def certificate_residual(pt: OrbitPoint) -> float:
 
 def tangent_frame(pt: OrbitPoint, orthonormal_in_metric: bool = True) -> np.ndarray:
     """Orthonormal rows spanning the tangent space [x, g] at the point."""
-    g = pt.space.g_vee
-    adx = al.ad_operator(g, pt.value)
-    u, sv, _ = np.linalg.svd(adx)
-    rank = int(np.sum(sv > 1e-9 * sv[0]))
-    rows = u[:, :rank].T
+    a = pt.space.g_vee.coords(pt.value)[None]
+    return _tangent_frames(pt.space, a, orthonormal_in_metric)[0]
+
+
+def _tangent_frames(s: SpaceInstance, a: np.ndarray,
+                    orthonormal_in_metric: bool = True) -> np.ndarray:
+    """tangent_frame at every orbit point of a (k, dim) coordinate stack,
+    as a (k, rank, dim) stack.
+
+    ad_x is antisymmetric in the trace-orthonormal basis, so the tangent
+    space, its range, is spanned by the eigenvectors of the symmetric
+    ad_x ad_x^T whose eigenvalues pass a 1e-9 relative cut.  On the orbit
+    the nonzero eigenvalues are all equal, and every point has the rank
+    of ad_xi.
+    """
+    adx = al.ad_from_coords(s.g_vee, a)
+    w, vecs = np.linalg.eigh(adx @ adx.swapaxes(-1, -2))
+    ranks = np.sum(w > 1e-9 * w[:, -1:], axis=1)
+    rank = int(ranks[0])
+    if np.any(ranks != rank):
+        raise ValueError("the points lie on orbits of different dimension")
+    # eigh sorts ascending: the range is the last rank eigenvectors
+    rows = vecs[:, :, vecs.shape[-1] - rank:].swapaxes(-1, -2)
     if not orthonormal_in_metric:
         return rows
-    gram = rows @ structure(pt.space).metric @ rows.T
+    gram = rows @ structure(s).metric @ rows.swapaxes(-1, -2)
     w, vecs = np.linalg.eigh(gram)
-    return (vecs / np.sqrt(w)).T @ rows
+    return (vecs / np.sqrt(w)[:, None, :]).swapaxes(-1, -2) @ rows
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +243,6 @@ def complex_structure_check(x: OrbitPoint) -> float:
     return float(np.abs(res).max())
 
 
-def moment_tn(x: OrbitPoint, v: OrbitTangent) -> al.AlgebraElement:
-    """Tangent-bundle momentum [x, v]; requires x and v on the real form."""
-    _check_same_base(x, v)
-    mu = _momentum_tn(x.space, x.value.entries, v.vector.entries)
-    return al.AlgebraElement(x.value.algebra_id, mu)
-
-
 def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """[x, v] for point and velocity matrices, single or (..., n, n) stacks,
     after checking that every pair lies on the real form."""
@@ -246,24 +257,6 @@ def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     off_k = muc - (muc @ s.k_basis.T) @ s.k_basis
     assert np.all(np.linalg.norm(off_k, axis=-1) < 1e-8)
     return mu
-
-
-def canonical_one_form(x: OrbitPoint, v: OrbitTangent, w: OrbitTangent) -> float:
-    """Tautological pairing <v, hor(w)> of the fiber velocity with the
-    horizontal (sigma-odd) part of the test tangent."""
-    _check_same_base(x, v, w)
-    s = x.space
-    wc = s.g_vee.coords(w.vector)
-    hor = 0.5 * (wc - s.sigma.apply_coords(wc))
-    return float(s.g_vee.coords(v.vector) @ structure(s).metric @ hor)
-
-
-def moment_nc(a: OrbitPoint) -> al.AlgebraElement:
-    """Momentum of the K action on the orbit: the k-component of the point."""
-    s = a.space
-    ac = s.g_vee.coords(a.value)
-    kc = 0.5 * (ac + s.sigma.apply_coords(ac))
-    return s.g_vee.from_coords(kc)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +328,12 @@ def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
     samples are constructed on the half-period shell (the predicate must
     fire and the brute-force cut condition must hold); half are drawn
     uniformly and kept only when safely off the shell (both must be false).
+
+    The even-numbered samples are the shell ones.  Their draws come first
+    from default_rng(seed), one call each: the root beta of each, integers
+    below the number of live roots; the flat vectors, normal of shape
+    (n_on, rank N); the shell index, integers in [-1, 1).  The odd samples
+    follow in one normal call of shape (n_off, rank N).
     """
     if model not in CUT_MODEL_ROWS:
         raise ValueError(f"unknown cut model {model!r}")
@@ -352,19 +351,17 @@ def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
     r_dim = s.a_flat.dim
     live = [b for b in roots if np.linalg.norm(b[:r_dim]) > 1e-9]
 
-    vs = np.zeros((samples, s.abar.dim))
     on_shell = np.arange(samples) % 2 == 0
-    for i in range(samples):
-        if on_shell[i]:
-            beta = live[rng.integers(len(live))]
-            u = rng.normal(size=r_dim) * scale * 0.3
-            # slide along beta so that beta(v) sits exactly on the shell
-            bsub = beta[:r_dim]
-            target = np.pi / 2.0 + np.pi * rng.integers(-1, 1)
-            u = u + (target - bsub @ u) * bsub / (bsub @ bsub)
-        else:
-            u = rng.normal(size=r_dim) * scale
-        vs[i, :r_dim] = u
+    n_on = int(on_shell.sum())
+    bsub = np.array(live)[rng.integers(len(live), size=n_on), :r_dim]
+    u = rng.normal(size=(n_on, r_dim)) * scale * 0.3
+    target = np.pi / 2.0 + np.pi * rng.integers(-1, 1, size=n_on)
+    # slide along beta so that beta(v) sits exactly on the shell
+    slide = target - np.einsum("ij,ij->i", bsub, u)
+    u = u + slide[:, None] * bsub / np.einsum("ij,ij->i", bsub, bsub)[:, None]
+    vs = np.zeros((samples, s.abar.dim))
+    vs[on_shell, :r_dim] = u
+    vs[~on_shell, :r_dim] = rng.normal(size=(samples - n_on, r_dim)) * scale
     dist = _flat_cut_distance(s, vs)
     # skip shell draws that another root moved off its own shell, and
     # uniform draws too close to the shell
@@ -395,6 +392,13 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     radius r = rank ratio is read off the imaginary spectrum of ad on k.
     Interior samples must land inside, exterior samples outside, and the
     spectral radius must reproduce max |alpha(X)| exactly.
+
+    The draws come from default_rng(seed) in three calls: the flat
+    directions u, normal of shape (samples, rank); one radius factor t per
+    sample, uniform on [0.1, 0.95) for the first samples // 2 (interior)
+    and on [1.05, 2.0) for the rest (exterior); the k generators, normal of
+    shape (samples, dim k).  X = u t r / max |alpha(u)|, and a sample whose
+    u lies on the common kernel of the roots is dropped from the totals.
     """
     st = structure(s)
     g = s.g_vee
@@ -404,20 +408,16 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     if covs.size == 0:
         raise NotOnRealForm("flat carries no roots; box test is vacuous")
 
-    n_int = samples // 2
-    interior, xs, ks = [], [], []
-    for i in range(samples):
-        u = rng.normal(size=s.a_flat.dim)
-        m = np.abs(covs @ u).max()
-        if m < 1e-9:
-            continue
-        t = rng.uniform(0.1, 0.95) if i < n_int else rng.uniform(1.05, 2.0)
-        interior.append(i < n_int)
-        xs.append(u * (t * r / m))
-        ks.append(rng.normal(size=s.k_basis.shape[0]))
-    interior = np.array(interior, bool)
-    xs = np.array(xs).reshape(-1, s.a_flat.dim)
-    ks = np.array(ks).reshape(-1, s.k_basis.shape[0])
+    # first half interior, second half exterior
+    interior = np.arange(samples) < samples // 2
+    lo, hi = np.where(interior, 0.1, 1.05), np.where(interior, 0.95, 2.0)
+    us = rng.normal(size=(samples, s.a_flat.dim))
+    t = rng.uniform(lo, hi)
+    ks = rng.normal(size=(samples, s.k_basis.shape[0]))
+    m = np.abs(us @ covs.T).max(axis=1)
+    keep = m >= 1e-9  # u on the common root kernel has no box radius
+    interior, ks = interior[keep], ks[keep]
+    xs = us[keep] * (t[keep] * r / m[keep])[:, None]
 
     xi, k = s.xi.entries, s.k_basis
     lam = np.empty(len(xs))
@@ -430,7 +430,10 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
         vel = rot @ (x_lift @ xi - xi @ x_lift) @ rot_t
         mu = g.stack_coords(_momentum_tn(s, pts, vel))
         ad_k = k @ al.ad_from_coords(g, mu) @ k.T
-        lam[b] = np.abs(np.linalg.eigvalsh(1j * ad_k)).max(axis=-1)
+        # ad on k is antisymmetric: its spectral radius is its largest
+        # singular value, read off the real symmetric ad_k^T ad_k
+        lam[b] = np.sqrt(np.linalg.eigvalsh(
+            ad_k.swapaxes(-1, -2) @ ad_k)[:, -1])
     target = np.abs(xs @ covs.T).max(axis=1, initial=0.0)
     inside = lam < r
     return {"interior_pass": int(np.sum(inside & interior)),
@@ -541,13 +544,19 @@ def _gauss_newton(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray,
 
 def riemannian_gradient_norm(pt: OrbitPoint) -> float:
     """Norm of grad H at the point, over a metric-orthonormal tangent frame."""
-    s = pt.space
+    a = pt.space.g_vee.coords(pt.value)[None]
+    return float(_gradient_norms(pt.space, a)[0])
+
+
+def _gradient_norms(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
+    """riemannian_gradient_norm at every orbit point of a (k, dim)
+    coordinate stack."""
     st = structure(s)
-    frame = tangent_frame(pt)
     xc = s.g_vee.coords(s.xi)
     # dH(v) = 2 pi B(xi, v)/c = -2 pi <xi, v>
-    comps = 2.0 * np.pi * (frame @ (s.g_vee.killing_matrix @ xc)) / st.c_orbit
-    return float(np.linalg.norm(comps))
+    comps = 2.0 * np.pi * (_tangent_frames(s, a)
+                           @ (s.g_vee.killing_matrix @ xc)) / st.c_orbit
+    return np.linalg.norm(comps, axis=-1)
 
 
 def morse_index(pt: OrbitPoint) -> int:
@@ -578,22 +587,28 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     with a Gauss-Newton polish, run in lockstep on stacked coordinates,
     each restart with its own step size and stopping rules).  Each end
     point must be finite and certify a Riemannian gradient of H below 1e-7,
-    else NonConvergence; the ends are then clustered by critical value.
+    else NonConvergence; the certificate stacks the tangent frames of the
+    end points, in the descent's blocks.  The ends are then clustered by
+    critical value.
     """
-    clusters: list[list] = []
-    values: list[float] = []
+    g = s.g_vee
     pts = [base_point(s)] + random_orbit_points(
         s, np.random.SeedSequence(seed).spawn(restarts - 1))
-    for crit in _descend(s, pts):
-        if not np.isfinite(crit.value.entries).all():
-            raise NonConvergence("descent ended at a non-finite point")
-        gn = riemannian_gradient_norm(crit)
-        if gn > 1e-7:
-            raise NonConvergence(f"certificate failed, grad norm {gn:.2e}")
-        values.append(hamiltonian(crit))
-        clusters.append(crit)
+    ends = _descend(s, pts)
+    mats = np.array([end.value.entries for end in ends])
+    if not np.isfinite(mats).all():
+        raise NonConvergence("descent ended at a non-finite point")
+    a = g.stack_coords(mats)
+    gn = np.concatenate([_gradient_norms(s, a[b])
+                         for b in al.sample_blocks(len(a), g.dim * g.dim)])
+    failed = np.flatnonzero(gn > 1e-7)
+    if failed.size:
+        raise NonConvergence(
+            f"certificate failed, grad norm {gn[failed[0]]:.2e}")
+    # H = 2 pi B(xi, a)/c, as hamiltonian takes it, for every end point
+    vals = 2.0 * np.pi * (a @ (g.coords(s.xi) @ g.killing_matrix)) \
+        / structure(s).c_orbit
 
-    vals = np.array(values)
     spread = max(vals.max() - vals.min(), 1.0)
     order = np.argsort(vals)
     groups = []
@@ -604,7 +619,7 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
             groups.append([idx])
     out = []
     for grp in groups:
-        rep = clusters[grp[0]]
+        rep = ends[grp[0]]
         out.append(CriticalCluster(
             representative=rep,
             value=float(np.mean([vals[i] for i in grp])),
@@ -696,8 +711,3 @@ def weyl_critical_values(s: SpaceInstance) -> list:
             out.append(v)
     return out
 
-
-def flow_closure_residual(s: SpaceInstance, pt: OrbitPoint) -> float:
-    """Residual of the period-one circle action generated by xi."""
-    moved = al.conjugate(pt.value, s.xi, 2.0 * np.pi)
-    return float(np.abs(moved.entries - pt.value.entries).max())

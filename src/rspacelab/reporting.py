@@ -90,12 +90,23 @@ def _skip(cid, why):
 
 def _error(suite, e):
     """The check record of an exception that escaped a suite.  Where it was
-    raised goes to stderr, so the report stays a function of the seed."""
+    raised goes to stderr, so the report stays a function of the seed: the
+    innermost frame in rspacelab, then the innermost frame of all when that
+    lies outside, say in numpy."""
     import traceback  # on the error path only
 
-    where = traceback.extract_tb(e.__traceback__)[-1]
-    print(f"rspacelab: suite {suite} raised at "
-          f"{os.path.basename(where.filename)}:{where.lineno}", file=sys.stderr)
+    frames = traceback.extract_tb(e.__traceback__)
+    here = os.path.dirname(os.path.abspath(__file__))
+    # the frame of run_suites, which caught e, is always one of ours
+    where = [f for f in frames
+             if os.path.dirname(os.path.abspath(f.filename)) == here][-1]
+    msg = (f"rspacelab: suite {suite} raised in {where.name} at "
+           f"{os.path.basename(where.filename)}:{where.lineno}")
+    site = frames[-1]
+    if site is not where:
+        msg += (f" (innermost frame {os.path.basename(site.filename)}:"
+                f"{site.lineno})")
+    print(msg, file=sys.stderr)
     return {"id": f"{suite}.error", "claim": f"suite {suite} ran to the end",
             "status": "error", "computed": f"{type(e).__name__}: {e}",
             "expected": "no exception", "tolerance": 0.0}

@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import linecache
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,7 +306,10 @@ def test_a_suite_that_raises_becomes_an_error_record(capsys, monkeypatch):
                          "algebra,roots,capacity", "--space", "sphere",
                          "--params", "2", "--format", "json")
     assert code == cli.EX_VERIFY and "Traceback" not in err
-    assert err.startswith("rspacelab: suite roots raised at test_cli.py:")
+    # the innermost rspacelab frame is the suite runner's; the raise is here
+    assert re.fullmatch(r"rspacelab: suite roots raised in run_suites at "
+                        r"reporting\.py:\d+ \(innermost frame "
+                        r"test_cli\.py:\d+\)\n", err)
     checks = json.loads(out)["checks"]
     errors = [c for c in checks if c["status"] == "error"]
     assert errors == [{"id": "roots.error",
@@ -321,3 +326,46 @@ def test_a_suite_that_raises_becomes_an_error_record(capsys, monkeypatch):
                        "--format", "text")
     assert code == cli.EX_VERIFY
     assert out.startswith("ERROR roots.error  computed=ZeroDivisionError")
+
+
+def test_a_suite_error_names_its_innermost_rspacelab_frame(capsys,
+                                                           monkeypatch):
+    # a non-square torus Gram makes numpy raise inside critical_ladder
+    import numpy as np
+
+    from rspacelab import atlas
+    from rspacelab import orbit as ob
+
+    s = atlas.instance("grassmann_real", 1, 1)
+    st_ = ob.structure(s)
+    bad = ob.InstanceStructure(**{**vars(st_), "torus_gram": np.ones((1, 2))})
+    real = ob.structure
+    monkeypatch.setattr(ob, "structure", lambda x: bad if x is s else real(x))
+    code, out, err = run(capsys, "verify", "--seed", "1", "--suite",
+                         "critical", "--space", "grassmann_real",
+                         "--params", "1,1", "--format", "json")
+    assert code == cli.EX_VERIFY and "Traceback" not in err
+    m = re.fullmatch(r"rspacelab: suite critical raised in critical_ladder "
+                     r"at orbit\.py:(\d+) \(innermost frame "
+                     r"_linalg\.py:\d+\)\n", err)
+    assert m is not None, err
+    assert "np.linalg.solve" in linecache.getline(ob.__file__,
+                                                  int(m.group(1)))
+    assert [c["id"] for c in json.loads(out)["checks"]] == ["critical.error"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_tangent_frame_converges_on_a_large_hermitian_orbit(threads):
+    # its SVD failed here; the eigh frame runs the suite to the end, whose
+    # level gates still fail on this row
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rspacelab", "verify", "--seed", "1",
+         "--suite", "critical", "--space", "grassmann_complex_hermitian",
+         "--params", "3,3", "--format", "json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode in (cli.EX_OK, cli.EX_VERIFY), proc.stderr
+    ids = [c["id"] for c in json.loads(proc.stdout)["checks"]]
+    assert "critical.error" not in ids
+    assert len(ids) == 3

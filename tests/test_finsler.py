@@ -150,21 +150,32 @@ def test_block_norm_matches_the_one_row_calls(rid, params):
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
-def test_block_oracles_match_the_sample_loops(rid, params):
+def test_block_oracles_match_the_sample_loops(rid, params, monkeypatch):
     s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
 
-    # unit_ball_vs_box, one sample at a time
+    # unit_ball_vs_box, one sample at a time over the oracle's draws
     rng = np.random.default_rng(3)
-    agree = 0
-    for _ in range(300):
-        u = rng.normal(size=s.a_flat.dim)
+    us = rng.normal(size=(300, s.a_flat.dim))
+    stretch = rng.uniform(0.3, 1.7, size=300)
+    agree, tested = 0, []
+    for u, t in zip(us, stretch):
         fu = _loop_norm(s, np.inf, u)
         if fu > 1e-12:
-            u = u * (rng.uniform(0.3, 1.7) / fu)
+            u = u * (t / fu)
+        tested.append(u)
         agree += ((_loop_norm(s, np.inf, u) < 1.0)
                   == rt.box_contains(st_.sigma_roots, u, 1.0))
+    seen = []
+    values = fin.FinslerNorm.values
+    monkeypatch.setattr(fin.FinslerNorm, "values",
+                        lambda f, us: seen.append(us) or values(f, us))
     assert fin.unit_ball_vs_box(s, samples=300, seed=3)["agree"] == agree
+    monkeypatch.undo()
+    # the ball test ran on the samples the loop tested
+    tested = np.array(tested)
+    scale = np.maximum(np.abs(tested).max(axis=1), 1.0)
+    assert np.all(np.abs(seen[-1] - tested).max(axis=1) <= 1e-12 * scale)
 
     # f2_vs_riemannian
     ker = fin.norm_kernel(s)

@@ -9,12 +9,46 @@ from hypothesis import strategies as st
 
 from rspacelab import algebra as al
 from rspacelab import atlas
+from rspacelab import finsler as fin
 from rspacelab import orbit as ob
 from rspacelab import reporting as rep
 from rspacelab.reporting import _STRUCTURAL_SPACES
 from rspacelab.verify_options import DEFAULT_TOL
 
 _S2 = [atlas.instantiate(atlas.descriptor("sphere", 2))]
+
+
+# --- orbit maps that only these tests use -----------------------------------
+
+def moment_tn(x, v):
+    """Tangent-bundle momentum [x, v]; requires x and v on the real form."""
+    ob._check_same_base(x, v)
+    mu = ob._momentum_tn(x.space, x.value.entries, v.vector.entries)
+    return al.AlgebraElement(x.value.algebra_id, mu)
+
+
+def moment_nc(a):
+    """Momentum of the K action on the orbit: the k-component of the point."""
+    s = a.space
+    ac = s.g_vee.coords(a.value)
+    kc = 0.5 * (ac + s.sigma.apply_coords(ac))
+    return s.g_vee.from_coords(kc)
+
+
+def canonical_one_form(x, v, w):
+    """Tautological pairing <v, hor(w)> of the fiber velocity with the
+    horizontal (sigma-odd) part of the test tangent."""
+    ob._check_same_base(x, v, w)
+    s = x.space
+    wc = s.g_vee.coords(w.vector)
+    hor = 0.5 * (wc - s.sigma.apply_coords(wc))
+    return float(s.g_vee.coords(v.vector) @ ob.structure(s).metric @ hor)
+
+
+def flow_closure_residual(s, pt):
+    """Residual of the period-one circle action generated by xi."""
+    moved = al.conjugate(pt.value, s.xi, 2.0 * np.pi)
+    return float(np.abs(moved.entries - pt.value.entries).max())
 
 
 def test_structure_is_cached_per_instance():
@@ -81,6 +115,16 @@ def test_tangent_frame_is_metric_orthonormal():
     assert np.abs(gram - np.eye(len(frame))).max() < 1e-8
 
 
+def test_stacked_frames_refuse_points_of_different_orbits():
+    # one stack holds one tangent rank; the origin has none
+    s = atlas.instance("sphere", 2)
+    xi = s.g_vee.coords(s.xi)
+    frames = ob._tangent_frames(s, np.stack([xi, -xi]))
+    assert frames.shape == (2, 4, s.g_vee.dim)
+    with pytest.raises(ValueError):
+        ob._tangent_frames(s, np.stack([xi, np.zeros_like(xi)]))
+
+
 def test_complex_structure_squares_to_minus_one():
     for rid, params in [("sphere", (2,)), ("unitary_group", (2,)),
                         ("grassmann_real", (1, 2))]:
@@ -131,7 +175,7 @@ def test_hamiltonian_field_is_the_circle_action():
 def test_flow_closes_with_period_one():
     s = atlas.instance("unitary_group", 2)
     pt = ob.random_orbit_point(s, 3)
-    assert ob.flow_closure_residual(s, pt) < 1e-9
+    assert flow_closure_residual(s, pt) < 1e-9
 
 
 def test_height_minimum_at_the_base_point():
@@ -151,12 +195,12 @@ def test_momentum_requires_the_real_form():
     x = ob.base_point(s)
     k_gen = s.g_vee.from_coords(s.k_basis[0])
     v = ob.make_tangent(x, k_gen)
-    mu = ob.moment_tn(x, v)
+    mu = moment_tn(x, v)
     muc = s.g_vee.coords(mu)
     assert np.linalg.norm(muc - al.project_onto(s.k_basis, muc)) < 1e-8
     off = ob.random_orbit_point(s, 12)  # generic point leaves the real form
     with pytest.raises(ob.NotOnRealForm):
-        ob.moment_tn(off, ob.make_tangent(off, k_gen))
+        moment_tn(off, ob.make_tangent(off, k_gen))
 
 
 def test_orbit_momentum_is_equivariant():
@@ -166,8 +210,8 @@ def test_orbit_momentum_is_equivariant():
     eta = g.from_coords(al.project_onto(s.k_basis,
                                         np.random.default_rng(7).normal(
                                             size=g.dim)))
-    lhs = ob.moment_nc(ob.transport(x, eta, 0.7))
-    rhs = al.conjugate(ob.moment_nc(x), eta, 0.7)
+    lhs = moment_nc(ob.transport(x, eta, 0.7))
+    rhs = al.conjugate(moment_nc(x), eta, 0.7)
     assert np.abs(lhs.entries - rhs.entries).max() < 1e-9
 
 
@@ -177,7 +221,7 @@ def test_one_form_pairs_with_horizontal_parts():
     g = s.g_vee
     k_gen = g.from_coords(s.k_basis[0])
     v = ob.make_tangent(x, k_gen)   # sigma-odd (horizontal) at the base
-    lam = ob.canonical_one_form(x, v, v)
+    lam = canonical_one_form(x, v, v)
     want = g.coords(v.vector) @ ob.structure(s).metric @ g.coords(v.vector)
     assert abs(lam - want) < 1e-9
     # sigma-even test directions pair to zero
@@ -185,7 +229,7 @@ def test_one_form_pairs_with_horizontal_parts():
     w = ob.make_tangent(x, p_gen)
     wc = g.coords(w.vector)
     if np.linalg.norm(wc - s.sigma.apply_coords(wc)) < 1e-9:
-        assert abs(ob.canonical_one_form(x, v, w)) < 1e-9
+        assert abs(canonical_one_form(x, v, w)) < 1e-9
 
 
 def test_flat_model_contract():
@@ -437,7 +481,7 @@ def test_nearby_master_seeds_share_no_restart(monkeypatch):
 
 
 def test_a_non_finite_descent_end_is_refused(monkeypatch):
-    # the end point never reaches the SVD of the gradient certificate
+    # the end point never reaches the stacked gradient certificate
     s = _S2[0]
 
     def nan_ends(s, pts, max_iter=10000):
@@ -445,11 +489,11 @@ def test_a_non_finite_descent_end_is_refused(monkeypatch):
         return [ob.OrbitPoint(space=s, value=al.AlgebraElement(
             s.g_vee.algebra_id, bad))] + pts[1:]
 
-    def no_svd(pt):
+    def no_frames(s, a):
         raise AssertionError("the certificate ran on a non-finite point")
 
     monkeypatch.setattr(ob, "_descend", nan_ends)
-    monkeypatch.setattr(ob, "riemannian_gradient_norm", no_svd)
+    monkeypatch.setattr(ob, "_gradient_norms", no_frames)
     with pytest.raises(ob.NonConvergence,
                        match="descent ended at a non-finite point"):
         ob.find_critical_points(s, restarts=3, seed=0)
@@ -513,21 +557,29 @@ def _cut_oracle_loop(model, s, samples, seed, band):
     scale = np.pi / max(np.linalg.norm(r) for r in roots)
     r_dim = s.a_flat.dim
     live = [b for b in roots if np.linalg.norm(b[:r_dim]) > 1e-9]
+    # the oracle's draws: the shell samples' roots, vectors and shell
+    # indices, then the uniform samples
+    n_on = (samples + 1) // 2
+    betas = rng.integers(len(live), size=n_on)
+    shell_us = rng.normal(size=(n_on, r_dim)) * scale * 0.3
+    shells = rng.integers(-1, 1, size=n_on)
+    off_us = rng.normal(size=(samples - n_on, r_dim)) * scale
     mism = skipped = tested = 0
+    drawn = []
     for i in range(samples):
         on_shell = i % 2 == 0
         v = np.zeros(s.abar.dim)
+        drawn.append(v)
         if on_shell:
-            beta = live[rng.integers(len(live))]
-            u = rng.normal(size=r_dim) * scale * 0.3
-            bsub = beta[:r_dim]
-            target = np.pi / 2.0 + np.pi * rng.integers(-1, 1)
+            bsub = live[betas[i // 2]][:r_dim]
+            u = shell_us[i // 2]
+            target = np.pi / 2.0 + np.pi * shells[i // 2]
             v[:r_dim] = u + (target - bsub @ u) * bsub / (bsub @ bsub)
             if ob._flat_cut_distance(s, v) > band / 10.0:
                 skipped += 1
                 continue
         else:
-            v[:r_dim] = rng.normal(size=r_dim) * scale
+            v[:r_dim] = off_us[i // 2]
             if ob._flat_cut_distance(s, v) < 1e-4:
                 skipped += 1
                 continue
@@ -539,16 +591,24 @@ def _cut_oracle_loop(model, s, samples, seed, band):
         if ob.delta_contains(fp, band) != on_shell or not oracle:
             mism += 1
     return {"model": model, "samples": samples, "tested": tested,
-            "skipped": skipped, "mismatches": mism}
+            "skipped": skipped, "mismatches": mism}, np.array(drawn)
 
 
 @pytest.mark.parametrize("model", sorted(ob.CUT_MODEL_ROWS))
-def test_stacked_cut_oracle_matches_the_sample_loop(model):
+def test_stacked_cut_oracle_matches_the_sample_loop(model, monkeypatch):
     rid, params = ob.CUT_MODEL_ROWS[model]
     s = atlas.instance(rid, *params)
     for seed in (0, 1):
-        assert (ob.cut_locus_oracle_check(model, s, samples=300, seed=seed)
-                == _cut_oracle_loop(model, s, 300, seed, 1e-6))
+        want, drawn = _cut_oracle_loop(model, s, 300, seed, 1e-6)
+        seen = []
+        dist = ob._flat_cut_distance
+        monkeypatch.setattr(ob, "_flat_cut_distance",
+                            lambda s, v: seen.append(v) or dist(s, v))
+        got = ob.cut_locus_oracle_check(model, s, samples=300, seed=seed)
+        monkeypatch.undo()
+        assert got == want
+        # the oracle drew the samples the loop evaluates
+        assert _rel(seen[0], drawn) <= 1e-12
 
 
 def test_cut_oracle_refuses_a_foreign_instance():
@@ -566,30 +626,36 @@ def _ad_on_k(s, x):
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
-def test_stacked_moment_check_matches_moment_tn(rid, params):
+def test_stacked_moment_check_matches_moment_tn(rid, params, monkeypatch):
     s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
     g = s.g_vee
     covs = np.array([root.covector for root in st_.sigma_roots.roots])
+    # the oracle's draws: flat directions, radius factors, k generators
     rng = np.random.default_rng(21)
+    us = rng.normal(size=(120, s.a_flat.dim))
+    ts = rng.uniform(size=120)
+    ks = rng.normal(size=(120, s.k_basis.shape[0]))
     ref = {"interior_pass": 0, "interior_total": 0,
            "exterior_pass": 0, "exterior_total": 0}
-    worst = 0.0
+    worst, points = 0.0, []
     for i in range(120):
         interior = i < 60
-        u = rng.normal(size=s.a_flat.dim)
+        u = us[i]
         m = np.abs(covs @ u).max()
         if m < 1e-9:
             continue
-        t = rng.uniform(0.1, 0.95) if interior else rng.uniform(1.05, 2.0)
+        lo, hi = (0.1, 0.95) if interior else (1.05, 2.0)
+        t = lo + (hi - lo) * ts[i]
         x_coords = u * (t * atlas.rank_ratio(s) / m)
         x_lift = s.a_flat.lift(x_coords)
-        k_gen = g.from_coords(rng.normal(size=s.k_basis.shape[0]) @ s.k_basis)
+        k_gen = g.from_coords(ks[i] @ s.k_basis)
         x_pt = ob.transport(ob.base_point(s), k_gen)
         tangent = ob.OrbitTangent(
             base=x_pt, generator=al.conjugate(s.a_flat.lift(-x_coords), k_gen),
             vector=al.conjugate(al.bracket(x_lift, s.xi), k_gen))
-        mu = ob.moment_tn(x_pt, tangent)
+        mu = moment_tn(x_pt, tangent)
+        points.append(x_pt.value.entries)
         stacked = ob._momentum_tn(s, x_pt.value.entries[None],
                                   tangent.vector.entries[None])[0]
         assert _rel(stacked, mu.entries) <= 1e-12
@@ -599,7 +665,14 @@ def test_stacked_moment_check_matches_moment_tn(rid, params):
         side = "interior" if interior else "exterior"
         ref[f"{side}_total"] += 1
         ref[f"{side}_pass"] += int((lam < atlas.rank_ratio(s)) == interior)
+    seen = []
+    momentum = ob._momentum_tn
+    monkeypatch.setattr(ob, "_momentum_tn",
+                        lambda s, x, v: seen.append(x) or momentum(s, x, v))
     got = ob.moment_image_spectrum_check(s, samples=120, seed=21)
+    monkeypatch.undo()
+    # the oracle took the momentum at the points the loop visits
+    assert _rel(np.concatenate(seen), np.array(points)) <= 1e-12
     assert {k: got[k] for k in ref} == ref
     assert abs(got["max_spectral_mismatch"] - worst) <= 1e-12
 
@@ -633,3 +706,48 @@ def test_sampling_oracles_ignore_the_block_size(monkeypatch):
                - cut[0]["max_spectral_mismatch"]) <= 1e-12
     for a, b in zip(whole[2], cut[2]):
         assert np.abs(a - b).max() <= 1e-13
+
+
+class _CountingRng:
+    """A Generator that records the name of each normal, uniform and
+    integers call made on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if name not in ("normal", "uniform", "integers"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return attr(*args, **kwargs)
+        return counted
+
+
+# oracle -> (call at a sample count, its Generator calls in order)
+_DRAWS = {
+    "moment": (lambda s, n: ob.moment_image_spectrum_check(s, samples=n),
+               ("unitary_group", (2,)), ["normal", "uniform", "normal"]),
+    "cut": (lambda s, n: ob.cut_locus_oracle_check("cp1", s, samples=n),
+            ("grassmann_real", (1, 1)),
+            ["integers", "normal", "integers", "normal"]),
+    "ball": (lambda s, n: fin.unit_ball_vs_box(s, samples=n),
+             ("unitary_group", (2,)), ["normal", "uniform"]),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(_DRAWS))
+def test_sampling_oracles_draw_once_per_distribution(oracle, monkeypatch):
+    # the number of Generator calls does not grow with the sample count
+    call, (rid, params), want = _DRAWS[oracle]
+    s = atlas.instance(rid, *params)
+    make = np.random.default_rng
+    calls = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: _CountingRng(make(*a, **k), calls))
+    for n in (50, 500):
+        calls.clear()
+        call(s, n)
+        assert calls == want, n
