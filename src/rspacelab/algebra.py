@@ -125,9 +125,6 @@ class LieAlgebraBasis:
                 f"matrix is not in {self.algebra_id} (residual {res:.2e})")
         return AlgebraElement(self.algebra_id, m)
 
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-        return self.from_coords(rng.normal(size=self.dim) * scale)
-
 
 def _structure_data(mats: Sequence[np.ndarray], algebra_id: str, family: str,
                     n: int, check_closure: bool = True) -> LieAlgebraBasis:
@@ -388,21 +385,33 @@ def skew_flow(a: np.ndarray):
     callable's at= picks slices along the first axis, and only those are
     exponentiated (t then matches the picked stack).
 
-    1j*a is Hermitian, so with 1j*a = V diag(lam) V^H from eigh the
-    exponential is V diag(exp(-1j*t*lam)) V^H, a real orthogonal matrix;
-    one decomposition serves every t.  eigh reads one triangle only, hence
-    the antisymmetry check, made on every slice.
+    a commutes with the symmetric positive semidefinite S = -a a = a^T a,
+    and exp(t a) = cos(t sqrt S) + a sin(t sqrt S) / sqrt S.  With
+    S = V diag(theta^2) V^T from a real eigh and AV = a V, each t costs one
+    real product (V cos(t theta) + AV sin(t theta) / theta) V^T, and one
+    decomposition serves every t.  theta_j is read as |a v_j|: the square
+    root of an eigenvalue of S would resolve angles near the kernel of a
+    only to the square root of round-off.  On the kernel a v = 0, so a zero
+    theta gets the factor 0.  Squaring has one cost: eigh resolves S to
+    round-off of |a|^2, so the planes of two small angles theta_i, theta_j
+    beside a large one mix by ~eps |a|^2 / |theta_i^2 - theta_j^2|.  eigh
+    reads one triangle only, hence the antisymmetry check, made on every
+    slice.
     """
     a = np.asarray(a, dtype=float)
     if (np.abs(a + a.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
             > 1e-10 * np.abs(a).max(axis=(-2, -1), initial=1.0)).any():
         raise AlgebraMismatch("the exponent is not an antisymmetric matrix")
-    lam, v = np.linalg.eigh(1j * a)
-    lam = lam[..., None, :]  # broadcast along the rows of each slice
-    vh = v.conj().swapaxes(-1, -2)
+    s = a.swapaxes(-1, -2) @ a
+    v = np.linalg.eigh(0.5 * (s + s.swapaxes(-1, -2)))[1]
+    av = a @ v
+    theta = np.linalg.norm(av, axis=-2)[..., None, :]  # along each row
+    inv = np.divide(1.0, theta, out=np.zeros_like(theta), where=theta > 0)
+    vt = v.swapaxes(-1, -2)
     def flow(t, at=slice(None)):
-        t = np.asarray(t, float)[..., None, None]
-        return ((v[at] * np.exp(-1j * t * lam[at])) @ vh[at]).real
+        angle = np.asarray(t, float)[..., None, None] * theta[at]
+        cos, sin = np.cos(angle), np.sin(angle) * inv[at]
+        return (v[at] * cos + av[at] * sin) @ vt[at]
     return flow
 
 
@@ -514,8 +523,3 @@ def cartan_decompose(alg: LieAlgebraBasis, inv: Involution) -> CartanDecompositi
             f"eigenspace bracket inclusions fail ({max(checks):.2e})")
     return CartanDecomposition(alg=alg, involution=inv,
                                k_basis=_frozen(k), p_basis=_frozen(p))
-
-
-def project_onto(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of coordinate vector v onto span of rows."""
-    return rows.T @ (rows @ v)

@@ -447,24 +447,3 @@ def verify_table(entries=None) -> list:
                     "computed_ratio": ratio, "table_ratio": d.table_ratio,
                     "pi1": d.table_pi1, "ok": bool(ok), "skipped": False})
     return out
-
-
-def sphere_model_matrices(n: int):
-    """Quadric-chart matrices (S, C, D) for the sphere model.
-
-    S is the split quadratic form on the chart coordinates
-    (z - 1, sqrt(2) y, z + 1), D the diagonal form it is congruent to, and
-    C the congruence with C^T S C = D, scaling only the corner plane.
-    """
-    s_mat = np.zeros((n + 2, n + 2))
-    s_mat[0, n + 1] = 1.0
-    s_mat[n + 1, 0] = 1.0
-    s_mat[1:n + 1, 1:n + 1] = np.eye(n)
-    d_mat = np.diag(np.concatenate([np.ones(n + 1), [-1.0]]))
-    a = 1.0 / np.sqrt(2.0)
-    c_mat = np.eye(n + 2)
-    c_mat[0, 0] = a
-    c_mat[n + 1, n + 1] = a
-    c_mat[0, n + 1] = -a
-    c_mat[n + 1, 0] = a
-    return s_mat, c_mat, d_mat

@@ -43,13 +43,6 @@ class NormalizationContext:
 
 
 @dataclass(frozen=True)
-class GeodesicSpectrum:
-    """Sorted closed-geodesic lengths with contractibility and origin."""
-
-    entries: tuple  # of (length, contractible, description)
-
-
-@dataclass(frozen=True)
 class CapacityReport:
     space_id: str
     c_G: object  # float or "unknown"
@@ -171,8 +164,8 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
     direction; independent of the frequency logic.
 
     The grid is walked block by block and each block is searched for dips
-    as soon as it is computed; a dip is refined by ternary search, and the
-    scan stops at the first one that is a true recurrence.
+    as soon as it is computed; a dip is refined by _zoom, and the scan
+    stops at the first one that is a true recurrence.
     """
     x = s.a_flat.lift(np.asarray(direction, float))
     xi_m = s.xi.entries
@@ -188,7 +181,7 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
 
     def dist(t):
         r = flow(t)
-        return np.abs(r @ xi_m @ r.T - xi_m).max()
+        return np.abs(r @ xi_m @ r.swapaxes(-1, -2) - xi_m).max(axis=(-2, -1))
 
     v = al.bracket(x, s.xi)
     speed = np.sqrt(-al.killing(s.g_vee, v, v) / c_model(s))
@@ -222,17 +215,22 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
             # a dip starts after the curve has risen, so i >= 1
             lo = ts[i - 1]
             hi = ts[j + 1] if j + 1 < grid else ts[j]
-            for _ in range(80):  # ternary search on the V-shaped dip
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                if dist(m1) < dist(m2):
-                    hi = m2
-                else:
-                    lo = m1
-            t_star = 0.5 * (lo + hi)
+            t_star = _zoom(dist, lo, hi)
             if dist(t_star) < 1e-6 * scale:  # true recurrence, not a near miss
                 return float(t_star * speed)
     return np.inf
+
+
+def _zoom(dist, lo: float, hi: float) -> float:
+    """The time of least dist in [lo, hi], for dist evaluated on a stack of
+    times.  Each round evaluates dist once on 33 times spanning the bracket
+    and keeps the two intervals around the least value, shrinking it
+    16-fold; 14 rounds go below the rounding of t."""
+    for _ in range(14):
+        ts = np.linspace(lo, hi, 33)
+        k = int(np.argmin(dist(ts)))
+        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, 32)]
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -309,53 +307,6 @@ def capacity_hermitian_ambient(s: SpaceInstance) -> CapacityReport:
         c_HZ=levels[-1] - levels[0], case_tag="hermitian_ambient",
         formula_ref="c_G = lowest step, c_HZ = spread of the critical ladder",
         extras={"rank_nc": s.abar.dim, "levels": levels})
-
-
-# ---------------------------------------------------------------------------
-# quadric geodesic spectrum and disc membership
-
-
-def quadric_geodesic_spectrum(p: int, q: int,
-                              max_length: float = 20.0) -> GeodesicSpectrum:
-    """Closed geodesics of S^p x S^q / Z2 built from unit product factors.
-
-    Plain closures wind integers (m, n) around the factors with length
-    2 pi sqrt(m^2 + n^2); the antipodal deck map closes half-windings with
-    both factors odd, at pi sqrt((2j+1)^2 + (2k+1)^2), never contractible.
-    """
-    assert 1 <= p <= q
-    entries = []
-    bound = int(np.ceil(max_length / np.pi)) + 2
-    for m in range(bound):
-        for n in range(bound):
-            if m == 0 and n == 0:
-                continue
-            length = 2.0 * np.pi * np.hypot(m, n)
-            if length > max_length:
-                continue
-            # factor circles on a sphere of dimension >= 2 contract
-            contractible = not (p == 1 and m > 0)
-            entries.append((float(length), bool(contractible),
-                            f"plain winding (m, n) = ({m}, {n})"))
-    for j in range(bound):
-        for k in range(bound):
-            length = np.pi * np.hypot(2 * j + 1, 2 * k + 1)
-            if length > max_length:
-                continue
-            entries.append((float(length), False,
-                            f"deck winding (2j+1, 2k+1) = ({2*j+1}, {2*k+1})"))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return GeodesicSpectrum(entries=tuple(entries))
-
-
-def disc_contains(s: SpaceInstance, x: ob.OrbitPoint, v: ob.OrbitTangent,
-                  r: float) -> bool:
-    """Strict disc bundle test |v|_x < r in the calibrated metric."""
-    from . import orbit as ob
-    if x.space is not s:
-        raise ob.BaseMismatch("point belongs to a different instance")
-    nrm2 = ob.inner(s, v.vector, v.vector)
-    return bool(np.sqrt(max(nrm2, 0.0)) < r)
 
 
 # ---------------------------------------------------------------------------

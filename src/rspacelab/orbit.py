@@ -530,16 +530,38 @@ def _gauss_newton(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray,
             break
         # d/du_i Ad(e^U) a = [b_i, a] = -ad_a b_i; columns indexed by i
         jac = -adxi @ rt.ad_from_coords(g, a[live])
-        # cut the singular values below 1e-10 of the largest, as
-        # lstsq(rcond=1e-10) does: dividing round-off by the near-null
-        # directions throws the step off the critical set
-        pinv = np.linalg.pinv(lmat.T @ jac, rcond=1e-10)
-        u = -(pinv @ (r @ lmat)[:, :, None])[:, :, 0]
+        u = -_least_squares(lmat.T @ jac, r @ lmat)
         u *= (0.5 / np.maximum(np.linalg.norm(u, axis=1), 0.5))[:, None]
         rot = al.expm_skew(g.stack_matrices(u))
         am = g.stack_matrices(a[live])
         a[live] = g.stack_coords(rot @ am @ rot.swapaxes(-1, -2))
     return a
+
+
+def _least_squares(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions x of m x = b, for a (k, p, q)
+    stack m and a (k, p) stack b.
+
+    The singular values below 1e-10 of the largest are cut, as
+    lstsq(rcond=1e-10) cuts them: dividing round-off by the near-null
+    directions throws the Gauss-Newton step off the critical set.  The
+    singular triples come from eigh of the symmetric [[0, m], [m^T, 0]],
+    whose eigenvalues are +-sigma to round-off of the largest and whose
+    eigenvectors for +sigma are (u, v)/sqrt 2, so x = 2 sum w_v (w_u . b)
+    / sigma over the kept ones.  A stacked SVD can fail to converge on
+    clustered singular values, as it did on a unitary_group(4) system that
+    the tests keep.  The normal equations would resolve sigma only to the
+    square root of round-off, moving the cut.
+    """
+    p, q = m.shape[-2:]
+    h = np.zeros(m.shape[:-2] + (p + q, p + q))
+    h[..., :p, p:] = m
+    h[..., p:, :p] = m.swapaxes(-1, -2)
+    lam, w = np.linalg.eigh(h)
+    ub = 2.0 * (b[..., None, :] @ w[..., :p, :])[..., 0, :]
+    coef = np.divide(ub, lam, out=np.zeros_like(lam),
+                     where=lam > 1e-10 * lam[..., -1:])
+    return (w[..., p:, :] @ coef[..., None])[..., 0]
 
 
 def riemannian_gradient_norm(pt: OrbitPoint) -> float:

@@ -290,14 +290,6 @@ def compute_restricted_roots(ads: np.ndarray,
                                 zero_multiplicity=zero_mult)
 
 
-def box_contains(roots: RestrictedRootSystem, x, r: float) -> bool:
-    """Strict box test: max over roots of |alpha(x)| < r."""
-    if not roots.roots:
-        return True
-    vals = roots.evaluate(x)
-    return bool(np.abs(vals).max() < r)
-
-
 # ---------------------------------------------------------------------------
 # complex root spaces and the strongly orthogonal cascade
 

@@ -228,6 +228,155 @@ def test_stacked_expm_skew_matches_the_pade_exponential():
         assert np.abs(r[idx] - expm(ts[idx] * a[idx])).max() <= 1e-12
 
 
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _hadamard_conjugate(thetas, odd):
+    """q diag(theta_k J) q^T for an orthogonal Hadamard q of order 4^k,
+    whose entries are +-2^-k, so integer angles give exact entries; the
+    angles are padded with zeros to fill the order, and odd appends a zero
+    row and column, one more kernel direction."""
+    h = np.ones((1, 1))
+    while len(h) < 2 * len(thetas):
+        h = np.kron(h, [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                        [1, -1, -1, 1]])
+    size = len(h)
+    b = np.zeros((size + odd, size + odd))
+    b[:size, :size] = np.kron(
+        np.diag(np.r_[thetas, np.zeros(size // 2 - len(thetas))]), _J)
+    q = np.eye(size + odd)
+    q[:size, :size] = h / np.sqrt(size)
+    return q @ b @ q.T
+
+
+def test_the_real_exponential_of_zero_is_the_identity():
+    expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
+    for n in (1, 2, 3, 6):
+        flow = al.skew_flow(np.zeros((n, n)))
+        for t in (0.0, 1.0, -1e3):
+            assert np.array_equal(flow(t), np.eye(n))
+        assert np.array_equal(flow(2.0), expm(np.zeros((n, n))))
+    assert np.array_equal(al.expm_skew(np.zeros((3, 4, 4))),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_the_real_exponential_fixes_the_kernel_of_odd_generators():
+    expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
+    rng = np.random.default_rng(16)
+    for n in (3, 5, 7, 9, 23):
+        m = rng.normal(size=(n, n))
+        a = m - m.T
+        kernel = np.linalg.svd(a)[2][-1]  # a has odd size, so a kernel
+        flow = al.skew_flow(a)
+        for t in (1.0, -2.5, 40.0):
+            r = flow(t)
+            assert np.abs(r - expm(t * a)).max() <= 1e-12
+            assert np.abs(r @ kernel - kernel).max() <= 1e-12
+
+
+def test_the_real_exponential_of_a_repeated_spectrum():
+    # eigenvalues +-i, +-i, +-i and +-2i: each angle is a multiple
+    # eigenvalue of -a^2, whose eigenvectors eigh may mix at will
+    expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
+    rng = np.random.default_rng(17)
+    q = np.linalg.qr(rng.normal(size=(9, 9)))[0]
+    b = np.zeros((9, 9))
+    b[:8, :8] = np.kron(np.diag([1.0, 1.0, 1.0, 2.0]), _J)
+    a = q @ b @ q.T
+    a = 0.5 * (a - a.T)
+    flow = al.skew_flow(a)
+    for t in (1.0, np.pi, -7.3):
+        assert np.abs(flow(t) - expm(t * a)).max() <= 1e-12
+    # pi J on every block: exp is -1 on the planes, 1 on the kernel
+    r = al.skew_flow(np.pi * np.kron(np.eye(4), _J))(1.0)
+    assert np.abs(r + np.eye(8)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_the_real_exponential_of_a_tiny_generator(n):
+    expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
+    m = np.random.default_rng(18).normal(size=(n, n))
+    a = (m - m.T) * (1e-12 / np.linalg.norm(m - m.T, 2))
+    flow = al.skew_flow(a)
+    # t = 1e12 turns the angles through about a radian: they are resolved
+    # relative to |a|, not to round-off of 1
+    for t in (1.0, 1e12, -3e12):
+        assert np.abs(flow(t) - expm(t * a)).max() <= 1e-12
+
+
+def _reduced_reference(thetas, odd, t):
+    """exp(t a) for a = _hadamard_conjugate(thetas, odd): expm loses
+    digits on a generator of norm 1e3 (it is off by ~5e-12 there), so the
+    angles are taken mod 2 pi first, which leaves the exponential as is."""
+    expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
+    return expm(_hadamard_conjugate(np.mod(t * thetas, 2.0 * np.pi), odd))
+
+
+@pytest.mark.parametrize("odd", [0, 1])
+@pytest.mark.parametrize("m", [2, 4])
+def test_the_real_exponential_of_a_large_generator(m, odd):
+    # |a| = 1e3 and |t| theta up to 1e3
+    thetas = np.array([1000.0, 999.0, 577.0, 250.0])[:m]
+    a = _hadamard_conjugate(thetas, odd)
+    assert np.abs(np.linalg.eigvals(a)).max() == pytest.approx(1000.0)
+    flow = al.skew_flow(a)
+    for t in (1.0, -1.0, 0.5, 1e-3):
+        r = flow(t)
+        assert np.abs(r - _reduced_reference(thetas, odd, t)).max() <= 1e-12
+        assert np.abs(r @ r.T - np.eye(len(a))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("odd", [0, 1])
+def test_squaring_resolves_small_angles_beside_a_large_one(odd):
+    # eigh resolves -a^2 to round-off of |a|^2, so the planes of two small
+    # angles theta_i, theta_j mix by ~eps |a|^2 / |theta_i^2 - theta_j^2|:
+    # beside 1000, the angles 2, 1, 0.5 and 0 are off by up to ~7e-11 where
+    # a complex eigh of i a stays near 1e-13
+    thetas = np.array([1000.0, 2.0, 1.0, 0.5])
+    a = _hadamard_conjugate(thetas, odd)  # 16 x 16: zero angles pad it
+    flow = al.skew_flow(a)
+    squares = np.r_[0.0, thetas ** 2]
+    bound = (np.finfo(float).eps * thetas.max() ** 2
+             / np.diff(np.sort(squares)).min())
+    for t in (1.0, -1.0, 0.5, 1e-3):
+        err = np.abs(flow(t) - _reduced_reference(thetas, odd, t)).max()
+        assert err <= 1e-12 + bound
+
+
+def test_the_real_exponential_takes_per_slice_times_with_at():
+    expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
+    rng = np.random.default_rng(19)
+    m = rng.normal(size=(6, 7, 7))
+    a = m - m.swapaxes(-1, -2)
+    flow = al.skew_flow(a)
+    for at in (np.array([4, 0, 3]), slice(1, 4), slice(None, None, 2)):
+        picked = np.arange(6)[at]
+        ts = rng.uniform(-20.0, 20.0, len(picked))
+        r = flow(ts, at=at)
+        assert r.shape == (len(picked), 7, 7)
+        for row, i in enumerate(picked):
+            assert np.abs(r[row] - expm(ts[row] * a[i])).max() <= 1e-12
+        # one t for every picked slice
+        r = flow(0.3, at=at)
+        for row, i in enumerate(picked):
+            assert np.abs(r[row] - expm(0.3 * a[i])).max() <= 1e-12
+
+
+def test_skew_flow_decomposes_in_real_arithmetic_only(monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        seen.append(np.asarray(m).dtype)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    m = np.random.default_rng(20).normal(size=(3, 5, 5))
+    al.skew_flow(m - m.swapaxes(-1, -2))(np.array([0.1, 2.0, -1.0]))
+    al.expm_skew(m[0] - m[0].T)
+    assert seen == [np.dtype(float)] * 2
+
+
 def test_stacked_expm_skew_rejects_one_bad_slice():
     rng = np.random.default_rng(14)
     m = rng.normal(size=(6, 5, 5))

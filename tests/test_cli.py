@@ -369,3 +369,35 @@ def test_the_tangent_frame_converges_on_a_large_hermitian_orbit(threads):
     ids = [c["id"] for c in json.loads(proc.stdout)["checks"]]
     assert "critical.error" not in ids
     assert len(ids) == 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_gauss_newton_step_converges_on_unitary_group_4(threads):
+    # the stacked SVD of its polish failed here at one BLAS thread; the
+    # suite now runs to the end, whose spread gate still fails on this row
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rspacelab", "verify", "--seed", "1",
+         "--suite", "critical", "--space", "unitary_group", "--params", "4",
+         "--format", "json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode in (cli.EX_OK, cli.EX_VERIFY), proc.stderr
+    ids = [c["id"] for c in json.loads(proc.stdout)["checks"]]
+    assert "critical.error" not in ids
+    assert len(ids) == 3
+
+
+@pytest.mark.parametrize("argv", [["verify", "--seed", "7"], ["report"]],
+                         ids=["verify", "report"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(argv):
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rspacelab", *argv, "--format", "json"],
+            cwd=ROOT, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == cli.EX_OK, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

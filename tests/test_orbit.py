@@ -1,6 +1,7 @@
 """Orbit geometry: points, the two-form, momentum, cut shells, descent."""
 
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,16 @@ _S2 = [atlas.instantiate(atlas.descriptor("sphere", 2))]
 
 
 # --- orbit maps that only these tests use -----------------------------------
+
+def random_element(g, rng, scale=1.0):
+    """A random element of g with normal coordinates."""
+    return g.from_coords(rng.normal(size=g.dim) * scale)
+
+
+def project_onto(rows, v):
+    """Orthogonal projection of coordinate vector v onto span of rows."""
+    return rows.T @ (rows @ v)
+
 
 def moment_tn(x, v):
     """Tangent-bundle momentum [x, v]; requires x and v on the real form."""
@@ -103,7 +114,8 @@ def test_transport_stays_on_the_orbit():
     s = atlas.instance("quadric_real", 1, 2)
     pt = ob.random_orbit_point(s, 4)
     assert ob.certificate_residual(pt) < 1e-9
-    again = ob.transport(pt, s.g_vee.random_element(np.random.default_rng(5)))
+    again = ob.transport(pt, random_element(s.g_vee,
+                                            np.random.default_rng(5)))
     assert ob.certificate_residual(again) < 1e-9
 
 
@@ -197,7 +209,7 @@ def test_momentum_requires_the_real_form():
     v = ob.make_tangent(x, k_gen)
     mu = moment_tn(x, v)
     muc = s.g_vee.coords(mu)
-    assert np.linalg.norm(muc - al.project_onto(s.k_basis, muc)) < 1e-8
+    assert np.linalg.norm(muc - project_onto(s.k_basis, muc)) < 1e-8
     off = ob.random_orbit_point(s, 12)  # generic point leaves the real form
     with pytest.raises(ob.NotOnRealForm):
         moment_tn(off, ob.make_tangent(off, k_gen))
@@ -207,9 +219,9 @@ def test_orbit_momentum_is_equivariant():
     s = atlas.instance("quadric_real", 1, 2)
     g = s.g_vee
     x = ob.random_orbit_point(s, 6)
-    eta = g.from_coords(al.project_onto(s.k_basis,
-                                        np.random.default_rng(7).normal(
-                                            size=g.dim)))
+    eta = g.from_coords(project_onto(s.k_basis,
+                                     np.random.default_rng(7).normal(
+                                         size=g.dim)))
     lhs = moment_nc(ob.transport(x, eta, 0.7))
     rhs = al.conjugate(moment_nc(x), eta, 0.7)
     assert np.abs(lhs.entries - rhs.entries).max() < 1e-9
@@ -526,7 +538,7 @@ def test_stacked_walks_match_the_transport_loop(rid, params):
         rng = np.random.default_rng(seed)
         ref = ob.base_point(s)
         for _ in range(8):
-            ref = ob.transport(ref, s.g_vee.random_element(rng))
+            ref = ob.transport(ref, random_element(s.g_vee, rng))
         assert _rel(pt.value.entries, ref.value.entries) <= 1e-12
         assert _rel(ob.random_orbit_point(s, seed).value.entries,
                     ref.value.entries) <= 1e-12
@@ -751,3 +763,78 @@ def test_sampling_oracles_draw_once_per_distribution(oracle, monkeypatch):
         calls.clear()
         call(s, n)
         assert calls == want, n
+
+
+# --- the Gauss-Newton step without an SVD ------------------------------------
+
+def _with_singular_values(rng, p, q, sigmas):
+    """A random p x q matrix with the given nonzero singular values, and
+    its singular vectors for them as columns of u and w."""
+    u = np.linalg.qr(rng.normal(size=(p, p)))[0][:, :len(sigmas)]
+    w = np.linalg.qr(rng.normal(size=(q, q)))[0][:, :len(sigmas)]
+    return (u * sigmas) @ w.T, u, w
+
+
+def _lstsq_stack(m, b):
+    return np.array([np.linalg.lstsq(mi, bi, rcond=1e-10)[0]
+                     for mi, bi in zip(m, b)])
+
+
+@pytest.mark.parametrize("p,q,sigmas", [
+    (6, 6, [3.0, 1.0, 0.5]),
+    (12, 9, [1.0] * 5),  # one repeated value
+    (9, 12, [2.0] * 3 + [1.0] * 3 + [0.25]),
+    (7, 7, []),  # the zero matrix
+])
+def test_least_squares_step_matches_lstsq(p, q, sigmas):
+    rng = np.random.default_rng(31)
+    m = np.array([_with_singular_values(rng, p, q, sigmas)[0] * scale
+                  for scale in (1e-3, 1.0, 40.0)])
+    b = rng.normal(size=(3, p))
+    x = ob._least_squares(m, b)
+    want = _lstsq_stack(m, b)
+    assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def test_least_squares_step_matches_lstsq_on_random_rank_deficient_stacks():
+    rng = np.random.default_rng(32)
+    for p, q, rank in ((6, 6, 3), (12, 9, 5), (9, 12, 9), (15, 15, 1)):
+        m = rng.normal(size=(8, p, rank)) @ rng.normal(size=(8, rank, q))
+        b = rng.normal(size=(8, p))
+        x = ob._least_squares(m, b)
+        want = _lstsq_stack(m, b)
+        assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
+def test_least_squares_step_cuts_at_1e_10_of_the_largest_value(scale):
+    # 3e-10 is kept and 3e-11 cut, as lstsq(rcond=1e-10) keeps and cuts
+    # them; the normal equations would see both at round-off of 1
+    rng = np.random.default_rng(33)
+    sigmas = np.array([1.0, 0.5, 3e-10, 3e-11]) * scale
+    m, u, w = _with_singular_values(rng, 8, 8, sigmas)
+    b = rng.normal(size=8)
+    x = ob._least_squares(m[None], b[None])[0]
+    want = _lstsq_stack(m[None], b[None])[0]
+    assert np.abs(x - want).max() <= 1e-5 * np.abs(want).max()
+    # the share of each direction's full pseudo-inverse component
+    share = (w.T @ x) * sigmas / (u.T @ b)
+    assert np.abs(share[:3] - 1.0).max() <= 1e-5
+    assert abs(share[3]) <= 1e-6
+
+
+def test_least_squares_step_on_a_system_that_failed_the_svd():
+    # one Gauss-Newton system of unitary_group(4) (verify --seed 1 --suite
+    # critical), with sixteen singular values of 1 and the rest below
+    # 1e-11; the divide-and-conquer SVD behind pinv and lstsq did not
+    # converge on it with OpenBLAS 0.3.31.  gesvd does.
+    svd = pytest.importorskip("scipy.linalg").svd  # test-only oracle
+    data = np.load(Path(__file__).parent / "data"
+                   / "gauss_newton_gesdd_failure.npz")
+    m, b = data["m"], data["b"]
+    u, s, vt = svd(m, lapack_driver="gesvd")
+    keep = s > 1e-10 * s[0]
+    assert keep.sum() == 16
+    want = vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
+    x = ob._least_squares(m[None], b[None])[0]
+    assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
