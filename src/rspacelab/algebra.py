@@ -328,11 +328,6 @@ def killing(alg: LieAlgebraBasis, x: AlgebraElement, y: AlgebraElement) -> float
     return float(alg.coords(x) @ alg.killing_matrix @ alg.coords(y))
 
 
-def pairing(alg: LieAlgebraBasis, x: AlgebraElement, y: AlgebraElement) -> float:
-    """The positive-definite form <x,y> = -B(x,y)."""
-    return -killing(alg, x, y)
-
-
 def sample_blocks(count: int, entries: int) -> list:
     """Slices cutting count samples of entries matrix entries each into the
     stacked blocks of the sampling oracles."""

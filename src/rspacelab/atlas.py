@@ -22,6 +22,7 @@ from ._record import dataclass
 from .algebra import SizeOutOfRange  # re-exported for callers
 
 _PI1 = ("trivial", "Z", "Z2")
+_TOL_INTERSECT = 1e-9  # relative singular value cut of intersect_rows
 
 
 class UnsupportedRow(ValueError):
@@ -85,14 +86,14 @@ class SpaceInstance:
     abar: rt.AbelianSubspace
 
 
-def intersect_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def intersect_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning span(a) cap span(b)."""
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((0, a.shape[1]))
     # x = a^T u in span(b)  <=>  (1 - P_b) a^T u = 0
     m = a.T - b.T @ (b @ a.T)
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    k = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 0.0)))
+    k = int(np.sum(s > _TOL_INTERSECT * max(1.0, s[0] if len(s) else 0.0)))
     return vt[k:] @ a
 
 

@@ -8,15 +8,13 @@ systoles.  The 4 pi cross-check holds identically on the normalized side
 and is audited, not assumed, on the flat side: rows whose shortest closed
 geodesic comes from a deck transformation fail it and are flagged.
 
-The capacity table that `report` prints is built and rendered here, so
-`report` loads neither `orbit` nor the verify suites (`reporting`).
+The capacity table that `report` prints is built here, and its formats
+are laid out for `cli.render`, so `report` loads neither `orbit` nor the
+verify suites (`reporting`).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
 from math import lcm
 
@@ -27,6 +25,7 @@ from . import atlas
 from . import roots as rt
 from ._record import dataclass, field
 from .atlas import SpaceInstance, rank_ratio
+from .cli import render
 
 
 class LatticeError(RuntimeError):
@@ -313,16 +312,14 @@ def capacity_hermitian_ambient(s: SpaceInstance) -> CapacityReport:
 # capacity summary table and its renderers
 
 
-def capacity_table(entries=None, seed: int = 0) -> list:
-    """One row per instantiable catalogue entry with the headline numbers.
+def capacity_table(entries, seed: int = 0) -> list:
+    """One row of headline numbers per entry; every entry is instantiable.
 
     The systoles are exact, so seed changes nothing; it is accepted so that
     callers passing a seed keep working.
     """
     rows = []
-    for d in entries if entries is not None else atlas.list_entries():
-        if not d.instantiable:
-            continue
+    for d in entries:
         s = atlas.instantiate(d)
         sd = systole_details(s)
         r = capacities_U(s, sys_flat=sd["systole"])
@@ -337,33 +334,23 @@ def capacity_table(entries=None, seed: int = 0) -> list:
     return rows
 
 
+def _pi_cells(r):
+    """The row with its lengths and capacities in units of pi."""
+    return {k: f"{v / np.pi:.6f}*pi" if isinstance(v, float) else v
+            for k, v in r.items()}
+
+
 def table_json(rows: list) -> str:
-    return json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
+    return render(rows, "json")
 
 
 def table_csv(rows: list) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    cols = ["space", "sys", "ratio", "c_G_U1", "c_HZ_U1", "c_HZ_D1"]
-    w.writerow(cols)
-    for r in rows:
-        w.writerow([r[c] for c in cols])
-    return buf.getvalue()
-
-
-def _pi_units(v) -> str:
-    if isinstance(v, str):
-        return v
-    return f"{v / np.pi:.6f}*pi"
+    return render(rows, "csv", ["space", "sys", "ratio", "c_G_U1", "c_HZ_U1",
+                                "c_HZ_D1"])
 
 
 def table_text(rows: list) -> str:
-    header = (f"{'space':36s} {'sys':>14s} {'ratio':>5s} "
-              f"{'c_G(U1)':>14s} {'c_HZ(U1)':>14s} {'c_HZ(D1)':>14s}")
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(f"{r['space']:36s} {_pi_units(r['sys']):>14s} "
-                     f"{r['ratio']:5d} {_pi_units(r['c_G_U1']):>14s} "
-                     f"{_pi_units(r['c_HZ_U1']):>14s} "
-                     f"{_pi_units(r['c_HZ_D1']):>14s}")
-    return "\n".join(lines) + "\n"
+    return render(rows, "text", line="{space:36} {sys:>14} {ratio:>5} "
+                  "{c_G_U1:>14} {c_HZ_U1:>14} {c_HZ_D1:>14}",
+                  labels={"c_G_U1": "c_G(U1)", "c_HZ_U1": "c_HZ(U1)",
+                          "c_HZ_D1": "c_HZ(D1)"}, cells=_pi_cells)

@@ -3,7 +3,9 @@
 Three subcommands: `atlas` recomputes the catalogue table, `verify` runs
 invariant suites, `report` renders the capacity summary.  Exit codes follow
 sysexits conventions: 0 on success, 2 when a verification fails, 64 for
-usage errors, 74 for output I/O failures.
+usage errors, 74 for output I/O failures.  `render` writes every table in
+every format, and `_entries` picks the catalogue rows `atlas` and `report`
+read.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("atlas", help="recompute the catalogue table")
-    a.add_argument("--space", help="restrict to one catalogue row id")
-    a.add_argument("--params", help="comma separated integers, e.g. 1,2")
+    a.add_argument("--space", help="restrict to one catalogue row, by id or "
+                                   "table-row label, e.g. 8a")
+    a.add_argument("--params", help="comma separated integers for --space, "
+                                    "e.g. 1,2")
     a.add_argument("--format", choices=_FORMATS, default="text",
                    help="output format (default: text)")
     a.add_argument("--out", help="write to this path instead of stdout")
@@ -60,7 +64,7 @@ def _build_parser() -> _Parser:
                    help="suite name, repeatable or comma separated "
                         f"(default: all of {', '.join(SUITE_NAMES)})")
     v.add_argument("--space", help="restrict suites to one row id or model")
-    v.add_argument("--params", help="comma separated integers")
+    v.add_argument("--params", help="comma separated integers for --space")
     v.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a tolerance, repeatable "
                         f"(names: {', '.join(sorted(DEFAULT_TOL))})")
@@ -72,8 +76,9 @@ def _build_parser() -> _Parser:
     r.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored: systoles are exact, so the "
                         "report does not depend on a seed")
-    r.add_argument("--space", help="restrict to one catalogue row id")
-    r.add_argument("--params", help="comma separated integers")
+    r.add_argument("--space", help="restrict to one catalogue row, by id or "
+                                   "table-row label, e.g. 8bc")
+    r.add_argument("--params", help="comma separated integers for --space")
     r.add_argument("--format", choices=_FORMATS, default="text",
                    help="output format (default: text)")
     r.add_argument("--out", help="write to this path instead of stdout")
@@ -120,43 +125,61 @@ def _emit(text: str, out) -> int:
     return EX_OK
 
 
-def _atlas_entries(space, params):
+class _Labels(dict):
+    def __missing__(self, key):  # a key without a label labels itself
+        return key
+
+
+def render(rows, fmt, columns=(), line="", labels=None, cells=dict) -> str:
+    """Every table the commands print: json {"rows": rows}; csv over the
+    columns; text fills the format line with labels for the header and with
+    cells(row), which may derive cells, for each row."""
+    if fmt == "json":
+        return json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([r[c] for c in columns] for r in rows)
+        return buf.getvalue()
+    header = line.format_map(_Labels(labels or {}))
+    lines = [header, "-" * len(header)]
+    lines.extend(line.format_map(cells(r)) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _entries(pool, space, params):
+    """The catalogue rows a command reads: pool, its rows whose id or
+    table-row label is space, or the one row space(*params)."""
     if space is None:
-        return atlas.default_entries()
+        if params is not None:
+            raise _UsageError("--params needs --space")
+        return pool
     if params is not None:
         return [atlas.descriptor(space, *params)]
-    hits = [d for d in atlas.default_entries()
-            if space == d.id or space == d.table_row]
+    hits = [d for d in pool if space in (d.id, d.table_row)]
     if not hits:
         raise _UsageError(f"no catalogue row matches {space!r}")
     return hits
 
 
+def _atlas_cells(r):
+    found = "-" if r["computed_ratio"] is None else str(r["computed_ratio"])
+    status = "skip" if r["skipped"] else ("ok" if r["ok"] else "FAIL")
+    return {**r, "found": found, "status": status}
+
+
 def _render_atlas(records, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps({"rows": records}, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        cols = ["row", "space", "table_ratio", "computed_ratio", "pi1", "ok"]
-        w.writerow(cols)
-        for r in records:
-            w.writerow([r[c] if c in r else "" for c in cols])
-        return buf.getvalue()
-    header = (f"{'row':4s} {'space':40s} {'table':>5s} {'found':>5s} "
-              f"{'pi1':>8s} status")
-    lines = [header, "-" * len(header)]
-    for r in records:
-        found = "-" if r["computed_ratio"] is None else str(r["computed_ratio"])
-        status = "skip" if r["skipped"] else ("ok" if r["ok"] else "FAIL")
-        lines.append(f"{r['row']:4s} {r['space']:40s} {r['table_ratio']:5d} "
-                     f"{found:>5s} {r['pi1']:>8s} {status}")
-    return "\n".join(lines) + "\n"
+    return render(records, fmt,
+                  ["row", "space", "table_ratio", "computed_ratio", "pi1",
+                   "ok"],
+                  "{row:4} {space:40} {table_ratio:>5} {found:>5} {pi1:>8} "
+                  "{status}", {"table_ratio": "table"}, _atlas_cells)
 
 
 def cmd_atlas(args) -> int:
-    records = atlas.verify_table(_atlas_entries(args.space,
-                                                _parse_params(args.params)))
+    records = atlas.verify_table(_entries(
+        atlas.default_entries(), args.space, _parse_params(args.params)))
     code = _emit(_render_atlas(records, args.format), args.out)
     if code != EX_OK:
         return code
@@ -184,18 +207,22 @@ def cmd_verify(args) -> int:
     known = set(atlas._ROWS) | set(rep._DELTA_MODELS)
     if space is not None and space not in known:
         raise _UsageError(f"unknown space {space!r}")
+    params = _parse_params(args.params)
+    if params is not None and space is None:
+        raise _UsageError("--params needs --space")
+    if params is not None and space in rep._DELTA_MODELS:
+        raise _UsageError(f"cut model {space!r} takes no parameters")
     try:
         report = rep.run_suites(suites, seed=args.seed, space=space,
-                                params=_parse_params(args.params),
-                                tol=_parse_tol(args.tol))
+                                params=params, tol=_parse_tol(args.tol))
     except rep.UnknownSuite as e:
         raise _UsageError(str(e))
     if space is not None and not report["checks"]:
         raise _UsageError(
             f"space {space!r} selects nothing in suites {', '.join(suites)}")
-    render = {"json": rep.report_json, "csv": rep.report_csv,
-              "text": rep.report_text}[args.format]
-    code = _emit(render(report), args.out)
+    write = {"json": rep.report_json, "csv": rep.report_csv,
+             "text": rep.report_text}[args.format]
+    code = _emit(write(report), args.out)
     if code != EX_OK:
         return code
     return EX_OK if rep.all_passed(report) else EX_VERIFY
@@ -204,21 +231,12 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     from . import capacity as cap  # the table path, without the suites
 
-    space = args.space
-    params = _parse_params(args.params)
-    if space is None:
-        entries = None
-    elif params is not None:
-        entries = [atlas.descriptor(space, *params)]
-    else:
-        entries = [d for d in atlas.list_entries()
-                   if d.instantiable and d.id == space]
-        if not entries:
-            raise _UsageError(f"no catalogue row matches {space!r}")
-    rows = cap.capacity_table(entries)
-    render = {"json": cap.table_json, "csv": cap.table_csv,
-              "text": cap.table_text}[args.format]
-    return _emit(render(rows), args.out)
+    pool = [d for d in atlas.list_entries() if d.instantiable]
+    rows = cap.capacity_table(_entries(pool, args.space,
+                                       _parse_params(args.params)))
+    write = {"json": cap.table_json, "csv": cap.table_csv,
+             "text": cap.table_text}[args.format]
+    return _emit(write(rows), args.out)
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,9 @@ from . import orbit as ob
 from ._record import dataclass
 from .atlas import SpaceInstance
 
+# the Schatten exponents norm_monotonicity compares, in ascending order
+_CHAIN = (1.0, 2.0, 4.0, np.inf)
+
 
 class DegenerateNorm(RuntimeError):
     """Every flat direction is in the kernel of the norm."""
@@ -129,18 +132,17 @@ def f2_vs_riemannian(s: SpaceInstance, samples: int = 200,
             "kappa": const ** 2 / st.c_orbit, "samples": len(ratios)}
 
 
-def norm_monotonicity(s: SpaceInstance, samples: int = 100, seed: int = 0,
-                      ps: tuple = (1.0, 2.0, 4.0)) -> dict:
+def norm_monotonicity(s: SpaceInstance, samples: int = 100,
+                      seed: int = 0) -> dict:
     """Worst violation of the Schatten chain F_inf <= F_p <= F_q <= F_1
     for p >= q, plus the trace-to-spectral multiplier on rank one rows."""
-    exps = sorted(set(ps) | {1.0}) + [np.inf]
-    norms = [finsler_norm(s, p) for p in exps]
+    norms = [finsler_norm(s, p) for p in _CHAIN]
     us = np.random.default_rng(seed).normal(size=(samples, s.a_flat.dim))
     sv = norms[-1].singular_values(us)
     # one column per exponent; the norms descend along each row
     vals = np.stack([_schatten(sv, f.p) for f in norms], axis=1)
     worst = float(np.max(vals[:, 1:] - vals[:, :-1], initial=0.0))
-    out = {"worst_violation": worst, "exponents": exps}
+    out = {"worst_violation": worst, "exponents": list(_CHAIN)}
     live = vals[:, -1] > 1e-12
     if s.a_flat.dim == 1 and live.any():
         last = np.flatnonzero(live)[-1]

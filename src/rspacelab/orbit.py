@@ -564,15 +564,9 @@ def _least_squares(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (w[..., p:, :] @ coef[..., None])[..., 0]
 
 
-def riemannian_gradient_norm(pt: OrbitPoint) -> float:
-    """Norm of grad H at the point, over a metric-orthonormal tangent frame."""
-    a = pt.space.g_vee.coords(pt.value)[None]
-    return float(_gradient_norms(pt.space, a)[0])
-
-
 def _gradient_norms(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
-    """riemannian_gradient_norm at every orbit point of a (k, dim)
-    coordinate stack."""
+    """Norm of grad H, over a metric-orthonormal tangent frame, at every
+    orbit point of a (k, dim) coordinate stack."""
     st = structure(s)
     xc = s.g_vee.coords(s.xi)
     # dH(v) = 2 pi B(xi, v)/c = -2 pi <xi, v>

@@ -10,8 +10,6 @@ order they run in.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import sys
@@ -22,6 +20,7 @@ from . import __version__
 from . import algebra as al
 from . import atlas
 from . import orbit as ob
+from .cli import render
 from .verify_options import DEFAULT_TOL, SUITE_NAMES
 
 
@@ -49,6 +48,8 @@ _STRUCTURAL_SPACES = [("sphere", (2,)), ("quadric_real", (1, 2)),
 _CRITICAL_SPACES = [("grassmann_real", (1, 1)),
                     ("grassmann_complex_hermitian", (1, 1))]
 _DELTA_MODELS = ["cp1", "cp1xcp1"]
+_DELTA_SAMPLES = 400  # cut-locus oracle samples per model
+_CRITICAL_RESTARTS = 50  # descent restarts per row
 _ORACLE_ROWS = {"sphere", "quadric_real"}
 
 # rows with a closed-form shortest period (verified against the scan oracle)
@@ -280,12 +281,12 @@ def suite_orbit(spaces, seed, tol):
     return checks
 
 
-def suite_delta(models, seed, tol, samples=400):
+def suite_delta(models, seed, tol):
     checks = []
     for model in models:
         rid, params = ob.CUT_MODEL_ROWS[model]
         r = ob.cut_locus_oracle_check(model, atlas.instance(rid, *params),
-                                      samples=samples, seed=seed,
+                                      samples=_DELTA_SAMPLES, seed=seed,
                                       band=tol["band"])
         checks.append(_check(
             f"delta.oracle[{model}]",
@@ -295,12 +296,13 @@ def suite_delta(models, seed, tol, samples=400):
     return checks
 
 
-def suite_critical(spaces, seed, tol, restarts=50):
+def suite_critical(spaces, seed, tol):
     checks = []
     for rid, params in spaces:
         s = atlas.instance(rid, *params)
         lab = s.descriptor.label
-        rep = ob.critical_gap_report(s, restarts=restarts, seed=seed)
+        rep = ob.critical_gap_report(s, restarts=_CRITICAL_RESTARTS,
+                                     seed=seed)
 
         want = 4.0 * np.pi * s.abar.dim
         checks.append(_check(
@@ -494,16 +496,12 @@ def report_json(report: dict) -> str:
 
 
 def report_csv(report: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["version", "seed", "id", "claim", "status", "computed",
-                "expected", "tolerance"])
-    meta = report["meta"]
-    for c in report["checks"]:
-        w.writerow([meta["version"], meta["seed"], c["id"], c["claim"],
-                    c["status"], json.dumps(c["computed"]),
-                    json.dumps(c["expected"]), c["tolerance"]])
-    return buf.getvalue()
+    return render([{**report["meta"], **c,
+                    "computed": json.dumps(c["computed"]),
+                    "expected": json.dumps(c["expected"])}
+                   for c in report["checks"]], "csv",
+                  ["version", "seed", "id", "claim", "status", "computed",
+                   "expected", "tolerance"])
 
 
 def report_text(report: dict) -> str:

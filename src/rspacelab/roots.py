@@ -24,6 +24,9 @@ from .algebra import (AlgebraElement, LieAlgebraBasis, CartanDecomposition,
 
 TOL_ROOT = 1e-6
 TOL_SL2 = 1e-8
+_TOL_RANK = 1e-9  # relative singular value cut of the kernels and spans
+_ABELIAN_ROUNDS = 10  # refinement budget of find_maximal_abelian
+_EIGEN_ATTEMPTS = 5  # generic combinations _joint_eigen tries
 
 
 class MaximalityNotCertified(RuntimeError):
@@ -86,25 +89,25 @@ class AbelianSubspace:
         return self.ambient.alg.from_coords(np.asarray(c, float) @ self.basis)
 
 
-def _kernel_within(rows: np.ndarray, op: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _kernel_within(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
     """Rows spanning {v in span(rows) : op v = 0}."""
     if rows.shape[0] == 0:
         return rows
     m = op @ rows.T
     _, s, vt = np.linalg.svd(m, full_matrices=True)
     scale = max(1.0, s[0] if len(s) else 0.0)
-    null = vt[np.sum(s > tol * scale):]
+    null = vt[np.sum(s > _TOL_RANK * scale):]
     return null @ rows
 
 
-def _gram_schmidt(rows_list: Sequence[np.ndarray], tol: float = 1e-9) -> np.ndarray:
+def _gram_schmidt(rows_list: Sequence[np.ndarray]) -> np.ndarray:
     out = []
     for r in rows_list:
         v = np.array(r, float)
         for u in out:
             v -= (u @ v) * u
         nrm = np.linalg.norm(v)
-        if nrm > tol:
+        if nrm > _TOL_RANK:
             out.append(v / nrm)
     return np.array(out) if out else np.zeros((0, len(rows_list[0])))
 
@@ -126,8 +129,8 @@ def generic_weights(n: int, start: int = 0) -> np.ndarray:
     return np.sqrt(np.flatnonzero(sieve)[start:count].astype(float))
 
 
-def find_maximal_abelian(side: Subspace, must_contain: Sequence = (),
-                         rounds: int = 10) -> AbelianSubspace:
+def find_maximal_abelian(side: Subspace,
+                         must_contain: Sequence = ()) -> AbelianSubspace:
     """Maximal abelian subspace of side, via centralizer refinement.
 
     Intersects the current candidate span with the kernel of a fixed
@@ -140,7 +143,6 @@ def find_maximal_abelian(side: Subspace, must_contain: Sequence = (),
         must_contain: elements (or coordinate vectors) the subspace must
             contain; they have to commute with each other.  They come first
             in the basis.
-        rounds: refinement budget before giving up.
 
     Raises:
         MaximalityNotCertified: refinement did not stabilize in budget, or
@@ -154,7 +156,7 @@ def find_maximal_abelian(side: Subspace, must_contain: Sequence = (),
         span = _kernel_within(span, ad_from_coords(alg, m))
 
     certified = False
-    for r in range(rounds):
+    for r in range(_ABELIAN_ROUNDS):
         if span.shape[0] <= 1:
             certified = True
             break
@@ -166,7 +168,7 @@ def find_maximal_abelian(side: Subspace, must_contain: Sequence = (),
         span = _kernel_within(span, ad_from_coords(alg, x))
     if not certified:
         raise MaximalityNotCertified(
-            f"no abelian stabilization within {rounds} rounds")
+            f"no abelian stabilization within {_ABELIAN_ROUNDS} rounds")
 
     # maximality: centralizer of span inside side must equal span
     cent = side.coords
@@ -185,7 +187,7 @@ def find_maximal_abelian(side: Subspace, must_contain: Sequence = (),
 # joint eigendata and clustering
 
 
-def _joint_eigen(ads, attempts: int = 5):
+def _joint_eigen(ads):
     """Simultaneous eigendata of a commuting family of antisymmetric ad
     matrices, a sequence or a (count, dim, dim) stack.
 
@@ -197,7 +199,7 @@ def _joint_eigen(ads, attempts: int = 5):
     eigenvector column vecs[:, m], meaning ads[j] v = i alpha v.
     """
     last = None
-    for attempt in range(attempts):
+    for attempt in range(_EIGEN_ATTEMPTS):
         cvec = generic_weights(len(ads), attempt)
         m = sum(cv * a for cv, a in zip(cvec, ads))
         _, vecs = np.linalg.eigh(1j * m)
@@ -211,20 +213,21 @@ def _joint_eigen(ads, attempts: int = 5):
             return alphas, vecs
         last = residual
     raise ClusteringAmbiguous(
-        f"joint diagonalization residual {last:.2e} after {attempts} attempts")
+        f"joint diagonalization residual {last:.2e} after {_EIGEN_ATTEMPTS} "
+        "attempts")
 
 
-def _cluster_covectors(alphas: np.ndarray, tol: float = TOL_ROOT):
+def _cluster_covectors(alphas: np.ndarray):
     """Group rows of alphas within L-inf tolerance; returns (centers, groups).
 
     Raises ClusteringAmbiguous when two distinct centers are closer than
-    10x the merge tolerance, since then the grouping depends on tol.
+    10x the merge tolerance TOL_ROOT, since the grouping then depends on it.
     """
     order = np.lexsort(alphas.T[::-1])
     groups = []
     for idx in order:
         for g in groups:
-            if np.abs(alphas[idx] - alphas[g[0]]).max() <= tol:
+            if np.abs(alphas[idx] - alphas[g[0]]).max() <= TOL_ROOT:
                 g.append(idx)
                 break
         else:
@@ -233,7 +236,7 @@ def _cluster_covectors(alphas: np.ndarray, tol: float = TOL_ROOT):
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             d = np.abs(centers[i] - centers[j]).max()
-            if d < 10 * tol:
+            if d < 10 * TOL_ROOT:
                 raise ClusteringAmbiguous(
                     f"root candidates separated by {d:.2e} < 10*tol")
     return centers, groups
@@ -250,16 +253,6 @@ class RestrictedRootSystem:
     subspace: AbelianSubspace
     roots: list
     zero_multiplicity: int
-
-    @property
-    def rank(self) -> int:
-        return self.subspace.dim
-
-    def evaluate(self, x) -> np.ndarray:
-        """alpha(x) for every root, x in subspace coordinates or an element."""
-        v = self.subspace.coords_of(x) if not isinstance(x, np.ndarray) \
-            or x.shape != (self.rank,) else np.asarray(x, float)
-        return np.array([r.covector @ v for r in self.roots])
 
 
 def compute_restricted_roots(ads: np.ndarray,

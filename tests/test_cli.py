@@ -160,17 +160,68 @@ def test_report_renders_the_sphere_row(capsys):
     assert row.count("2.000000*pi") == 4  # sys and all three capacities
 
 
-def test_report_csv_and_json_agree(capsys):
-    code, out_j, _ = run(capsys, "report", "--space", "quadric_real",
-                         "--params", "1,2", "--format", "json")
-    assert code == cli.EX_OK
-    code, out_c, _ = run(capsys, "report", "--space", "quadric_real",
-                         "--params", "1,2", "--format", "csv")
-    assert code == cli.EX_OK
-    jrow = json.loads(out_j)["rows"][0]
-    crow = next(csv.DictReader(io.StringIO(out_c)))
-    assert abs(float(crow["c_HZ_D1"]) - jrow["c_HZ_D1"]) < 1e-12
-    assert jrow["ratio"] == 1
+@pytest.mark.parametrize("command", ["atlas", "report"])
+@pytest.mark.parametrize("label,space", [("8a", "sphere"),
+                                         ("8bc", "quadric_real")])
+def test_a_table_row_label_selects_the_rows_of_its_id(capsys, command,
+                                                      label, space):
+    spaces = []
+    for key in (label, space):
+        code, out, _ = run(capsys, command, "--space", key, "--format", "json")
+        assert code == cli.EX_OK
+        spaces.append([r["space"] for r in json.loads(out)["rows"]])
+    assert spaces[0] == spaces[1]
+    assert all(sp.startswith(space + "(") for sp in spaces[0])
+    if command == "report":  # every sweep row: two quadrics, three spheres
+        assert len(spaces[0]) == {"sphere": 3, "quadric_real": 2}[space]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["atlas", "--params", "1,2"], "--params needs --space"),
+    (["report", "--params", "2"], "--params needs --space"),
+    (["verify", "--seed", "1", "--suite", "capacity", "--params", "2"],
+     "--params needs --space"),
+    (["verify", "--seed", "1", "--space", "cp1", "--params", "2"],
+     "cut model 'cp1' takes no parameters"),
+], ids=["atlas", "report", "verify", "verify-cut-model"])
+def test_params_without_a_row_to_apply_to_is_a_usage_error(capsys, argv,
+                                                           message):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EX_USAGE and out == ""
+    assert err == f"rspacelab: {message}\n"
+
+
+def _csv_cell(key, value):
+    # verify writes computed and expected as JSON; csv writes None as ""
+    if key in ("computed", "expected"):
+        return json.dumps(value)
+    return "" if value is None else str(value)
+
+
+@pytest.mark.parametrize("argv,rows_key,label_key", [
+    (["atlas"], "rows", "space"),
+    (["report"], "rows", "space"),
+    (["verify", "--seed", "7"], "checks", "id"),
+], ids=["atlas", "report", "verify"])
+def test_csv_text_and_json_agree(capsys, argv, rows_key, label_key):
+    outs = {}
+    for fmt in ("json", "csv", "text"):
+        code, outs[fmt], _ = run(capsys, *argv, "--format", fmt)
+        assert code == cli.EX_OK
+    jrows = json.loads(outs["json"])[rows_key]
+    crows = list(csv.DictReader(io.StringIO(outs["csv"])))
+    assert len(crows) == len(jrows) > 0
+    for jrow, crow in zip(jrows, crows):
+        for key, cell in crow.items():
+            if key in jrow:
+                assert cell == _csv_cell(key, jrow[key]), key
+    # a table has a header and a rule above its rows; the verify log has
+    # a summary line below them
+    lines = outs["text"].splitlines()
+    lines = lines[:-1] if rows_key == "checks" else lines[2:]
+    assert len(lines) == len(jrows)
+    for jrow, line in zip(jrows, lines):
+        assert jrow[label_key] in line
 
 
 def test_unwritable_output_path_is_an_io_error(capsys):

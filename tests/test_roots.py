@@ -98,11 +98,16 @@ def test_strongly_orthogonal_sums_are_not_roots():
                 assert dist > 1e-6, "cascade produced a non-orthogonal pair"
 
 
+def evaluate(roots, x):
+    """alpha(x) for every root, x in flat coordinates."""
+    return np.array([r.covector @ x for r in roots.roots])
+
+
 def box_contains(roots, x, r):
     """Strict box test: max over roots of |alpha(x)| < r."""
     if not roots.roots:
         return True
-    return bool(np.abs(roots.evaluate(x)).max() < r)
+    return bool(np.abs(evaluate(roots, x)).max() < r)
 
 
 def test_box_boundary_is_excluded():
