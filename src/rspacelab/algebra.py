@@ -14,11 +14,9 @@ ever exponentiate is a real orthogonal matrix.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ._record import dataclass, field
+from ._record import dataclass
 
 TOL_ALG = 1e-10
 
@@ -39,7 +37,8 @@ class SizeOutOfRange(ValueError):
 
 
 class AlgebraMismatch(ValueError):
-    """Operands living in different algebras, or a matrix not in the span."""
+    """A matrix or operator that does not fit the algebra: off the span,
+    of the wrong shape, or not antisymmetric where it must be."""
 
 
 class NotAnInvolution(ValueError):
@@ -56,26 +55,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """An element of a fixed algebra, stored as its real matrix."""
-
-    algebra_id: str
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
-
-
 @dataclass(frozen=True, eq=False)
 class LieAlgebraBasis:
     """A trace-orthonormal basis with precomputed structure data.
+
+    An element of the algebra is its real (size, size) matrix, and a stack
+    of elements a (..., size, size) array; coords and from_coords map
+    between matrices and coordinates over any leading shape.
 
     Attributes:
         family: one of "so", "su", "u", "sp", or a constructed tag such as
             "sum" / "sub" for direct sums and subalgebras.
         n: size parameter of the family (0 for constructed algebras).
-        basis: list of AlgebraElement, orthonormal for <X,Y> = tr(X^T Y).
+        basis: read-only (dim, size, size) stack of the basis matrices,
+            orthonormal for <X,Y> = tr(X^T Y).
         structure_constants: c[i,j,k] with [b_i, b_j] = sum_k c[i,j,k] b_k.
         killing_matrix: B[i,j] = tr(ad_i ad_j) in this basis.
     """
@@ -83,11 +76,9 @@ class LieAlgebraBasis:
     family: str
     n: int
     algebra_id: str
-    basis: list
+    basis: np.ndarray
     structure_constants: np.ndarray
     killing_matrix: np.ndarray
-    # dim x size^2 matrix of flattened basis elements, for fast coordinates
-    _flat: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -95,48 +86,42 @@ class LieAlgebraBasis:
 
     @property
     def size(self) -> int:
-        return self.basis[0].entries.shape[0]
+        return self.basis.shape[-1]
 
-    def coords(self, x) -> np.ndarray:
-        """Coordinates of an element (or raw matrix) in this basis."""
-        m = x.entries if isinstance(x, AlgebraElement) else np.asarray(x, float)
-        return self._flat @ m.ravel()
-
-    def from_coords(self, v: np.ndarray) -> AlgebraElement:
-        m = (np.asarray(v, float) @ self._flat).reshape(self.size, self.size)
-        return AlgebraElement(self.algebra_id, m)
-
-    def stack_coords(self, ms: np.ndarray) -> np.ndarray:
-        """Coordinates of every matrix in a (..., size, size) stack."""
+    def coords(self, ms) -> np.ndarray:
+        """Coordinates of a matrix, or of every matrix in a (..., size,
+        size) stack."""
         ms = np.asarray(ms, float)
-        return ms.reshape(ms.shape[:-2] + (-1,)) @ self._flat.T
+        flat = self.basis.reshape(self.dim, -1)
+        return ms.reshape(ms.shape[:-2] + (-1,)) @ flat.T
 
-    def stack_matrices(self, vs: np.ndarray) -> np.ndarray:
-        """Matrices of every coordinate vector in a (..., dim) stack."""
+    def from_coords(self, vs) -> np.ndarray:
+        """Matrix of a coordinate vector, or of every vector in a (..., dim)
+        stack."""
         vs = np.asarray(vs, float)
-        return (vs @ self._flat).reshape(vs.shape[:-1] + (self.size, self.size))
+        flat = self.basis.reshape(self.dim, -1)
+        return (vs @ flat).reshape(vs.shape[:-1] + (self.size, self.size))
 
-    def element(self, m: np.ndarray) -> AlgebraElement:
-        """Wrap a matrix, checking it actually lies in the span."""
-        v = self.coords(m)
-        res = np.linalg.norm(self.from_coords(v).entries - m)
+    def element(self, m: np.ndarray) -> np.ndarray:
+        """m as a read-only matrix, checking it actually lies in the span."""
+        m = _frozen(m)
+        res = np.linalg.norm(self.from_coords(self.coords(m)) - m)
         if res > 1e-8 * max(1.0, np.linalg.norm(m)):
             raise AlgebraMismatch(
                 f"matrix is not in {self.algebra_id} (residual {res:.2e})")
-        return AlgebraElement(self.algebra_id, m)
+        return m
 
 
-def _structure_data(mats: Sequence[np.ndarray], algebra_id: str, family: str,
-                    n: int, check_closure: bool = True) -> LieAlgebraBasis:
-    """Assemble a LieAlgebraBasis from trace-orthonormal matrices."""
-    mats = [np.asarray(m, float) for m in mats]
-    d = len(mats)
-    sz = mats[0].shape[0]
-    flat = np.stack([m.ravel() for m in mats])
+def _structure_data(mats, algebra_id: str, family: str, n: int,
+                    check_closure: bool = True) -> LieAlgebraBasis:
+    """Assemble a LieAlgebraBasis from a stack of trace-orthonormal
+    matrices."""
+    stacked = _frozen(mats)
+    d, sz = stacked.shape[:2]
+    flat = stacked.reshape(d, sz * sz)
     gram = flat @ flat.T
     assert np.allclose(gram, np.eye(d), atol=1e-12), "basis not orthonormal"
 
-    stacked = np.stack(mats)
     # brackets[i,j] = [b_i, b_j], flattened
     prods = stacked[:, None] @ stacked[None, :]
     brackets = (prods - prods.swapaxes(0, 1)).reshape(d * d, sz * sz)
@@ -149,10 +134,9 @@ def _structure_data(mats: Sequence[np.ndarray], algebra_id: str, family: str,
     c = c.reshape(d, d, d)
     # B[i,j] = sum_kl c[i,k,l] c[j,l,k]
     killing = c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T
-    elems = [AlgebraElement(algebra_id, m) for m in mats]
     return LieAlgebraBasis(family=family, n=n, algebra_id=algebra_id,
-                           basis=elems, structure_constants=_frozen(c),
-                           killing_matrix=_frozen(killing), _flat=_frozen(flat))
+                           basis=stacked, structure_constants=_frozen(c),
+                           killing_matrix=_frozen(killing))
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +267,9 @@ def build_algebra(family: str, n: int) -> LieAlgebraBasis:
 def direct_sum(a: LieAlgebraBasis, b: LieAlgebraBasis) -> LieAlgebraBasis:
     """Block-diagonal sum; basis is a's block then b's block."""
     sa, sb = a.size, b.size
-    mats = []
-    for m in a.basis:
-        blk = np.zeros((sa + sb, sa + sb))
-        blk[:sa, :sa] = m.entries
-        mats.append(blk)
-    for m in b.basis:
-        blk = np.zeros((sa + sb, sa + sb))
-        blk[sa:, sa:] = m.entries
-        mats.append(blk)
+    mats = np.zeros((a.dim + b.dim, sa + sb, sa + sb))
+    mats[:a.dim, :sa, :sa] = a.basis
+    mats[a.dim:, sa:, sa:] = b.basis
     return _structure_data(mats, f"sum({a.algebra_id},{b.algebra_id})",
                            "sum", 0, check_closure=False)
 
@@ -305,26 +283,21 @@ def subalgebra(alg: LieAlgebraBasis, span_coords: np.ndarray, tag: str) -> LieAl
     if np.linalg.matrix_rank(v, tol=1e-10) != v.shape[0]:
         raise AlgebraMismatch("subalgebra span rows are not independent")
     q = np.linalg.qr(v.T)[0].T
-    mats = [alg.from_coords(row).entries for row in q]
-    return _structure_data(mats, f"sub({alg.algebra_id}:{tag})", "sub", 0)
+    return _structure_data(alg.from_coords(q), f"sub({alg.algebra_id}:{tag})",
+                           "sub", 0)
 
 
 # ---------------------------------------------------------------------------
 # bracket, Killing, ad
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    if x.algebra_id != y.algebra_id:
-        raise AlgebraMismatch(f"{x.algebra_id} vs {y.algebra_id}")
-    m = x.entries @ y.entries - y.entries @ x.entries
-    return AlgebraElement(x.algebra_id, m)
+def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of two matrices, or of broadcasting (..., n, n) stacks."""
+    return x @ y - y @ x
 
 
-def killing(alg: LieAlgebraBasis, x: AlgebraElement, y: AlgebraElement) -> float:
+def killing(alg: LieAlgebraBasis, x: np.ndarray, y: np.ndarray) -> float:
     """B(x, y) = tr(ad_x ad_y), via the precomputed Killing matrix."""
-    for e in (x, y):
-        if e.algebra_id != alg.algebra_id:
-            raise AlgebraMismatch(f"{e.algebra_id} vs {alg.algebra_id}")
     return float(alg.coords(x) @ alg.killing_matrix @ alg.coords(y))
 
 
@@ -335,8 +308,9 @@ def sample_blocks(count: int, entries: int) -> list:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def ad_operator(alg: LieAlgebraBasis, x: AlgebraElement) -> np.ndarray:
-    """Matrix of ad_x = [x, .] in the basis coordinates of alg."""
+def ad_operator(alg: LieAlgebraBasis, x: np.ndarray) -> np.ndarray:
+    """Matrix of ad_x = [x, .] in the basis coordinates of alg, for a matrix
+    x or a stack of them."""
     return ad_from_coords(alg, alg.coords(x))
 
 
@@ -415,13 +389,12 @@ def expm_skew(a: np.ndarray) -> np.ndarray:
     return skew_flow(a)(1.0)
 
 
-def conjugate(x: AlgebraElement, generator: AlgebraElement, t: float = 1.0) -> AlgebraElement:
-    """Ad(exp(t g)) x, computed in the matrix representation."""
-    if x.algebra_id != generator.algebra_id:
-        raise AlgebraMismatch(f"{x.algebra_id} vs {generator.algebra_id}")
-    r = expm_skew(t * generator.entries)
+def conjugate(x: np.ndarray, generator: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Ad(exp(t g)) x, computed in the matrix representation; x may be a
+    (..., n, n) stack."""
+    r = expm_skew(t * generator)
     # generators are antisymmetric here, so r is orthogonal and r^-1 = r^T
-    return AlgebraElement(x.algebra_id, r @ x.entries @ r.T)
+    return r @ x @ r.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +410,6 @@ class Involution:
     constructor in this module, so the split is an orthogonal one.
     """
 
-    algebra_id: str
     operator_matrix: np.ndarray
     plus_space: np.ndarray
     minus_space: np.ndarray
@@ -466,7 +438,7 @@ def make_involution(alg: LieAlgebraBasis, op: np.ndarray) -> Involution:
     w, vecs = np.linalg.eigh(op)
     plus = vecs[:, w > 0].T
     minus = vecs[:, w < 0].T
-    return Involution(alg.algebra_id, _frozen(op), _frozen(plus), _frozen(minus))
+    return Involution(_frozen(op), _frozen(plus), _frozen(minus))
 
 
 def involution_from_conjugation(alg: LieAlgebraBasis, t_mat: np.ndarray) -> Involution:
@@ -474,8 +446,11 @@ def involution_from_conjugation(alg: LieAlgebraBasis, t_mat: np.ndarray) -> Invo
     t_mat = np.asarray(t_mat, float)
     op = np.empty((alg.dim, alg.dim))
     ti = t_mat.T  # orthogonal
+    # one basis matrix at a time: coordinates of the whole stack come from
+    # one matrix product that rounds differently, and report prints every
+    # digit that this operator feeds
     for j, b in enumerate(alg.basis):
-        op[:, j] = alg.coords(t_mat @ b.entries @ ti)
+        op[:, j] = alg.coords(t_mat @ b @ ti)
     return make_involution(alg, op)
 
 
@@ -505,8 +480,6 @@ class CartanDecomposition:
 
 
 def cartan_decompose(alg: LieAlgebraBasis, inv: Involution) -> CartanDecomposition:
-    if inv.algebra_id != alg.algebra_id:
-        raise AlgebraMismatch(f"{inv.algebra_id} vs {alg.algebra_id}")
     k, p = inv.plus_space, inv.minus_space
     checks = [
         bracket_residual(alg, k, k, k),   # [k,k] in k

@@ -63,7 +63,8 @@ class RSpaceDescriptor:
 class SpaceInstance:
     """A realized catalogue row.
 
-    k/h/l/p_vee bases are orthonormal coordinate rows over g_vee:
+    xi is the read-only matrix of the grading element.  k/h/l/p_vee bases
+    are orthonormal coordinate rows over g_vee:
     k is the sigma-fixed algebra, h its intersection with the theta-fixed
     algebra, l = k cap p_vee the tangent directions of N at xi.  The flat
     pair is a_flat, maximal abelian in l, and abar, maximal abelian in
@@ -75,7 +76,7 @@ class SpaceInstance:
     g_vee: al.LieAlgebraBasis
     theta: al.Involution
     sigma: al.Involution
-    xi: al.AlgebraElement
+    xi: np.ndarray
     k_basis: np.ndarray
     h_basis: np.ndarray
     l_basis: np.ndarray

@@ -32,13 +32,8 @@ class LatticeError(RuntimeError):
     """Active weights are incommensurable, or the shortest vector misses xi."""
 
 
-@dataclass(frozen=True)
-class NormalizationContext:
-    """Frozen conventions: unit radius, generator area, reference systole."""
-
-    sphere_radius: float = 1.0
-    generator_area: float = 4.0 * np.pi
-    sys_reference: float = 2.0 * np.pi
+# the reference systole of the normalized side
+_SYS_REFERENCE = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ def systole_details(s: SpaceInstance) -> dict:
     z, length, count = _shortest_in_box(lat, box)
     x = z @ lat["lift"]
     moved = al.conjugate(s.xi, s.a_flat.lift(x), 1.0)
-    if np.abs(moved.entries - s.xi.entries).max() > 1e-8:
+    if np.abs(moved - s.xi).max() > 1e-8:
         raise LatticeError("the shortest lattice vector does not close")
     return {"systole": length, "direction": x / np.linalg.norm(x),
             "closing": z, "box": box, "lattice": lat,
@@ -167,8 +162,8 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
     stops at the first one that is a true recurrence.
     """
     x = s.a_flat.lift(np.asarray(direction, float))
-    xi_m = s.xi.entries
-    flow = al.skew_flow(x.entries)  # one decomposition serves every t
+    xi_m = s.xi
+    flow = al.skew_flow(x)  # one decomposition serves every t
     ts = np.linspace(0.0, t_max, grid + 1)[1:]
     # rot^k for k = 1..block by doubling, then block by block from rot^block
     block = min(grid, 1024)
@@ -244,15 +239,14 @@ def capacities_U(s: SpaceInstance, sys_flat: float) -> CapacityReport:
     with the textbook systole and is flagged when the identity fails, which
     happens exactly when a deck transformation shortens the systole.
     """
-    ctx = NormalizationContext()
     ratio = rank_ratio(s)
     if ratio == 2:
         value_flat = sys_flat
-        value_norm = ctx.sys_reference
+        value_norm = _SYS_REFERENCE
         formula = "c_G = c_HZ = sys (rank ratio 2)"
     else:
         value_flat = 2.0 * sys_flat
-        value_norm = 2.0 * ctx.sys_reference
+        value_norm = 2.0 * _SYS_REFERENCE
         formula = "c_G = c_HZ = 2*sys (rank ratio 1)"
     cross_norm = ratio * value_norm
     flat_audit = ratio * value_flat

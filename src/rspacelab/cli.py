@@ -63,7 +63,9 @@ def _build_parser() -> _Parser:
     v.add_argument("--suite", action="append",
                    help="suite name, repeatable or comma separated "
                         f"(default: all of {', '.join(SUITE_NAMES)})")
-    v.add_argument("--space", help="restrict suites to one row id or model")
+    v.add_argument("--space", help="restrict suites to one catalogue row, by "
+                                   "id or table-row label, or to one cut "
+                                   "model")
     v.add_argument("--params", help="comma separated integers for --space")
     v.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a tolerance, repeatable "
@@ -203,7 +205,9 @@ def cmd_verify(args) -> int:
     if args.seed < 0:  # numpy refuses a negative seed + suite offset
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     suites = _parse_suites(args.suite)
-    space = args.space
+    # a table-row label (8a) names the row id it labels, as in atlas
+    space = {row[-1]: rid for rid, row in atlas._ROWS.items()}.get(
+        args.space, args.space)
     known = set(atlas._ROWS) | set(rep._DELTA_MODELS)
     if space is not None and space not in known:
         raise _UsageError(f"unknown space {space!r}")

@@ -21,10 +21,6 @@ from ._record import dataclass
 from .atlas import SpaceInstance, rank_ratio
 
 
-class BaseMismatch(ValueError):
-    """Tangents anchored at different orbit points."""
-
-
 class NotOnRealForm(ValueError):
     """Operation requires a point (or velocity) on N, not just N_C."""
 
@@ -38,34 +34,8 @@ class FewerThanTwoClusters(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class OrbitPoint:
-    """A point on the adjoint orbit of xi."""
-
-    space: SpaceInstance
-    value: al.AlgebraElement
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitTangent:
-    """Tangent [x, generator] at base; the generator is retained."""
-
-    base: OrbitPoint
-    generator: al.AlgebraElement
-    vector: al.AlgebraElement
-
-
-@dataclass(frozen=True, eq=False)
-class FlatModelPoint:
-    """Image of flat coordinates v under exp of the flat through xi."""
-
-    space: SpaceInstance
-    v: np.ndarray
-    point: OrbitPoint
-
-
-@dataclass(frozen=True, eq=False)
 class CriticalCluster:
-    representative: OrbitPoint
+    representative: np.ndarray  # the matrix of one end point
     value: float
     hessian_index: int
     population: int
@@ -125,69 +95,52 @@ def structure(s: SpaceInstance) -> InstanceStructure:
                              metric=metric, metric_chol=chol)
 
 
-def inner(s: SpaceInstance, x: al.AlgebraElement, y: al.AlgebraElement) -> float:
-    return -al.killing(s.g_vee, x, y) / structure(s).c_orbit
+def inner(s: SpaceInstance, x: np.ndarray, y: np.ndarray):
+    """Calibrated pairing -B(x, y)/c of two matrices, or along broadcasting
+    (..., n, n) stacks of them."""
+    g = s.g_vee
+    xk = g.coords(x) @ g.killing_matrix
+    return -np.sum(xk * g.coords(y), axis=-1) / structure(s).c_orbit
 
 
 # ---------------------------------------------------------------------------
-# points and tangents
+# points and tangents: a point of the orbit is its matrix, a tangent
+# [x, a] at x is named by its generator a
 
 
-def base_point(s: SpaceInstance) -> OrbitPoint:
-    return OrbitPoint(space=s, value=s.xi)
-
-
-def transport(pt: OrbitPoint, generator: al.AlgebraElement, t: float = 1.0) -> OrbitPoint:
-    return OrbitPoint(space=pt.space, value=al.conjugate(pt.value, generator, t))
-
-
-def random_orbit_point(s: SpaceInstance, seed) -> OrbitPoint:
-    """k . xi for k from an 8-step Gaussian random walk on K, which spreads
-    close to the Haar measure; seed is an int or a SeedSequence."""
-    return random_orbit_points(s, [seed])[0]
-
-
-def random_orbit_points(s: SpaceInstance, seeds) -> list:
-    """random_orbit_point for each seed, the walks stacked side by side."""
+def random_orbit_points(s: SpaceInstance, seeds) -> np.ndarray:
+    """k . xi for each seed, k from an 8-step Gaussian random walk on K,
+    which spreads close to the Haar measure; seed is an int or a
+    SeedSequence.  The walks are stacked side by side, and the points come
+    back as a (len(seeds), n, n) stack."""
     g = s.g_vee
     n = g.size
     # walk i draws its 8 steps from its own generator, in order
     steps = np.array([np.random.default_rng(seed).normal(size=(8, g.dim))
                       for seed in seeds]).reshape(-1, 8, g.dim)
-    pts = []
+    pts = np.empty((len(steps), n, n))
     for b in al.sample_blocks(len(steps), 8 * n * n):
-        rots = al.expm_skew(g.stack_matrices(steps[b]))
-        x = np.broadcast_to(s.xi.entries, (len(rots), n, n))
+        rots = al.expm_skew(g.from_coords(steps[b]))
+        x = np.broadcast_to(s.xi, (len(rots), n, n))
         for i in range(8):
             x = rots[:, i] @ x @ rots[:, i].swapaxes(-1, -2)
-        pts.extend(OrbitPoint(space=s, value=al.AlgebraElement(g.algebra_id, value))
-                   for value in x)
+        pts[b] = x
     return pts
 
 
-def make_tangent(pt: OrbitPoint, generator: al.AlgebraElement) -> OrbitTangent:
-    return OrbitTangent(base=pt, generator=generator,
-                        vector=al.bracket(pt.value, generator))
-
-
-def certificate_residual(pt: OrbitPoint) -> float:
-    """Spectral drift of ad at the point against ad_xi; conjugation invariant."""
-    g = pt.space.g_vee
-    w1 = np.linalg.eigvalsh(1j * al.ad_operator(g, pt.value))
-    w0 = np.linalg.eigvalsh(1j * al.ad_operator(g, pt.space.xi))
+def certificate_residual(s: SpaceInstance, x: np.ndarray) -> float:
+    """Spectral drift of ad at the point x against ad_xi; conjugation
+    invariant."""
+    g = s.g_vee
+    w1 = np.linalg.eigvalsh(1j * al.ad_operator(g, x))
+    w0 = np.linalg.eigvalsh(1j * al.ad_operator(g, s.xi))
     return float(np.abs(np.sort(w1) - np.sort(w0)).max())
-
-
-def tangent_frame(pt: OrbitPoint, orthonormal_in_metric: bool = True) -> np.ndarray:
-    """Orthonormal rows spanning the tangent space [x, g] at the point."""
-    a = pt.space.g_vee.coords(pt.value)[None]
-    return _tangent_frames(pt.space, a, orthonormal_in_metric)[0]
 
 
 def _tangent_frames(s: SpaceInstance, a: np.ndarray,
                     orthonormal_in_metric: bool = True) -> np.ndarray:
-    """tangent_frame at every orbit point of a (k, dim) coordinate stack,
-    as a (k, rank, dim) stack.
+    """Orthonormal rows spanning the tangent space [x, g] at every orbit
+    point of a (k, dim) coordinate stack, as a (k, rank, dim) stack.
 
     ad_x is antisymmetric in the trace-orthonormal basis, so the tangent
     space, its range, is spanned by the eigenvectors of the symmetric
@@ -214,31 +167,26 @@ def _tangent_frames(s: SpaceInstance, a: np.ndarray,
 # symplectic data
 
 
-def _check_same_base(x: OrbitPoint, *tangents: OrbitTangent):
-    for t in tangents:
-        if t.base is not x and np.abs(t.base.value.entries - x.value.entries).max() > 1e-10:
-            raise BaseMismatch("tangents are not anchored at the given point")
+def kks(s: SpaceInstance, x: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Orbit two-form omega_x(v, w) = <x, [a, b]> for v = [x, a] and
+    w = [x, b]; a and b may be broadcasting (..., n, n) stacks."""
+    return inner(s, x, al.bracket(a, b))
 
 
-def kks(x: OrbitPoint, v: OrbitTangent, w: OrbitTangent) -> float:
-    """Orbit two-form omega_x(v, w) = <x, [a, b]> for v = [x,a], w = [x,b]."""
-    _check_same_base(x, v, w)
-    s = x.space
-    br = al.bracket(v.generator, w.generator)
-    return inner(s, x.value, br)
+def hamiltonian(s: SpaceInstance, xs: np.ndarray):
+    """Pairing 2 pi B(xi, x)/c at a point x, or at every point of a
+    (..., n, n) stack; minimal exactly at xi, steps of 4 pi."""
+    g = s.g_vee
+    return 2.0 * np.pi * (g.coords(xs) @ (g.coords(s.xi) @ g.killing_matrix)) \
+        / structure(s).c_orbit
 
 
-def hamiltonian(a: OrbitPoint) -> float:
-    """Pairing 2 pi B(xi, a)/c; minimal exactly at xi, steps of 4 pi."""
-    s = a.space
-    return 2.0 * np.pi * al.killing(s.g_vee, s.xi, a.value) / structure(s).c_orbit
-
-
-def complex_structure_check(x: OrbitPoint) -> float:
+def complex_structure_check(s: SpaceInstance, x: np.ndarray) -> float:
     """Max residual of (ad_x)^2 = -1 on the tangent space at x."""
-    g = x.space.g_vee
-    adx = al.ad_operator(g, x.value)
-    frame = tangent_frame(x, orthonormal_in_metric=False)
+    g = s.g_vee
+    xc = g.coords(x)
+    adx = al.ad_from_coords(g, xc)
+    frame = _tangent_frames(s, xc[None], orthonormal_in_metric=False)[0]
     res = adx @ (adx @ frame.T) + frame.T
     return float(np.abs(res).max())
 
@@ -248,12 +196,12 @@ def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     after checking that every pair lies on the real form."""
     g = s.g_vee
     for m, what in ((x, "point"), (v, "velocity")):
-        c = g.stack_coords(m)
+        c = g.coords(m)
         odd = np.linalg.norm(c @ s.sigma.operator_matrix.T + c, axis=-1)
         if np.any(odd > 1e-8 * np.maximum(1.0, np.linalg.norm(c, axis=-1))):
             raise NotOnRealForm(f"{what} is not sigma-odd")
-    mu = x @ v - v @ x
-    muc = g.stack_coords(mu)
+    mu = al.bracket(x, v)
+    muc = g.coords(mu)
     off_k = muc - (muc @ s.k_basis.T) @ s.k_basis
     assert np.all(np.linalg.norm(off_k, axis=-1) < 1e-8)
     return mu
@@ -263,19 +211,12 @@ def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
 # flat model and cut locus
 
 
-def flat_model(s: SpaceInstance, v) -> FlatModelPoint:
-    """Exponential of the flat: point = Ad(exp([xi, v~])) xi for v in abar coords."""
-    v = np.asarray(v, float)
-    vt = s.abar.lift(v)
-    gen = al.bracket(s.xi, vt)
-    return FlatModelPoint(space=s, v=v, point=transport(base_point(s), gen, 1.0))
-
-
 def _flat_points(s: SpaceInstance, vs: np.ndarray) -> np.ndarray:
-    """Matrices of flat_model(s, v).point for every row v of vs."""
-    xi = s.xi.entries
-    vt = s.g_vee.stack_matrices(vs @ s.abar.basis)
-    rot = al.expm_skew(xi @ vt - vt @ xi)
+    """Ad(exp([xi, v~])) xi, the exponential of the flat through xi, for
+    every row v of vs in abar coordinates."""
+    xi = s.xi
+    vt = s.g_vee.from_coords(vs @ s.abar.basis)
+    rot = al.expm_skew(al.bracket(xi, vt))
     return rot @ xi @ rot.swapaxes(-1, -2)
 
 
@@ -289,11 +230,6 @@ def _flat_cut_distance(s: SpaceInstance, v) -> np.ndarray:
     return np.minimum(m, np.pi - m).min(axis=-1, initial=np.inf)
 
 
-def delta_contains(fp: FlatModelPoint, band: float = 1e-6) -> bool:
-    """Whether the flat point lies on the cut set Delta, within band."""
-    return bool(_flat_cut_distance(fp.space, fp.v) < band)
-
-
 def _geometric_cut_indicator(model: str, s: SpaceInstance,
                              pts: np.ndarray) -> np.ndarray:
     """Scaled distance from the brute-force cut condition, for each point
@@ -303,7 +239,7 @@ def _geometric_cut_indicator(model: str, s: SpaceInstance,
     the product of two spheres it is where the two block components agree
     (antipode per factor, through the swap).
     """
-    pc = s.g_vee.stack_coords(pts)
+    pc = s.g_vee.coords(pts)
     scale = np.linalg.norm(pc, axis=-1)
     if model == "cp1":
         moved = pc @ s.sigma.operator_matrix.T - pc
@@ -322,7 +258,8 @@ CUT_MODEL_ROWS = {"cp1": ("grassmann_real", (1, 1)),
 
 def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
                            seed: int = 5, band: float = 1e-6) -> dict:
-    """Compare delta_contains with an explicit cut-locus computation.
+    """Compare the shell predicate (_flat_cut_distance below band) with an
+    explicit cut-locus computation.
 
     s is the instance of the model's row in CUT_MODEL_ROWS.  Half the
     samples are constructed on the half-period shell (the predicate must
@@ -372,7 +309,7 @@ def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
     n = s.g_vee.size
     for b in al.sample_blocks(len(vs), n * n):
         geo[b] = _geometric_cut_indicator(model, s, _flat_points(s, vs[b]))
-    pred = dist < band  # delta_contains on each kept point
+    pred = dist < band  # the shell predicate on each kept point
     oracle = np.where(on_shell, geo < 1e-6, geo > 1e-6)
     mism = int(np.sum((pred != on_shell) | ~oracle))
     return {"model": model, "samples": samples, "tested": len(vs),
@@ -419,16 +356,16 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     interior, ks = interior[keep], ks[keep]
     xs = us[keep] * (t[keep] * r / m[keep])[:, None]
 
-    xi, k = s.xi.entries, s.k_basis
+    xi, k = s.xi, s.k_basis
     lam = np.empty(len(xs))
     for b in al.sample_blocks(len(xs), g.size ** 2 + g.dim ** 2):
-        x_lift = g.stack_matrices(xs[b] @ s.a_flat.basis)
-        rot = al.expm_skew(g.stack_matrices(ks[b] @ k))
+        x_lift = g.from_coords(xs[b] @ s.a_flat.basis)
+        rot = al.expm_skew(g.from_coords(ks[b] @ k))
         rot_t = rot.swapaxes(-1, -2)
         # Ad(exp k_gen) of the point xi and of the velocity [X, xi]
         pts = rot @ xi @ rot_t
-        vel = rot @ (x_lift @ xi - xi @ x_lift) @ rot_t
-        mu = g.stack_coords(_momentum_tn(s, pts, vel))
+        vel = rot @ al.bracket(x_lift, xi) @ rot_t
+        mu = g.coords(_momentum_tn(s, pts, vel))
         ad_k = k @ al.ad_from_coords(g, mu) @ k.T
         # ad on k is antisymmetric: its spectral radius is its largest
         # singular value, read off the real symmetric ad_k^T ad_k
@@ -458,9 +395,10 @@ def _merits_and_grads(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray):
     return np.einsum("ki,ki->k", mr, r), grad
 
 
-def _descend(s: SpaceInstance, pts: list, max_iter: int = 10000) -> list:
+def _descend(s: SpaceInstance, pts: np.ndarray,
+             max_iter: int = 10000) -> np.ndarray:
     """Armijo descent on the merit, then Gauss-Newton polish, of every
-    start point.
+    start point of a (k, n, n) stack; the end points come back as one.
 
     The restarts move in lockstep on coordinate stacks, in blocks cut by
     al.sample_blocks, but each keeps its own step size, tests and stopping
@@ -469,11 +407,11 @@ def _descend(s: SpaceInstance, pts: list, max_iter: int = 10000) -> list:
     g = s.g_vee
     adxi = al.ad_operator(g, s.xi)
     scale = max(1.0, -al.killing(g, s.xi, s.xi))
-    a = g.stack_coords(np.array([pt.value.entries for pt in pts]))
+    a = g.coords(pts)
     for b in al.sample_blocks(len(pts), g.dim * g.dim):
         a[b] = _armijo(s, a[b], adxi, scale, max_iter)
         a[b] = _gauss_newton(s, a[b], adxi, scale)
-    return [OrbitPoint(space=s, value=g.from_coords(c)) for c in a]
+    return g.from_coords(a)
 
 
 def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray, scale: float,
@@ -494,13 +432,13 @@ def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray, scale: float,
         if it > max_iter:
             raise NonConvergence(f"descent exceeded {max_iter} iterations")
         step = -grad[live] / np.maximum(decr, 1e-30)[:, None]
-        flow = al.skew_flow(g.stack_matrices(step))
-        am = g.stack_matrices(a[live])
+        flow = al.skew_flow(g.from_coords(step))
+        am = g.from_coords(a[live])
         todo = np.arange(len(live))  # positions in live still searching
         for _ in range(40):
             i = live[todo]
             r = flow(eta[i], at=todo)
-            cand = g.stack_coords(r @ am[todo] @ r.swapaxes(-1, -2))
+            cand = g.coords(r @ am[todo] @ r.swapaxes(-1, -2))
             cval, cgrad = _merits_and_grads(s, cand, adxi)
             ok = cval <= val[i] - 0.3 * eta[i] * decr[todo]
             a[i[ok]], val[i[ok]], grad[i[ok]] = cand[ok], cval[ok], cgrad[ok]
@@ -532,9 +470,9 @@ def _gauss_newton(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray,
         jac = -adxi @ rt.ad_from_coords(g, a[live])
         u = -_least_squares(lmat.T @ jac, r @ lmat)
         u *= (0.5 / np.maximum(np.linalg.norm(u, axis=1), 0.5))[:, None]
-        rot = al.expm_skew(g.stack_matrices(u))
-        am = g.stack_matrices(a[live])
-        a[live] = g.stack_coords(rot @ am @ rot.swapaxes(-1, -2))
+        rot = al.expm_skew(g.from_coords(u))
+        am = g.from_coords(a[live])
+        a[live] = g.coords(rot @ am @ rot.swapaxes(-1, -2))
     return a
 
 
@@ -575,20 +513,20 @@ def _gradient_norms(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(comps, axis=-1)
 
 
-def morse_index(pt: OrbitPoint) -> int:
+def morse_index(s: SpaceInstance, x: np.ndarray) -> int:
     """Morse index of H at a critical point x, from its exact Hessian.
 
     H(Ad(e^U) x) = H(x) + Q(U) + O(U^3) with Q(U) = -(pi/c) B([xi, U], [x, U])
     (the first order term vanishes with [xi, x]); Q is taken on the
-    generators U of tangent_frame(x), and the eigenvalues below -1e-8 of
-    the largest |eigenvalue| are counted.
+    generators U of the tangent frame at x, and the eigenvalues below -1e-8
+    of the largest |eigenvalue| are counted.
     """
-    s = pt.space
     g = s.g_vee
-    adxi, adx = al.ad_operator(g, s.xi), al.ad_operator(g, pt.value)
+    xc = g.coords(x)
+    adxi, adx = al.ad_operator(g, s.xi), al.ad_from_coords(g, xc)
     q = adxi.T @ g.killing_matrix @ adx
     q = -0.5 * np.pi / structure(s).c_orbit * (q + q.T)
-    frame = tangent_frame(pt)
+    frame = _tangent_frames(s, xc[None])[0]
     w = np.linalg.eigvalsh(frame @ q @ frame.T)
     return int(np.sum(w < -1e-8 * np.abs(w).max()))
 
@@ -608,22 +546,19 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     critical value.
     """
     g = s.g_vee
-    pts = [base_point(s)] + random_orbit_points(
-        s, np.random.SeedSequence(seed).spawn(restarts - 1))
+    pts = np.concatenate([s.xi[None], random_orbit_points(
+        s, np.random.SeedSequence(seed).spawn(restarts - 1))])
     ends = _descend(s, pts)
-    mats = np.array([end.value.entries for end in ends])
-    if not np.isfinite(mats).all():
+    if not np.isfinite(ends).all():
         raise NonConvergence("descent ended at a non-finite point")
-    a = g.stack_coords(mats)
+    a = g.coords(ends)
     gn = np.concatenate([_gradient_norms(s, a[b])
                          for b in al.sample_blocks(len(a), g.dim * g.dim)])
     failed = np.flatnonzero(gn > 1e-7)
     if failed.size:
         raise NonConvergence(
             f"certificate failed, grad norm {gn[failed[0]]:.2e}")
-    # H = 2 pi B(xi, a)/c, as hamiltonian takes it, for every end point
-    vals = 2.0 * np.pi * (a @ (g.coords(s.xi) @ g.killing_matrix)) \
-        / structure(s).c_orbit
+    vals = hamiltonian(s, ends)
 
     spread = max(vals.max() - vals.min(), 1.0)
     order = np.argsort(vals)
@@ -639,7 +574,7 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
         out.append(CriticalCluster(
             representative=rep,
             value=float(np.mean([vals[i] for i in grp])),
-            hessian_index=morse_index(rep),
+            hessian_index=morse_index(s, rep),
             population=len(grp)))
     return out
 

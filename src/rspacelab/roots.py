@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from ._record import dataclass
-from .algebra import (AlgebraElement, LieAlgebraBasis, CartanDecomposition,
-                      ad_from_coords, bracket_residual, AlgebraMismatch)
+from .algebra import (LieAlgebraBasis, CartanDecomposition, ad_from_coords,
+                      bracket_residual, AlgebraMismatch)
 
 TOL_ROOT = 1e-6
 TOL_SL2 = 1e-8
@@ -76,16 +76,17 @@ class AbelianSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def coords_of(self, x) -> np.ndarray:
-        """Coordinates of x (element or ambient-coords vector) in this basis."""
-        v = self.ambient.alg.coords(x) if isinstance(x, AlgebraElement) \
-            else np.asarray(x, float)
+    def coords_of(self, v) -> np.ndarray:
+        """Coordinates in this basis of an ambient coordinate vector."""
+        v = np.asarray(v, float)
         out = self.basis @ v
         if np.linalg.norm(v - self.basis.T @ out) > 1e-7 * max(1.0, np.linalg.norm(v)):
             raise AlgebraMismatch("element is not in the abelian subspace")
         return out
 
-    def lift(self, c: np.ndarray) -> AlgebraElement:
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """The matrix of coordinates c in this basis, or of each row of a
+        stack of them."""
         return self.ambient.alg.from_coords(np.asarray(c, float) @ self.basis)
 
 
@@ -140,17 +141,15 @@ def find_maximal_abelian(side: Subspace,
 
     Args:
         side: subspace to search inside (closed under no bracket assumption).
-        must_contain: elements (or coordinate vectors) the subspace must
-            contain; they have to commute with each other.  They come first
-            in the basis.
+        must_contain: coordinate vectors the subspace must contain; they
+            have to commute with each other.  They come first in the basis.
 
     Raises:
         MaximalityNotCertified: refinement did not stabilize in budget, or
             the result is not maximal.
     """
     alg = side.alg
-    mc = [alg.coords(m) if isinstance(m, AlgebraElement) else np.asarray(m, float)
-          for m in must_contain]
+    mc = [np.asarray(m, float) for m in must_contain]
     span = side.coords
     for m in mc:
         span = _kernel_within(span, ad_from_coords(alg, m))
@@ -361,7 +360,7 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: AbelianSubspace,
     v = sp.vectors[:, 0]
     beta = np.array(beta, float)
 
-    e_mat = alg.stack_matrices(v.real) + 1j * alg.stack_matrices(v.imag)
+    e_mat = alg.from_coords(v.real) + 1j * alg.from_coords(v.imag)
     c_mat = e_mat @ np.conj(e_mat) - np.conj(e_mat) @ e_mat  # [E, conj E]
     assert np.abs(c_mat.real).max() < 1e-9  # C = i T0 with T0 real, in the torus
     t0_coords = t.coords_of(alg.coords(c_mat.imag))
@@ -385,7 +384,7 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: AbelianSubspace,
 
 
 def cascade_strongly_orthogonal(dec: CartanDecomposition,
-                                z: AlgebraElement) -> StronglyOrthogonalSet:
+                                z: np.ndarray) -> StronglyOrthogonalSet:
     """Strongly orthogonal noncompact positive roots, highest first.
 
     Needs a Hermitian pair: z central in k with ad_z^2 = -1 on p.  Roots are
@@ -399,16 +398,17 @@ def cascade_strongly_orthogonal(dec: CartanDecomposition,
             no positive system.
     """
     alg = dec.alg
-    adz = ad_from_coords(alg, alg.coords(z))
+    zc = alg.coords(z)
+    adz = ad_from_coords(alg, zc)
     p = dec.p_basis
     if np.abs((adz @ (adz @ p.T)) + p.T).max() > 1e-8:
         raise NotHermitian("ad_z^2 is not -identity on p")
     if dec.k_basis.shape[0] and np.abs(adz @ dec.k_basis.T).max() > 1e-8:
         raise NotHermitian("z is not central in k")
 
-    t = find_maximal_abelian(k_side(dec), must_contain=[z])
+    t = find_maximal_abelian(k_side(dec), must_contain=[zc])
     spaces = complex_root_spaces(alg, t)
-    z_t = t.coords_of(alg.coords(z))
+    z_t = t.coords_of(zc)
 
     pool = []
     for s in spaces:

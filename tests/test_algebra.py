@@ -50,7 +50,7 @@ def test_basis_is_trace_orthonormal():
     g = al.build_algebra("su", 3)
     for i, x in enumerate(g.basis):
         for j, y in enumerate(g.basis):
-            frob = float(np.sum(x.entries * y.entries))
+            frob = float(np.sum(x * y))
             assert abs(frob - (i == j)) < 1e-12
             # the positive pairing is the Killing factor on the diagonal
             assert abs(pairing(g, x, y) - 3.0 * (i == j)) < 1e-9
@@ -64,16 +64,16 @@ def test_bracket_identities(seed):
     x, y, z = (g.from_coords(rng.normal(size=g.dim)) for _ in range(3))
     a, b = rng.normal(size=2)
 
-    anti = al.bracket(x, y).entries + al.bracket(y, x).entries
+    anti = al.bracket(x, y) + al.bracket(y, x)
     assert np.abs(anti).max() < 1e-9
 
     lin = al.bracket(g.from_coords(a * g.coords(x) + b * g.coords(y)), z)
-    want = a * al.bracket(x, z).entries + b * al.bracket(y, z).entries
-    assert np.abs(lin.entries - want).max() < 1e-8
+    want = a * al.bracket(x, z) + b * al.bracket(y, z)
+    assert np.abs(lin - want).max() < 1e-8
 
-    jac = (al.bracket(x, al.bracket(y, z)).entries
-           + al.bracket(y, al.bracket(z, x)).entries
-           + al.bracket(z, al.bracket(x, y)).entries)
+    jac = (al.bracket(x, al.bracket(y, z))
+           + al.bracket(y, al.bracket(z, x))
+           + al.bracket(z, al.bracket(x, y)))
     assert np.abs(jac).max() < 1e-8
 
 
@@ -124,11 +124,11 @@ def test_conjugate_is_a_bracket_flow():
     h = g.from_coords(rng.normal(size=g.dim))
     t = 1e-6
     moved = al.conjugate(x, h, t)
-    approx = x.entries + t * al.bracket(h, x).entries
-    assert np.abs(moved.entries - approx).max() < 1e-10
+    approx = x + t * al.bracket(h, x)
+    assert np.abs(moved - approx).max() < 1e-10
     # exact flow property, not just the linearization
     two = al.conjugate(al.conjugate(x, h, 0.3), h, 0.4)
-    assert np.abs(two.entries - al.conjugate(x, h, 0.7).entries).max() < 1e-9
+    assert np.abs(two - al.conjugate(x, h, 0.7)).max() < 1e-9
 
 
 def test_direct_sum_factors_commute():
@@ -137,7 +137,7 @@ def test_direct_sum_factors_commute():
     s = al.direct_sum(a, b)
     assert s.dim == a.dim + b.dim
     cross = al.bracket(s.basis[0], s.basis[a.dim])
-    assert np.abs(cross.entries).max() < 1e-12
+    assert np.abs(cross).max() < 1e-12
 
 
 def test_cartan_decompose_grades_brackets():
@@ -179,13 +179,6 @@ def test_subalgebra_rejects_non_closed_span():
     rows = rng.normal(size=(2, g.dim))
     with pytest.raises(al.AlgebraMismatch):
         al.subalgebra(g, rows, "nonsense")
-
-
-def test_elements_of_different_algebras_do_not_mix():
-    a = al.build_algebra("su", 2)
-    b = al.build_algebra("so", 4)
-    with pytest.raises(al.AlgebraMismatch):
-        al.bracket(a.basis[0], b.basis[0])
 
 
 def test_expm_skew_matches_the_pade_exponential():
@@ -408,9 +401,11 @@ def test_stacked_ad_matches_one_vector_at_a_time():
     ads = al.ad_from_coords(g, xs)
     for idx in np.ndindex(xs.shape[:-1]):
         assert np.abs(ads[idx] - al.ad_from_coords(g, xs[idx])).max() <= 1e-13
-    mats = g.stack_matrices(xs)
-    assert np.abs(mats[1, 3] - g.from_coords(xs[1, 3]).entries).max() <= 1e-15
-    assert np.abs(g.stack_coords(mats) - xs).max() <= 1e-13
+    # one coordinate map pair serves one element and any stack of them
+    mats = g.from_coords(xs)
+    assert np.abs(mats[1, 3] - g.from_coords(xs[1, 3])).max() <= 1e-15
+    assert np.abs(g.coords(mats) - xs).max() <= 1e-13
+    assert np.abs(g.coords(mats[1, 3]) - xs[1, 3]).max() <= 1e-13
 
 
 def test_sample_blocks_cover_every_sample_once():
@@ -442,7 +437,7 @@ def test_jacobi_residual_matches_the_dense_tensor():
         bent = c.copy()
         bent[np.unravel_index(np.abs(c).argmax(), c.shape)] += 0.01
         h = al.LieAlgebraBasis(g.family, g.n, g.algebra_id, g.basis, bent,
-                               g.killing_matrix, g._flat)
+                               g.killing_matrix)
         assert abs(al.jacobi_residual(h) - _dense_jacobi(bent)) <= 1e-14
         assert al.jacobi_residual(h) >= 1e-3
 

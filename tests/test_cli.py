@@ -176,6 +176,27 @@ def test_a_table_row_label_selects_the_rows_of_its_id(capsys, command,
         assert len(spaces[0]) == {"sphere": 3, "quadric_real": 2}[space]
 
 
+@pytest.mark.parametrize("label,space", [("8a", "sphere"),
+                                         ("H1", "grassmann_complex_hermitian")])
+def test_verify_takes_a_table_row_label_for_its_id(capsys, label, space):
+    outs = []
+    for key in (label, space):
+        code, out, err = run(capsys, "verify", "--seed", "1", "--space", key,
+                             "--suite", "algebra")
+        assert code == cli.EX_OK and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert f"algebra.jacobi[{space}(" in outs[0]
+
+
+@pytest.mark.parametrize("label", ["8z", "H9", "9"])
+def test_verify_rejects_an_unknown_or_exceptional_label(capsys, label):
+    code, out, err = run(capsys, "verify", "--seed", "1", "--space", label,
+                         "--suite", "algebra")
+    assert code == cli.EX_USAGE and out == ""
+    assert err == f"rspacelab: unknown space {label!r}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["atlas", "--params", "1,2"], "--params needs --space"),
     (["report", "--params", "2"], "--params needs --space"),

@@ -134,9 +134,9 @@ def _loop_norm(s, p, u):
     """F_p(u) from one ad matrix of the lifted flat vector, built from the
     commutators [x, k_i] projected on the k rows."""
     g = s.g_vee
-    x = s.a_flat.lift(u).entries
-    ks = g.stack_matrices(s.k_basis)
-    adx = s.k_basis @ g.stack_coords(x @ ks - ks @ x).T
+    x = s.a_flat.lift(u)
+    ks = g.from_coords(s.k_basis)
+    adx = s.k_basis @ g.coords(x @ ks - ks @ x).T
     sv = np.abs(np.linalg.eigvalsh(1j * adx))
     return sv.max() if np.isinf(p) else (sv ** p).sum() ** (1.0 / p)
 

@@ -31,41 +31,56 @@ def project_onto(rows, v):
     return rows.T @ (rows @ v)
 
 
-def moment_tn(x, v):
-    """Tangent-bundle momentum [x, v]; requires x and v on the real form."""
-    ob._check_same_base(x, v)
-    mu = ob._momentum_tn(x.space, x.value.entries, v.vector.entries)
-    return al.AlgebraElement(x.value.algebra_id, mu)
+def moment_tn(s, x, v):
+    """Tangent-bundle momentum [x, v] of the velocity v at the point x;
+    requires x and v on the real form."""
+    return ob._momentum_tn(s, x, v)
 
 
-def moment_nc(a):
+def moment_nc(s, x):
     """Momentum of the K action on the orbit: the k-component of the point."""
-    s = a.space
-    ac = s.g_vee.coords(a.value)
-    kc = 0.5 * (ac + s.sigma.apply_coords(ac))
-    return s.g_vee.from_coords(kc)
+    xc = s.g_vee.coords(x)
+    return s.g_vee.from_coords(0.5 * (xc + s.sigma.apply_coords(xc)))
 
 
-def canonical_one_form(x, v, w):
-    """Tautological pairing <v, hor(w)> of the fiber velocity with the
-    horizontal (sigma-odd) part of the test tangent."""
-    ob._check_same_base(x, v, w)
-    s = x.space
-    wc = s.g_vee.coords(w.vector)
+def canonical_one_form(s, v, w):
+    """Tautological pairing <v, hor(w)> of the fiber velocity v with the
+    horizontal (sigma-odd) part of the test tangent w."""
+    wc = s.g_vee.coords(w)
     hor = 0.5 * (wc - s.sigma.apply_coords(wc))
-    return float(s.g_vee.coords(v.vector) @ ob.structure(s).metric @ hor)
+    return float(s.g_vee.coords(v) @ ob.structure(s).metric @ hor)
 
 
-def flow_closure_residual(s, pt):
+def flow_closure_residual(s, x):
     """Residual of the period-one circle action generated by xi."""
-    moved = al.conjugate(pt.value, s.xi, 2.0 * np.pi)
-    return float(np.abs(moved.entries - pt.value.entries).max())
+    moved = al.conjugate(x, s.xi, 2.0 * np.pi)
+    return float(np.abs(moved - x).max())
 
 
-def riemannian_gradient_norm(pt):
+def riemannian_gradient_norm(s, x):
     """Norm of grad H at the point, over a metric-orthonormal tangent frame."""
-    a = pt.space.g_vee.coords(pt.value)[None]
-    return float(ob._gradient_norms(pt.space, a)[0])
+    return float(ob._gradient_norms(s, s.g_vee.coords(x)[None])[0])
+
+
+def tangent_frame(s, x):
+    """Metric-orthonormal rows spanning the tangent space at the point x."""
+    return ob._tangent_frames(s, s.g_vee.coords(x)[None])[0]
+
+
+def flat_model(s, v):
+    """Exponential of the flat: Ad(exp([xi, v~])) xi for one vector v in
+    abar coordinates."""
+    return ob._flat_points(s, np.asarray(v, float)[None])[0]
+
+
+def delta_contains(s, v, band=1e-6):
+    """Whether the flat point of v lies on the cut set Delta, within band."""
+    return bool(ob._flat_cut_distance(s, v) < band)
+
+
+def random_orbit_point(s, seed):
+    """The orbit point of one walk seed."""
+    return ob.random_orbit_points(s, [seed])[0]
 
 
 def test_structure_is_cached_per_instance():
@@ -118,17 +133,17 @@ def test_calibration_hand_values():
 
 def test_transport_stays_on_the_orbit():
     s = atlas.instance("quadric_real", 1, 2)
-    pt = ob.random_orbit_point(s, 4)
-    assert ob.certificate_residual(pt) < 1e-9
-    again = ob.transport(pt, random_element(s.g_vee,
+    pt = random_orbit_point(s, 4)
+    assert ob.certificate_residual(s, pt) < 1e-9
+    again = al.conjugate(pt, random_element(s.g_vee,
                                             np.random.default_rng(5)))
-    assert ob.certificate_residual(again) < 1e-9
+    assert ob.certificate_residual(s, again) < 1e-9
 
 
 def test_tangent_frame_is_metric_orthonormal():
     s = atlas.instance("sphere", 2)
-    x = ob.random_orbit_point(s, 8)
-    frame = ob.tangent_frame(x)
+    x = random_orbit_point(s, 8)
+    frame = tangent_frame(s, x)
     gram = frame @ ob.structure(s).metric @ frame.T
     assert np.abs(gram - np.eye(len(frame))).max() < 1e-8
 
@@ -146,8 +161,8 @@ def test_stacked_frames_refuse_points_of_different_orbits():
 def test_complex_structure_squares_to_minus_one():
     for rid, params in [("sphere", (2,)), ("unitary_group", (2,)),
                         ("grassmann_real", (1, 2))]:
-        x = ob.random_orbit_point(atlas.instance(rid, *params), 11)
-        assert ob.complex_structure_check(x) < 1e-7
+        s = atlas.instance(rid, *params)
+        assert ob.complex_structure_check(s, random_orbit_point(s, 11)) < 1e-7
 
 
 @settings(max_examples=20, deadline=None)
@@ -156,122 +171,120 @@ def test_two_form_is_antisymmetric_and_bilinear(seed):
     s = _S2[0]
     g = s.g_vee
     rng = np.random.default_rng(seed)
-    x = ob.random_orbit_point(s, seed % 97)
+    x = random_orbit_point(s, seed % 97)
     a, b = (g.from_coords(rng.normal(size=g.dim)) for _ in range(2))
-    v, w = ob.make_tangent(x, a), ob.make_tangent(x, b)
-    assert abs(ob.kks(x, v, w) + ob.kks(x, w, v)) < 1e-9
+    assert abs(ob.kks(s, x, a, b) + ob.kks(s, x, b, a)) < 1e-9
     c = float(rng.normal())
-    vc = ob.make_tangent(x, g.from_coords(c * g.coords(a)))
-    assert abs(ob.kks(x, vc, w) - c * ob.kks(x, v, w)) < 1e-7
+    ac = g.from_coords(c * g.coords(a))
+    assert abs(ob.kks(s, x, ac, b) - c * ob.kks(s, x, a, b)) < 1e-7
 
 
-def test_two_form_rejects_foreign_tangents():
-    s = atlas.instance("sphere", 2)
-    x = ob.random_orbit_point(s, 1)
-    y = ob.random_orbit_point(s, 2)
-    v = ob.make_tangent(y, s.xi)
-    with pytest.raises(ob.BaseMismatch):
-        ob.kks(x, v, v)
+def test_stacked_two_form_matches_the_pairwise_two_form():
+    # the orbit suite evaluates the form on every pair of frame generators
+    # in one stacked call; each entry is the two-form of its pair
+    s = atlas.instance("unitary_group", 2)
+    g = s.g_vee
+    x = random_orbit_point(s, 5)
+    gens = g.from_coords(tangent_frame(s, x))
+    omega = ob.kks(s, x, gens[:, None], gens[None, :])
+    assert omega.shape == (len(gens), len(gens))
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens):
+            assert abs(omega[i, j] - ob.kks(s, x, a, b)) <= 1e-12
 
 
 def test_hamiltonian_field_is_the_circle_action():
-    # dH(w) = -2 pi omega(V, w) with V the xi rotation generator as built
-    # by make_tangent; the action field itself is -V
+    # dH(w) = -2 pi omega(V, w) with V = [x, xi], the tangent of the
+    # generator xi; the action field itself is -V
     s = atlas.instance("sphere", 2)
-    x = ob.random_orbit_point(s, 9)
+    x = random_orbit_point(s, 9)
     g = s.g_vee
     rng = np.random.default_rng(1)
     b = g.from_coords(rng.normal(size=g.dim))
-    w = ob.make_tangent(x, b)
     h = 1e-6
-    d_h = (ob.hamiltonian(ob.transport(x, b, h))
-           - ob.hamiltonian(ob.transport(x, b, -h))) / (2 * h)
-    v = ob.make_tangent(x, s.xi)
-    assert abs(d_h + 2.0 * np.pi * ob.kks(x, v, w)) < 1e-5
+    d_h = (ob.hamiltonian(s, al.conjugate(x, b, h))
+           - ob.hamiltonian(s, al.conjugate(x, b, -h))) / (2 * h)
+    assert abs(d_h + 2.0 * np.pi * ob.kks(s, x, s.xi, b)) < 1e-5
 
 
 def test_flow_closes_with_period_one():
     s = atlas.instance("unitary_group", 2)
-    pt = ob.random_orbit_point(s, 3)
+    pt = random_orbit_point(s, 3)
     assert flow_closure_residual(s, pt) < 1e-9
 
 
 def test_height_minimum_at_the_base_point():
     s = _S2[0]
     cp1 = atlas.instantiate(atlas.descriptor("grassmann_real", 1, 1))
-    h0 = ob.hamiltonian(ob.base_point(cp1))
+    h0 = ob.hamiltonian(cp1, cp1.xi)
     assert abs(h0 + 2.0 * np.pi) < 1e-9
     pts = ob.random_orbit_points(cp1, [10_000 + i for i in range(10_000)])
-    vals = [ob.hamiltonian(x) for x in pts]
-    assert min(vals) >= h0 - 1e-9
+    vals = ob.hamiltonian(cp1, pts)
+    assert vals.shape == (10_000,)
+    assert vals.min() >= h0 - 1e-9
     # the full spread of the projective line is one step of the ladder
-    assert max(vals) <= h0 + 4.0 * np.pi + 1e-9
+    assert vals.max() <= h0 + 4.0 * np.pi + 1e-9
 
 
 def test_momentum_requires_the_real_form():
     s = atlas.instance("sphere", 2)
-    x = ob.base_point(s)
+    x = s.xi
     k_gen = s.g_vee.from_coords(s.k_basis[0])
-    v = ob.make_tangent(x, k_gen)
-    mu = moment_tn(x, v)
+    mu = moment_tn(s, x, al.bracket(x, k_gen))
     muc = s.g_vee.coords(mu)
     assert np.linalg.norm(muc - project_onto(s.k_basis, muc)) < 1e-8
-    off = ob.random_orbit_point(s, 12)  # generic point leaves the real form
+    off = random_orbit_point(s, 12)  # generic point leaves the real form
     with pytest.raises(ob.NotOnRealForm):
-        moment_tn(off, ob.make_tangent(off, k_gen))
+        moment_tn(s, off, al.bracket(off, k_gen))
 
 
 def test_orbit_momentum_is_equivariant():
     s = atlas.instance("quadric_real", 1, 2)
     g = s.g_vee
-    x = ob.random_orbit_point(s, 6)
+    x = random_orbit_point(s, 6)
     eta = g.from_coords(project_onto(s.k_basis,
                                      np.random.default_rng(7).normal(
                                          size=g.dim)))
-    lhs = moment_nc(ob.transport(x, eta, 0.7))
-    rhs = al.conjugate(moment_nc(x), eta, 0.7)
-    assert np.abs(lhs.entries - rhs.entries).max() < 1e-9
+    lhs = moment_nc(s, al.conjugate(x, eta, 0.7))
+    rhs = al.conjugate(moment_nc(s, x), eta, 0.7)
+    assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_one_form_pairs_with_horizontal_parts():
     s = atlas.instance("sphere", 2)
-    x = ob.base_point(s)
+    x = s.xi
     g = s.g_vee
     k_gen = g.from_coords(s.k_basis[0])
-    v = ob.make_tangent(x, k_gen)   # sigma-odd (horizontal) at the base
-    lam = canonical_one_form(x, v, v)
-    want = g.coords(v.vector) @ ob.structure(s).metric @ g.coords(v.vector)
+    v = al.bracket(x, k_gen)   # sigma-odd (horizontal) at the base
+    lam = canonical_one_form(s, v, v)
+    want = g.coords(v) @ ob.structure(s).metric @ g.coords(v)
     assert abs(lam - want) < 1e-9
     # sigma-even test directions pair to zero
     p_gen = g.from_coords(s.p_vee_basis[0])
-    w = ob.make_tangent(x, p_gen)
-    wc = g.coords(w.vector)
+    w = al.bracket(x, p_gen)
+    wc = g.coords(w)
     if np.linalg.norm(wc - s.sigma.apply_coords(wc)) < 1e-9:
-        assert abs(canonical_one_form(x, v, w)) < 1e-9
+        assert abs(canonical_one_form(s, v, w)) < 1e-9
 
 
 def test_flat_model_contract():
     s = atlas.instance("sphere", 2)
-    fp = ob.flat_model(s, np.zeros(s.abar.dim))
-    assert np.abs(fp.point.value.entries - s.xi.entries).max() < 1e-12
+    pt = flat_model(s, np.zeros(s.abar.dim))
+    assert np.abs(pt - s.xi).max() < 1e-12
     v = 0.3 * np.ones(s.abar.dim)
-    fp = ob.flat_model(s, v)
     gen = al.bracket(s.xi, s.abar.lift(v))
     want = al.conjugate(s.xi, gen, 1.0)
-    assert np.abs(fp.point.value.entries - want.entries).max() < 1e-10
+    assert np.abs(flat_model(s, v) - want).max() < 1e-10
 
 
 def test_shell_predicate_basics():
     s = atlas.instance("grassmann_real", 1, 1)
     st_ = ob.structure(s)
     beta = st_.sigma_bar_roots.roots[0].covector
-    on = ob.flat_model(s, (np.pi / 2.0) * beta / (beta @ beta))
-    assert ob.delta_contains(on)
-    off = ob.flat_model(s, (np.pi / 4.0) * beta / (beta @ beta))
-    assert not ob.delta_contains(off)
+    assert delta_contains(s, (np.pi / 2.0) * beta / (beta @ beta))
+    assert not delta_contains(s, (np.pi / 4.0) * beta / (beta @ beta))
     # the shell recurs with period pi along the root
-    again = ob.flat_model(s, (3 * np.pi / 2.0) * beta / (beta @ beta))
-    assert ob.delta_contains(again)
+    assert delta_contains(s, (3 * np.pi / 2.0) * beta / (beta @ beta))
 
 
 @pytest.mark.parametrize("model", ["cp1", "cp1xcp1"])
@@ -330,7 +343,7 @@ def test_random_orbit_points_reach_every_level():
     s = atlas.instance("grassmann_complex_hermitian", 1, 1)
     top = ob.weyl_critical_values(s)[-1]
     ends = ob._descend(s, ob.random_orbit_points(s, range(300)))
-    share = np.mean([abs(ob.hamiltonian(e) - top) < 1e-3 for e in ends])
+    share = np.mean(np.abs(ob.hamiltonian(s, ends) - top) < 1e-3)
     assert share >= 0.18
 
 
@@ -341,29 +354,30 @@ def test_stacked_descent_matches_one_restart_at_a_time(rid, params):
     # restarts move in lockstep, but each keeps its own step size and
     # stopping rules, so a stack ends where its restarts end alone
     s = atlas.instance(rid, *params)
-    pts = [ob.base_point(s)] + ob.random_orbit_points(
-        s, np.random.SeedSequence(4).spawn(11))
+    pts = np.concatenate([s.xi[None], ob.random_orbit_points(
+        s, np.random.SeedSequence(4).spawn(11))])
     ends = ob._descend(s, pts)
-    assert len(ends) == len(pts)
+    assert ends.shape == pts.shape
     for pt, end in zip(pts, ends):
-        alone = ob._descend(s, [pt])[0]
-        assert _rel(end.value.entries, alone.value.entries) <= 1e-12
-        assert riemannian_gradient_norm(end) <= 1e-7
+        alone = ob._descend(s, pt[None])[0]
+        assert _rel(end, alone) <= 1e-12
+        assert riemannian_gradient_norm(s, end) <= 1e-7
 
 
 def test_one_restart_over_max_iter_fails_the_stack():
     s = atlas.instance("grassmann_complex_hermitian", 1, 1)
-    base = ob.base_point(s)  # critical already: never iterates
-    assert len(ob._descend(s, [base, base], max_iter=0)) == 2
+    base = s.xi  # critical already: never iterates
+    assert len(ob._descend(s, np.stack([base, base]), max_iter=0)) == 2
     with pytest.raises(ob.NonConvergence):
-        ob._descend(s, [base, ob.random_orbit_point(s, 3), base], max_iter=2)
+        ob._descend(s, np.stack([base, random_orbit_point(s, 3), base]),
+                    max_iter=2)
 
 
 _CATALOGUE = [(d.id, d.params) for d in atlas.list_entries() if d.instantiable]
 
 
 def _even_ladder(s):
-    h0 = ob.hamiltonian(ob.base_point(s))
+    h0 = ob.hamiltonian(s, s.xi)
     return h0 + 4.0 * np.pi * np.arange(s.abar.dim + 1)
 
 
@@ -486,7 +500,7 @@ def test_nearby_master_seeds_share_no_restart(monkeypatch):
 
     def record(s, seeds):
         pts = draw(s, seeds)
-        starts[-1].extend(pt.value.entries for pt in pts)
+        starts[-1].extend(pts)
         return pts
 
     monkeypatch.setattr(ob, "random_orbit_points", record)
@@ -503,9 +517,9 @@ def test_a_non_finite_descent_end_is_refused(monkeypatch):
     s = _S2[0]
 
     def nan_ends(s, pts, max_iter=10000):
-        bad = np.full_like(s.xi.entries, np.nan)
-        return [ob.OrbitPoint(space=s, value=al.AlgebraElement(
-            s.g_vee.algebra_id, bad))] + pts[1:]
+        ends = np.array(pts)
+        ends[0] = np.nan
+        return ends
 
     def no_frames(s, a):
         raise AssertionError("the certificate ran on a non-finite point")
@@ -542,12 +556,11 @@ def test_stacked_walks_match_the_transport_loop(rid, params):
     assert len(pts) == len(seeds)
     for seed, pt in zip(seeds, pts):
         rng = np.random.default_rng(seed)
-        ref = ob.base_point(s)
+        ref = s.xi
         for _ in range(8):
-            ref = ob.transport(ref, random_element(s.g_vee, rng))
-        assert _rel(pt.value.entries, ref.value.entries) <= 1e-12
-        assert _rel(ob.random_orbit_point(s, seed).value.entries,
-                    ref.value.entries) <= 1e-12
+            ref = al.conjugate(ref, random_element(s.g_vee, rng))
+        assert _rel(pt, ref) <= 1e-12
+        assert _rel(random_orbit_point(s, seed), ref) <= 1e-12
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
@@ -561,10 +574,9 @@ def test_stacked_flat_points_match_flat_model(rid, params):
     pts = ob._flat_points(s, vs)
     dist = ob._flat_cut_distance(s, vs)
     for v, pt, d in zip(vs, pts, dist):
-        fp = ob.flat_model(s, v)
-        assert _rel(pt, fp.point.value.entries) <= 1e-12
-        assert (d < 1e-6) == ob.delta_contains(fp, 1e-6)
-    assert ob.delta_contains(ob.flat_model(s, vs[0]), 1e-6)
+        assert _rel(pt, flat_model(s, v)) <= 1e-12
+        assert (d < 1e-6) == delta_contains(s, v, 1e-6)
+    assert delta_contains(s, vs[0], 1e-6)
 
 
 def _cut_oracle_loop(model, s, samples, seed, band):
@@ -601,12 +613,10 @@ def _cut_oracle_loop(model, s, samples, seed, band):
             if ob._flat_cut_distance(s, v) < 1e-4:
                 skipped += 1
                 continue
-        fp = ob.flat_model(s, v)
-        geo = ob._geometric_cut_indicator(model, s,
-                                          fp.point.value.entries[None])[0]
+        geo = ob._geometric_cut_indicator(model, s, flat_model(s, v)[None])[0]
         tested += 1
         oracle = geo < 1e-6 if on_shell else geo > 1e-6
-        if ob.delta_contains(fp, band) != on_shell or not oracle:
+        if delta_contains(s, v, band) != on_shell or not oracle:
             mism += 1
     return {"model": model, "samples": samples, "tested": tested,
             "skipped": skipped, "mismatches": mism}, np.array(drawn)
@@ -639,8 +649,8 @@ def test_cut_oracle_refuses_a_foreign_instance():
 def _ad_on_k(s, x):
     """ad of the matrix x on k, from the commutators [x, k_i] projected on
     the k rows; independent of the structure constants."""
-    ks = s.g_vee.stack_matrices(s.k_basis)
-    return s.k_basis @ s.g_vee.stack_coords(x @ ks - ks @ x).T
+    ks = s.g_vee.from_coords(s.k_basis)
+    return s.k_basis @ s.g_vee.coords(x @ ks - ks @ x).T
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
@@ -668,17 +678,14 @@ def test_stacked_moment_check_matches_moment_tn(rid, params, monkeypatch):
         x_coords = u * (t * atlas.rank_ratio(s) / m)
         x_lift = s.a_flat.lift(x_coords)
         k_gen = g.from_coords(ks[i] @ s.k_basis)
-        x_pt = ob.transport(ob.base_point(s), k_gen)
-        tangent = ob.OrbitTangent(
-            base=x_pt, generator=al.conjugate(s.a_flat.lift(-x_coords), k_gen),
-            vector=al.conjugate(al.bracket(x_lift, s.xi), k_gen))
-        mu = moment_tn(x_pt, tangent)
-        points.append(x_pt.value.entries)
-        stacked = ob._momentum_tn(s, x_pt.value.entries[None],
-                                  tangent.vector.entries[None])[0]
-        assert _rel(stacked, mu.entries) <= 1e-12
-        lam = np.abs(np.linalg.eigvalsh(
-            1j * _ad_on_k(s, mu.entries))).max()
+        x_pt = al.conjugate(s.xi, k_gen)
+        # the tangent at x_pt of the generator k . (-X): k . [X, xi]
+        vel = al.conjugate(al.bracket(x_lift, s.xi), k_gen)
+        mu = moment_tn(s, x_pt, vel)
+        points.append(x_pt)
+        stacked = ob._momentum_tn(s, x_pt[None], vel[None])[0]
+        assert _rel(stacked, mu) <= 1e-12
+        lam = np.abs(np.linalg.eigvalsh(1j * _ad_on_k(s, mu))).max()
         worst = max(worst, abs(lam - np.abs(covs @ x_coords).max()))
         side = "interior" if interior else "exterior"
         ref[f"{side}_total"] += 1
@@ -697,8 +704,8 @@ def test_stacked_moment_check_matches_moment_tn(rid, params, monkeypatch):
 
 def test_stacked_momentum_refuses_a_point_off_the_real_form():
     s = atlas.instance("quadric_real", 1, 2)
-    on = ob.base_point(s).value.entries
-    off = ob.random_orbit_point(s, 12).value.entries
+    on = s.xi
+    off = random_orbit_point(s, 12)
     ob._momentum_tn(s, np.stack([on, on]), np.zeros((2,) + on.shape))
     with pytest.raises(ob.NotOnRealForm):
         ob._momentum_tn(s, np.stack([on, off]), np.zeros((2,) + on.shape))
@@ -711,8 +718,7 @@ def test_sampling_oracles_ignore_the_block_size(monkeypatch):
     def run():
         return (ob.moment_image_spectrum_check(s, samples=100, seed=2),
                 ob.cut_locus_oracle_check("cp1", cp1, samples=100, seed=2),
-                [p.value.entries for p in
-                 ob.random_orbit_points(s, range(10))])
+                ob.random_orbit_points(s, range(10)))
 
     whole = run()
     monkeypatch.setattr(al, "_BLOCK_ENTRIES", 200)  # a handful per block

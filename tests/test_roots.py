@@ -149,7 +149,7 @@ def test_maximal_abelian_is_abelian_and_certified():
         for j in range(a.dim):
             x = a.lift(np.eye(a.dim)[i])
             y = a.lift(np.eye(a.dim)[j])
-            assert np.abs(al.bracket(x, y).entries).max() < 1e-9
+            assert np.abs(al.bracket(x, y)).max() < 1e-9
 
 
 def test_generic_weights_are_square_roots_of_primes():
@@ -188,7 +188,7 @@ def test_a_degenerate_element_fails_the_structure(monkeypatch):
 def test_a_degenerate_functional_fails_the_cascade(monkeypatch):
     s = atlas.instantiate(atlas.descriptor("grassmann_complex_hermitian", 1, 2))
     torus = rt.find_maximal_abelian(rt.k_side(s.theta_decomp),
-                                    must_contain=[s.xi])
+                                    must_contain=[s.g_vee.coords(s.xi)])
     spaces = rt.complex_root_spaces(s.g_vee, torus)
     # only the functional degenerates: torus and roots are the generic ones
     monkeypatch.setattr(rt, "find_maximal_abelian", lambda *a, **k: torus)
