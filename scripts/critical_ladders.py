@@ -28,7 +28,7 @@ def main():
                                            seed=args.seed)
         rpt = ob.critical_gap_report(s, clusters=clusters)
         predicted = ob.critical_ladder(s)
-        print(f"{s.descriptor.label}  (rank {s.abar.dim})")
+        print(f"{s.descriptor.label}  (rank {len(s.abar)})")
         print("  predicted ladder: " + ", ".join(
             f"{v / np.pi:+.3f}*pi (index {i})" for v, i in predicted))
         for c in sorted(clusters, key=lambda c: c.value):

@@ -318,6 +318,9 @@ def ad_from_coords(alg: LieAlgebraBasis, xc: np.ndarray) -> np.ndarray:
     """ad of coordinate vectors xc, shape (..., dim) -> (..., dim, dim)."""
     xc = np.asarray(xc, float)
     d = alg.dim
+    if xc.shape[-1:] != (d,):
+        raise AlgebraMismatch(f"coordinates of shape {xc.shape} do not end "
+                              f"in the dimension {d} of {alg.algebra_id}")
     # [x, b_j] = sum_i x_i c[i,j,k] b_k
     ad = xc @ alg.structure_constants.reshape(d, d * d)
     return ad.reshape(xc.shape[:-1] + (d, d)).swapaxes(-1, -2)
@@ -401,25 +404,11 @@ def conjugate(x: np.ndarray, generator: np.ndarray, t: float = 1.0) -> np.ndarra
 # involutions and Cartan decompositions
 
 
-@dataclass(frozen=True, eq=False)
-class Involution:
-    """A linear involutive automorphism in basis coordinates.
-
-    plus_space / minus_space hold orthonormal row bases of the +1 / -1
-    eigenspaces; the operator is orthogonal and symmetric for every
-    constructor in this module, so the split is an orthogonal one.
-    """
-
-    operator_matrix: np.ndarray
-    plus_space: np.ndarray
-    minus_space: np.ndarray
-
-    def apply_coords(self, v: np.ndarray) -> np.ndarray:
-        return self.operator_matrix @ v
-
-
-def make_involution(alg: LieAlgebraBasis, op: np.ndarray) -> Involution:
-    """Validate and package an involution given by a coordinate matrix."""
+def make_involution(alg: LieAlgebraBasis, op: np.ndarray) -> np.ndarray:
+    """Validate a linear involutive automorphism given by its coordinate
+    matrix, and return it read-only.  Every constructor in this module makes
+    it orthogonal and symmetric, so its eigenspace split is an orthogonal
+    one."""
     op = np.asarray(op, float)
     d = alg.dim
     if op.shape != (d, d):
@@ -435,14 +424,13 @@ def make_involution(alg: LieAlgebraBasis, op: np.ndarray) -> Involution:
     if np.abs(op - op.T).max() > 1e-9:
         raise NotAnAutomorphism("operator is expected to be symmetric "
                                 "(orthogonal involution)")
-    w, vecs = np.linalg.eigh(op)
-    plus = vecs[:, w > 0].T
-    minus = vecs[:, w < 0].T
-    return Involution(_frozen(op), _frozen(plus), _frozen(minus))
+    return _frozen(op)
 
 
-def involution_from_conjugation(alg: LieAlgebraBasis, t_mat: np.ndarray) -> Involution:
-    """Involution X -> T X T^{-1} for an orthogonal matrix T with T^2 = ±1."""
+def involution_from_conjugation(alg: LieAlgebraBasis,
+                                t_mat: np.ndarray) -> np.ndarray:
+    """The involution X -> T X T^{-1} for an orthogonal matrix T with
+    T^2 = ±1, as its coordinate matrix."""
     t_mat = np.asarray(t_mat, float)
     op = np.empty((alg.dim, alg.dim))
     ti = t_mat.T  # orthogonal
@@ -454,8 +442,8 @@ def involution_from_conjugation(alg: LieAlgebraBasis, t_mat: np.ndarray) -> Invo
     return make_involution(alg, op)
 
 
-def swap_involution(sum_alg: LieAlgebraBasis, split: int) -> Involution:
-    """Involution of a direct sum exchanging the two (equal) summands.
+def swap_involution(sum_alg: LieAlgebraBasis, split: int) -> np.ndarray:
+    """The involution of a direct sum exchanging the two (equal) summands.
 
     split is the dimension of the first summand; the two summand bases must
     be images of each other under exchanging the diagonal blocks.
@@ -469,18 +457,12 @@ def swap_involution(sum_alg: LieAlgebraBasis, split: int) -> Involution:
     return make_involution(sum_alg, op)
 
 
-@dataclass(frozen=True, eq=False)
-class CartanDecomposition:
-    """Eigenspace split g = k + p of an involution, with bracket checks."""
-
-    alg: LieAlgebraBasis
-    involution: Involution
-    k_basis: np.ndarray
-    p_basis: np.ndarray
-
-
-def cartan_decompose(alg: LieAlgebraBasis, inv: Involution) -> CartanDecomposition:
-    k, p = inv.plus_space, inv.minus_space
+def cartan_decompose(alg: LieAlgebraBasis, op: np.ndarray) -> tuple:
+    """Eigenspace split g = k + p of an involution op, as read-only
+    orthonormal row bases (k, p) of its +1 and -1 eigenspaces, after
+    checking that the brackets respect it."""
+    w, vecs = np.linalg.eigh(op)
+    k, p = _frozen(vecs[:, w > 0].T), _frozen(vecs[:, w < 0].T)
     checks = [
         bracket_residual(alg, k, k, k),   # [k,k] in k
         bracket_residual(alg, k, p, p),   # [k,p] in p
@@ -489,5 +471,4 @@ def cartan_decompose(alg: LieAlgebraBasis, inv: Involution) -> CartanDecompositi
     if max(checks) > TOL_ALG:
         raise NotAnAutomorphism(
             f"eigenspace bracket inclusions fail ({max(checks):.2e})")
-    return CartanDecomposition(alg=alg, involution=inv,
-                               k_basis=_frozen(k), p_basis=_frozen(p))
+    return k, p

@@ -63,28 +63,25 @@ class RSpaceDescriptor:
 class SpaceInstance:
     """A realized catalogue row.
 
-    xi is the read-only matrix of the grading element.  k/h/l/p_vee bases
-    are orthonormal coordinate rows over g_vee:
-    k is the sigma-fixed algebra, h its intersection with the theta-fixed
-    algebra, l = k cap p_vee the tangent directions of N at xi.  The flat
-    pair is a_flat, maximal abelian in l, and abar, maximal abelian in
-    p_vee with a_flat's basis as its leading rows; their dimensions are
-    rank(N) and rank(N_C).
+    xi is the read-only matrix of the grading element and sigma the
+    read-only coordinate matrix of the real involution.  Every basis below
+    is a stack of orthonormal coordinate rows over g_vee.  theta_decomp and
+    sigma_decomp are the (k, p) eigenspace splits of theta = exp(pi ad_xi)
+    and of sigma, and k_basis is sigma's k.  The flat pair is a_flat,
+    maximal abelian in l = k cap p_vee (the tangent directions of N at xi,
+    p_vee being theta's p), and abar, maximal abelian in p_vee with a_flat's
+    rows leading; their row counts are rank(N) and rank(N_C).
     """
 
     descriptor: RSpaceDescriptor
     g_vee: al.LieAlgebraBasis
-    theta: al.Involution
-    sigma: al.Involution
+    sigma: np.ndarray
     xi: np.ndarray
     k_basis: np.ndarray
-    h_basis: np.ndarray
-    l_basis: np.ndarray
-    p_vee_basis: np.ndarray
-    theta_decomp: al.CartanDecomposition
-    sigma_decomp: al.CartanDecomposition
-    a_flat: rt.AbelianSubspace
-    abar: rt.AbelianSubspace
+    theta_decomp: tuple
+    sigma_decomp: tuple
+    a_flat: np.ndarray
+    abar: np.ndarray
 
 
 def intersect_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,7 +381,7 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     g, sigma, xi = builder(*d.params)
 
     xc = g.coords(xi)
-    if np.linalg.norm(sigma.apply_coords(xc) + xc) > 1e-9:
+    if np.linalg.norm(sigma @ xc + xc) > 1e-9:
         raise UnsupportedRow(f"{d.id}: sigma does not reverse xi")
 
     adxi = al.ad_operator(g, xi)
@@ -394,24 +391,19 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
         raise UnsupportedRow(f"{d.id}: ad_xi spectrum is not {{0, +-i}}")
 
     theta = al.make_involution(g, al.expm_skew(np.pi * adxi))
-    comm = theta.operator_matrix @ sigma.operator_matrix \
-        - sigma.operator_matrix @ theta.operator_matrix
-    assert np.abs(comm).max() < 1e-9
+    assert np.abs(theta @ sigma - sigma @ theta).max() < 1e-9
 
     tdec = al.cartan_decompose(g, theta)
     sdec = al.cartan_decompose(g, sigma)
-    k = sdec.k_basis
-    p_vee = tdec.p_basis
+    k, p_vee = sdec[0], tdec[1]
     l = intersect_rows(k, p_vee)
-    h = intersect_rows(k, tdec.k_basis)
-    assert l.shape[0] + h.shape[0] == k.shape[0]
-    a_flat = rt.find_maximal_abelian(rt.Subspace(g, l))
-    abar = rt.find_maximal_abelian(rt.Subspace(g, p_vee),
-                                   must_contain=a_flat.basis)
-    return SpaceInstance(descriptor=d, g_vee=g, theta=theta, sigma=sigma,
-                         xi=xi, k_basis=k, h_basis=h, l_basis=l,
-                         p_vee_basis=p_vee, theta_decomp=tdec,
-                         sigma_decomp=sdec, a_flat=a_flat, abar=abar)
+    h = intersect_rows(k, tdec[0])
+    assert len(l) + len(h) == len(k)
+    a_flat = rt.find_maximal_abelian(g, l)
+    abar = rt.find_maximal_abelian(g, p_vee, must_contain=a_flat)
+    return SpaceInstance(descriptor=d, g_vee=g, sigma=sigma, xi=xi,
+                         k_basis=k, theta_decomp=tdec, sigma_decomp=sdec,
+                         a_flat=a_flat, abar=abar)
 
 
 @functools.cache
@@ -422,7 +414,7 @@ def instance(row_id: str, *params: int) -> SpaceInstance:
 
 def rank_ratio(s: SpaceInstance) -> int:
     """rank(N_C) / rank(N), the dimensions of the flat pair."""
-    rk_nc, rk_n = s.abar.dim, s.a_flat.dim
+    rk_nc, rk_n = len(s.abar), len(s.a_flat)
     if rk_nc % rk_n:
         raise RatioNotIntegral(f"{rk_nc} not a multiple of {rk_n}")
     return rk_nc // rk_n

@@ -38,11 +38,9 @@ _SYS_REFERENCE = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class CapacityReport:
-    space_id: str
     c_G: object  # float or "unknown"
     c_HZ: object
     case_tag: str
-    formula_ref: str
     extras: dict = field(default_factory=dict)
 
 
@@ -71,7 +69,7 @@ def _active_weights(s: SpaceInstance) -> np.ndarray:
     overlaps xi, one row per eigenvector; alpha and 2 alpha both stay."""
     g = s.g_vee
     alphas, vecs = rt._joint_eigen([al.ad_from_coords(g, row)
-                                    for row in s.a_flat.basis])
+                                    for row in s.a_flat])
     xc = g.coords(s.xi)
     overlap = np.abs(np.conj(vecs.T) @ xc) ** 2 > 1e-12 * (xc @ xc)
     nonzero = np.linalg.norm(alphas, axis=1) > 1e-9
@@ -104,7 +102,7 @@ def _unit_lattice(s: SpaceInstance) -> dict:
     # row j is the flat vector on which basis weight i takes 2 pi delta_ij
     lift = 2.0 * np.pi * np.linalg.pinv(basis).T
     adxi = al.ad_operator(g, s.xi)
-    vel = (adxi @ (lift @ s.a_flat.basis).T).T
+    vel = (adxi @ (lift @ s.a_flat).T).T
     gram = -(vel @ g.killing_matrix @ vel.T) / c_model(s)
     return {"weights": basis, "num": num, "den": den, "gram": gram,
             "lift": lift}
@@ -144,7 +142,7 @@ def systole_details(s: SpaceInstance) -> dict:
     box = _proven_box(lat)
     z, length, count = _shortest_in_box(lat, box)
     x = z @ lat["lift"]
-    moved = al.conjugate(s.xi, s.a_flat.lift(x), 1.0)
+    moved = al.conjugate(s.xi, s.g_vee.from_coords(x @ s.a_flat), 1.0)
     if np.abs(moved - s.xi).max() > 1e-8:
         raise LatticeError("the shortest lattice vector does not close")
     return {"systole": length, "direction": x / np.linalg.norm(x),
@@ -161,7 +159,7 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
     as soon as it is computed; a dip is refined by _zoom, and the scan
     stops at the first one that is a true recurrence.
     """
-    x = s.a_flat.lift(np.asarray(direction, float))
+    x = s.g_vee.from_coords(np.asarray(direction, float) @ s.a_flat)
     xi_m = s.xi
     flow = al.skew_flow(x)  # one decomposition serves every t
     ts = np.linspace(0.0, t_max, grid + 1)[1:]
@@ -240,22 +238,17 @@ def capacities_U(s: SpaceInstance, sys_flat: float) -> CapacityReport:
     happens exactly when a deck transformation shortens the systole.
     """
     ratio = rank_ratio(s)
-    if ratio == 2:
-        value_flat = sys_flat
-        value_norm = _SYS_REFERENCE
-        formula = "c_G = c_HZ = sys (rank ratio 2)"
-    else:
-        value_flat = 2.0 * sys_flat
-        value_norm = 2.0 * _SYS_REFERENCE
-        formula = "c_G = c_HZ = 2*sys (rank ratio 1)"
+    if ratio == 2:  # c_G = c_HZ = sys
+        value_flat, value_norm = sys_flat, _SYS_REFERENCE
+    else:  # c_G = c_HZ = 2 sys
+        value_flat, value_norm = 2.0 * sys_flat, 2.0 * _SYS_REFERENCE
     cross_norm = ratio * value_norm
     flat_audit = ratio * value_flat
     flagged = abs(flat_audit - 4.0 * np.pi) > 1e-6
     assert abs(cross_norm - 4.0 * np.pi) < 1e-12
     return CapacityReport(
-        space_id=s.descriptor.label, c_G=float(value_flat),
-        c_HZ=float(value_flat), case_tag=f"ratio{ratio}",
-        formula_ref=formula,
+        c_G=float(value_flat), c_HZ=float(value_flat),
+        case_tag=f"ratio{ratio}",
         extras={"sys_flat": float(sys_flat), "rank_ratio": ratio,
                 "value_normalized": float(value_norm),
                 "cross_check_normalized": float(cross_norm),
@@ -273,20 +266,15 @@ def chz_disc(s: SpaceInstance, sys_flat: float) -> CapacityReport:
     d = s.descriptor
     if d.table_pi1 == "trivial":
         val, tag = sys_flat, "disc_simply_connected"
-        formula = "c_HZ(D1) = sys (simply connected)"
     elif d.id == "grassmann_real" and d.params[0] == 1:
         val, tag = 2.0 * sys_flat, "disc_rp"
-        formula = "c_HZ(D1) = 2*sys (real projective space)"
     elif d.id == "quadric_real":
         val, tag = np.sqrt(2.0) * sys_flat, "disc_quadric"
-        formula = "c_HZ(D1) = sqrt(2)*sys (real quadric)"
     else:
-        return CapacityReport(space_id=d.label, c_G="unknown",
-                              c_HZ="unknown", case_tag="disc_unknown",
-                              formula_ref="no closed form for this pi_1",
+        return CapacityReport(c_G="unknown", c_HZ="unknown",
+                              case_tag="disc_unknown",
                               extras={"sys_flat": float(sys_flat)})
-    return CapacityReport(space_id=d.label, c_G="unknown", c_HZ=float(val),
-                          case_tag=tag, formula_ref=formula,
+    return CapacityReport(c_G="unknown", c_HZ=float(val), case_tag=tag,
                           extras={"sys_flat": float(sys_flat)})
 
 
@@ -296,10 +284,9 @@ def capacity_hermitian_ambient(s: SpaceInstance) -> CapacityReport:
     from . import orbit as ob  # report never loads the orbit oracles
     levels = [v for v, _ in ob.critical_ladder(s)]
     return CapacityReport(
-        space_id=s.descriptor.label, c_G=levels[1] - levels[0],
-        c_HZ=levels[-1] - levels[0], case_tag="hermitian_ambient",
-        formula_ref="c_G = lowest step, c_HZ = spread of the critical ladder",
-        extras={"rank_nc": s.abar.dim, "levels": levels})
+        c_G=levels[1] - levels[0], c_HZ=levels[-1] - levels[0],
+        case_tag="hermitian_ambient",
+        extras={"rank_nc": len(s.abar), "levels": levels})
 
 
 # ---------------------------------------------------------------------------

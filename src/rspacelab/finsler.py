@@ -16,7 +16,6 @@ import numpy as np
 
 from . import algebra as al
 from . import orbit as ob
-from ._record import dataclass
 from .atlas import SpaceInstance
 
 # the Schatten exponents norm_monotonicity compares, in ascending order
@@ -34,47 +33,25 @@ def _schatten(sv: np.ndarray, p: float) -> np.ndarray:
     return (sv ** p).sum(axis=-1) ** (1.0 / p)
 
 
-@dataclass(frozen=True, eq=False)
-class FinslerNorm:
-    """Schatten p-norm of ad_a on the isotropy algebra, a in flat coords."""
-
-    space: SpaceInstance
-    p: float
-
-    def singular_values(self, u) -> np.ndarray:
-        """Singular values of ad_a on k for one flat vector u, or one row of
-        them per vector of a stack, computed in stacked blocks."""
-        ads = ob.structure(self.space).flat_ad_k
-        us = np.atleast_2d(np.asarray(u, float))
-        r, d = ads.shape[:2]
-        sv = np.empty((len(us), d))
-        for b in al.sample_blocks(len(us), d * d):
-            adx = (us[b] @ ads.reshape(r, d * d)).reshape(-1, d, d)
-            sv[b] = np.abs(np.linalg.eigvalsh(1j * adx))
-        return sv if np.ndim(u) > 1 else sv[0]
-
-    def values(self, us) -> np.ndarray:
-        """F_p of every row of the stack us."""
-        return _schatten(self.singular_values(np.asarray(us, float)), self.p)
-
-    def __call__(self, u) -> float:
-        return float(self.values([u])[0])
-
-
-def finsler_norm(s: SpaceInstance, p: float = np.inf) -> FinslerNorm:
-    if not (p >= 1.0):
-        raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    return FinslerNorm(space=s, p=float(p))
+def singular_values(s: SpaceInstance, us) -> np.ndarray:
+    """Singular values of ad_a on k, one row per flat vector a of the stack
+    us, computed in stacked blocks; F_p(a) is their Schatten p-norm."""
+    ads = ob.structure(s).flat_ad_k
+    us = np.asarray(us, float)
+    r, d = ads.shape[:2]
+    sv = np.empty((len(us), d))
+    for b in al.sample_blocks(len(us), d * d):
+        adx = (us[b] @ ads.reshape(r, d * d)).reshape(-1, d, d)
+        sv[b] = np.abs(np.linalg.eigvalsh(1j * adx))
+    return sv
 
 
 def norm_kernel(s: SpaceInstance) -> np.ndarray:
     """Orthonormal rows spanning the common kernel of all restricted roots."""
-    st = ob.structure(s)
-    covs = [r.covector for r in st.sigma_roots.roots]
-    if not covs:
-        return np.eye(s.a_flat.dim)
-    m = np.array(covs)
-    _, sv, vt = np.linalg.svd(m)
+    covs = ob.structure(s).sigma_roots.covectors
+    if not len(covs):
+        return np.eye(len(s.a_flat))
+    _, sv, vt = np.linalg.svd(covs)
     keep = int(np.sum(sv > 1e-9 * sv[0]))
     return vt[keep:]
 
@@ -88,18 +65,16 @@ def unit_ball_vs_box(s: SpaceInstance, samples: int = 400,
     on [0.3, 1.7).  Each vector off the common root kernel is rescaled to
     F_inf = its stretch, so the samples straddle the boundary.
     """
-    st = ob.structure(s)
-    f = finsler_norm(s, np.inf)
-    covs = np.array([r.covector for r in st.sigma_roots.roots]).reshape(
-        -1, s.a_flat.dim)
+    covs = ob.structure(s).sigma_roots.covectors
     rng = np.random.default_rng(seed)
-    us = rng.normal(size=(samples, s.a_flat.dim))
+    us = rng.normal(size=(samples, len(s.a_flat)))
     stretch = rng.uniform(0.3, 1.7, size=samples)
     # F_inf(u), the largest root value, is zero on the common kernel of
     # the roots; those vectors stay as drawn
     moved = np.abs(us @ covs.T).max(axis=1, initial=0.0) > 1e-12
-    us[moved] *= (stretch[moved] / f.values(us[moved]))[:, None]
-    in_ball = f.values(us) < 1.0
+    f_inf = singular_values(s, us[moved]).max(axis=1)
+    us[moved] *= (stretch[moved] / f_inf)[:, None]
+    in_ball = singular_values(s, us).max(axis=1) < 1.0
     in_box = np.abs(us @ covs.T).max(axis=1, initial=0.0) < 1.0
     agree = int(np.sum(in_ball == in_box))
     return {"samples": samples, "agree": agree,
@@ -115,15 +90,15 @@ def f2_vs_riemannian(s: SpaceInstance, samples: int = 200,
     """
     st = ob.structure(s)
     ker = norm_kernel(s)
-    if ker.shape[0] == s.a_flat.dim:
+    if ker.shape[0] == len(s.a_flat):
         raise DegenerateNorm(f"{s.descriptor.label}: all roots vanish")
     # one row per draw, the same numbers as one rng.normal(size=rank) each
-    us = np.random.default_rng(seed).normal(size=(samples, s.a_flat.dim))
+    us = np.random.default_rng(seed).normal(size=(samples, len(s.a_flat)))
     us = us - (us @ ker.T) @ ker
     us = us[np.linalg.norm(us, axis=1) >= 1e-6]
-    xc = us @ s.a_flat.basis  # g coordinates of the lifts
+    xc = us @ s.a_flat  # g coordinates of the lifts
     riem = np.sqrt(np.sum((xc @ st.metric) * xc, axis=1))
-    ratios = finsler_norm(s, 2.0).values(us) / riem
+    ratios = _schatten(singular_values(s, us), 2.0) / riem
     # the median, from one sort: np.median loads numpy.ma on first use
     n = len(ratios)
     const = float(np.sort(ratios)[(n - 1) // 2:n // 2 + 1].mean())
@@ -136,17 +111,16 @@ def norm_monotonicity(s: SpaceInstance, samples: int = 100,
                       seed: int = 0) -> dict:
     """Worst violation of the Schatten chain F_inf <= F_p <= F_q <= F_1
     for p >= q, plus the trace-to-spectral multiplier on rank one rows."""
-    norms = [finsler_norm(s, p) for p in _CHAIN]
-    us = np.random.default_rng(seed).normal(size=(samples, s.a_flat.dim))
-    sv = norms[-1].singular_values(us)
+    us = np.random.default_rng(seed).normal(size=(samples, len(s.a_flat)))
+    sv = singular_values(s, us)
     # one column per exponent; the norms descend along each row
-    vals = np.stack([_schatten(sv, f.p) for f in norms], axis=1)
+    vals = np.stack([_schatten(sv, p) for p in _CHAIN], axis=1)
     worst = float(np.max(vals[:, 1:] - vals[:, :-1], initial=0.0))
     out = {"worst_violation": worst, "exponents": list(_CHAIN)}
     live = vals[:, -1] > 1e-12
-    if s.a_flat.dim == 1 and live.any():
+    if len(s.a_flat) == 1 and live.any():
         last = np.flatnonzero(live)[-1]
-        sv1 = norms[-1].singular_values(np.ones(1))
+        sv1 = singular_values(s, np.ones((1, 1)))[0]
         nonzero = sv1[sv1 > 1e-9 * max(sv1.max(), 1.0)]
         out["rank1_multiplier"] = float(vals[last, 0] / vals[last, -1])
         out["rank1_nonzero_count"] = len(nonzero)

@@ -35,7 +35,6 @@ class FewerThanTwoClusters(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CriticalCluster:
-    representative: np.ndarray  # the matrix of one end point
     value: float
     hessian_index: int
     population: int
@@ -64,10 +63,10 @@ class InstanceStructure:
 @functools.cache  # keyed on instance identity
 def structure(s: SpaceInstance) -> InstanceStructure:
     g = s.g_vee
-    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
+    sos = rt.cascade_strongly_orthogonal(g, *s.theta_decomp, s.xi)
     bmat = g.killing_matrix
-    gt = -(sos.torus.basis @ bmat @ sos.torus.basis.T)
-    xi_t = sos.torus.coords_of(g.coords(s.xi))
+    gt = -(sos.torus @ bmat @ sos.torus.T)
+    xi_t = rt.coords_in(sos.torus, g.coords(s.xi))
 
     # squared Killing length of the xi component in one cascade su(2): xi
     # projects onto the coroot gt^-1 gamma, with length gamma(xi)^2 /
@@ -81,10 +80,9 @@ def structure(s: SpaceInstance) -> InstanceStructure:
     # k is ad-invariant under the flat, so ad on k is the ambient ad
     # compressed to the orthonormal rows of k
     k = s.k_basis
-    flat_ad_k = k @ al.ad_from_coords(g, s.a_flat.basis) @ k.T
-    sigma_roots = rt.compute_restricted_roots(flat_ad_k, s.a_flat)
-    sigma_bar_roots = rt.compute_restricted_roots(
-        al.ad_from_coords(g, s.abar.basis), s.abar)
+    flat_ad_k = k @ al.ad_from_coords(g, s.a_flat) @ k.T
+    sigma_roots = rt.compute_restricted_roots(flat_ad_k)
+    sigma_bar_roots = rt.compute_restricted_roots(al.ad_from_coords(g, s.abar))
 
     metric = -bmat / c_orbit
     chol = np.linalg.cholesky(metric)
@@ -197,7 +195,7 @@ def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     g = s.g_vee
     for m, what in ((x, "point"), (v, "velocity")):
         c = g.coords(m)
-        odd = np.linalg.norm(c @ s.sigma.operator_matrix.T + c, axis=-1)
+        odd = np.linalg.norm(c @ s.sigma.T + c, axis=-1)
         if np.any(odd > 1e-8 * np.maximum(1.0, np.linalg.norm(c, axis=-1))):
             raise NotOnRealForm(f"{what} is not sigma-odd")
     mu = al.bracket(x, v)
@@ -215,7 +213,7 @@ def _flat_points(s: SpaceInstance, vs: np.ndarray) -> np.ndarray:
     """Ad(exp([xi, v~])) xi, the exponential of the flat through xi, for
     every row v of vs in abar coordinates."""
     xi = s.xi
-    vt = s.g_vee.from_coords(vs @ s.abar.basis)
+    vt = s.g_vee.from_coords(vs @ s.abar)
     rot = al.expm_skew(al.bracket(xi, vt))
     return rot @ xi @ rot.swapaxes(-1, -2)
 
@@ -223,9 +221,7 @@ def _flat_points(s: SpaceInstance, vs: np.ndarray) -> np.ndarray:
 def _flat_cut_distance(s: SpaceInstance, v) -> np.ndarray:
     """Distance of root values to the half-period shell pi/2 + pi Z, for
     one flat vector or for every row of a stack."""
-    st = structure(s)
-    covs = np.array([r.covector for r in st.sigma_bar_roots.roots]).reshape(
-        -1, s.abar.dim)
+    covs = structure(s).sigma_bar_roots.covectors
     m = np.mod(np.asarray(v, float) @ covs.T - np.pi / 2.0, np.pi)
     return np.minimum(m, np.pi - m).min(axis=-1, initial=np.inf)
 
@@ -242,7 +238,7 @@ def _geometric_cut_indicator(model: str, s: SpaceInstance,
     pc = s.g_vee.coords(pts)
     scale = np.linalg.norm(pc, axis=-1)
     if model == "cp1":
-        moved = pc @ s.sigma.operator_matrix.T - pc
+        moved = pc @ s.sigma.T - pc
         return np.linalg.norm(moved, axis=-1) / scale
     if model == "cp1xcp1":
         half = pts.shape[-1] // 2
@@ -277,26 +273,25 @@ def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
     if (s.descriptor.id, s.descriptor.params) != CUT_MODEL_ROWS[model]:
         raise ValueError(f"cut model {model!r} is not sampled on "
                          f"{s.descriptor.label}")
-    st = structure(s)
-    roots = [r.covector for r in st.sigma_bar_roots.roots]
+    covs = structure(s).sigma_bar_roots.covectors
     rng = np.random.default_rng(seed)
-    scale = np.pi / max(np.linalg.norm(r) for r in roots)
+    scale = np.pi / max(np.linalg.norm(r) for r in covs)
 
     # the tangent-bundle image covers the flat only along the leading
     # rank(N) coordinates (the small flat sits first in abar), so the
     # equivalence with the brute-force cut condition is sampled there
-    r_dim = s.a_flat.dim
-    live = [b for b in roots if np.linalg.norm(b[:r_dim]) > 1e-9]
+    r_dim = len(s.a_flat)
+    live = covs[np.linalg.norm(covs[:, :r_dim], axis=1) > 1e-9]
 
     on_shell = np.arange(samples) % 2 == 0
     n_on = int(on_shell.sum())
-    bsub = np.array(live)[rng.integers(len(live), size=n_on), :r_dim]
+    bsub = live[rng.integers(len(live), size=n_on), :r_dim]
     u = rng.normal(size=(n_on, r_dim)) * scale * 0.3
     target = np.pi / 2.0 + np.pi * rng.integers(-1, 1, size=n_on)
     # slide along beta so that beta(v) sits exactly on the shell
     slide = target - np.einsum("ij,ij->i", bsub, u)
     u = u + slide[:, None] * bsub / np.einsum("ij,ij->i", bsub, bsub)[:, None]
-    vs = np.zeros((samples, s.abar.dim))
+    vs = np.zeros((samples, len(s.abar)))
     vs[on_shell, :r_dim] = u
     vs[~on_shell, :r_dim] = rng.normal(size=(samples - n_on, r_dim)) * scale
     dist = _flat_cut_distance(s, vs)
@@ -341,14 +336,14 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     g = s.g_vee
     rng = np.random.default_rng(seed)
     r = float(rank_ratio(s))
-    covs = np.array([root.covector for root in st.sigma_roots.roots])
+    covs = st.sigma_roots.covectors
     if covs.size == 0:
         raise NotOnRealForm("flat carries no roots; box test is vacuous")
 
     # first half interior, second half exterior
     interior = np.arange(samples) < samples // 2
     lo, hi = np.where(interior, 0.1, 1.05), np.where(interior, 0.95, 2.0)
-    us = rng.normal(size=(samples, s.a_flat.dim))
+    us = rng.normal(size=(samples, len(s.a_flat)))
     t = rng.uniform(lo, hi)
     ks = rng.normal(size=(samples, s.k_basis.shape[0]))
     m = np.abs(us @ covs.T).max(axis=1)
@@ -359,7 +354,7 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     xi, k = s.xi, s.k_basis
     lam = np.empty(len(xs))
     for b in al.sample_blocks(len(xs), g.size ** 2 + g.dim ** 2):
-        x_lift = g.from_coords(xs[b] @ s.a_flat.basis)
+        x_lift = g.from_coords(xs[b] @ s.a_flat)
         rot = al.expm_skew(g.from_coords(ks[b] @ k))
         rot_t = rot.swapaxes(-1, -2)
         # Ad(exp k_gen) of the point xi and of the velocity [X, xi]
@@ -398,7 +393,8 @@ def _merits_and_grads(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray):
 def _descend(s: SpaceInstance, pts: np.ndarray,
              max_iter: int = 10000) -> np.ndarray:
     """Armijo descent on the merit, then Gauss-Newton polish, of every
-    start point of a (k, n, n) stack; the end points come back as one.
+    start point of a (k, n, n) stack; the end points come back as a (k, dim)
+    coordinate stack.
 
     The restarts move in lockstep on coordinate stacks, in blocks cut by
     al.sample_blocks, but each keeps its own step size, tests and stopping
@@ -411,7 +407,7 @@ def _descend(s: SpaceInstance, pts: np.ndarray,
     for b in al.sample_blocks(len(pts), g.dim * g.dim):
         a[b] = _armijo(s, a[b], adxi, scale, max_iter)
         a[b] = _gauss_newton(s, a[b], adxi, scale)
-    return g.from_coords(a)
+    return a
 
 
 def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray, scale: float,
@@ -548,16 +544,16 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     g = s.g_vee
     pts = np.concatenate([s.xi[None], random_orbit_points(
         s, np.random.SeedSequence(seed).spawn(restarts - 1))])
-    ends = _descend(s, pts)
-    if not np.isfinite(ends).all():
+    a = _descend(s, pts)
+    if not np.isfinite(a).all():
         raise NonConvergence("descent ended at a non-finite point")
-    a = g.coords(ends)
     gn = np.concatenate([_gradient_norms(s, a[b])
                          for b in al.sample_blocks(len(a), g.dim * g.dim)])
     failed = np.flatnonzero(gn > 1e-7)
     if failed.size:
         raise NonConvergence(
             f"certificate failed, grad norm {gn[failed[0]]:.2e}")
+    ends = g.from_coords(a)
     vals = hamiltonian(s, ends)
 
     spread = max(vals.max() - vals.min(), 1.0)
@@ -570,11 +566,9 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
             groups.append([idx])
     out = []
     for grp in groups:
-        rep = ends[grp[0]]
         out.append(CriticalCluster(
-            representative=rep,
             value=float(np.mean([vals[i] for i in grp])),
-            hessian_index=morse_index(s, rep),
+            hessian_index=morse_index(s, ends[grp[0]]),
             population=len(grp)))
     return out
 

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from ._record import dataclass
-from .algebra import (LieAlgebraBasis, CartanDecomposition, ad_from_coords,
-                      bracket_residual, AlgebraMismatch)
+from .algebra import (LieAlgebraBasis, ad_from_coords, bracket_residual,
+                      AlgebraMismatch)
 
 TOL_ROOT = 1e-6
 TOL_SL2 = 1e-8
@@ -49,45 +49,14 @@ class RootSpaceEmpty(LookupError):
     """No eigenvectors attached to the requested root."""
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A linear subspace of an algebra: orthonormal coordinate rows."""
-
-    alg: LieAlgebraBasis
-    coords: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-
-def k_side(dec: CartanDecomposition) -> Subspace:
-    return Subspace(dec.alg, dec.k_basis)
-
-
-@dataclass(frozen=True, eq=False)
-class AbelianSubspace:
-    """Maximal abelian subspace of a side."""
-
-    ambient: Subspace
-    basis: np.ndarray  # rows, orthonormal for the trace form
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def coords_of(self, v) -> np.ndarray:
-        """Coordinates in this basis of an ambient coordinate vector."""
-        v = np.asarray(v, float)
-        out = self.basis @ v
-        if np.linalg.norm(v - self.basis.T @ out) > 1e-7 * max(1.0, np.linalg.norm(v)):
-            raise AlgebraMismatch("element is not in the abelian subspace")
-        return out
-
-    def lift(self, c: np.ndarray) -> np.ndarray:
-        """The matrix of coordinates c in this basis, or of each row of a
-        stack of them."""
-        return self.ambient.alg.from_coords(np.asarray(c, float) @ self.basis)
+def coords_in(rows: np.ndarray, v) -> np.ndarray:
+    """Coordinates over the orthonormal rows of a subspace of an ambient
+    coordinate vector, which must lie in their span."""
+    v = np.asarray(v, float)
+    out = rows @ v
+    if np.linalg.norm(v - rows.T @ out) > 1e-7 * max(1.0, np.linalg.norm(v)):
+        raise AlgebraMismatch("element is not in the subspace")
+    return out
 
 
 def _kernel_within(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -130,9 +99,10 @@ def generic_weights(n: int, start: int = 0) -> np.ndarray:
     return np.sqrt(np.flatnonzero(sieve)[start:count].astype(float))
 
 
-def find_maximal_abelian(side: Subspace,
-                         must_contain: Sequence = ()) -> AbelianSubspace:
-    """Maximal abelian subspace of side, via centralizer refinement.
+def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
+                         must_contain: Sequence = ()) -> np.ndarray:
+    """Orthonormal coordinate rows of a maximal abelian subspace of the span
+    of the rows side, via centralizer refinement.
 
     Intersects the current candidate span with the kernel of a fixed
     generic element of it (weights shifted by one prime per round) until
@@ -140,7 +110,8 @@ def find_maximal_abelian(side: Subspace,
     centralizer of the result inside the full side has the same dimension.
 
     Args:
-        side: subspace to search inside (closed under no bracket assumption).
+        side: orthonormal rows of the subspace to search inside (closed
+            under no bracket assumption).
         must_contain: coordinate vectors the subspace must contain; they
             have to commute with each other.  They come first in the basis.
 
@@ -148,9 +119,8 @@ def find_maximal_abelian(side: Subspace,
         MaximalityNotCertified: refinement did not stabilize in budget, or
             the result is not maximal.
     """
-    alg = side.alg
     mc = [np.asarray(m, float) for m in must_contain]
-    span = side.coords
+    span = side
     for m in mc:
         span = _kernel_within(span, ad_from_coords(alg, m))
 
@@ -170,7 +140,7 @@ def find_maximal_abelian(side: Subspace,
             f"no abelian stabilization within {_ABELIAN_ROUNDS} rounds")
 
     # maximality: centralizer of span inside side must equal span
-    cent = side.coords
+    cent = side
     for row in span:
         cent = _kernel_within(cent, ad_from_coords(alg, row))
     if cent.shape[0] != span.shape[0]:
@@ -179,7 +149,7 @@ def find_maximal_abelian(side: Subspace,
 
     basis = _gram_schmidt(list(mc) + list(span))
     assert basis.shape[0] == span.shape[0]
-    return AbelianSubspace(ambient=side, basis=basis)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +211,19 @@ def _cluster_covectors(alphas: np.ndarray):
     return centers, groups
 
 
-@dataclass(frozen=True)
-class Root:
-    covector: np.ndarray
-    multiplicity: int
-
-
 @dataclass(frozen=True, eq=False)
 class RestrictedRootSystem:
-    subspace: AbelianSubspace
-    roots: list
+    """Nonzero restricted roots as (m, rank) covector rows with their (m,)
+    multiplicities; a rootless flat has a (0, rank) covector array."""
+
+    covectors: np.ndarray
+    multiplicities: np.ndarray
     zero_multiplicity: int
 
 
-def compute_restricted_roots(ads: np.ndarray,
-                             a: AbelianSubspace) -> RestrictedRootSystem:
-    """Joint spectrum of ads, the (rank, dim, dim) stack of ad of a's basis
-    on an ad-invariant space, clustered into restricted roots.
+def compute_restricted_roots(ads: np.ndarray) -> RestrictedRootSystem:
+    """Joint spectrum of ads, the (rank, dim, dim) stack of ad of a flat's
+    basis on an ad-invariant space, clustered into restricted roots.
 
     Multiplicities count complex joint eigenvectors, so they sum (with the
     zero multiplicity) to the dimension of that space, and the trace form
@@ -265,20 +231,15 @@ def compute_restricted_roots(ads: np.ndarray,
     """
     alphas, _ = _joint_eigen(ads)
     centers, groups = _cluster_covectors(alphas)
-    roots = []
-    zero_mult = 0
-    for center, g in zip(centers, groups):
-        if np.abs(center).max() <= TOL_ROOT:
-            zero_mult += len(g)
-        else:
-            roots.append(Root(covector=center, multiplicity=len(g)))
+    mults = np.array([len(g) for g in groups])
+    live = np.abs(centers).max(axis=1) > TOL_ROOT
+    covs, mults, zero_mult = centers[live], mults[live], int(mults[~live].sum())
     # negation closure sanity: spectra of real operators are symmetric
-    for r in roots:
-        match = [s for s in roots
-                 if np.abs(s.covector + r.covector).max() <= 10 * TOL_ROOT]
-        assert match and match[0].multiplicity == r.multiplicity
-    assert sum(r.multiplicity for r in roots) + zero_mult == ads.shape[-1]
-    return RestrictedRootSystem(subspace=a, roots=roots,
+    for c, m in zip(covs, mults):
+        match = np.flatnonzero(np.abs(covs + c).max(axis=1) <= 10 * TOL_ROOT)
+        assert match.size and mults[match[0]] == m
+    assert mults.sum() + zero_mult == ads.shape[-1]
+    return RestrictedRootSystem(covectors=covs, multiplicities=mults,
                                 zero_multiplicity=zero_mult)
 
 
@@ -286,40 +247,24 @@ def compute_restricted_roots(ads: np.ndarray,
 # complex root spaces and the strongly orthogonal cascade
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexRootSpace:
-    """A root of the full torus action with its complex eigenvectors.
-
-    vectors holds coordinate columns v with ad_h v = i alpha(h) v for real
-    h in the torus; for a maximal torus each nonzero space is a line.
-    """
-
-    covector: np.ndarray
-    vectors: np.ndarray
-
-
-def complex_root_spaces(alg: LieAlgebraBasis, t: AbelianSubspace):
-    alphas, vecs = _joint_eigen(ad_from_coords(alg, t.basis))
+def complex_root_spaces(alg: LieAlgebraBasis, t: np.ndarray) -> tuple:
+    """Nonzero roots of the torus with orthonormal rows t on the complexified
+    algebra: their (m, rank) covector rows, and for each the columns v with
+    ad_h v = i alpha(h) v for real h in the torus; for a maximal torus each
+    of these spaces is a line."""
+    alphas, vecs = _joint_eigen(ad_from_coords(alg, t))
     centers, groups = _cluster_covectors(alphas)
-    out = []
-    for center, g in zip(centers, groups):
-        if np.abs(center).max() <= TOL_ROOT:
-            continue
-        out.append(ComplexRootSpace(covector=center, vectors=vecs[:, g]))
-    return out
+    live = np.flatnonzero(np.abs(centers).max(axis=1) > TOL_ROOT)
+    return centers[live], [vecs[:, groups[i]] for i in live]
 
 
-def _root_space(spaces, beta: np.ndarray) -> ComplexRootSpace:
-    for s in spaces:
-        if np.abs(s.covector - beta).max() <= 10 * TOL_ROOT:
-            if s.vectors.shape[1] == 0:
-                raise RootSpaceEmpty(f"root {beta} has no vectors")
-            return s
-    raise RootSpaceEmpty(f"root {beta} not present")
+def _root_index(covs: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Indices of the covector rows within 10 TOL_ROOT of beta."""
+    return np.flatnonzero(np.abs(covs - beta).max(axis=1) <= 10 * TOL_ROOT)
 
 
-def _is_root(spaces, beta: np.ndarray) -> bool:
-    return any(np.abs(s.covector - beta).max() <= 10 * TOL_ROOT for s in spaces)
+def _is_root(covs: np.ndarray, beta: np.ndarray) -> bool:
+    return _root_index(covs, beta).size > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,30 +285,29 @@ class SL2Triple:
 class StronglyOrthogonalSet:
     gammas: list
     triples: list
-    torus: AbelianSubspace
+    torus: np.ndarray  # orthonormal coordinate rows of the maximal torus
     roots: np.ndarray  # covector rows of every root of the torus action
 
-    @property
-    def count(self) -> int:
-        return len(self.gammas)
 
-
-def build_sl2_triple(alg: LieAlgebraBasis, t: AbelianSubspace,
-                     spaces, beta: np.ndarray) -> SL2Triple:
-    """Normalized sl2 through the root space of beta.
+def build_sl2_triple(alg: LieAlgebraBasis, t: np.ndarray, covs: np.ndarray,
+                     vectors: list, beta: np.ndarray) -> SL2Triple:
+    """Normalized sl2 through the root space of beta, for the torus rows t
+    and its roots covs with their vectors (complex_root_spaces).
 
     With C = [E, conj E] one has [C, E] = kappa0 E for a real kappa0 (it is
     negative in the compact form); H = (2/kappa0) C and a balanced rescaling
     of E, conj E then satisfy the standard relations without touching beta.
     """
-    sp = _root_space(spaces, beta)
-    v = sp.vectors[:, 0]
+    hit = _root_index(covs, beta)
+    if hit.size == 0:
+        raise RootSpaceEmpty(f"root {beta} not present")
+    v = vectors[hit[0]][:, 0]
     beta = np.array(beta, float)
 
     e_mat = alg.from_coords(v.real) + 1j * alg.from_coords(v.imag)
     c_mat = e_mat @ np.conj(e_mat) - np.conj(e_mat) @ e_mat  # [E, conj E]
     assert np.abs(c_mat.real).max() < 1e-9  # C = i T0 with T0 real, in the torus
-    t0_coords = t.coords_of(alg.coords(c_mat.imag))
+    t0_coords = coords_in(t, alg.coords(c_mat.imag))
     kappa0 = -float(beta @ t0_coords)
     if abs(kappa0) < 1e-12:
         raise RootSpaceEmpty("degenerate root vector, [C, E] = 0")
@@ -383,9 +327,11 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: AbelianSubspace,
     return SL2Triple(H=h_mat, X=x_mat, Y=y_mat, root=beta)
 
 
-def cascade_strongly_orthogonal(dec: CartanDecomposition,
+def cascade_strongly_orthogonal(alg: LieAlgebraBasis, k: np.ndarray,
+                                p: np.ndarray,
                                 z: np.ndarray) -> StronglyOrthogonalSet:
-    """Strongly orthogonal noncompact positive roots, highest first.
+    """Strongly orthogonal noncompact positive roots, highest first, for the
+    Cartan split g = k + p given by its orthonormal rows.
 
     Needs a Hermitian pair: z central in k with ad_z^2 = -1 on p.  Roots are
     taken against a maximal torus of k through z; noncompact positive means
@@ -397,29 +343,22 @@ def cascade_strongly_orthogonal(dec: CartanDecomposition,
         ClusteringAmbiguous: the functional vanishes on a root, so it picks
             no positive system.
     """
-    alg = dec.alg
     zc = alg.coords(z)
     adz = ad_from_coords(alg, zc)
-    p = dec.p_basis
     if np.abs((adz @ (adz @ p.T)) + p.T).max() > 1e-8:
         raise NotHermitian("ad_z^2 is not -identity on p")
-    if dec.k_basis.shape[0] and np.abs(adz @ dec.k_basis.T).max() > 1e-8:
+    if k.shape[0] and np.abs(adz @ k.T).max() > 1e-8:
         raise NotHermitian("z is not central in k")
 
-    t = find_maximal_abelian(k_side(dec), must_contain=[zc])
-    spaces = complex_root_spaces(alg, t)
-    z_t = t.coords_of(zc)
+    t = find_maximal_abelian(alg, k, must_contain=[zc])
+    covs, vectors = complex_root_spaces(alg, t)
+    z_t = coords_in(t, zc)
 
-    pool = []
-    for s in spaces:
-        val = float(s.covector @ z_t)
-        if abs(val - 1.0) <= 1e-6:
-            pool.append(s.covector)
+    pool = [c for c in covs if abs(float(c @ z_t) - 1.0) <= 1e-6]
     if not pool:
         raise CascadeStalled("no noncompact positive roots")
 
-    func = generic_weights(t.dim)
-    covs = np.array([s.covector for s in spaces])
+    func = generic_weights(len(t))
     if np.abs(covs @ func).min() <= 1e-9 * np.linalg.norm(func):
         raise ClusteringAmbiguous("cascade functional vanishes on a root")
     gammas = []
@@ -432,16 +371,16 @@ def cascade_strongly_orthogonal(dec: CartanDecomposition,
         gamma = pool[0]
         gammas.append(gamma)
         pool = [b for b in pool[1:]
-                if not _is_root(spaces, b + gamma)
-                and not _is_root(spaces, b - gamma)
+                if not _is_root(covs, b + gamma)
+                and not _is_root(covs, b - gamma)
                 and np.abs(b - gamma).max() > 10 * TOL_ROOT]
 
-    triples = [build_sl2_triple(alg, t, spaces, g) for g in gammas]
+    triples = [build_sl2_triple(alg, t, covs, vectors, g) for g in gammas]
     # pairwise strong orthogonality of the kept roots
     for i in range(len(gammas)):
         for j in range(i + 1, len(gammas)):
-            assert not _is_root(spaces, gammas[i] + gammas[j])
-            assert not _is_root(spaces, gammas[i] - gammas[j])
+            assert not _is_root(covs, gammas[i] + gammas[j])
+            assert not _is_root(covs, gammas[i] - gammas[j])
     return StronglyOrthogonalSet(gammas=[tri.root for tri in triples],
                                  triples=triples, torus=t,
                                  roots=covs)

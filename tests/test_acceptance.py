@@ -161,7 +161,7 @@ def test_criterion_7_structural_suite():
         except atlas.UnsupportedRow:
             continue
         st = ob.structure(s)
-        cascade_ok &= st.sos.count == s.abar.dim
+        cascade_ok &= len(st.sos.gammas) == len(s.abar)
     idx_checks = [c for c in report["checks"]
                   if c["id"].startswith("critical.indices[")]
     idx_ok = bool(idx_checks) and all(i % 2 == 0 for c in idx_checks

@@ -145,9 +145,8 @@ def test_cartan_decompose_grades_brackets():
     # conjugation by a signature matrix: the s(u(1)+u(2)) splitting
     t = np.diag([-1.0, 1.0, 1.0])
     inv = al.involution_from_conjugation(g, al.embed_complex(t))
-    dec = al.cartan_decompose(g, inv)
-    assert dec.k_basis.shape[0] + dec.p_basis.shape[0] == g.dim
-    k, p = dec.k_basis, dec.p_basis
+    k, p = al.cartan_decompose(g, inv)
+    assert k.shape[0] + p.shape[0] == g.dim
     for rows, target in ((k, k), (p, k)):
         x = g.from_coords(rows[0])
         y = g.from_coords(rows[-1])
@@ -164,6 +163,27 @@ def test_involution_validation():
     rot[0, 0] = -1.0  # sign flip of one basis vector is not an automorphism
     with pytest.raises(al.NotAnAutomorphism):
         al.make_involution(g, rot)
+
+
+def test_involution_is_the_read_only_operator():
+    g = al.build_algebra("su", 2)
+    t = al.embed_complex(np.diag([1.0, -1.0]))
+    op = al.involution_from_conjugation(g, t)
+    assert op.shape == (g.dim, g.dim) and not op.flags.writeable
+    # the operator acts on coordinates exactly as conjugation acts on matrices
+    x = g.basis[0]
+    assert np.abs(op @ g.coords(x) - g.coords(t @ x @ t.T)).max() < 1e-12
+    with pytest.raises(al.AlgebraMismatch):
+        al.make_involution(g, np.eye(g.dim + 1))
+
+
+def test_ad_rejects_coordinates_of_the_wrong_length():
+    # a matrix where coordinates belong raises the typed error, not numpy's
+    s = atlas.instance("sphere", 2)
+    g = s.g_vee
+    for bad in (s.xi, np.zeros(g.dim + 1), np.zeros((3, g.dim - 1)), 1.0):
+        with pytest.raises(al.AlgebraMismatch, match="do not end"):
+            al.ad_from_coords(g, bad)
 
 
 def test_family_and_size_guards():
@@ -454,8 +474,7 @@ def test_bracket_residual_matches_the_einsum(rid, params):
     s = atlas.instance(rid, *params)
     g = s.g_vee
     none = np.zeros((0, g.dim))
-    for dec in (s.theta_decomp, s.sigma_decomp):
-        k, p = dec.k_basis, dec.p_basis
+    for k, p in (s.theta_decomp, s.sigma_decomp):
         for a, b, t in ((k, k, k), (k, p, p), (p, p, k), (k, k, none)):
             assert abs(al.bracket_residual(g, a, b, t)
                        - _einsum_residual(g, a, b, t)) <= 1e-14

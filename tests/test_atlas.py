@@ -62,26 +62,39 @@ def test_parameter_validation():
         atlas.descriptor("no_such_row", 2)
 
 
+def _theta(s):
+    """theta = exp(pi ad_xi) in coordinates."""
+    return al.expm_skew(np.pi * al.ad_operator(s.g_vee, s.xi))
+
+
+def _isotropy_split(s):
+    """(l, h): k cap p_vee and k cap the theta-fixed algebra."""
+    k_theta, p_vee = s.theta_decomp
+    return (atlas.intersect_rows(s.k_basis, p_vee),
+            atlas.intersect_rows(s.k_basis, k_theta))
+
+
 def test_grading_element_structure():
     s = atlas.instance("quadric_real", 1, 2)
     g = s.g_vee
     xc = g.coords(s.xi)
     # the real involution reverses the grading element
-    assert np.linalg.norm(s.sigma.apply_coords(xc) + xc) < 1e-9
+    assert np.linalg.norm(s.sigma @ xc + xc) < 1e-9
+    assert not s.sigma.flags.writeable
     freqs = np.linalg.eigvalsh(1j * al.ad_operator(g, s.xi))
     assert np.all((np.abs(freqs) < 1e-9) | (np.abs(np.abs(freqs) - 1) < 1e-9))
-    comm = s.theta.operator_matrix @ s.sigma.operator_matrix \
-        - s.sigma.operator_matrix @ s.theta.operator_matrix
-    assert np.abs(comm).max() < 1e-9
+    th = _theta(s)
+    assert np.abs(th @ s.sigma - s.sigma @ th).max() < 1e-9
 
 
 def test_isotropy_splits_inside_the_fixed_algebra():
     s = atlas.instance("sphere", 2)
-    assert s.l_basis.shape[0] + s.h_basis.shape[0] == s.k_basis.shape[0]
+    l, h = _isotropy_split(s)
+    assert l.shape[0] + h.shape[0] == s.k_basis.shape[0]
     # l sits in the -1 side of theta, h in the +1 side
-    th = s.theta.operator_matrix
-    assert np.abs(s.l_basis @ th.T + s.l_basis).max() < 1e-9
-    assert np.abs(s.h_basis @ th.T - s.h_basis).max() < 1e-9
+    th = _theta(s)
+    assert np.abs(l @ th.T + l).max() < 1e-9
+    assert np.abs(h @ th.T - h).max() < 1e-9
 
 
 def sphere_model_matrices(n):
@@ -155,19 +168,19 @@ def test_sweep_ranks_cover_the_default_sweep():
 @pytest.mark.parametrize("rid,params,rank_n,rank_nc,ratio", _SWEEP_RANKS)
 def test_flat_pair_on_the_instance(rid, params, rank_n, rank_nc, ratio):
     s = atlas.instance(rid, *params)
-    assert (s.a_flat.dim, s.abar.dim) == (rank_n, rank_nc)
+    assert (len(s.a_flat), len(s.abar)) == (rank_n, rank_nc)
     assert atlas.rank_ratio(s) == ratio
     # abar extends a_flat: its leading rows are a_flat's basis
-    assert np.abs(s.abar.basis[:rank_n] - s.a_flat.basis).max() < 1e-12
-    assert np.abs(s.a_flat.basis @ s.l_basis.T @ s.l_basis
-                  - s.a_flat.basis).max() < 1e-9
+    assert np.abs(s.abar[:rank_n] - s.a_flat).max() < 1e-12
+    l, _ = _isotropy_split(s)
+    assert np.abs(s.a_flat @ l.T @ l - s.a_flat).max() < 1e-9
 
 
 def test_flat_pair_is_the_same_on_every_instantiation():
     a = atlas.instantiate(atlas.descriptor("quadric_real", 2, 2))
     b = atlas.instantiate(atlas.descriptor("quadric_real", 2, 2))
-    assert np.array_equal(a.a_flat.basis, b.a_flat.basis)
-    assert np.array_equal(a.abar.basis, b.abar.basis)
+    assert np.array_equal(a.a_flat, b.a_flat)
+    assert np.array_equal(a.abar, b.abar)
 
 
 # largest n, or largest p + q, per row: the row's algebra at that size is

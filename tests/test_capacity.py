@@ -114,7 +114,7 @@ def test_scan_oracle_follows_a_dip_across_a_block_edge(t_max):
     d = cap.systole_details(s)
     grid, edge = 60000, 17 * 1024
     ts = np.linspace(0.0, t_max, grid + 1)[1:]
-    flow = al.skew_flow(s.a_flat.lift(d["direction"]))
+    flow = al.skew_flow(s.g_vee.from_coords(d["direction"] @ s.a_flat))
     xi = s.xi
     for t in ts[edge - 1:edge + 1]:
         r = flow(t)
@@ -174,7 +174,7 @@ def test_unit_lattice_on_orthogonal_group():
 
 def test_bc_row_keeps_alpha_beside_two_alpha(monkeypatch):
     s = atlas.instance("grassmann_complex_hermitian", 1, 2)
-    covs = [r.covector for r in ob.structure(s).sigma_roots.roots]
+    covs = ob.structure(s).sigma_roots.covectors
     assert any(np.allclose(b, 2 * a) for a in covs for b in covs)
     d = cap.systole_details(s)
     scan = cap.systole_scan_oracle(s, d["direction"])

@@ -14,7 +14,12 @@ from rspacelab.reporting import _STRUCTURAL_SPACES
 
 def evaluate(roots, x):
     """alpha(x) for every root, x in flat coordinates."""
-    return np.array([r.covector @ x for r in roots.roots])
+    return roots.covectors @ x
+
+
+def norm(s, p, u):
+    """F_p of one flat vector u."""
+    return float(fin._schatten(fin.singular_values(s, [u]), p)[0])
 
 
 _U2 = [atlas.instantiate(atlas.descriptor("unitary_group", 2))]
@@ -75,7 +80,7 @@ def test_two_magnitude_spectra_break_the_multiplier():
 
 def test_rootless_flat_degenerates():
     rp1 = atlas.instance("grassmann_real", 1, 1)
-    assert fin.norm_kernel(rp1).shape[0] == rp1.a_flat.dim
+    assert fin.norm_kernel(rp1).shape[0] == len(rp1.a_flat)
     with pytest.raises(fin.DegenerateNorm):
         fin.f2_vs_riemannian(rp1)
     # the box test stays vacuously perfect: no roots, everything inside
@@ -86,19 +91,14 @@ def test_kernel_is_empty_on_rooted_rows():
     assert fin.norm_kernel(atlas.instance("sphere", 2)).shape[0] == 0
 
 
-def test_exponent_validation():
-    with pytest.raises(ValueError):
-        fin.finsler_norm(atlas.instance("sphere", 2), 0.5)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.floats(-5.0, 5.0))
 def test_norm_homogeneity(seed, t):
     s = _U2[0]
-    f = fin.finsler_norm(s, 2.0)
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=s.a_flat.dim)
-    assert abs(f(t * u) - abs(t) * f(u)) < 1e-8 * max(1.0, f(u))
+    u = rng.normal(size=len(s.a_flat))
+    fu = norm(s, 2.0, u)
+    assert abs(norm(s, 2.0, t * u) - abs(t) * fu) < 1e-8 * max(1.0, fu)
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,26 +106,25 @@ def test_norm_homogeneity(seed, t):
 def test_norm_triangle_inequality(seed):
     s = _U2[0]
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=s.a_flat.dim)
-    v = rng.normal(size=s.a_flat.dim)
+    u = rng.normal(size=len(s.a_flat))
+    v = rng.normal(size=len(s.a_flat))
     for p in (1.0, 2.0, np.inf):
-        f = fin.finsler_norm(s, p)
-        assert f(u + v) <= f(u) + f(v) + 1e-10
+        assert norm(s, p, u + v) <= norm(s, p, u) + norm(s, p, v) + 1e-10
 
 
 def test_spectral_norm_matches_largest_root_value():
     s = atlas.instance("quadric_real", 2, 2)
     st_ = ob.structure(s)
-    f = fin.finsler_norm(s, np.inf)
     rng = np.random.default_rng(4)
-    covs = np.array([r.covector for r in st_.sigma_roots.roots])
+    covs = st_.sigma_roots.covectors
     for _ in range(20):
-        u = rng.normal(size=s.a_flat.dim)
-        assert abs(f(u) - np.abs(covs @ u).max()) < 1e-9
+        u = rng.normal(size=len(s.a_flat))
+        fu = norm(s, np.inf, u)
+        assert abs(fu - np.abs(covs @ u).max()) < 1e-9
         # the strict root box of radius r holds u iff f(u) < r
         box = np.abs(evaluate(st_.sigma_roots, u)).max()
-        assert box < f(u) + 1e-9
-        assert not box < f(u) - 1e-9
+        assert box < fu + 1e-9
+        assert not box < fu - 1e-9
 
 
 # --- block evaluation against the per-sample loops ------------------------
@@ -134,7 +133,7 @@ def _loop_norm(s, p, u):
     """F_p(u) from one ad matrix of the lifted flat vector, built from the
     commutators [x, k_i] projected on the k rows."""
     g = s.g_vee
-    x = s.a_flat.lift(u)
+    x = g.from_coords(u @ s.a_flat)
     ks = g.from_coords(s.k_basis)
     adx = s.k_basis @ g.coords(x @ ks - ks @ x).T
     sv = np.abs(np.linalg.eigvalsh(1j * adx))
@@ -148,12 +147,11 @@ def _close(a, b, rel=1e-12):
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
 def test_block_norm_matches_the_one_row_calls(rid, params):
     s = atlas.instance(rid, *params)
-    us = np.random.default_rng(31).normal(size=(60, s.a_flat.dim))
+    us = np.random.default_rng(31).normal(size=(60, len(s.a_flat)))
     for p in (1.0, 2.0, 4.0, np.inf):
-        f = fin.finsler_norm(s, p)
-        block = f.values(us)
+        block = fin._schatten(fin.singular_values(s, us), p)
         for u, v in zip(us, block):
-            assert _close(v, f(u)) and _close(v, _loop_norm(s, p, u))
+            assert _close(v, norm(s, p, u)) and _close(v, _loop_norm(s, p, u))
 
 
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
@@ -163,7 +161,7 @@ def test_block_oracles_match_the_sample_loops(rid, params, monkeypatch):
 
     # unit_ball_vs_box, one sample at a time over the oracle's draws
     rng = np.random.default_rng(3)
-    us = rng.normal(size=(300, s.a_flat.dim))
+    us = rng.normal(size=(300, len(s.a_flat)))
     stretch = rng.uniform(0.3, 1.7, size=300)
     agree, tested = 0, []
     for u, t in zip(us, stretch):
@@ -174,9 +172,9 @@ def test_block_oracles_match_the_sample_loops(rid, params, monkeypatch):
         agree += ((_loop_norm(s, np.inf, u) < 1.0)
                   == (np.abs(evaluate(st_.sigma_roots, u)).max() < 1.0))
     seen = []
-    values = fin.FinslerNorm.values
-    monkeypatch.setattr(fin.FinslerNorm, "values",
-                        lambda f, us: seen.append(us) or values(f, us))
+    singular_values = fin.singular_values
+    monkeypatch.setattr(fin, "singular_values",
+                        lambda s, us: seen.append(us) or singular_values(s, us))
     assert fin.unit_ball_vs_box(s, samples=300, seed=3)["agree"] == agree
     monkeypatch.undo()
     # the ball test ran on the samples the loop tested
@@ -189,11 +187,11 @@ def test_block_oracles_match_the_sample_loops(rid, params, monkeypatch):
     rng = np.random.default_rng(4)
     ratios = []
     for _ in range(90):
-        u = rng.normal(size=s.a_flat.dim)
+        u = rng.normal(size=len(s.a_flat))
         u = u - ker.T @ (ker @ u)
         if np.linalg.norm(u) < 1e-6:
             continue
-        x = s.a_flat.lift(u)
+        x = s.g_vee.from_coords(u @ s.a_flat)
         ratios.append(_loop_norm(s, 2.0, u) / np.sqrt(ob.inner(s, x, x)))
     r = fin.f2_vs_riemannian(s, samples=90, seed=4)
     assert r["samples"] == len(ratios)
@@ -206,11 +204,11 @@ def test_block_oracles_match_the_sample_loops(rid, params, monkeypatch):
     exps = [1.0, 2.0, 4.0, np.inf]
     worst, mult = 0.0, None
     for _ in range(70):
-        u = rng.normal(size=s.a_flat.dim)
+        u = rng.normal(size=len(s.a_flat))
         vals = [_loop_norm(s, p, u) for p in exps]
         for lo, hi in zip(vals[1:], vals[:-1]):
             worst = max(worst, lo - hi)
-        if s.a_flat.dim == 1 and vals[-1] > 1e-12:
+        if len(s.a_flat) == 1 and vals[-1] > 1e-12:
             mult = vals[0] / vals[-1]
     mo = fin.norm_monotonicity(s, samples=70, seed=5)
     assert abs(mo["worst_violation"] - worst) <= 1e-12

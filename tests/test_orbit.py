@@ -40,14 +40,14 @@ def moment_tn(s, x, v):
 def moment_nc(s, x):
     """Momentum of the K action on the orbit: the k-component of the point."""
     xc = s.g_vee.coords(x)
-    return s.g_vee.from_coords(0.5 * (xc + s.sigma.apply_coords(xc)))
+    return s.g_vee.from_coords(0.5 * (xc + s.sigma @ xc))
 
 
 def canonical_one_form(s, v, w):
     """Tautological pairing <v, hor(w)> of the fiber velocity v with the
     horizontal (sigma-odd) part of the test tangent w."""
     wc = s.g_vee.coords(w)
-    hor = 0.5 * (wc - s.sigma.apply_coords(wc))
+    hor = 0.5 * (wc - s.sigma @ wc)
     return float(s.g_vee.coords(v) @ ob.structure(s).metric @ hor)
 
 
@@ -55,11 +55,6 @@ def flow_closure_residual(s, x):
     """Residual of the period-one circle action generated by xi."""
     moved = al.conjugate(x, s.xi, 2.0 * np.pi)
     return float(np.abs(moved - x).max())
-
-
-def riemannian_gradient_norm(s, x):
-    """Norm of grad H at the point, over a metric-orthonormal tangent frame."""
-    return float(ob._gradient_norms(s, s.g_vee.coords(x)[None])[0])
 
 
 def tangent_frame(s, x):
@@ -88,7 +83,7 @@ def test_structure_is_cached_per_instance():
     assert ob.structure(s) is ob.structure(s)
     fresh = atlas.instantiate(atlas.descriptor("sphere", 2))
     assert ob.structure(fresh) is not ob.structure(s)
-    assert fresh.abar.dim == s.abar.dim
+    assert len(fresh.abar) == len(s.abar)
 
 
 def test_structure_builds_no_second_algebra(monkeypatch):
@@ -106,7 +101,7 @@ def test_structure_builds_no_second_algebra(monkeypatch):
     assert calls == []
     assert not any(isinstance(v, al.LieAlgebraBasis) for v in vars(st_).values())
     k = len(s.k_basis)
-    assert st_.flat_ad_k.shape == (s.a_flat.dim, k, k)
+    assert st_.flat_ad_k.shape == (len(s.a_flat), k, k)
 
 
 def test_structure_suites_pass_on_every_catalogue_row():
@@ -260,19 +255,20 @@ def test_one_form_pairs_with_horizontal_parts():
     want = g.coords(v) @ ob.structure(s).metric @ g.coords(v)
     assert abs(lam - want) < 1e-9
     # sigma-even test directions pair to zero
-    p_gen = g.from_coords(s.p_vee_basis[0])
+    _, p_vee = s.theta_decomp
+    p_gen = g.from_coords(p_vee[0])
     w = al.bracket(x, p_gen)
     wc = g.coords(w)
-    if np.linalg.norm(wc - s.sigma.apply_coords(wc)) < 1e-9:
+    if np.linalg.norm(wc - s.sigma @ wc) < 1e-9:
         assert abs(canonical_one_form(s, v, w)) < 1e-9
 
 
 def test_flat_model_contract():
     s = atlas.instance("sphere", 2)
-    pt = flat_model(s, np.zeros(s.abar.dim))
+    pt = flat_model(s, np.zeros(len(s.abar)))
     assert np.abs(pt - s.xi).max() < 1e-12
-    v = 0.3 * np.ones(s.abar.dim)
-    gen = al.bracket(s.xi, s.abar.lift(v))
+    v = 0.3 * np.ones(len(s.abar))
+    gen = al.bracket(s.xi, s.g_vee.from_coords(v @ s.abar))
     want = al.conjugate(s.xi, gen, 1.0)
     assert np.abs(flat_model(s, v) - want).max() < 1e-10
 
@@ -280,7 +276,7 @@ def test_flat_model_contract():
 def test_shell_predicate_basics():
     s = atlas.instance("grassmann_real", 1, 1)
     st_ = ob.structure(s)
-    beta = st_.sigma_bar_roots.roots[0].covector
+    beta = st_.sigma_bar_roots.covectors[0]
     assert delta_contains(s, (np.pi / 2.0) * beta / (beta @ beta))
     assert not delta_contains(s, (np.pi / 4.0) * beta / (beta @ beta))
     # the shell recurs with period pi along the root
@@ -342,7 +338,8 @@ def test_random_orbit_points_reach_every_level():
     # probability 1/4; a draw that stays near xi rarely gets there
     s = atlas.instance("grassmann_complex_hermitian", 1, 1)
     top = ob.weyl_critical_values(s)[-1]
-    ends = ob._descend(s, ob.random_orbit_points(s, range(300)))
+    ends = s.g_vee.from_coords(
+        ob._descend(s, ob.random_orbit_points(s, range(300))))
     share = np.mean(np.abs(ob.hamiltonian(s, ends) - top) < 1e-3)
     assert share >= 0.18
 
@@ -357,11 +354,12 @@ def test_stacked_descent_matches_one_restart_at_a_time(rid, params):
     pts = np.concatenate([s.xi[None], ob.random_orbit_points(
         s, np.random.SeedSequence(4).spawn(11))])
     ends = ob._descend(s, pts)
-    assert ends.shape == pts.shape
+    assert ends.shape == (len(pts), s.g_vee.dim)
     for pt, end in zip(pts, ends):
         alone = ob._descend(s, pt[None])[0]
         assert _rel(end, alone) <= 1e-12
-        assert riemannian_gradient_norm(s, end) <= 1e-7
+        # the gradient of H, over a metric-orthonormal tangent frame
+        assert ob._gradient_norms(s, end[None])[0] <= 1e-7
 
 
 def test_one_restart_over_max_iter_fails_the_stack():
@@ -378,7 +376,7 @@ _CATALOGUE = [(d.id, d.params) for d in atlas.list_entries() if d.instantiable]
 
 def _even_ladder(s):
     h0 = ob.hamiltonian(s, s.xi)
-    return h0 + 4.0 * np.pi * np.arange(s.abar.dim + 1)
+    return h0 + 4.0 * np.pi * np.arange(len(s.abar) + 1)
 
 
 @pytest.mark.parametrize("rid,params", _CATALOGUE)
@@ -387,7 +385,7 @@ def test_reflection_ladder_is_the_even_ladder(rid, params):
     # the closed-form ladder is the enumerated one
     s = atlas.instance(rid, *params)
     ladder = ob.weyl_critical_values(s)
-    assert len(ladder) == s.abar.dim + 1
+    assert len(ladder) == len(s.abar) + 1
     assert np.allclose(ladder, _even_ladder(s), rtol=0, atol=1e-9)
     closed = [v for v, _ in ob.critical_ladder(s)]
     assert len(closed) == len(ladder)
@@ -517,7 +515,7 @@ def test_a_non_finite_descent_end_is_refused(monkeypatch):
     s = _S2[0]
 
     def nan_ends(s, pts, max_iter=10000):
-        ends = np.array(pts)
+        ends = s.g_vee.coords(pts)
         ends[0] = np.nan
         return ends
 
@@ -567,8 +565,8 @@ def test_stacked_walks_match_the_transport_loop(rid, params):
 def test_stacked_flat_points_match_flat_model(rid, params):
     s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
-    beta = st_.sigma_bar_roots.roots[0].covector
-    vs = np.random.default_rng(9).normal(size=(30, s.abar.dim))
+    beta = st_.sigma_bar_roots.covectors[0]
+    vs = np.random.default_rng(9).normal(size=(30, len(s.abar)))
     # half of them slid onto the half-period shell of beta
     vs[::2] += np.outer((np.pi / 2.0 - vs[::2] @ beta) / (beta @ beta), beta)
     pts = ob._flat_points(s, vs)
@@ -582,10 +580,10 @@ def test_stacked_flat_points_match_flat_model(rid, params):
 def _cut_oracle_loop(model, s, samples, seed, band):
     """The cut-locus oracle one sample at a time, through flat_model."""
     st_ = ob.structure(s)
-    roots = [r.covector for r in st_.sigma_bar_roots.roots]
+    roots = st_.sigma_bar_roots.covectors
     rng = np.random.default_rng(seed)
     scale = np.pi / max(np.linalg.norm(r) for r in roots)
-    r_dim = s.a_flat.dim
+    r_dim = len(s.a_flat)
     live = [b for b in roots if np.linalg.norm(b[:r_dim]) > 1e-9]
     # the oracle's draws: the shell samples' roots, vectors and shell
     # indices, then the uniform samples
@@ -598,7 +596,7 @@ def _cut_oracle_loop(model, s, samples, seed, band):
     drawn = []
     for i in range(samples):
         on_shell = i % 2 == 0
-        v = np.zeros(s.abar.dim)
+        v = np.zeros(len(s.abar))
         drawn.append(v)
         if on_shell:
             bsub = live[betas[i // 2]][:r_dim]
@@ -658,10 +656,10 @@ def test_stacked_moment_check_matches_moment_tn(rid, params, monkeypatch):
     s = atlas.instance(rid, *params)
     st_ = ob.structure(s)
     g = s.g_vee
-    covs = np.array([root.covector for root in st_.sigma_roots.roots])
+    covs = st_.sigma_roots.covectors
     # the oracle's draws: flat directions, radius factors, k generators
     rng = np.random.default_rng(21)
-    us = rng.normal(size=(120, s.a_flat.dim))
+    us = rng.normal(size=(120, len(s.a_flat)))
     ts = rng.uniform(size=120)
     ks = rng.normal(size=(120, s.k_basis.shape[0]))
     ref = {"interior_pass": 0, "interior_total": 0,
@@ -676,7 +674,7 @@ def test_stacked_moment_check_matches_moment_tn(rid, params, monkeypatch):
         lo, hi = (0.1, 0.95) if interior else (1.05, 2.0)
         t = lo + (hi - lo) * ts[i]
         x_coords = u * (t * atlas.rank_ratio(s) / m)
-        x_lift = s.a_flat.lift(x_coords)
+        x_lift = g.from_coords(x_coords @ s.a_flat)
         k_gen = g.from_coords(ks[i] @ s.k_basis)
         x_pt = al.conjugate(s.xi, k_gen)
         # the tangent at x_pt of the generator k . (-X): k . [X, xi]

@@ -23,7 +23,7 @@ STRUCT_ROWS = [("sphere", (2,)), ("sphere", (3,)), ("quadric_real", (1, 2)),
 def test_multiplicities_fill_the_algebra(rid, params):
     st_ = ob.structure(atlas.instance(rid, *params))
     rr = st_.sigma_roots
-    total = sum(r.multiplicity for r in rr.roots) + rr.zero_multiplicity
+    total = rr.multiplicities.sum() + rr.zero_multiplicity
     assert total == len(atlas.instance(rid, *params).k_basis)
 
 
@@ -31,17 +31,17 @@ def test_multiplicities_fill_the_algebra(rid, params):
 def test_sphere_root_pattern(n):
     # one +/- pair whose multiplicity is the equator dimension
     rr = ob.structure(atlas.instance("sphere", n)).sigma_roots
-    assert len(rr.roots) == 2
-    assert {r.multiplicity for r in rr.roots} == {n - 1}
-    a, b = (r.covector for r in rr.roots)
+    assert len(rr.covectors) == 2
+    assert set(rr.multiplicities.tolist()) == {n - 1}
+    a, b = rr.covectors
     assert np.linalg.norm(a + b) < 1e-9
 
 
 def test_split_quadric_root_pattern():
     rr = ob.structure(atlas.instance("quadric_real", 2, 2)).sigma_roots
-    assert len(rr.roots) == 4
-    assert all(r.multiplicity == 1 for r in rr.roots)
-    covs = np.array([r.covector for r in rr.roots])
+    assert len(rr.covectors) == 4
+    assert all(rr.multiplicities == 1)
+    covs = rr.covectors
     # two orthogonal +/- pairs, one per sphere factor
     gram = covs @ covs.T
     off = np.abs(gram[np.abs(np.abs(gram) - np.abs(gram).max()) > 1e-9])
@@ -52,8 +52,7 @@ def test_split_quadric_root_pattern():
 
 def test_covectors_pair_up():
     for rid, params in STRUCT_ROWS:
-        covs = [r.covector
-                for r in ob.structure(atlas.instance(rid, *params)).sigma_roots.roots]
+        covs = ob.structure(atlas.instance(rid, *params)).sigma_roots.covectors
         for a in covs:
             assert min(np.linalg.norm(a + b) for b in covs) < 1e-8
 
@@ -61,13 +60,13 @@ def test_covectors_pair_up():
 @pytest.mark.parametrize("rid,params", STRUCT_ROWS)
 def test_cascade_count_is_complex_rank(rid, params):
     s = atlas.instance(rid, *params)
-    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
-    assert sos.count == s.abar.dim
+    sos = rt.cascade_strongly_orthogonal(s.g_vee, *s.theta_decomp, s.xi)
+    assert len(sos.gammas) == len(s.abar)
 
 
 def test_cascade_triples_satisfy_sl2_relations():
     s = atlas.instance("sphere", 3)
-    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
+    sos = rt.cascade_strongly_orthogonal(s.g_vee, *s.theta_decomp, s.xi)
 
     def cb(a, b):
         return a @ b - b @ a
@@ -81,15 +80,12 @@ def test_cascade_triples_satisfy_sl2_relations():
 
 def test_strongly_orthogonal_sums_are_not_roots():
     s = atlas.instance("sphere", 2)
-    st_ = ob.structure(s)
-    sos = rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
+    sos = rt.cascade_strongly_orthogonal(s.g_vee, *s.theta_decomp, s.xi)
     gammas = np.array(sos.gammas)
     if len(gammas) < 2:
         return
-    covs = np.array([r.covector
-                     for r in rt.compute_restricted_roots(
-                         al.ad_from_coords(s.g_vee, sos.torus.basis),
-                         sos.torus).roots])
+    covs = rt.compute_restricted_roots(
+        al.ad_from_coords(s.g_vee, sos.torus)).covectors
     for i in range(len(gammas)):
         for j in range(i + 1, len(gammas)):
             for sign in (1.0, -1.0):
@@ -100,12 +96,12 @@ def test_strongly_orthogonal_sums_are_not_roots():
 
 def evaluate(roots, x):
     """alpha(x) for every root, x in flat coordinates."""
-    return np.array([r.covector @ x for r in roots.roots])
+    return roots.covectors @ x
 
 
 def box_contains(roots, x, r):
     """Strict box test: max over roots of |alpha(x)| < r."""
-    if not roots.roots:
+    if not len(roots.covectors):
         return True
     return bool(np.abs(evaluate(roots, x)).max() < r)
 
@@ -113,7 +109,7 @@ def box_contains(roots, x, r):
 def test_box_boundary_is_excluded():
     st_ = ob.structure(atlas.instance("sphere", 2))
     rr = st_.sigma_roots
-    alpha = rr.roots[0].covector
+    alpha = rr.covectors[0]
     x = alpha / (alpha @ alpha)  # alpha(x) = 1 exactly
     assert not box_contains(rr, x, 1.0)
     assert box_contains(rr, 0.999999 * x, 1.0)
@@ -131,25 +127,46 @@ def test_box_membership_is_scale_invariant(seed, t):
 
 
 def test_rootless_flat_contains_everything():
-    # the circle has no isotropy roots at all
-    s = atlas.instance("grassmann_real", 1, 1)
-    st_ = ob.structure(s)
-    assert st_.sigma_roots.roots == [] \
-        or all(np.linalg.norm(r.covector) < 1e-9
-               for r in st_.sigma_roots.roots)
-    assert box_contains(st_.sigma_roots, np.ones(s.a_flat.dim) * 1e6, 1.0)
+    # the circle and the torus have no isotropy roots at all: an empty
+    # covector array with one column per flat direction
+    for rid, params in (("grassmann_real", (1, 1)), ("quadric_real", (1, 1))):
+        s = atlas.instance(rid, *params)
+        rr = ob.structure(s).sigma_roots
+        assert rr.covectors.shape == (0, len(s.a_flat))
+        assert rr.multiplicities.shape == (0,)
+        assert rr.zero_multiplicity == len(s.k_basis)
+        assert box_contains(rr, np.ones(len(s.a_flat)) * 1e6, 1.0)
 
 
 def test_maximal_abelian_is_abelian_and_certified():
     s = atlas.instance("quadric_real", 2, 2)
-    sub = rt.Subspace(s.g_vee, s.l_basis)
-    a = rt.find_maximal_abelian(sub)
-    assert a.dim == 2
-    for i in range(a.dim):
-        for j in range(a.dim):
-            x = a.lift(np.eye(a.dim)[i])
-            y = a.lift(np.eye(a.dim)[j])
+    k, (_, p_vee) = s.k_basis, s.theta_decomp
+    a = rt.find_maximal_abelian(s.g_vee, atlas.intersect_rows(k, p_vee))
+    assert a.shape == (2, s.g_vee.dim)
+    assert np.abs(a @ a.T - np.eye(2)).max() < 1e-12
+    xs = s.g_vee.from_coords(a)
+    for x in xs:
+        for y in xs:
             assert np.abs(al.bracket(x, y)).max() < 1e-9
+
+
+def test_coordinates_in_a_subspace_refuse_a_vector_off_it():
+    s = atlas.instance("sphere", 3)
+    v = np.array([0.5, -2.0]) @ s.abar
+    assert np.abs(rt.coords_in(s.abar, v) - [0.5, -2.0]).max() < 1e-12
+    off = s.g_vee.coords(s.xi) - s.abar.T @ (s.abar @ s.g_vee.coords(s.xi))
+    assert np.linalg.norm(off) > 0.1
+    with pytest.raises(al.AlgebraMismatch):
+        rt.coords_in(s.abar, v + off)
+
+
+def test_a_matrix_where_coordinates_belong_raises_a_typed_error():
+    # must_contain takes coordinate vectors; a matrix there is refused by
+    # ad_from_coords, not by numpy
+    s = atlas.instance("sphere", 2)
+    k, _ = s.theta_decomp
+    with pytest.raises(al.AlgebraMismatch):
+        rt.find_maximal_abelian(s.g_vee, k, must_contain=[s.xi])
 
 
 def test_generic_weights_are_square_roots_of_primes():
@@ -174,8 +191,7 @@ def test_a_degenerate_combination_fails_the_eigen_residual(monkeypatch):
     s = atlas.instantiate(atlas.descriptor("quadric_real", 2, 2))
     monkeypatch.setattr(rt, "generic_weights", _zero_weights)
     with pytest.raises(rt.ClusteringAmbiguous):
-        rt.compute_restricted_roots(al.ad_from_coords(s.g_vee, s.abar.basis),
-                                    s.abar)
+        rt.compute_restricted_roots(al.ad_from_coords(s.g_vee, s.abar))
 
 
 def test_a_degenerate_element_fails_the_structure(monkeypatch):
@@ -187,7 +203,7 @@ def test_a_degenerate_element_fails_the_structure(monkeypatch):
 
 def test_a_degenerate_functional_fails_the_cascade(monkeypatch):
     s = atlas.instantiate(atlas.descriptor("grassmann_complex_hermitian", 1, 2))
-    torus = rt.find_maximal_abelian(rt.k_side(s.theta_decomp),
+    torus = rt.find_maximal_abelian(s.g_vee, s.theta_decomp[0],
                                     must_contain=[s.g_vee.coords(s.xi)])
     spaces = rt.complex_root_spaces(s.g_vee, torus)
     # only the functional degenerates: torus and roots are the generic ones
@@ -195,4 +211,4 @@ def test_a_degenerate_functional_fails_the_cascade(monkeypatch):
     monkeypatch.setattr(rt, "complex_root_spaces", lambda *a: spaces)
     monkeypatch.setattr(rt, "generic_weights", _zero_weights)
     with pytest.raises(rt.ClusteringAmbiguous, match="vanishes on a root"):
-        rt.cascade_strongly_orthogonal(s.theta_decomp, s.xi)
+        rt.cascade_strongly_orthogonal(s.g_vee, *s.theta_decomp, s.xi)
