@@ -391,14 +391,16 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
         raise UnsupportedRow(f"{d.id}: ad_xi spectrum is not {{0, +-i}}")
 
     theta = al.make_involution(g, al.expm_skew(np.pi * adxi))
-    assert np.abs(theta @ sigma - sigma @ theta).max() < 1e-9
+    if np.abs(theta @ sigma - sigma @ theta).max() >= 1e-9:
+        raise UnsupportedRow(f"{d.id}: sigma and theta do not commute")
 
     tdec = al.cartan_decompose(g, theta)
     sdec = al.cartan_decompose(g, sigma)
     k, p_vee = sdec[0], tdec[1]
     l = intersect_rows(k, p_vee)
     h = intersect_rows(k, tdec[0])
-    assert len(l) + len(h) == len(k)
+    if len(l) + len(h) != len(k):
+        raise UnsupportedRow(f"{d.id}: k does not split as h + l")
     a_flat = rt.find_maximal_abelian(g, l)
     abar = rt.find_maximal_abelian(g, p_vee, must_contain=a_flat)
     return SpaceInstance(descriptor=d, g_vee=g, sigma=sigma, xi=xi,

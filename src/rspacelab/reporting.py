@@ -201,7 +201,10 @@ def suite_orbit(spaces, seed, tol):
         s = atlas.instance(rid, *params)
         lab = s.descriptor.label
         g = s.g_vee
-        x = ob.random_orbit_points(s, [seed + 100 * k])[0]
+        # the certificate point, then the 40 height points: one walk each
+        pts = ob.random_orbit_points(
+            s, [seed + 100 * k] + [seed + 100 * k + 2 + j for j in range(40)])
+        x = pts[0]
 
         cert = ob.certificate_residual(s, x)
         checks.append(_check(
@@ -241,8 +244,7 @@ def suite_orbit(spaces, seed, tol):
             drift <= tol["form"], drift, 0.0, tol["form"]))
 
         h0 = ob.hamiltonian(s, s.xi)
-        hs = ob.hamiltonian(s, ob.random_orbit_points(
-            s, [seed + 100 * k + 2 + j for j in range(40)]))
+        hs = ob.hamiltonian(s, pts[1:])
         checks.append(_check(
             f"orbit.height_minimum[{lab}]",
             "the height function is minimized at the distinguished point",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rspacelab import algebra as al
-from rspacelab import atlas
+from rspacelab import atlas, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -256,3 +256,36 @@ assert False, "asserts run"
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _sphere_row_built_by(monkeypatch, builder):
+    row = atlas._ROWS["sphere"]
+    monkeypatch.setitem(atlas._ROWS, "sphere", (builder,) + row[1:])
+
+
+def test_a_sigma_that_misses_theta_is_a_typed_error(monkeypatch, capsys):
+    # sigma still reverses xi, but a rank-one bend off the xi line no
+    # longer commutes with theta = exp(pi ad_xi)
+    g, sigma, xi = atlas._build_sphere(2)
+    xc = g.coords(xi)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=g.dim)
+    v -= (v @ xc) / (xc @ xc) * xc
+    bent = sigma + 1e-3 * np.outer(rng.normal(size=g.dim), v)
+    assert np.allclose(bent @ xc, -xc)
+    _sphere_row_built_by(monkeypatch, lambda n: (g, bent, xi))
+    with pytest.raises(atlas.UnsupportedRow,
+                       match=r"^sphere: sigma and theta do not commute$"):
+        atlas.instantiate(atlas.descriptor("sphere", 2))
+    # a usage error with its message, not a traceback
+    assert cli.main(["atlas", "--space", "sphere"]) == cli.EX_USAGE
+    assert capsys.readouterr().err == (
+        "rspacelab: sphere: sigma and theta do not commute\n")
+
+
+def test_an_isotropy_that_misses_a_row_is_a_typed_error(monkeypatch):
+    real = atlas.intersect_rows
+    monkeypatch.setattr(atlas, "intersect_rows", lambda a, b: real(a, b)[1:])
+    with pytest.raises(atlas.UnsupportedRow,
+                       match=r"^sphere: k does not split as h \+ l$"):
+        atlas.instantiate(atlas.descriptor("sphere", 2))

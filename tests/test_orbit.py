@@ -1,5 +1,6 @@
 """Orbit geometry: points, the two-form, momentum, cut shells, descent."""
 
+import json
 from math import comb
 from pathlib import Path
 
@@ -346,10 +347,12 @@ def test_random_orbit_points_reach_every_level():
 
 @pytest.mark.parametrize("rid,params", [("grassmann_real", (1, 1)),
                                         ("grassmann_complex_hermitian", (1, 1)),
-                                        ("unitary_group", (2,))])
+                                        ("unitary_group", (2,)),
+                                        ("unitary_group", (3,))])
 def test_stacked_descent_matches_one_restart_at_a_time(rid, params):
     # restarts move in lockstep, but each keeps its own step size and
-    # stopping rules, so a stack ends where its restarts end alone
+    # stopping rules, and every product runs row by row, so a stack ends
+    # bitwise where its restarts end alone
     s = atlas.instance(rid, *params)
     pts = np.concatenate([s.xi[None], ob.random_orbit_points(
         s, np.random.SeedSequence(4).spawn(11))])
@@ -357,9 +360,26 @@ def test_stacked_descent_matches_one_restart_at_a_time(rid, params):
     assert ends.shape == (len(pts), s.g_vee.dim)
     for pt, end in zip(pts, ends):
         alone = ob._descend(s, pt[None])[0]
-        assert _rel(end, alone) <= 1e-12
+        assert np.array_equal(end, alone)
         # the gradient of H, over a metric-orthonormal tangent frame
         assert ob._gradient_norms(s, end[None])[0] <= 1e-7
+
+
+_PINS = json.loads((Path(__file__).parent / "data"
+                    / "critical_gap_pins.json").read_text())["pins"]
+
+
+@pytest.mark.parametrize("pin", _PINS, ids=lambda p: "{}{}:{}".format(
+    p["row"], tuple(p["params"]), p["seed"]))
+def test_gap_report_keeps_the_pinned_clusters(pin):
+    # pins from the descent that ran Armijo to a merit of 1e-22 scale: the
+    # hand-off to Gauss-Newton at the basin moves no restart to another
+    # level, and the values only at round-off
+    s = atlas.instance(pin["row"], *pin["params"])
+    rep = ob.critical_gap_report(s, restarts=50, seed=pin["seed"])
+    assert rep["indices"] == pin["indices"]
+    assert rep["populations"] == pin["populations"]
+    assert np.abs(np.subtract(rep["values"], pin["values"])).max() <= 1e-9
 
 
 def test_one_restart_over_max_iter_fails_the_stack():
@@ -848,3 +868,32 @@ def test_least_squares_step_on_a_system_that_failed_the_svd():
     want = vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
     x = ob._least_squares(m[None], b[None])[0]
     assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+with np.load(Path(__file__).parent / "data"
+             / "least_squares_eigh_failure.npz") as _data:
+    _EIGH_FAILURES = dict(_data)
+
+
+@pytest.mark.parametrize("row", sorted(_EIGH_FAILURES))
+def test_least_squares_step_on_a_system_that_failed_the_eigh(row):
+    # Gauss-Newton systems m with singular values clustered at 1 and the
+    # rest below 1e-10, from unitary_group(3) (verify --seed 5 --suite
+    # critical), symplectic_group(2) (--seed 30) and
+    # grassmann_quaternionic(2,2) (find_critical_points seed 145); the
+    # divide-and-conquer eigh of [[0, m], [m^T, 0]] did not converge on
+    # them with OpenBLAS 0.3.31, nor, on the last, on its negative.  A unit
+    # right-hand side is solved alone and as the middle slice of a stack.
+    m = _EIGH_FAILURES[row]
+    rng = np.random.default_rng(34)
+    b = rng.normal(size=len(m))
+    b /= np.linalg.norm(b)
+    want = _lstsq_stack(m[None], b[None])[0]
+    x = ob._least_squares(m[None], b[None])[0]
+    assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    stack = np.stack([rng.normal(size=m.shape), m, rng.normal(size=m.shape)])
+    bs = np.stack([rng.normal(size=len(m)), b, rng.normal(size=len(m))])
+    xs = ob._least_squares(stack, bs)
+    assert np.array_equal(xs[1], x)
+    assert np.abs(xs - _lstsq_stack(stack, bs)).max() <= 1e-10 * max(
+        1.0, np.abs(xs).max())
