@@ -1,26 +1,16 @@
 """Frozen record classes without code generation.
 
-A drop-in for the subset of ``dataclasses.dataclass`` / ``field`` that the
-package uses: frozen classes with value or identity equality, defaults,
-``field(default=..., repr=False)``, ``field(default_factory=...)`` and
-``__post_init__``.  The stdlib decorator writes and ``exec``s source for every
-class, ~20 ms of import per command over the package's records; here the
-methods are closures over the field names, built in microseconds.
+A drop-in for the subset of ``dataclasses.dataclass`` that the package
+uses: frozen classes with value or identity equality, class-attribute
+defaults and ``__post_init__``.  The stdlib decorator writes and ``exec``s
+source for every class, ~20 ms of import per command over the package's
+records; here the methods are closures over the field names, built in
+microseconds.
 """
-
-_MISSING = object()
 
 
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, a field of a frozen record."""
-
-
-class field:
-    """Per-field options: a default or a default factory, and repr."""
-
-    def __init__(self, *, default=_MISSING, default_factory=_MISSING,
-                 repr=True):
-        self.default, self.factory, self.repr = default, default_factory, repr
 
 
 def dataclass(*, frozen=True, eq=True):
@@ -36,19 +26,7 @@ def dataclass(*, frozen=True, eq=True):
 
 def _build(cls, eq):
     names = tuple(cls.__annotations__)
-    defaults, factories, shown = {}, {}, []
-    for name in names:
-        spec = vars(cls).get(name, _MISSING)
-        if not isinstance(spec, field):
-            spec = field(default=spec)
-        if spec.factory is not _MISSING:
-            factories[name] = spec.factory
-            delattr(cls, name)
-        elif spec.default is not _MISSING:
-            defaults[name] = spec.default
-            setattr(cls, name, spec.default)
-        if spec.repr:
-            shown.append(name)
+    defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
     qualname = cls.__qualname__
     post_init = hasattr(cls, "__post_init__")
 
@@ -62,8 +40,6 @@ def _build(cls, eq):
                 values.append(kwargs.pop(name))
             elif name in defaults:
                 values.append(defaults[name])
-            elif name in factories:
-                values.append(factories[name]())
             else:
                 raise TypeError(f"{qualname}() missing argument {name!r}")
         if kwargs:
@@ -80,7 +56,7 @@ def _build(cls, eq):
             self.__post_init__()
 
     def __repr__(self):
-        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in shown)
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
         return f"{type(self).__qualname__}({inner})"
 
     def __setattr__(self, name, value):

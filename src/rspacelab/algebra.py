@@ -21,7 +21,7 @@ from ._record import dataclass
 TOL_ALG = 1e-10
 
 # family -> inclusive size range keeping real matrices at most 24x24
-_SIZE_RANGE = {"so": (2, 24), "su": (2, 12), "u": (1, 12), "sp": (1, 6)}
+_SIZE_RANGE = {"so": (2, 24), "su": (2, 12), "sp": (1, 6)}
 
 # the sampling oracles stack their samples in blocks of at most this many
 # complex matrix entries (1 MiB), so their memory is bounded on large algebras
@@ -64,7 +64,7 @@ class LieAlgebraBasis:
     between matrices and coordinates over any leading shape.
 
     Attributes:
-        family: one of "so", "su", "u", "sp", or a constructed tag such as
+        family: one of "so", "su", "sp", or a constructed tag such as
             "sum" / "sub" for direct sums and subalgebras.
         n: size parameter of the family (0 for constructed algebras).
         basis: read-only (dim, size, size) stack of the basis matrices,
@@ -220,13 +220,6 @@ def _su_matrices(n: int) -> list:
     return out
 
 
-def _u_matrices(n: int) -> list:
-    out = _su_matrices(n) if n >= 2 else []
-    center = embed_complex(1.0j * np.eye(n))
-    out.append(center / np.linalg.norm(center))
-    return out
-
-
 def _sp_matrices(n: int) -> list:
     z = np.zeros((n, n))
 
@@ -253,14 +246,14 @@ def _sp_matrices(n: int) -> list:
 
 
 def build_algebra(family: str, n: int) -> LieAlgebraBasis:
-    """Build so(n), su(n), u(n) or sp(n) over the real embedding."""
+    """Build so(n), su(n) or sp(n) over the real embedding."""
     if family not in _SIZE_RANGE:
         raise UnsupportedFamily(f"unknown family {family!r}")
     lo, hi = _SIZE_RANGE[family]
     if not (lo <= n <= hi):
         raise SizeOutOfRange(f"{family}({n}) outside [{lo}, {hi}]")
     mats = {"so": _so_matrices, "su": _su_matrices,
-            "u": _u_matrices, "sp": _sp_matrices}[family](n)
+            "sp": _sp_matrices}[family](n)
     return _structure_data(mats, f"{family}({n})", family, n, check_closure=False)
 
 

@@ -67,9 +67,9 @@ class SpaceInstance:
     read-only coordinate matrix of the real involution.  Every basis below
     is a stack of orthonormal coordinate rows over g_vee.  theta_decomp and
     sigma_decomp are the (k, p) eigenspace splits of theta = exp(pi ad_xi)
-    and of sigma, and k_basis is sigma's k.  The flat pair is a_flat,
-    maximal abelian in l = k cap p_vee (the tangent directions of N at xi,
-    p_vee being theta's p), and abar, maximal abelian in p_vee with a_flat's
+    and of sigma.  The flat pair is a_flat, maximal abelian in
+    l = k cap p_vee (the tangent directions of N at xi, k being sigma's k
+    and p_vee theta's p), and abar, maximal abelian in p_vee with a_flat's
     rows leading; their row counts are rank(N) and rank(N_C).
     """
 
@@ -77,7 +77,6 @@ class SpaceInstance:
     g_vee: al.LieAlgebraBasis
     sigma: np.ndarray
     xi: np.ndarray
-    k_basis: np.ndarray
     theta_decomp: tuple
     sigma_decomp: tuple
     a_flat: np.ndarray
@@ -404,7 +403,7 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     a_flat = rt.find_maximal_abelian(g, l)
     abar = rt.find_maximal_abelian(g, p_vee, must_contain=a_flat)
     return SpaceInstance(descriptor=d, g_vee=g, sigma=sigma, xi=xi,
-                         k_basis=k, theta_decomp=tdec, sigma_decomp=sdec,
+                         theta_decomp=tdec, sigma_decomp=sdec,
                          a_flat=a_flat, abar=abar)
 
 

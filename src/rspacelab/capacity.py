@@ -4,9 +4,7 @@ Two metric scales coexist deliberately.  The calibrated scale -B/c_orbit
 makes the generator sphere have area 4 pi and drives the symplectic side;
 the flat scale -B/c_model reproduces each row's textbook metric (unit
 sphere, principal angles, bi-invariant Frobenius) and drives the reported
-systoles.  The 4 pi cross-check holds identically on the normalized side
-and is audited, not assumed, on the flat side: rows whose shortest closed
-geodesic comes from a deck transformation fail it and are flagged.
+systoles.
 
 The capacity table that `report` prints is built here, and its formats
 are laid out for `cli.render`, so `report` loads neither `orbit` nor the
@@ -23,25 +21,12 @@ import numpy as np
 from . import algebra as al
 from . import atlas
 from . import roots as rt
-from ._record import dataclass, field
 from .atlas import SpaceInstance, rank_ratio
 from .cli import render
 
 
 class LatticeError(RuntimeError):
     """Active weights are incommensurable, or the shortest vector misses xi."""
-
-
-# the reference systole of the normalized side
-_SYS_REFERENCE = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    c_G: object  # float or "unknown"
-    c_HZ: object
-    case_tag: str
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -229,35 +214,15 @@ def _zoom(dist, lo: float, hi: float) -> float:
 # capacities of the unit sphere bundle
 
 
-def capacities_U(s: SpaceInstance, sys_flat: float) -> CapacityReport:
-    """Gromov and Hofer-Zehnder capacity of U_1 N by the rank dichotomy.
-
-    The normalized side (reference systole 2 pi) satisfies
-    r_max * value = 4 pi identically; the flat side repeats the computation
-    with the textbook systole and is flagged when the identity fails, which
-    happens exactly when a deck transformation shortens the systole.
-    """
-    ratio = rank_ratio(s)
-    if ratio == 2:  # c_G = c_HZ = sys
-        value_flat, value_norm = sys_flat, _SYS_REFERENCE
-    else:  # c_G = c_HZ = 2 sys
-        value_flat, value_norm = 2.0 * sys_flat, 2.0 * _SYS_REFERENCE
-    cross_norm = ratio * value_norm
-    flat_audit = ratio * value_flat
-    flagged = abs(flat_audit - 4.0 * np.pi) > 1e-6
-    assert abs(cross_norm - 4.0 * np.pi) < 1e-12
-    return CapacityReport(
-        c_G=float(value_flat), c_HZ=float(value_flat),
-        case_tag=f"ratio{ratio}",
-        extras={"sys_flat": float(sys_flat), "rank_ratio": ratio,
-                "value_normalized": float(value_norm),
-                "cross_check_normalized": float(cross_norm),
-                "flat_audit": float(flat_audit),
-                "deck_flagged": bool(flagged)})
+def capacities_U(s: SpaceInstance, sys_flat: float) -> float:
+    """c_G = c_HZ of U_1 N by the rank dichotomy: the systole at rank
+    ratio 2, twice the systole at ratio 1."""
+    return float(sys_flat if rank_ratio(s) == 2 else 2.0 * sys_flat)
 
 
-def chz_disc(s: SpaceInstance, sys_flat: float) -> CapacityReport:
-    """Hofer-Zehnder capacity of the unit disc bundle, where known.
+def chz_disc(s: SpaceInstance, sys_flat: float) -> tuple:
+    """(c_HZ, case_tag) of the unit disc bundle, c_HZ "unknown" where no
+    value is known.
 
     Simply connected rows use the systole; real projective spaces double
     it; real quadrics gain a sqrt(2) from the shortest contractible loop.
@@ -265,28 +230,20 @@ def chz_disc(s: SpaceInstance, sys_flat: float) -> CapacityReport:
     """
     d = s.descriptor
     if d.table_pi1 == "trivial":
-        val, tag = sys_flat, "disc_simply_connected"
-    elif d.id == "grassmann_real" and d.params[0] == 1:
-        val, tag = 2.0 * sys_flat, "disc_rp"
-    elif d.id == "quadric_real":
-        val, tag = np.sqrt(2.0) * sys_flat, "disc_quadric"
-    else:
-        return CapacityReport(c_G="unknown", c_HZ="unknown",
-                              case_tag="disc_unknown",
-                              extras={"sys_flat": float(sys_flat)})
-    return CapacityReport(c_G="unknown", c_HZ=float(val), case_tag=tag,
-                          extras={"sys_flat": float(sys_flat)})
+        return float(sys_flat), "disc_simply_connected"
+    if d.id == "grassmann_real" and d.params[0] == 1:
+        return float(2.0 * sys_flat), "disc_rp"
+    if d.id == "quadric_real":
+        return float(np.sqrt(2.0) * sys_flat), "disc_quadric"
+    return "unknown", "disc_unknown"
 
 
-def capacity_hermitian_ambient(s: SpaceInstance) -> CapacityReport:
-    """Capacities of the ambient Hermitian orbit from the critical ladder:
-    c_G is its lowest step (4 pi) and c_HZ its total spread (4 pi rank)."""
+def capacity_hermitian_ambient(s: SpaceInstance) -> tuple:
+    """(c_G, c_HZ) of the ambient Hermitian orbit from the critical ladder:
+    its lowest step (4 pi) and its total spread (4 pi rank)."""
     from . import orbit as ob  # report never loads the orbit oracles
     levels = [v for v, _ in ob.critical_ladder(s)]
-    return CapacityReport(
-        c_G=levels[1] - levels[0], c_HZ=levels[-1] - levels[0],
-        case_tag="hermitian_ambient",
-        extras={"rank_nc": len(s.abar), "levels": levels})
+    return levels[1] - levels[0], levels[-1] - levels[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +260,13 @@ def capacity_table(entries, seed: int = 0) -> list:
     for d in entries:
         s = atlas.instantiate(d)
         sd = systole_details(s)
-        r = capacities_U(s, sys_flat=sd["systole"])
-        disc = chz_disc(s, sys_flat=sd["systole"])
+        c_u = capacities_U(s, sd["systole"])
         rows.append({"space": d.label,
                      "sys": float(sd["systole"]),
-                     "ratio": int(r.extras["rank_ratio"]),
-                     "c_G_U1": float(r.c_G),
-                     "c_HZ_U1": float(r.c_HZ),
-                     "c_HZ_D1": disc.c_HZ if isinstance(disc.c_HZ, str)
-                     else float(disc.c_HZ)})
+                     "ratio": rank_ratio(s),
+                     "c_G_U1": c_u,
+                     "c_HZ_U1": c_u,
+                     "c_HZ_D1": chz_disc(s, sd["systole"])[0]})
     return rows
 
 

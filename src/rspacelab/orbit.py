@@ -49,11 +49,13 @@ class InstanceStructure:
     """Cascade, calibration and root data shared by the orbit and Finsler
     layers and by verify; the flat pair itself lives on the instance."""
 
-    sos: rt.StronglyOrthogonalSet
+    gammas: list                     # the cascade roots, highest first
+    triples: list                    # their sl2 triples (H, X, Y)
+    torus_roots: np.ndarray          # covector rows of every torus root
     torus_gram: np.ndarray           # -B on the cascade torus coords
     xi_t: np.ndarray                 # xi in the cascade torus coords
     c_orbit: float
-    flat_ad_k: np.ndarray            # ad of s.a_flat's basis on s.k_basis rows
+    flat_ad_k: np.ndarray            # ad of s.a_flat's basis on sigma's k
     sigma_roots: rt.RestrictedRootSystem   # roots of (k, a_flat)
     sigma_bar_roots: rt.RestrictedRootSystem  # roots of (g, abar)
     metric: np.ndarray               # -B/c on g coordinates
@@ -63,30 +65,32 @@ class InstanceStructure:
 @functools.cache  # keyed on instance identity
 def structure(s: SpaceInstance) -> InstanceStructure:
     g = s.g_vee
-    sos = rt.cascade_strongly_orthogonal(g, *s.theta_decomp, s.xi)
+    gammas, triples, torus, roots = rt.cascade_strongly_orthogonal(
+        g, *s.theta_decomp, s.xi)
     bmat = g.killing_matrix
-    gt = -(sos.torus @ bmat @ sos.torus.T)
-    xi_t = rt.coords_in(sos.torus, g.coords(s.xi))
+    gt = -(torus @ bmat @ torus.T)
+    xi_t = rt.coords_in(torus, g.coords(s.xi))
 
     # squared Killing length of the xi component in one cascade su(2): xi
     # projects onto the coroot gt^-1 gamma, with length gamma(xi)^2 /
     # gamma(gt^-1 gamma), and gamma(xi) = 1 for a noncompact positive root;
     # every cascade root must give the same number
     cs = [1.0 / float(gamma @ np.linalg.solve(gt, gamma))
-          for gamma in sos.gammas]
+          for gamma in gammas]
     c_orbit = cs[0]
     assert max(cs) - min(cs) < 1e-8 * max(1.0, c_orbit)
 
     # k is ad-invariant under the flat, so ad on k is the ambient ad
     # compressed to the orthonormal rows of k
-    k = s.k_basis
+    k, _ = s.sigma_decomp
     flat_ad_k = k @ al.ad_from_coords(g, s.a_flat) @ k.T
     sigma_roots = rt.compute_restricted_roots(flat_ad_k)
     sigma_bar_roots = rt.compute_restricted_roots(al.ad_from_coords(g, s.abar))
 
     metric = -bmat / c_orbit
     chol = np.linalg.cholesky(metric)
-    return InstanceStructure(sos=sos, torus_gram=gt, xi_t=xi_t,
+    return InstanceStructure(gammas=gammas, triples=triples,
+                             torus_roots=roots, torus_gram=gt, xi_t=xi_t,
                              c_orbit=c_orbit, flat_ad_k=flat_ad_k,
                              sigma_roots=sigma_roots,
                              sigma_bar_roots=sigma_bar_roots,
@@ -200,7 +204,8 @@ def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
             raise NotOnRealForm(f"{what} is not sigma-odd")
     mu = al.bracket(x, v)
     muc = g.coords(mu)
-    off_k = muc - (muc @ s.k_basis.T) @ s.k_basis
+    k, _ = s.sigma_decomp
+    off_k = muc - (muc @ k.T) @ k
     assert np.all(np.linalg.norm(off_k, axis=-1) < 1e-8)
     return mu
 
@@ -345,13 +350,13 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     lo, hi = np.where(interior, 0.1, 1.05), np.where(interior, 0.95, 2.0)
     us = rng.normal(size=(samples, len(s.a_flat)))
     t = rng.uniform(lo, hi)
-    ks = rng.normal(size=(samples, s.k_basis.shape[0]))
+    xi, (k, _) = s.xi, s.sigma_decomp
+    ks = rng.normal(size=(samples, k.shape[0]))
     m = np.abs(us @ covs.T).max(axis=1)
     keep = m >= 1e-9  # u on the common root kernel has no box radius
     interior, ks = interior[keep], ks[keep]
     xs = us[keep] * (t[keep] * r / m[keep])[:, None]
 
-    xi, k = s.xi, s.k_basis
     lam = np.empty(len(xs))
     for b in al.sample_blocks(len(xs), g.size ** 2 + g.dim ** 2):
         x_lift = g.from_coords(xs[b] @ s.a_flat)
@@ -401,8 +406,7 @@ def _merits_and_grads(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray):
     return np.einsum("kti,kti->k", mr, r), grad
 
 
-def _descend(s: SpaceInstance, pts: np.ndarray,
-             max_iter: int = 10000) -> np.ndarray:
+def _descend(s: SpaceInstance, pts: np.ndarray) -> np.ndarray:
     """Armijo descent on the merit into the basin of the critical set, then
     Gauss-Newton to its end, of every start point of a (k, n, n) stack; the
     end points come back as a (k, dim) coordinate stack.
@@ -422,13 +426,13 @@ def _descend(s: SpaceInstance, pts: np.ndarray,
     scale = max(1.0, -al.killing(g, s.xi, s.xi))
     a = _rowwise(g.coords, pts)
     for b in al.sample_blocks(len(pts), g.dim * g.dim):
-        a[b] = _armijo(s, a[b], adxi, scale, max_iter)
+        a[b] = _armijo(s, a[b], adxi, scale)
         a[b] = _gauss_newton(s, a[b], adxi, scale)
     return a
 
 
-def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray, scale: float,
-            max_iter: int) -> np.ndarray:
+def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray,
+            scale: float) -> np.ndarray:
     """Armijo descent on the merit along geodesics of K, for every row of
     a (k, dim) coordinate stack, until the merit is below 1e-4 scale (the
     Gauss-Newton basin) or the gradient vanishes."""
@@ -437,14 +441,12 @@ def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray, scale: float,
     val, grad = _merits_and_grads(s, a, adxi)
     eta = np.full(len(a), 0.1)
     live = np.arange(len(a))
-    for it in range(1, 502):  # a restart stops after its 501st step
+    for _ in range(501):  # a restart stops after its 501st step
         decr = np.linalg.norm(grad[live], axis=1)
         keep = (val[live] > 1e-4 * scale) & (decr > 1e-12 * scale)
         live, decr = live[keep], decr[keep]
         if live.size == 0:
             break
-        if it > max_iter:
-            raise NonConvergence(f"descent exceeded {max_iter} iterations")
         step = -grad[live] / np.maximum(decr, 1e-30)[:, None]
         flow = al.skew_flow(_rowwise(g.from_coords, step))
         am = _rowwise(g.from_coords, a[live])
@@ -641,12 +643,12 @@ def critical_ladder(s: SpaceInstance) -> list:
     st = structure(s)
     gt, xi_t = st.torus_gram, st.xi_t
     xs = [xi_t]
-    for gamma in st.sos.gammas:
+    for gamma in st.gammas:
         gv = np.linalg.solve(gt, gamma)
         xs.append(xs[-1] - 2.0 * (gamma @ xs[-1]) / (gamma @ gv) * gv)
-    b_xi = st.sos.roots @ xi_t
+    b_xi = st.torus_roots @ xi_t
     return sorted((2.0 * np.pi * float(-(xi_t @ gt @ x)) / st.c_orbit,
-                   int(np.sum(b_xi * (st.sos.roots @ x) < -1e-8)))
+                   int(np.sum(b_xi * (st.torus_roots @ x) < -1e-8)))
                   for x in xs)
 
 
@@ -659,7 +661,7 @@ def _weyl_orbit(s: SpaceInstance) -> np.ndarray:
     point; the rounded values key the points seen.
     """
     st = structure(s)
-    betas = st.sos.roots
+    betas = st.torus_roots
     bvecs = np.linalg.solve(st.torus_gram, betas.T).T
     # reflection in beta: x -> x - 2 beta(x) / beta(bvec) bvec
     coef = 2.0 / np.einsum("ri,ri->r", betas, bvecs)

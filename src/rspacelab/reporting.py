@@ -156,13 +156,14 @@ def suite_roots(spaces, seed, tol):
         s = atlas.instance(rid, *params)
         lab = s.descriptor.label
         st = ob.structure(s)
+        k, _ = s.sigma_decomp
 
         total = int(st.sigma_roots.multiplicities.sum())
         total += st.sigma_roots.zero_multiplicity
         checks.append(_check(
             f"roots.count[{lab}]",
             "root multiplicities and the zero space fill the algebra",
-            total == len(s.k_basis), int(total), len(s.k_basis), 0.0))
+            total == len(k), int(total), len(k), 0.0))
 
         covs = st.sigma_roots.covectors
         worst = 0.0
@@ -174,19 +175,18 @@ def suite_roots(spaces, seed, tol):
             "covectors occur in opposite pairs",
             worst <= 1e-8, worst, 0.0, 1e-8))
 
-        sos = st.sos
         checks.append(_check(
             f"roots.cascade.count[{lab}]",
             "strongly orthogonal family has one member per complex rank",
-            len(sos.gammas) == len(s.abar), len(sos.gammas),
+            len(st.gammas) == len(s.abar), len(st.gammas),
             len(s.abar), 0.0))
 
         # relative Frobenius residuals of the complex triples
         res = 0.0
-        for t in sos.triples:
-            for a, b, c, k in ((t.H, t.X, t.X, 2.0), (t.H, t.Y, t.Y, -2.0),
-                               (t.X, t.Y, t.H, 1.0)):
-                res = max(res, float(np.linalg.norm(a @ b - b @ a - k * c)
+        for h, x, y in st.triples:
+            for a, b, c, f in ((h, x, x, 2.0), (h, y, y, -2.0),
+                               (x, y, h, 1.0)):
+                res = max(res, float(np.linalg.norm(a @ b - b @ a - f * c)
                                      / np.linalg.norm(c)))
         checks.append(_check(
             f"roots.sl2[{lab}]",
@@ -345,44 +345,43 @@ def suite_capacity(spaces, seed, tol):
                 abs(scan - sys_flat) <= 1e-6 * sys_flat, scan, sys_flat,
                 1e-6))
 
-        r = cap.capacities_U(s, sys_flat=sys_flat)
-        cross = r.extras["cross_check_normalized"]
+        ratio = atlas.rank_ratio(s)
+        cross = ratio * cap.capacities_U(s, 2.0 * np.pi)
         checks.append(_check(
             f"capacity.normalized[{lab}]",
             "rank ratio times the normalized branch equals 4 pi",
             abs(cross - 4.0 * np.pi) <= tol["cap_rel"] * 4.0 * np.pi,
             cross, 4.0 * np.pi, tol["cap_rel"]))
 
-        ratio = r.extras["rank_ratio"]
+        c_u = cap.capacities_U(s, sys_flat)
         want = sys_flat * (2.0 if ratio == 1 else 1.0)
-        both = (abs(r.c_G - want) <= tol["cap_rel"] * want
-                and abs(r.c_HZ - want) <= tol["cap_rel"] * want)
         checks.append(_check(
             f"capacity.dichotomy[{lab}]",
             "unit-bundle capacities collapse to the systole dichotomy",
-            both, [r.c_G, r.c_HZ], want, tol["cap_rel"]))
+            abs(c_u - want) <= tol["cap_rel"] * want, [c_u, c_u], want,
+            tol["cap_rel"]))
 
-        d = cap.chz_disc(s, sys_flat=sys_flat)
-        if d.case_tag != "disc_unknown":
+        c_hz, tag = cap.chz_disc(s, sys_flat)
+        if tag != "disc_unknown":
             factor = {"disc_simply_connected": 1.0, "disc_rp": 2.0,
-                      "disc_quadric": np.sqrt(2.0)}[d.case_tag]
+                      "disc_quadric": np.sqrt(2.0)}[tag]
             dw = factor * sys_flat
             checks.append(_check(
                 f"capacity.disc[{lab}]",
                 "disc capacity follows the fundamental-group dispatch",
-                abs(d.c_HZ - dw) <= tol["cap_rel"] * dw, d.c_HZ, dw,
+                abs(c_hz - dw) <= tol["cap_rel"] * dw, c_hz, dw,
                 tol["cap_rel"]))
 
         if s.descriptor.hermitian:
             h = cap.capacity_hermitian_ambient(s)
             vals = ob.weyl_critical_values(s)  # the enumeration oracle
             want = [vals[1] - vals[0], vals[-1] - vals[0]]
-            ok = (abs(h.c_G - want[0]) <= tol["gap_rel"] * want[0]
-                  and abs(h.c_HZ - want[1]) <= tol["gap_rel"] * want[1])
+            ok = all(abs(c - w) <= tol["gap_rel"] * w
+                     for c, w in zip(h, want))
             checks.append(_check(
                 f"capacity.ambient[{lab}]",
                 "ambient orbit capacities come from the level ladder",
-                ok, [h.c_G, h.c_HZ], want, tol["gap_rel"]))
+                ok, list(h), want, tol["gap_rel"]))
     return checks
 
 

@@ -267,32 +267,13 @@ def _is_root(covs: np.ndarray, beta: np.ndarray) -> bool:
     return _root_index(covs, beta).size > 0
 
 
-@dataclass(frozen=True, eq=False)
-class SL2Triple:
-    """An sl2 with [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H.
-
-    H, X and Y are complex matrices of the complexified ambient algebra;
-    Re X, Im X and Im H span the compact real form su(2) inside it.
-    """
-
-    H: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    root: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class StronglyOrthogonalSet:
-    gammas: list
-    triples: list
-    torus: np.ndarray  # orthonormal coordinate rows of the maximal torus
-    roots: np.ndarray  # covector rows of every root of the torus action
-
-
 def build_sl2_triple(alg: LieAlgebraBasis, t: np.ndarray, covs: np.ndarray,
-                     vectors: list, beta: np.ndarray) -> SL2Triple:
-    """Normalized sl2 through the root space of beta, for the torus rows t
-    and its roots covs with their vectors (complex_root_spaces).
+                     vectors: list, beta: np.ndarray) -> tuple:
+    """Normalized sl2 (H, X, Y) through the root space of beta, for the
+    torus rows t and its roots covs with their vectors (complex_root_spaces):
+    [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H.  H, X and Y are complex matrices of
+    the complexified ambient algebra; Re X, Im X and Im H span the compact
+    real form su(2) inside it.
 
     With C = [E, conj E] one has [C, E] = kappa0 E for a real kappa0 (it is
     negative in the compact form); H = (2/kappa0) C and a balanced rescaling
@@ -302,7 +283,6 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: np.ndarray, covs: np.ndarray,
     if hit.size == 0:
         raise RootSpaceEmpty(f"root {beta} not present")
     v = vectors[hit[0]][:, 0]
-    beta = np.array(beta, float)
 
     e_mat = alg.from_coords(v.real) + 1j * alg.from_coords(v.imag)
     c_mat = e_mat @ np.conj(e_mat) - np.conj(e_mat) @ e_mat  # [E, conj E]
@@ -324,14 +304,17 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: np.ndarray, covs: np.ndarray,
     assert np.abs(comm(h_mat, y_mat) + 2 * y_mat).max() < TOL_SL2
     assert np.abs(comm(x_mat, y_mat) - h_mat).max() < TOL_SL2
 
-    return SL2Triple(H=h_mat, X=x_mat, Y=y_mat, root=beta)
+    return h_mat, x_mat, y_mat
 
 
 def cascade_strongly_orthogonal(alg: LieAlgebraBasis, k: np.ndarray,
                                 p: np.ndarray,
-                                z: np.ndarray) -> StronglyOrthogonalSet:
+                                z: np.ndarray) -> tuple:
     """Strongly orthogonal noncompact positive roots, highest first, for the
-    Cartan split g = k + p given by its orthonormal rows.
+    Cartan split g = k + p given by its orthonormal rows, as (gammas,
+    triples, torus, roots): the roots, their sl2 triples (build_sl2_triple),
+    the orthonormal coordinate rows of the maximal torus and the covector
+    rows of every root of its action.
 
     Needs a Hermitian pair: z central in k with ad_z^2 = -1 on p.  Roots are
     taken against a maximal torus of k through z; noncompact positive means
@@ -381,6 +364,4 @@ def cascade_strongly_orthogonal(alg: LieAlgebraBasis, k: np.ndarray,
         for j in range(i + 1, len(gammas)):
             assert not _is_root(covs, gammas[i] + gammas[j])
             assert not _is_root(covs, gammas[i] - gammas[j])
-    return StronglyOrthogonalSet(gammas=[tri.root for tri in triples],
-                                 triples=triples, torus=t,
-                                 roots=covs)
+    return gammas, triples, t, covs

@@ -70,8 +70,8 @@ def _theta(s):
 def _isotropy_split(s):
     """(l, h): k cap p_vee and k cap the theta-fixed algebra."""
     k_theta, p_vee = s.theta_decomp
-    return (atlas.intersect_rows(s.k_basis, p_vee),
-            atlas.intersect_rows(s.k_basis, k_theta))
+    k, _ = s.sigma_decomp
+    return (atlas.intersect_rows(k, p_vee), atlas.intersect_rows(k, k_theta))
 
 
 def test_grading_element_structure():
@@ -90,7 +90,7 @@ def test_grading_element_structure():
 def test_isotropy_splits_inside_the_fixed_algebra():
     s = atlas.instance("sphere", 2)
     l, h = _isotropy_split(s)
-    assert l.shape[0] + h.shape[0] == s.k_basis.shape[0]
+    assert l.shape[0] + h.shape[0] == s.sigma_decomp[0].shape[0]
     # l sits in the -1 side of theta, h in the +1 side
     th = _theta(s)
     assert np.abs(l @ th.T + l).max() < 1e-9

@@ -208,32 +208,14 @@ def test_flat_metric_scale_per_family():
 ])
 def test_capacity_dichotomy(rid, params):
     s = atlas.instance(rid, *params)
-    r = cap.capacities_U(s, _sys(s))
-    assert abs(r.extras["cross_check_normalized"] - 4.0 * np.pi) < 1e-9
-    assert r.c_G == r.c_HZ
-    ratio = r.extras["rank_ratio"]
-    want = r.extras["sys_flat"] * (2.0 if ratio == 1 else 1.0)
-    assert abs(r.c_G - want) < 1e-6 * want
-    assert r.case_tag == f"ratio{ratio}"
-
-
-def test_deck_flags_fire_exactly_on_shortened_systoles():
-    flagged = {}
-    for rid, params in [("sphere", (2,)), ("unitary_group", (2,)),
-                        ("grassmann_quaternionic", (1, 1)),
-                        ("symplectic_group", (1,)),
-                        ("quadric_real", (1, 2)), ("quadric_real", (2, 2)),
-                        ("grassmann_real", (1, 2))]:
-        s = atlas.instance(rid, *params)
-        r = cap.capacities_U(s, _sys(s))
-        flagged[(rid, params)] = r.extras["deck_flagged"]
-    assert not flagged[("sphere", (2,))]
-    assert not flagged[("unitary_group", (2,))]
-    assert not flagged[("grassmann_quaternionic", (1, 1))]
-    assert not flagged[("symplectic_group", (1,))]
-    assert flagged[("quadric_real", (1, 2))]
-    assert flagged[("quadric_real", (2, 2))]
-    assert flagged[("grassmann_real", (1, 2))]
+    c = cap.capacities_U(s, _sys(s))
+    ratio = atlas.rank_ratio(s)
+    assert abs(ratio * cap.capacities_U(s, 2.0 * np.pi) - 4.0 * np.pi) < 1e-9
+    row, = cap.capacity_table([s.descriptor])
+    assert row["c_G_U1"] == row["c_HZ_U1"] == c
+    want = _sys(s) * (2.0 if ratio == 1 else 1.0)
+    assert abs(c - want) < 1e-6 * want
+    assert row["ratio"] == ratio
 
 
 @pytest.mark.parametrize("rid,params,tag,factor", [
@@ -245,31 +227,31 @@ def test_deck_flags_fire_exactly_on_shortened_systoles():
 ])
 def test_disc_capacity_dispatch(rid, params, tag, factor):
     s = atlas.instance(rid, *params)
-    d = cap.chz_disc(s, _sys(s))
-    assert d.case_tag == tag
-    assert abs(d.c_HZ - factor * d.extras["sys_flat"]) < 1e-9
+    c_hz, case_tag = cap.chz_disc(s, _sys(s))
+    assert case_tag == tag
+    assert abs(c_hz - factor * _sys(s)) < 1e-9
 
 
 def test_disc_capacity_unknown_cases():
     for rid, params in [("unitary_group", (2,)), ("grassmann_real", (2, 2))]:
         s = atlas.instance(rid, *params)
-        d = cap.chz_disc(s, _sys(s))
-        assert d.case_tag == "disc_unknown"
-        assert d.c_HZ == "unknown"
+        c_hz, case_tag = cap.chz_disc(s, _sys(s))
+        assert case_tag == "disc_unknown"
+        assert c_hz == "unknown"
 
 
 def test_hermitian_ambient_capacities():
     s = atlas.instance("grassmann_complex_hermitian", 1, 1)
-    r = cap.capacity_hermitian_ambient(s)
-    assert abs(r.c_G - 4.0 * np.pi) < 1e-9
-    assert abs(r.c_HZ - 8.0 * np.pi) < 1e-9
+    c_g, c_hz = cap.capacity_hermitian_ambient(s)
+    assert abs(c_g - 4.0 * np.pi) < 1e-9
+    assert abs(c_hz - 8.0 * np.pi) < 1e-9
     # the closed-form ladder is the exact Weyl one
-    assert np.allclose(r.extras["levels"], ob.weyl_critical_values(s),
-                       rtol=0, atol=1e-9)
+    assert np.allclose([v for v, _ in ob.critical_ladder(s)],
+                       ob.weyl_critical_values(s), rtol=0, atol=1e-9)
     # and the descent ladder agrees with the formulas
     descent = ob.critical_gap_report(s, restarts=50, seed=0)
-    assert abs(descent["max_gap"] - r.c_HZ) < 1e-3 * r.c_HZ
-    assert abs(descent["smin_gap"] - r.c_G) < 1e-3 * r.c_G
+    assert abs(descent["max_gap"] - c_hz) < 1e-3 * c_hz
+    assert abs(descent["smin_gap"] - c_g) < 1e-3 * c_g
 
 
 def test_ambient_gate_fails_against_a_shifted_oracle(monkeypatch):
@@ -355,7 +337,8 @@ def test_split_quadric_spectrum_keeps_factor_loops():
 def test_disc_membership_is_strict():
     s = atlas.instance("sphere", 2)
     g = s.g_vee
-    v = al.bracket(s.xi, g.from_coords(s.k_basis[0]))  # a tangent at xi
+    k, _ = s.sigma_decomp
+    v = al.bracket(s.xi, g.from_coords(k[0]))  # a tangent at xi
     nrm = np.sqrt(ob.inner(s, v, v))
     assert disc_contains(s, v, nrm * 1.0001)
     assert not disc_contains(s, v, nrm)  # the boundary is excluded

@@ -134,8 +134,8 @@ def _loop_norm(s, p, u):
     commutators [x, k_i] projected on the k rows."""
     g = s.g_vee
     x = g.from_coords(u @ s.a_flat)
-    ks = g.from_coords(s.k_basis)
-    adx = s.k_basis @ g.coords(x @ ks - ks @ x).T
+    ks = g.from_coords(s.sigma_decomp[0])
+    adx = s.sigma_decomp[0] @ g.coords(x @ ks - ks @ x).T
     sv = np.abs(np.linalg.eigvalsh(1j * adx))
     return sv.max() if np.isinf(p) else (sv ** p).sum() ** (1.0 / p)
 

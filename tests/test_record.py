@@ -22,7 +22,7 @@ RECORDS = [cls for mod in (algebra, atlas, capacity, finsler, orbit, roots)
            if cls.__module__ == mod.__name__
            and getattr(cls.__init__, "__module__", None) == _record.__name__]
 
-VALUE_RECORDS = {"RSpaceDescriptor", "CapacityReport"}
+VALUE_RECORDS = {"RSpaceDescriptor"}
 
 # arguments that pass each __post_init__; every other record takes anything
 _VALID_ARGS = {
@@ -36,7 +36,7 @@ def _args(cls):
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 9
+    assert len(RECORDS) == 6
     assert {c.__name__ for c in RECORDS if c.__eq__ is not object.__eq__} \
         == VALUE_RECORDS
 
@@ -103,21 +103,14 @@ def test_descriptor_has_value_equality_and_hash():
         atlas.RSpaceDescriptor("x", (), "Z", 7, False, "0")
 
 
-def test_repr_lists_fields_but_not_the_flat_basis():
+def test_repr_lists_every_field():
     g = algebra.build_algebra("so", 3)
     text = repr(g)
     assert text.startswith("LieAlgebraBasis(family='so', n=3, ")
-    assert "killing_matrix=" in text and "_flat" not in text
+    assert all(f"{name}=" in text for name in algebra.LieAlgebraBasis
+               .__annotations__)
     assert repr(orbit.CriticalCluster(1.5, 2, 3)) == \
         "CriticalCluster(value=1.5, hessian_index=2, population=3)"
-
-
-def test_each_capacity_report_gets_its_own_extras():
-    a = capacity.CapacityReport(1.0, 2.0, "tag")
-    b = capacity.CapacityReport(1.0, 2.0, "tag")
-    a.extras["k"] = 1
-    assert b.extras == {} and a.extras is not b.extras
-    assert "extras" not in vars(capacity.CapacityReport)
 
 
 def test_algebra_element_entries_are_read_only():
