@@ -26,20 +26,21 @@ def main():
         s = atlas.instance(rid, *params)
         clusters = ob.find_critical_points(s, restarts=args.restarts,
                                            seed=args.seed)
-        rpt = ob.critical_gap_report(s, clusters=clusters)
+        vals = [c.value for c in clusters]  # ascending
+        max_gap, smin_gap = vals[-1] - vals[0], vals[1] - vals[0]
         predicted = ob.critical_ladder(s)
         print(f"{s.descriptor.label}  (rank {len(s.abar)})")
         print("  predicted ladder: " + ", ".join(
             f"{v / np.pi:+.3f}*pi (index {i})" for v, i in predicted))
-        for c in sorted(clusters, key=lambda c: c.value):
+        for c in clusters:
             print(f"  value {c.value / np.pi:+.3f}*pi  index {c.hessian_index}"
                   f"  basin {c.population}/{args.restarts}")
         found = sum(any(abs(v - c.value) <= 1e-3 * 4 * np.pi for c in clusters)
                     for v, _ in predicted)
         print(f"  found {found} of {len(predicted)} predicted levels")
-        print(f"  max gap {rpt['max_gap'] / np.pi:.3f}*pi"
-              f"  ({rpt['max_gap'] / (4 * np.pi):.3f} of 4*pi),"
-              f"  lowest step {rpt['smin_gap'] / np.pi:.3f}*pi")
+        print(f"  max gap {max_gap / np.pi:.3f}*pi"
+              f"  ({max_gap / (4 * np.pi):.3f} of 4*pi),"
+              f"  lowest step {smin_gap / np.pi:.3f}*pi")
         print()
     return 0
 

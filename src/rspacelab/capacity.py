@@ -7,8 +7,8 @@ sphere, principal angles, bi-invariant Frobenius) and drives the reported
 systoles.
 
 The capacity table that `report` prints is built here, and its formats
-are laid out for `cli.render`, so `report` loads neither `orbit` nor the
-verify suites (`reporting`).
+are laid out for `cli.render`.  Nothing here loads the oracles in `orbit`
+and `finsler` or the verify suites (`reporting`).
 """
 
 from __future__ import annotations
@@ -239,11 +239,10 @@ def chz_disc(s: SpaceInstance, sys_flat: float) -> tuple:
 
 
 def capacity_hermitian_ambient(s: SpaceInstance) -> tuple:
-    """(c_G, c_HZ) of the ambient Hermitian orbit from the critical ladder:
-    its lowest step (4 pi) and its total spread (4 pi rank)."""
-    from . import orbit as ob  # report never loads the orbit oracles
-    levels = [v for v, _ in ob.critical_ladder(s)]
-    return levels[1] - levels[0], levels[-1] - levels[0]
+    """(c_G, c_HZ) of the ambient Hermitian orbit: the lowest step of its
+    critical ladder, 4 pi, and its spread, 4 pi rank N_C; the levels sit
+    4 pi apart at the reflections of xi in the first j cascade roots."""
+    return 4.0 * np.pi, 4.0 * np.pi * len(s.abar)
 
 
 # ---------------------------------------------------------------------------

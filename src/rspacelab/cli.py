@@ -4,8 +4,8 @@ Three subcommands: `atlas` recomputes the catalogue table, `verify` runs
 invariant suites, `report` renders the capacity summary.  Exit codes follow
 sysexits conventions: 0 on success, 2 when a verification fails, 64 for
 usage errors, 74 for output I/O failures.  `render` writes every table in
-every format, and `_entries` picks the catalogue rows `atlas` and `report`
-read.
+every format, `_row_id` reads a table-row label for all three commands,
+and `_entries` picks the catalogue rows `atlas` and `report` read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 
 from . import __version__
 from . import atlas
-from .verify_options import DEFAULT_TOL, SUITE_NAMES
 
 EX_OK = 0
 EX_VERIFY = 2
@@ -26,6 +25,24 @@ EX_USAGE = 64
 EX_IO = 74
 
 _FORMATS = ("json", "csv", "text")
+
+# what verify accepts: its suites, and the tolerances --tol may override
+SUITE_NAMES = ("algebra", "roots", "orbit", "delta", "critical",
+               "capacity", "finsler")
+
+DEFAULT_TOL = {
+    "alg": 1e-10,       # exact algebraic identities
+    "killing": 1e-9,    # Killing spectrum vs family multiple
+    "j2": 1e-7,         # J^2 + id on orbit tangents
+    "form": 1e-9,       # orbit two-form identities
+    "sl2": 1e-8,        # bracket relations of cascade triples
+    "gap_rel": 1e-3,    # optimizer-found level gaps, relative
+    "cap_rel": 1e-6,    # capacity formulas, relative
+    "sys_abs": 1e-6,    # pinned systoles, absolute
+    "band": 1e-6,       # shell thickness for the cut predicate
+    "spread": 1e-8,     # Schatten-2 vs metric, relative spread
+    "mono": 1e-10,      # Schatten exponent monotonicity
+}
 
 
 class _UsageError(Exception):
@@ -150,16 +167,24 @@ def render(rows, fmt, columns=(), line="", labels=None, cells=dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _row_id(space):
+    """The row id that --space names: a table-row label (8a) names the id
+    of its row, and anything else names itself."""
+    labels = {d.table_row: d.id for d in atlas.default_entries()}
+    return labels.get(space, space)
+
+
 def _entries(pool, space, params):
-    """The catalogue rows a command reads: pool, its rows whose id or
-    table-row label is space, or the one row space(*params)."""
+    """The catalogue rows a command reads: pool, its rows of the id that
+    space names, or the one row of that id with params."""
     if space is None:
         if params is not None:
             raise _UsageError("--params needs --space")
         return pool
+    rid = _row_id(space)
     if params is not None:
-        return [atlas.descriptor(space, *params)]
-    hits = [d for d in pool if space in (d.id, d.table_row)]
+        return [atlas.descriptor(rid, *params)]
+    hits = [d for d in pool if d.id == rid]
     if not hits:
         raise _UsageError(f"no catalogue row matches {space!r}")
     return hits
@@ -205,12 +230,10 @@ def cmd_verify(args) -> int:
     if args.seed < 0:  # numpy refuses a negative seed + suite offset
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     suites = _parse_suites(args.suite)
-    # a table-row label (8a) names the row id it labels, as in atlas
-    space = {row[-1]: rid for rid, row in atlas._ROWS.items()}.get(
-        args.space, args.space)
+    space = _row_id(args.space)
     known = set(atlas._ROWS) | set(rep._DELTA_MODELS)
     if space is not None and space not in known:
-        raise _UsageError(f"unknown space {space!r}")
+        raise _UsageError(f"unknown space {args.space!r}")
     params = _parse_params(args.params)
     if params is not None and space is None:
         raise _UsageError("--params needs --space")

@@ -18,7 +18,7 @@ import numpy as np
 from . import algebra as al
 from . import roots as rt
 from ._record import dataclass
-from .atlas import SpaceInstance, rank_ratio
+from .atlas import SpaceInstance, instance, rank_ratio
 
 
 class NotOnRealForm(ValueError):
@@ -257,15 +257,16 @@ CUT_MODEL_ROWS = {"cp1": ("grassmann_real", (1, 1)),
                   "cp1xcp1": ("grassmann_complex_hermitian", (1, 1))}
 
 
-def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
-                           seed: int = 5, band: float = 1e-6) -> dict:
+def cut_locus_oracle_check(model: str, samples: int = 1000, seed: int = 5,
+                           band: float = 1e-6) -> dict:
     """Compare the shell predicate (_flat_cut_distance below band) with an
-    explicit cut-locus computation.
+    explicit cut-locus computation, on the instance of the model's row in
+    CUT_MODEL_ROWS.
 
-    s is the instance of the model's row in CUT_MODEL_ROWS.  Half the
-    samples are constructed on the half-period shell (the predicate must
-    fire and the brute-force cut condition must hold); half are drawn
-    uniformly and kept only when safely off the shell (both must be false).
+    Half the samples are constructed on the half-period shell (the
+    predicate must fire and the brute-force cut condition must hold); half
+    are drawn uniformly and kept only when safely off the shell (both must
+    be false).
 
     The even-numbered samples are the shell ones.  Their draws come first
     from default_rng(seed), one call each: the root beta of each, integers
@@ -275,9 +276,8 @@ def cut_locus_oracle_check(model: str, s: SpaceInstance, samples: int = 1000,
     """
     if model not in CUT_MODEL_ROWS:
         raise ValueError(f"unknown cut model {model!r}")
-    if (s.descriptor.id, s.descriptor.params) != CUT_MODEL_ROWS[model]:
-        raise ValueError(f"cut model {model!r} is not sampled on "
-                         f"{s.descriptor.label}")
+    rid, params = CUT_MODEL_ROWS[model]
+    s = instance(rid, *params)
     covs = structure(s).sigma_bar_roots.covectors
     rng = np.random.default_rng(seed)
     scale = np.pi / max(np.linalg.norm(r) for r in covs)
@@ -612,25 +612,24 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     return out
 
 
-def critical_gap_report(s: SpaceInstance, clusters=None, restarts: int = 50,
+def critical_gap_report(s: SpaceInstance, restarts: int = 50,
                         seed: int = 0) -> dict:
-    """Gaps of the critical value ladder: total and lowest step."""
-    clusters = clusters or find_critical_points(s, restarts=restarts, seed=seed)
+    """Gaps of the descent's critical value ladder: total and lowest step."""
+    clusters = find_critical_points(s, restarts=restarts, seed=seed)
     if len(clusters) < 2:
         raise FewerThanTwoClusters(f"found {len(clusters)} critical values")
-    vals = sorted(c.value for c in clusters)
+    vals = [c.value for c in clusters]  # ascending, as the clusters come
     return {"values": vals,
             "max_gap": vals[-1] - vals[0],
             "smin_gap": vals[1] - vals[0],
-            "indices": [c.hessian_index for c in
-                        sorted(clusters, key=lambda c: c.value)],
-            "populations": [c.population for c in
-                            sorted(clusters, key=lambda c: c.value)]}
+            "indices": [c.hessian_index for c in clusters],
+            "populations": [c.population for c in clusters]}
 
 
 def critical_ladder(s: SpaceInstance) -> list:
     """Critical levels of H with their Morse indices, as sorted
-    (level, index) pairs; the production ladder.
+    (level, index) pairs; the closed form that verify holds the descent's
+    indices against.
 
     On the cascade torus, level j sits at x_j, the reflection of xi in the
     first j cascade roots (strongly orthogonal, so the reflections
@@ -684,7 +683,8 @@ def weyl_critical_values(s: SpaceInstance) -> list:
 
     The critical set of the pairing meets the torus in the reflection orbit
     of xi (_weyl_orbit), so the values can be generated without any
-    optimization; the oracle of critical_ladder and of the descent.
+    optimization; the oracle of critical_ladder, of the ambient
+    capacities (capacity_hermitian_ambient) and of the descent.
     """
     st = structure(s)
     vals = sorted(2.0 * np.pi * float(-(st.xi_t @ st.torus_gram @ w))

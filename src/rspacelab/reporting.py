@@ -20,8 +20,7 @@ from . import __version__
 from . import algebra as al
 from . import atlas
 from . import orbit as ob
-from .cli import render
-from .verify_options import DEFAULT_TOL, SUITE_NAMES
+from .cli import DEFAULT_TOL, SUITE_NAMES, render
 
 
 class UnknownSuite(ValueError):
@@ -47,7 +46,7 @@ _STRUCTURAL_SPACES = [("sphere", (2,)), ("quadric_real", (1, 2)),
                       ("grassmann_complex_hermitian", (1, 1))]
 _CRITICAL_SPACES = [("grassmann_real", (1, 1)),
                     ("grassmann_complex_hermitian", (1, 1))]
-_DELTA_MODELS = ["cp1", "cp1xcp1"]
+_DELTA_MODELS = list(ob.CUT_MODEL_ROWS)
 _DELTA_SAMPLES = 400  # cut-locus oracle samples per model
 _CRITICAL_RESTARTS = 50  # descent restarts per row
 _ORACLE_ROWS = {"sphere", "quadric_real"}
@@ -272,10 +271,8 @@ def suite_orbit(spaces, seed, tol):
 def suite_delta(models, seed, tol):
     checks = []
     for model in models:
-        rid, params = ob.CUT_MODEL_ROWS[model]
-        r = ob.cut_locus_oracle_check(model, atlas.instance(rid, *params),
-                                      samples=_DELTA_SAMPLES, seed=seed,
-                                      band=tol["band"])
+        r = ob.cut_locus_oracle_check(model, samples=_DELTA_SAMPLES,
+                                      seed=seed, band=tol["band"])
         checks.append(_check(
             f"delta.oracle[{model}]",
             "flat shell predicate matches the brute-force cut condition",
@@ -358,7 +355,7 @@ def suite_capacity(spaces, seed, tol):
         checks.append(_check(
             f"capacity.dichotomy[{lab}]",
             "unit-bundle capacities collapse to the systole dichotomy",
-            abs(c_u - want) <= tol["cap_rel"] * want, [c_u, c_u], want,
+            abs(c_u - want) <= tol["cap_rel"] * want, c_u, want,
             tol["cap_rel"]))
 
         c_hz, tag = cap.chz_disc(s, sys_flat)

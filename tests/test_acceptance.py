@@ -66,9 +66,8 @@ def test_criterion_3_cut_shell_oracle():
     bad = 0
     tested = 0
     for model in ("cp1", "cp1xcp1"):
-        rid, params = ob.CUT_MODEL_ROWS[model]
-        rpt = ob.cut_locus_oracle_check(model, atlas.instance(rid, *params),
-                                        samples=1000, seed=7, band=1e-6)
+        rpt = ob.cut_locus_oracle_check(model, samples=1000, seed=7,
+                                        band=1e-6)
         bad += rpt["mismatches"]
         tested += rpt["tested"]
     ok = bad == 0 and tested >= 1500

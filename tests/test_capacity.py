@@ -254,21 +254,49 @@ def test_hermitian_ambient_capacities():
     assert abs(descent["smin_gap"] - c_g) < 1e-3 * c_g
 
 
+# the 14 small Hermitian pairs the closed form is held against
+_HERMITIAN_PAIRS = (
+    [("grassmann_complex_hermitian", pq)
+     for pq in ((1, 1), (1, 2), (1, 3), (2, 2))]
+    + [("orthogonal_mod_unitary_hermitian", (n,)) for n in (2, 3, 4)]
+    + [("symplectic_mod_unitary_hermitian", (n,)) for n in (1, 2, 3, 4)]
+    + [("quadric_complex_hermitian", (n,)) for n in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("rid,params", _HERMITIAN_PAIRS, ids=[
+    f"{rid}({','.join(map(str, p))})" for rid, p in _HERMITIAN_PAIRS])
+def test_ambient_closed_form_is_the_weyl_enumeration(rid, params):
+    s = atlas.instance(rid, *params)
+    vals = ob.weyl_critical_values(s)
+    want = [vals[1] - vals[0], vals[-1] - vals[0]]
+    got = cap.capacity_hermitian_ambient(s)
+    assert all(abs(c - w) <= 1e-12 * w for c, w in zip(got, want))
+
+
+def _ambient_checks(rows):
+    return [c for c in rep.suite_capacity(rows, 0, rep.DEFAULT_TOL)
+            if c["id"].startswith("capacity.ambient[")]
+
+
+def test_ambient_gate_fails_on_a_scaled_spread(monkeypatch):
+    rows = [("grassmann_complex_hermitian", (1, 1))]
+    assert [c["status"] for c in _ambient_checks(rows)] == ["pass"]
+    closed = cap.capacity_hermitian_ambient
+    monkeypatch.setattr(cap, "capacity_hermitian_ambient", lambda s: (
+        closed(s)[0], closed(s)[1] * (1.0 + 2e-3)))
+    assert [c["status"] for c in _ambient_checks(rows)] == ["fail"]
+
+
 def test_ambient_gate_fails_against_a_shifted_oracle(monkeypatch):
     rows = [("grassmann_complex_hermitian", (1, 1))]
-
-    def ambient():
-        return [c for c in rep.suite_capacity(rows, 0, rep.DEFAULT_TOL)
-                if c["id"].startswith("capacity.ambient[")]
-
-    good = ambient()
+    good = _ambient_checks(rows)
     assert [c["status"] for c in good] == ["pass"]
     assert np.allclose(good[0]["expected"], [4.0 * np.pi, 8.0 * np.pi],
                        rtol=0, atol=1e-12)
     weyl = ob.weyl_critical_values
     monkeypatch.setattr(ob, "weyl_critical_values", lambda s: [
         v + 0.05 * 4.0 * np.pi * j for j, v in enumerate(weyl(s))])
-    bad = ambient()
+    bad = _ambient_checks(rows)
     assert [c["status"] for c in bad] == ["fail"]
     assert bad[0]["computed"] == good[0]["computed"]
 

@@ -176,6 +176,17 @@ def test_a_table_row_label_selects_the_rows_of_its_id(capsys, command,
         assert len(spaces[0]) == {"sphere": 3, "quadric_real": 2}[space]
 
 
+@pytest.mark.parametrize("command", ["atlas", "report"])
+def test_a_table_row_label_takes_params(capsys, command):
+    outs = []
+    for key in ("8a", "sphere"):
+        code, out, err = run(capsys, command, "--space", key, "--params", "3")
+        assert code == cli.EX_OK and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "sphere(3)" in outs[0]
+
+
 @pytest.mark.parametrize("label,space", [("8a", "sphere"),
                                          ("H1", "grassmann_complex_hermitian")])
 def test_verify_takes_a_table_row_label_for_its_id(capsys, label, space):

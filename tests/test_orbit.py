@@ -15,7 +15,7 @@ from rspacelab import finsler as fin
 from rspacelab import orbit as ob
 from rspacelab import reporting as rep
 from rspacelab.reporting import _STRUCTURAL_SPACES
-from rspacelab.verify_options import DEFAULT_TOL
+from rspacelab.cli import DEFAULT_TOL
 
 _S2 = [atlas.instantiate(atlas.descriptor("sphere", 2))]
 
@@ -286,9 +286,7 @@ def test_shell_predicate_basics():
 
 @pytest.mark.parametrize("model", ["cp1", "cp1xcp1"])
 def test_cut_locus_oracle(model):
-    rid, params = ob.CUT_MODEL_ROWS[model]
-    r = ob.cut_locus_oracle_check(model, atlas.instance(rid, *params), samples=400,
-                                  seed=5)
+    r = ob.cut_locus_oracle_check(model, samples=400, seed=5)
     assert r["mismatches"] == 0
     assert r["tested"] >= 300
 
@@ -648,18 +646,16 @@ def test_stacked_cut_oracle_matches_the_sample_loop(model, monkeypatch):
         dist = ob._flat_cut_distance
         monkeypatch.setattr(ob, "_flat_cut_distance",
                             lambda s, v: seen.append(v) or dist(s, v))
-        got = ob.cut_locus_oracle_check(model, s, samples=300, seed=seed)
+        got = ob.cut_locus_oracle_check(model, samples=300, seed=seed)
         monkeypatch.undo()
         assert got == want
         # the oracle drew the samples the loop evaluates
         assert _rel(seen[0], drawn) <= 1e-12
 
 
-def test_cut_oracle_refuses_a_foreign_instance():
+def test_cut_oracle_refuses_an_unknown_model():
     with pytest.raises(ValueError):
-        ob.cut_locus_oracle_check("cp1", atlas.instance("sphere", 2), samples=10)
-    with pytest.raises(ValueError):
-        ob.cut_locus_oracle_check("torus", atlas.instance("grassmann_real", 1, 1))
+        ob.cut_locus_oracle_check("torus")
 
 
 def _ad_on_k(s, x):
@@ -729,11 +725,10 @@ def test_stacked_momentum_refuses_a_point_off_the_real_form():
 
 def test_sampling_oracles_ignore_the_block_size(monkeypatch):
     s = atlas.instance("unitary_group", 2)
-    cp1 = atlas.instance("grassmann_real", 1, 1)
 
     def run():
         return (ob.moment_image_spectrum_check(s, samples=100, seed=2),
-                ob.cut_locus_oracle_check("cp1", cp1, samples=100, seed=2),
+                ob.cut_locus_oracle_check("cp1", samples=100, seed=2),
                 ob.random_orbit_points(s, range(10)))
 
     whole = run()
@@ -770,7 +765,7 @@ class _CountingRng:
 _DRAWS = {
     "moment": (lambda s, n: ob.moment_image_spectrum_check(s, samples=n),
                ("unitary_group", (2,)), ["normal", "uniform", "normal"]),
-    "cut": (lambda s, n: ob.cut_locus_oracle_check("cp1", s, samples=n),
+    "cut": (lambda s, n: ob.cut_locus_oracle_check("cp1", samples=n),
             ("grassmann_real", (1, 1)),
             ["integers", "normal", "integers", "normal"]),
     "ball": (lambda s, n: fin.unit_ball_vs_box(s, samples=n),

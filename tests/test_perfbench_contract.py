@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from rspacelab import atlas, capacity, reporting
-from rspacelab.verify_options import SUITE_NAMES
+from rspacelab.cli import SUITE_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"

@@ -289,6 +289,66 @@ def test_readme_states_the_line_count_of_src():
     assert f"`src/` holds {lines:,} lines of Python." in readme
 
 
+# the oracles and the suites that only verify, the tests and scripts/ read
+VERIFY_MODULES = {"orbit", "finsler", "reporting"}
+
+
+def test_readme_states_the_production_and_verify_line_counts():
+    lines = {True: 0, False: 0}
+    for p in SRC.glob("*.py"):
+        lines[p.stem in VERIFY_MODULES] += p.read_text().count("\n")
+    readme = (ROOT / "README.md").read_text()
+    assert (f"{lines[False]:,} in the production modules and "
+            f"{lines[True]:,} in the verify modules") in readme
+
+
+def _loaded_modules(node) -> set:
+    """The rspacelab modules an import statement loads, by short name."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names
+                if a.name.startswith("rspacelab.")}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level == 0 and node.module == "rspacelab" \
+            or node.level == 1 and node.module is None:
+        return {a.name for a in node.names}  # from . import orbit
+    if node.level == 1:
+        return {node.module.split(".")[0]}   # from .orbit import x
+    if node.level == 0 and node.module.startswith("rspacelab."):
+        return {node.module.split(".")[1]}
+    return set()
+
+
+def test_production_never_imports_the_verify_modules():
+    # at module or function level; cmd_verify alone dispatches to the suites
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in VERIFY_MODULES:
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        if path.stem == "cli":
+            verify, = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                       and n.name == "cmd_verify"]
+            exempt = {id(n) for n in ast.walk(verify)}
+        for node in ast.walk(tree):
+            hit = _loaded_modules(node) & VERIFY_MODULES
+            if hit and id(node) not in exempt:
+                found.append((path.name, node.lineno, sorted(hit)))
+    assert found == []
+
+
+def test_the_import_scan_sees_every_import_form():
+    forms = {"from . import orbit as ob": {"orbit"},
+             "from .finsler import unit_ball_vs_box": {"finsler"},
+             "from rspacelab import atlas, reporting": {"atlas", "reporting"},
+             "from rspacelab.orbit import structure": {"orbit"},
+             "import rspacelab.reporting": {"reporting"},
+             "import numpy as np": set()}
+    for text, want in forms.items():
+        assert _loaded_modules(ast.parse(text).body[0]) == want
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_sources_parse_as_python_3_10(path):
