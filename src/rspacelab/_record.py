@@ -3,9 +3,9 @@
 A drop-in for the subset of ``dataclasses.dataclass`` that the package
 uses: frozen classes with value or identity equality, class-attribute
 defaults and ``__post_init__``.  The stdlib decorator writes and ``exec``s
-source for every class, ~20 ms of import per command over the package's
-records; here the methods are closures over the field names, built in
-microseconds.
+source for every class, about 4 ms of import per command over the
+package's records; here the methods are closures over the field names,
+built in microseconds.
 """
 
 

@@ -29,7 +29,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 class UnsupportedFamily(ValueError):
-    """Family label outside {so, su, u, sp}."""
+    """Family label outside {so, su, sp}."""
 
 
 class SizeOutOfRange(ValueError):
@@ -346,9 +346,7 @@ def jacobi_residual(alg: LieAlgebraBasis) -> float:
 
 def skew_flow(a: np.ndarray):
     """t -> exp(t a) for a real antisymmetric matrix a, or a (..., n, n)
-    stack of them; t is one number, or one per slice (shape (...,)).  The
-    callable's at= picks slices along the first axis, and only those are
-    exponentiated (t then matches the picked stack).
+    stack of them; t is one number, or one per slice (shape (...,)).
 
     a commutes with the symmetric positive semidefinite S = -a a = a^T a,
     and exp(t a) = cos(t sqrt S) + a sin(t sqrt S) / sqrt S.  With
@@ -373,10 +371,10 @@ def skew_flow(a: np.ndarray):
     theta = np.linalg.norm(av, axis=-2)[..., None, :]  # along each row
     inv = np.divide(1.0, theta, out=np.zeros_like(theta), where=theta > 0)
     vt = v.swapaxes(-1, -2)
-    def flow(t, at=slice(None)):
-        angle = np.asarray(t, float)[..., None, None] * theta[at]
-        cos, sin = np.cos(angle), np.sin(angle) * inv[at]
-        return (v[at] * cos + av[at] * sin) @ vt[at]
+    def flow(t):
+        angle = np.asarray(t, float)[..., None, None] * theta
+        cos, sin = np.cos(angle), np.sin(angle) * inv
+        return (v * cos + av * sin) @ vt
     return flow
 
 

@@ -334,7 +334,17 @@ def window(row_id: str) -> tuple:
     return builder.__code__.co_argcount, low, top
 
 
+def refuse_exceptional(row_id: str) -> None:
+    """Raise UnsupportedRow if row_id names an exceptional row."""
+    for d in _EXCEPTIONAL:
+        if d.id == row_id:
+            raise UnsupportedRow(
+                f"row {d.table_row} ({d.id}) is exceptional: listed, not "
+                "instantiable, and takes no parameters")
+
+
 def descriptor(row_id: str, *params: int) -> RSpaceDescriptor:
+    refuse_exceptional(row_id)
     if row_id not in _ROWS:
         raise UnsupportedRow(f"unknown catalogue row {row_id!r}")
     pi1, ratio, herm, label = _ROWS[row_id][5:]

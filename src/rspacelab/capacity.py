@@ -132,7 +132,7 @@ def systole_details(s: SpaceInstance) -> dict:
         raise LatticeError("the shortest lattice vector does not close")
     return {"systole": length, "direction": x / np.linalg.norm(x),
             "closing": z, "box": box, "lattice": lat,
-            "skipped_irrational": 0, "tested": count, "c_model": c_model(s)}
+            "skipped_irrational": 0, "tested": count}
 
 
 def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,

@@ -186,6 +186,7 @@ def _entries(pool, space, params):
         return [atlas.descriptor(rid, *params)]
     hits = [d for d in pool if d.id == rid]
     if not hits:
+        atlas.refuse_exceptional(rid)
         raise _UsageError(f"no catalogue row matches {space!r}")
     return hits
 
@@ -233,6 +234,7 @@ def cmd_verify(args) -> int:
     space = _row_id(args.space)
     known = set(atlas._ROWS) | set(rep._DELTA_MODELS)
     if space is not None and space not in known:
+        atlas.refuse_exceptional(space)
         raise _UsageError(f"unknown space {args.space!r}")
     params = _parse_params(args.params)
     if params is not None and space is None:

@@ -395,100 +395,45 @@ def _rowwise(f, rows: np.ndarray) -> np.ndarray:
     return f(rows[:, None])[:, 0]
 
 
-def _merits_and_grads(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray):
-    """Merit |[xi, a]|^2 in the calibrated metric, and its chart gradient,
-    for every row of a (k, dim) coordinate stack, row by row; adxi is
-    ad_operator(g, xi)."""
-    r = a[:, None] @ adxi.T
-    mr = r @ structure(s).metric
-    ada = al.ad_from_coords(s.g_vee, a[:, None])[:, 0]
-    grad = -2.0 * (mr @ adxi @ ada)[:, 0]
-    return np.einsum("kti,kti->k", mr, r), grad
-
-
 def _descend(s: SpaceInstance, pts: np.ndarray) -> np.ndarray:
-    """Armijo descent on the merit into the basin of the critical set, then
-    Gauss-Newton to its end, of every start point of a (k, n, n) stack; the
+    """Gauss-Newton on the residual r(u) = ad_xi Ad(e^U) a in the metric,
+    from every start point of a (k, n, n) stack to the critical set; the
     end points come back as a (k, dim) coordinate stack.
 
-    The critical set is Morse-Bott, so Gauss-Newton converges quadratically
-    once the merit is small: Armijo hands a restart over at a merit of
-    1e-4 scale, where its steps would only trace the linear tail.  The
-    restarts move in lockstep on coordinate stacks, in blocks cut by
-    al.sample_blocks, but each keeps its own step size, tests and stopping
-    rules, and every product runs row by row (_rowwise), so a restart ends
-    where it would end alone, bitwise.  Gauss-Newton from the basin would
-    magnify the 1e-16 row-count round-off of stacked products into 1e-8 to
-    1e-5 along the critical set.
+    Each step is capped at norm 0.5, so a start far from the critical set
+    moves along K in bounded steps; the critical set is Morse-Bott, so the
+    steps converge quadratically near it.  With scale = max(1, -B(xi, xi)),
+    a restart stops once |r| is below 1e-13 sqrt(scale), above the
+    round-off floor of 5e-16 to 5e-15 sqrt(scale) where a converged restart
+    stalls, or after 60 steps; the certificate in find_critical_points
+    judges the end.
+
+    The restarts move in lockstep, in blocks cut by al.sample_blocks, but
+    each keeps its own stopping rule, and every product runs row by row
+    (_rowwise), so a restart ends where it would end alone, bitwise:
+    stacked products would magnify their 1e-16 row-count round-off into
+    1e-8 to 1e-5 along the critical set.
     """
     g = s.g_vee
     adxi = al.ad_operator(g, s.xi)
     scale = max(1.0, -al.killing(g, s.xi, s.xi))
+    lmat = structure(s).metric_chol
     a = _rowwise(g.coords, pts)
     for b in al.sample_blocks(len(pts), g.dim * g.dim):
-        a[b] = _armijo(s, a[b], adxi, scale)
-        a[b] = _gauss_newton(s, a[b], adxi, scale)
-    return a
-
-
-def _armijo(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray,
-            scale: float) -> np.ndarray:
-    """Armijo descent on the merit along geodesics of K, for every row of
-    a (k, dim) coordinate stack, until the merit is below 1e-4 scale (the
-    Gauss-Newton basin) or the gradient vanishes."""
-    g = s.g_vee
-    a = a.copy()
-    val, grad = _merits_and_grads(s, a, adxi)
-    eta = np.full(len(a), 0.1)
-    live = np.arange(len(a))
-    for _ in range(501):  # a restart stops after its 501st step
-        decr = np.linalg.norm(grad[live], axis=1)
-        keep = (val[live] > 1e-4 * scale) & (decr > 1e-12 * scale)
-        live, decr = live[keep], decr[keep]
-        if live.size == 0:
-            break
-        step = -grad[live] / np.maximum(decr, 1e-30)[:, None]
-        flow = al.skew_flow(_rowwise(g.from_coords, step))
-        am = _rowwise(g.from_coords, a[live])
-        todo = np.arange(len(live))  # positions in live still searching
-        for _ in range(40):
-            i = live[todo]
-            r = flow(eta[i], at=todo)
-            cand = _rowwise(g.coords, r @ am[todo] @ r.swapaxes(-1, -2))
-            cval, cgrad = _merits_and_grads(s, cand, adxi)
-            ok = cval <= val[i] - 0.3 * eta[i] * decr[todo]
-            a[i[ok]], val[i[ok]], grad[i[ok]] = cand[ok], cval[ok], cgrad[ok]
-            eta[i] = np.where(ok, np.minimum(eta[i] * 2.0, 1.0), eta[i] * 0.5)
-            todo = todo[~ok]
-            if todo.size == 0:
+        live = np.arange(len(a))[b]
+        for _ in range(60):
+            r = a[live][:, None] @ adxi.T
+            keep = np.linalg.norm(r[:, 0], axis=1) >= 1e-13 * np.sqrt(scale)
+            live, r = live[keep], r[keep]
+            if live.size == 0:
                 break
-        # a restart that found no step is stationary for the merit; the
-        # polish decides
-        live = np.delete(live, todo)
-    return a
-
-
-def _gauss_newton(s: SpaceInstance, a: np.ndarray, adxi: np.ndarray,
-                  scale: float) -> np.ndarray:
-    """Gauss-Newton on the residual r(u) = ad_xi Ad(e^U) a in the metric,
-    for every row of a (k, dim) coordinate stack, row by row."""
-    g = s.g_vee
-    a = a.copy()
-    lmat = structure(s).metric_chol
-    live = np.arange(len(a))
-    for _ in range(60):
-        r = a[live][:, None] @ adxi.T
-        keep = np.linalg.norm(r[:, 0], axis=1) >= 1e-15 * np.sqrt(scale)
-        live, r = live[keep], r[keep]
-        if live.size == 0:
-            break
-        am = _rowwise(g.from_coords, a[live])
-        # d/du_i Ad(e^U) a = [b_i, a] = -ad_a b_i; columns indexed by i
-        jac = -adxi @ al.ad_from_coords(g, a[live][:, None])[:, 0]
-        u = -_least_squares(lmat.T @ jac, (r @ lmat)[:, 0])
-        u *= (0.5 / np.maximum(np.linalg.norm(u, axis=1), 0.5))[:, None]
-        rot = al.expm_skew(_rowwise(g.from_coords, u))
-        a[live] = _rowwise(g.coords, rot @ am @ rot.swapaxes(-1, -2))
+            am = _rowwise(g.from_coords, a[live])
+            # d/du_i Ad(e^U) a = [b_i, a] = -ad_a b_i; columns indexed by i
+            jac = -adxi @ al.ad_from_coords(g, a[live][:, None])[:, 0]
+            u = -_least_squares(lmat.T @ jac, (r @ lmat)[:, 0])
+            u *= (0.5 / np.maximum(np.linalg.norm(u, axis=1), 0.5))[:, None]
+            rot = al.expm_skew(_rowwise(g.from_coords, u))
+            a[live] = _rowwise(g.coords, rot @ am @ rot.swapaxes(-1, -2))
     return a
 
 
@@ -570,15 +515,13 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
 
     Restart 0 starts at xi, restart i > 0 at a random orbit point drawn
     from child i - 1 of SeedSequence(seed).  All restarts flow to the
-    critical set together (_descend: Armijo descent on the squared bracket
-    merit into the Gauss-Newton basin, merit 1e-4 scale, then Gauss-Newton
-    to the end, run in lockstep on stacked coordinates with row-by-row
-    products, each restart with its own step size and stopping rules, so
-    the ends do not depend on the stack).  Each end
-    point must be finite and certify a Riemannian gradient of H below 1e-7,
-    else NonConvergence; the certificate stacks the tangent frames of the
-    end points, in the descent's blocks.  The ends are then clustered by
-    critical value.
+    critical set together (_descend: capped Gauss-Newton steps, run in
+    lockstep on stacked coordinates with row-by-row products, each restart
+    with its own stopping rule, so the ends do not depend on the stack).
+    Each end point must be finite and certify a Riemannian gradient of H
+    below 1e-7, else NonConvergence; the certificate stacks the tangent
+    frames of the end points, in the descent's blocks.  The ends are then
+    clustered by critical value.
     """
     g = s.g_vee
     pts = np.concatenate([s.xi[None], random_orbit_points(

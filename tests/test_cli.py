@@ -200,12 +200,25 @@ def test_verify_takes_a_table_row_label_for_its_id(capsys, label, space):
     assert f"algebra.jacobi[{space}(" in outs[0]
 
 
-@pytest.mark.parametrize("label", ["8z", "H9", "9"])
-def test_verify_rejects_an_unknown_or_exceptional_label(capsys, label):
+@pytest.mark.parametrize("label", ["8z", "H9"])
+def test_verify_rejects_an_unknown_label(capsys, label):
     code, out, err = run(capsys, "verify", "--seed", "1", "--space", label,
                          "--suite", "algebra")
     assert code == cli.EX_USAGE and out == ""
     assert err == f"rspacelab: unknown space {label!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "--space", "9", "--params", "3"],
+    ["report", "--space", "9"],
+    ["verify", "--seed", "1", "--space", "9"],
+], ids=["atlas", "report", "verify"])
+def test_an_exceptional_row_is_named_as_such(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EX_USAGE and out == ""
+    assert err == ("rspacelab: row 9 (quaternionic_grassmann_z2) is "
+                   "exceptional: listed, not instantiable, and takes no "
+                   "parameters\n")
 
 
 @pytest.mark.parametrize("argv,message", [

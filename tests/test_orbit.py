@@ -370,9 +370,9 @@ _PINS = json.loads((Path(__file__).parent / "data"
 @pytest.mark.parametrize("pin", _PINS, ids=lambda p: "{}{}:{}".format(
     p["row"], tuple(p["params"]), p["seed"]))
 def test_gap_report_keeps_the_pinned_clusters(pin):
-    # pins from the descent that ran Armijo to a merit of 1e-22 scale: the
-    # hand-off to Gauss-Newton at the basin moves no restart to another
-    # level, and the values only at round-off
+    # pins from the descent that ran Armijo to a merit of 1e-22 scale:
+    # Gauss-Newton from the start points moves no restart to another level,
+    # and the values only at round-off
     s = atlas.instance(pin["row"], *pin["params"])
     rep = ob.critical_gap_report(s, restarts=50, seed=pin["seed"])
     assert rep["indices"] == pin["indices"]
@@ -385,6 +385,28 @@ def test_critical_starts_end_where_they_start():
     base = s.xi  # critical already: never iterates
     ends = ob._descend(s, np.stack([base, base]))
     assert np.array_equal(ends, np.stack([s.g_vee.coords(base)] * 2))
+
+
+def test_no_restart_runs_on_at_the_round_off_floor(monkeypatch):
+    # a stop below the round-off floor ran 11 of these restarts to the
+    # 60-step cap; above it, each block ends within a few quadratic steps
+    s = atlas.instance("unitary_mod_symplectic", 3)
+    steps = []  # Gauss-Newton steps of each block al.sample_blocks cuts
+    sample_blocks, least_squares = al.sample_blocks, ob._least_squares
+
+    def blocks(*args):
+        for b in sample_blocks(*args):
+            steps.append(0)
+            yield b
+
+    def step(m, b):
+        steps[-1] += 1
+        return least_squares(m, b)
+
+    monkeypatch.setattr(al, "sample_blocks", blocks)
+    monkeypatch.setattr(ob, "_least_squares", step)
+    ob.find_critical_points(s, restarts=50, seed=1)
+    assert 0 < max(steps) <= 20
 
 
 _CATALOGUE = [(d.id, d.params) for d in atlas.list_entries() if d.instantiable]
@@ -548,7 +570,7 @@ def test_a_non_finite_descent_end_is_refused(monkeypatch):
 @pytest.mark.parametrize("rid,params", [("unitary_group", (2,)),
                                         ("orthogonal_group", (5,))])
 def test_descent_certifies_off_the_benchmark_orbits(rid, params):
-    # the Gauss-Newton polish must not amplify round-off along the
+    # the Gauss-Newton descent must not amplify round-off along the
     # near-null directions of its Jacobian
     s = atlas.instance(rid, *params)
     clusters = ob.find_critical_points(s, restarts=50, seed=1)
