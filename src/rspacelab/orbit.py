@@ -59,7 +59,6 @@ class InstanceStructure:
     sigma_roots: rt.RestrictedRootSystem   # roots of (k, a_flat)
     sigma_bar_roots: rt.RestrictedRootSystem  # roots of (g, abar)
     metric: np.ndarray               # -B/c on g coordinates
-    metric_chol: np.ndarray
 
 
 @functools.cache  # keyed on instance identity
@@ -86,15 +85,12 @@ def structure(s: SpaceInstance) -> InstanceStructure:
     flat_ad_k = k @ al.ad_from_coords(g, s.a_flat) @ k.T
     sigma_roots = rt.compute_restricted_roots(flat_ad_k)
     sigma_bar_roots = rt.compute_restricted_roots(al.ad_from_coords(g, s.abar))
-
-    metric = -bmat / c_orbit
-    chol = np.linalg.cholesky(metric)
     return InstanceStructure(gammas=gammas, triples=triples,
                              torus_roots=roots, torus_gram=gt, xi_t=xi_t,
                              c_orbit=c_orbit, flat_ad_k=flat_ad_k,
                              sigma_roots=sigma_roots,
                              sigma_bar_roots=sigma_bar_roots,
-                             metric=metric, metric_chol=chol)
+                             metric=-bmat / c_orbit)
 
 
 def inner(s: SpaceInstance, x: np.ndarray, y: np.ndarray):
@@ -385,99 +381,46 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
 # critical points of the orbit Hamiltonian
 
 
-def _rowwise(f, rows: np.ndarray) -> np.ndarray:
-    """f on a (k, ...) stack taken as the (k, 1, ...) stack of its rows.
-
-    A 2-D product rounds each row according to how many rows share its
-    BLAS call; on one-row slices every row gets a call of its own, so its
-    result does not depend on the rows beside it, bitwise.
-    """
-    return f(rows[:, None])[:, 0]
-
-
 def _descend(s: SpaceInstance, pts: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the residual r(u) = ad_xi Ad(e^U) a in the metric,
-    from every start point of a (k, n, n) stack to the critical set; the
-    end points come back as a (k, dim) coordinate stack.
+    """Gauss-Newton on the residual [xi, x] along the orbit, from every
+    start point of a (k, n, n) stack to the critical set; the end points
+    come back as a (k, dim) coordinate stack.
 
-    Each step is capped at norm 0.5, so a start far from the critical set
-    moves along K in bounded steps; the critical set is Morse-Bott, so the
-    steps converge quadratically near it.  With scale = max(1, -B(xi, xi)),
-    a restart stops once |r| is below 1e-13 sqrt(scale), above the
-    round-off floor of 5e-16 to 5e-15 sqrt(scale) where a converged restart
-    stalls, or after 60 steps; the certificate in find_critical_points
-    judges the end.
+    The residual's Jacobian on generators u, with x <- Ad(e^u) x, is
+    J = -ad_xi ad_x.  At a critical point ad_xi and ad_x commute and both
+    have spectrum {0, +-i}, so J^T J = 1 on the normal space, and the
+    Gauss-Newton step -J^+ [xi, x] is -J^T [xi, x] = -G with
+    G = [[xi, [xi, x]], x] there: each step is x <- R x R^T with
+    R = exp(-c G), in n x n arithmetic and with no solve.  c = 0.5 /
+    max(|G|, 0.5) caps the step at norm 0.5, so a start far from the critical
+    set moves along K in bounded steps; near the critical set, which is
+    Morse-Bott, the steps converge quadratically.  With scale = max(1,
+    -B(xi, xi)), a restart stops once |[xi, x]| is below 1e-13 sqrt(scale),
+    above the round-off floor where a converged restart stalls, or after
+    60 steps; the certificate in find_critical_points judges the end.
 
-    The restarts move in lockstep, in blocks cut by al.sample_blocks, but
-    each keeps its own stopping rule, and every product runs row by row
-    (_rowwise), so a restart ends where it would end alone, bitwise:
-    stacked products would magnify their 1e-16 row-count round-off into
-    1e-8 to 1e-5 along the critical set.
+    The restarts move in lockstep on the stack, each with its own stopping
+    rule.  A stacked n x n matmul or eigh runs slice by slice, and the end
+    coordinates are taken one row at a time, so a restart ends where it
+    would end alone, bitwise.
     """
     g = s.g_vee
-    adxi = al.ad_operator(g, s.xi)
-    scale = max(1.0, -al.killing(g, s.xi, s.xi))
-    lmat = structure(s).metric_chol
-    a = _rowwise(g.coords, pts)
-    for b in al.sample_blocks(len(pts), g.dim * g.dim):
-        live = np.arange(len(a))[b]
-        for _ in range(60):
-            r = a[live][:, None] @ adxi.T
-            keep = np.linalg.norm(r[:, 0], axis=1) >= 1e-13 * np.sqrt(scale)
-            live, r = live[keep], r[keep]
-            if live.size == 0:
-                break
-            am = _rowwise(g.from_coords, a[live])
-            # d/du_i Ad(e^U) a = [b_i, a] = -ad_a b_i; columns indexed by i
-            jac = -adxi @ al.ad_from_coords(g, a[live][:, None])[:, 0]
-            u = -_least_squares(lmat.T @ jac, (r @ lmat)[:, 0])
-            u *= (0.5 / np.maximum(np.linalg.norm(u, axis=1), 0.5))[:, None]
-            rot = al.expm_skew(_rowwise(g.from_coords, u))
-            a[live] = _rowwise(g.coords, rot @ am @ rot.swapaxes(-1, -2))
-    return a
-
-
-def _least_squares(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solutions x of m x = b, for a (k, p, q)
-    stack m and a (k, p) stack b.
-
-    The singular values below 1e-10 of the largest are cut, as
-    lstsq(rcond=1e-10) cuts them: dividing round-off by the near-null
-    directions throws the Gauss-Newton step off the critical set.  The
-    singular triples come from eigh of the symmetric [[0, m], [m^T, 0]],
-    whose eigenvalues are +-sigma to round-off of the largest and whose
-    eigenvectors for +sigma are (u, v)/sqrt 2, so x = 2 sum w_v (w_u . b)
-    / sigma over the kept ones.  A stacked SVD can fail to converge on
-    clustered singular values, as it did on a unitary_group(4) system that
-    the tests keep.  The normal equations would resolve sigma only to the
-    square root of round-off, moving the cut.
-
-    The divide-and-conquer eigh can fail to converge too, on singular
-    values clustered at 1, as on three systems that the tests keep.  Then each
-    slice is solved on its own, and a failing one again with its rows and
-    columns in reverse order: an exact permutation of h, whose eigenvectors
-    are h's with their entries reversed, and which LAPACK reduces from the
-    other end.  That converged on all 21 slices that failed in 1,200
-    descents on ten rows, where -h failed on 3, and a shift would round h.
-    """
-    p, q = m.shape[-2:]
-    h = np.zeros(m.shape[:-2] + (p + q, p + q))
-    h[..., :p, p:] = m
-    h[..., p:, :p] = m.swapaxes(-1, -2)
-    try:
-        lam, w = np.linalg.eigh(h)
-    except np.linalg.LinAlgError:
-        lam, w = np.empty(h.shape[:-1]), np.empty_like(h)
-        for i in np.ndindex(h.shape[:-2]):
-            try:
-                lam[i], w[i] = np.linalg.eigh(h[i])
-            except np.linalg.LinAlgError:
-                lam[i], w_rev = np.linalg.eigh(h[i][::-1, ::-1])
-                w[i] = w_rev[::-1]
-    ub = 2.0 * (b[..., None, :] @ w[..., :p, :])[..., 0, :]
-    coef = np.divide(ub, lam, out=np.zeros_like(lam),
-                     where=lam > 1e-10 * lam[..., -1:])
-    return (w[..., p:, :] @ coef[..., None])[..., 0]
+    xi = s.xi
+    tol = 1e-13 * np.sqrt(max(1.0, -al.killing(g, xi, xi)))
+    x = np.array(pts, float)
+    live = np.arange(len(x))
+    for _ in range(60):
+        r = al.bracket(xi, x[live])
+        keep = np.linalg.norm(r, axis=(-2, -1)) >= tol
+        live, r = live[keep], r[keep]
+        if live.size == 0:
+            break
+        grad = al.bracket(al.bracket(xi, r), x[live])
+        c = 0.5 / np.maximum(np.linalg.norm(grad, axis=(-2, -1)), 0.5)
+        rot = al.expm_skew(-c[:, None, None] * grad)
+        x[live] = rot @ x[live] @ rot.swapaxes(-1, -2)
+    # one-row slices: a 2-D product would round each row by the row count
+    return g.coords(x[:, None])[:, 0]
 
 
 def _gradient_norms(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
@@ -515,13 +458,13 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
 
     Restart 0 starts at xi, restart i > 0 at a random orbit point drawn
     from child i - 1 of SeedSequence(seed).  All restarts flow to the
-    critical set together (_descend: capped Gauss-Newton steps, run in
-    lockstep on stacked coordinates with row-by-row products, each restart
-    with its own stopping rule, so the ends do not depend on the stack).
-    Each end point must be finite and certify a Riemannian gradient of H
-    below 1e-7, else NonConvergence; the certificate stacks the tangent
-    frames of the end points, in the descent's blocks.  The ends are then
-    clustered by critical value.
+    critical set together (_descend: capped steps -[[xi, [xi, x]], x],
+    which are Gauss-Newton steps near the critical set, run in lockstep on
+    the stack of points, each restart with its own stopping rule, so the
+    ends do not depend on the stack).  Each end point must be finite and
+    certify a Riemannian gradient of H below 1e-7, else NonConvergence; the
+    certificate stacks the tangent frames of the end points, in blocks cut
+    by al.sample_blocks.  The ends are then clustered by critical value.
     """
     g = s.g_vee
     pts = np.concatenate([s.xi[None], random_orbit_points(

@@ -469,8 +469,9 @@ def test_the_tangent_frame_converges_on_a_large_hermitian_orbit(threads):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_the_gauss_newton_step_converges_on_unitary_group_4(threads):
-    # the stacked SVD of its polish failed here at one BLAS thread; the
-    # suite now runs to the end, whose spread gate still fails on this row
+    # a stacked SVD of the descent failed here at one BLAS thread, when
+    # each step solved a least-squares system; the step now solves none,
+    # and the suite must still run to the end on this row
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "OPENBLAS_NUM_THREADS": threads}
     proc = subprocess.run(
@@ -490,8 +491,9 @@ def test_the_gauss_newton_step_converges_on_unitary_group_4(threads):
     ("30", "symplectic_group", "2")])
 def test_the_least_squares_eigh_converges_on_the_critical_suite(
         threads, seed, space, params):
-    # the divide-and-conquer eigh of a Gauss-Newton step failed here; the
-    # suite now runs to the end, whose spread gate still fails on these rows
+    # the divide-and-conquer eigh of a least-squares descent step failed
+    # here; the step now solves no system, and the suite must still run to
+    # the end on these rows
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "OPENBLAS_NUM_THREADS": threads}
     proc = subprocess.run(

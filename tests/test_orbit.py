@@ -14,6 +14,7 @@ from rspacelab import atlas
 from rspacelab import finsler as fin
 from rspacelab import orbit as ob
 from rspacelab import reporting as rep
+from rspacelab import roots as rt
 from rspacelab.reporting import _STRUCTURAL_SPACES
 from rspacelab.cli import DEFAULT_TOL
 
@@ -349,8 +350,9 @@ def test_random_orbit_points_reach_every_level():
                                         ("unitary_group", (3,))])
 def test_stacked_descent_matches_one_restart_at_a_time(rid, params):
     # restarts move in lockstep, but each keeps its own step size and
-    # stopping rules, and every product runs row by row, so a stack ends
-    # bitwise where its restarts end alone
+    # stopping rule, stacked n x n products and eigh run slice by slice, and
+    # the end coordinates are taken row by row, so a stack ends bitwise
+    # where its restarts end alone
     s = atlas.instance(rid, *params)
     pts = np.concatenate([s.xi[None], ob.random_orbit_points(
         s, np.random.SeedSequence(4).spawn(11))])
@@ -370,9 +372,9 @@ _PINS = json.loads((Path(__file__).parent / "data"
 @pytest.mark.parametrize("pin", _PINS, ids=lambda p: "{}{}:{}".format(
     p["row"], tuple(p["params"]), p["seed"]))
 def test_gap_report_keeps_the_pinned_clusters(pin):
-    # pins from the descent that ran Armijo to a merit of 1e-22 scale:
-    # Gauss-Newton from the start points moves no restart to another level,
-    # and the values only at round-off
+    # pins from the descent that ran Armijo to a merit of 1e-22 scale: the
+    # step -[[xi, [xi, x]], x] from the same start points moves no restart
+    # to another level, and the values only at round-off
     s = atlas.instance(pin["row"], *pin["params"])
     rep = ob.critical_gap_report(s, restarts=50, seed=pin["seed"])
     assert rep["indices"] == pin["indices"]
@@ -388,24 +390,29 @@ def test_critical_starts_end_where_they_start():
 
 
 def test_no_restart_runs_on_at_the_round_off_floor(monkeypatch):
-    # a stop below the round-off floor ran 11 of these restarts to the
-    # 60-step cap; above it, each block ends within a few quadratic steps
+    # a stop below the round-off floor runs restarts here to the 60-step
+    # cap; above it, each descent ends within a few quadratic steps.  One
+    # exponential per step of the loop is counted, inside _descend only
     s = atlas.instance("unitary_mod_symplectic", 3)
-    steps = []  # Gauss-Newton steps of each block al.sample_blocks cuts
-    sample_blocks, least_squares = al.sample_blocks, ob._least_squares
+    steps = []
+    expm, descend = al.expm_skew, ob._descend
 
-    def blocks(*args):
-        for b in sample_blocks(*args):
-            steps.append(0)
-            yield b
-
-    def step(m, b):
+    def step(a):
         steps[-1] += 1
-        return least_squares(m, b)
+        return expm(a)
 
-    monkeypatch.setattr(al, "sample_blocks", blocks)
-    monkeypatch.setattr(ob, "_least_squares", step)
-    ob.find_critical_points(s, restarts=50, seed=1)
+    def counted(s, pts):
+        steps.append(0)
+        monkeypatch.setattr(al, "expm_skew", step)
+        try:
+            return descend(s, pts)
+        finally:
+            monkeypatch.setattr(al, "expm_skew", expm)
+
+    monkeypatch.setattr(ob, "_descend", counted)
+    for seed in (1, 2, 3):
+        ob.find_critical_points(s, restarts=50, seed=seed)
+    assert len(steps) == 3
     assert 0 < max(steps) <= 20
 
 
@@ -570,8 +577,9 @@ def test_a_non_finite_descent_end_is_refused(monkeypatch):
 @pytest.mark.parametrize("rid,params", [("unitary_group", (2,)),
                                         ("orthogonal_group", (5,))])
 def test_descent_certifies_off_the_benchmark_orbits(rid, params):
-    # the Gauss-Newton descent must not amplify round-off along the
-    # near-null directions of its Jacobian
+    # the descent step solves no system, so it has no near-null direction
+    # of a Jacobian to amplify round-off along; every end must certify and
+    # land on the ladder
     s = atlas.instance(rid, *params)
     clusters = ob.find_critical_points(s, restarts=50, seed=1)
     assert np.allclose([c.value for c in clusters], ob.weyl_critical_values(s),
@@ -810,105 +818,42 @@ def test_sampling_oracles_draw_once_per_distribution(oracle, monkeypatch):
         assert calls == want, n
 
 
-# --- the Gauss-Newton step without an SVD ------------------------------------
+# --- the descent step is the Gauss-Newton step near the critical set -------
 
-def _with_singular_values(rng, p, q, sigmas):
-    """A random p x q matrix with the given nonzero singular values, and
-    its singular vectors for them as columns of u and w."""
-    u = np.linalg.qr(rng.normal(size=(p, p)))[0][:, :len(sigmas)]
-    w = np.linalg.qr(rng.normal(size=(q, q)))[0][:, :len(sigmas)]
-    return (u * sigmas) @ w.T, u, w
+@pytest.mark.parametrize("rid,params", [
+    ("grassmann_complex_hermitian", (1, 1)), ("unitary_group", (3,)),
+    ("symplectic_group", (2,)), ("quadric_complex_hermitian", (3,))])
+def test_descent_step_is_the_gauss_newton_step(rid, params, monkeypatch):
+    # at a critical point x0, J = -ad_xi ad_x0 has J^T J = 1 on the normal
+    # space, so the Gauss-Newton step -J^+ [xi, x] is -J^T [xi, x] to second
+    # order in the distance.  Off the critical set J also gains singular
+    # values of the order of the distance, along the critical set; the cut
+    # at 1e-2 keeps exactly the rank of J at x0, so lstsq (a test-only
+    # oracle) solves on the normal space
+    s = atlas.instance(rid, *params)
+    g = s.g_vee
+    torus = rt.cascade_strongly_orthogonal(g, *s.theta_decomp, s.xi)[2]
+    adxi = al.ad_operator(g, s.xi)
+    rng = np.random.default_rng(36)
+    x0s = g.from_coords(ob._weyl_orbit(s) @ torus)
+    # tangent generators u move each x0 by |[u, x0]| = |u| = 1e-4
+    us = al.ad_operator(g, x0s) @ rng.normal(size=(len(x0s), g.dim, 1))
+    us *= 1e-4 / np.linalg.norm(us, axis=1, keepdims=True)
+    xs = al.conjugate(x0s, g.from_coords(us[..., 0]))
+    gens = []  # the generators of the descent's steps, first step first
+    expm = al.expm_skew
 
+    def record(a):
+        gens.append(a)
+        return expm(a)
 
-def _lstsq_stack(m, b):
-    return np.array([np.linalg.lstsq(mi, bi, rcond=1e-10)[0]
-                     for mi, bi in zip(m, b)])
-
-
-@pytest.mark.parametrize("p,q,sigmas", [
-    (6, 6, [3.0, 1.0, 0.5]),
-    (12, 9, [1.0] * 5),  # one repeated value
-    (9, 12, [2.0] * 3 + [1.0] * 3 + [0.25]),
-    (7, 7, []),  # the zero matrix
-])
-def test_least_squares_step_matches_lstsq(p, q, sigmas):
-    rng = np.random.default_rng(31)
-    m = np.array([_with_singular_values(rng, p, q, sigmas)[0] * scale
-                  for scale in (1e-3, 1.0, 40.0)])
-    b = rng.normal(size=(3, p))
-    x = ob._least_squares(m, b)
-    want = _lstsq_stack(m, b)
-    assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-
-
-def test_least_squares_step_matches_lstsq_on_random_rank_deficient_stacks():
-    rng = np.random.default_rng(32)
-    for p, q, rank in ((6, 6, 3), (12, 9, 5), (9, 12, 9), (15, 15, 1)):
-        m = rng.normal(size=(8, p, rank)) @ rng.normal(size=(8, rank, q))
-        b = rng.normal(size=(8, p))
-        x = ob._least_squares(m, b)
-        want = _lstsq_stack(m, b)
-        assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-
-
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
-def test_least_squares_step_cuts_at_1e_10_of_the_largest_value(scale):
-    # 3e-10 is kept and 3e-11 cut, as lstsq(rcond=1e-10) keeps and cuts
-    # them; the normal equations would see both at round-off of 1
-    rng = np.random.default_rng(33)
-    sigmas = np.array([1.0, 0.5, 3e-10, 3e-11]) * scale
-    m, u, w = _with_singular_values(rng, 8, 8, sigmas)
-    b = rng.normal(size=8)
-    x = ob._least_squares(m[None], b[None])[0]
-    want = _lstsq_stack(m[None], b[None])[0]
-    assert np.abs(x - want).max() <= 1e-5 * np.abs(want).max()
-    # the share of each direction's full pseudo-inverse component
-    share = (w.T @ x) * sigmas / (u.T @ b)
-    assert np.abs(share[:3] - 1.0).max() <= 1e-5
-    assert abs(share[3]) <= 1e-6
-
-
-def test_least_squares_step_on_a_system_that_failed_the_svd():
-    # one Gauss-Newton system of unitary_group(4) (verify --seed 1 --suite
-    # critical), with sixteen singular values of 1 and the rest below
-    # 1e-11; the divide-and-conquer SVD behind pinv and lstsq did not
-    # converge on it with OpenBLAS 0.3.31.  gesvd does.
-    svd = pytest.importorskip("scipy.linalg").svd  # test-only oracle
-    data = np.load(Path(__file__).parent / "data"
-                   / "gauss_newton_gesdd_failure.npz")
-    m, b = data["m"], data["b"]
-    u, s, vt = svd(m, lapack_driver="gesvd")
-    keep = s > 1e-10 * s[0]
-    assert keep.sum() == 16
-    want = vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
-    x = ob._least_squares(m[None], b[None])[0]
-    assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-
-
-with np.load(Path(__file__).parent / "data"
-             / "least_squares_eigh_failure.npz") as _data:
-    _EIGH_FAILURES = dict(_data)
-
-
-@pytest.mark.parametrize("row", sorted(_EIGH_FAILURES))
-def test_least_squares_step_on_a_system_that_failed_the_eigh(row):
-    # Gauss-Newton systems m with singular values clustered at 1 and the
-    # rest below 1e-10, from unitary_group(3) (verify --seed 5 --suite
-    # critical), symplectic_group(2) (--seed 30) and
-    # grassmann_quaternionic(2,2) (find_critical_points seed 145); the
-    # divide-and-conquer eigh of [[0, m], [m^T, 0]] did not converge on
-    # them with OpenBLAS 0.3.31, nor, on the last, on its negative.  A unit
-    # right-hand side is solved alone and as the middle slice of a stack.
-    m = _EIGH_FAILURES[row]
-    rng = np.random.default_rng(34)
-    b = rng.normal(size=len(m))
-    b /= np.linalg.norm(b)
-    want = _lstsq_stack(m[None], b[None])[0]
-    x = ob._least_squares(m[None], b[None])[0]
-    assert np.abs(x - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-    stack = np.stack([rng.normal(size=m.shape), m, rng.normal(size=m.shape)])
-    bs = np.stack([rng.normal(size=len(m)), b, rng.normal(size=len(m))])
-    xs = ob._least_squares(stack, bs)
-    assert np.array_equal(xs[1], x)
-    assert np.abs(xs - _lstsq_stack(stack, bs)).max() <= 1e-10 * max(
-        1.0, np.abs(xs).max())
+    monkeypatch.setattr(al, "expm_skew", record)
+    ob._descend(s, xs)
+    steps = g.coords(gens[0])
+    assert len(steps) == len(xs)
+    for x0, x, step in zip(x0s, xs, steps):
+        r = g.coords(al.bracket(s.xi, x))
+        gn, _, rank, _ = np.linalg.lstsq(-adxi @ al.ad_operator(g, x), -r,
+                                         rcond=1e-2)
+        assert rank == np.linalg.matrix_rank(adxi @ al.ad_operator(g, x0))
+        assert np.linalg.norm(step - gn) <= 1e-5 * np.linalg.norm(gn)
