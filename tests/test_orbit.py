@@ -857,3 +857,94 @@ def test_descent_step_is_the_gauss_newton_step(rid, params, monkeypatch):
                                          rcond=1e-2)
         assert rank == np.linalg.matrix_rank(adxi @ al.ad_operator(g, x0))
         assert np.linalg.norm(step - gn) <= 1e-5 * np.linalg.norm(gn)
+
+
+# --- the descent step, from anywhere on the orbit --------------------------
+# rows where a least-squares descent step once failed in LAPACK, and a
+# quadric whose levels have several Weyl components
+
+_DESCENT_ROWS = [("unitary_group", (4,)), ("symplectic_group", (2,)),
+                 ("grassmann_quaternionic", (2, 2)),
+                 ("quadric_complex_hermitian", (3,))]
+
+
+def _record_generators(monkeypatch):
+    """Patch al.expm_skew to keep each exponent it is given, in order."""
+    gens, expm = [], al.expm_skew
+
+    def record(a):
+        gens.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(al, "expm_skew", record)
+    return gens
+
+
+@pytest.mark.parametrize("rid,params", _DESCENT_ROWS)
+def test_descent_step_runs_down_the_steepest_merit_direction(
+        rid, params, monkeypatch):
+    # -G is the gradient of the merit |[xi, x]|^2 / 2 over generators u of
+    # x <- Ad(e^u) x, in the trace metric, at every point of the orbit, not
+    # only near the critical set.  Central differences along a
+    # trace-orthonormal basis of g measure that gradient with no use of the
+    # bracket formula; the first step must point against it, with norm
+    # min(|gradient|, 0.5)
+    s = atlas.instance(rid, *params)
+    g = s.g_vee
+    n = g.size
+
+    def merit(x):
+        return 0.5 * np.sum(al.bracket(s.xi, x) ** 2, axis=(-2, -1))
+
+    def slope(x, u, h=1e-5):
+        return (merit(al.conjugate(x, u, h))
+                - merit(al.conjugate(x, u, -h))) / (2 * h)
+
+    frame = np.linalg.qr(g.from_coords(np.eye(g.dim)).reshape(g.dim, -1).T)[0]
+    frame = frame.T.reshape(g.dim, n, n)
+    xs = ob.random_orbit_points(s, range(6))
+    gens = _record_generators(monkeypatch)
+    ob._descend(s, xs)
+    assert len(gens[0]) == len(xs)
+    for x, a in zip(xs, gens[0]):
+        grad = np.array([slope(x, e) for e in frame])
+        size = np.linalg.norm(grad)
+        tol = 1e-6 * max(1.0, size)
+        assert size > 1e-3  # a random start is off the critical set
+        assert abs(np.linalg.norm(a) - min(size, 0.5)) <= tol
+        assert abs(slope(x, a / np.linalg.norm(a)) + size) <= tol
+
+
+@pytest.mark.parametrize("rid,params", _DESCENT_ROWS)
+def test_descent_keeps_every_restart_on_the_orbit(rid, params):
+    # up to 60 products by exponentials of skew generators: the ends keep
+    # the spectrum of xi, so no step drifts off the orbit
+    s = atlas.instance(rid, *params)
+    ends = s.g_vee.from_coords(
+        ob._descend(s, ob.random_orbit_points(s, range(20))))
+    want = np.linalg.eigvalsh(s.xi @ s.xi.T)
+    got = np.linalg.eigvalsh(ends @ ends.swapaxes(-1, -2))
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, want.max())
+
+
+@pytest.mark.parametrize("rid,params", _DESCENT_ROWS)
+def test_descent_converges_quadratically_next_to_the_critical_set(
+        rid, params, monkeypatch):
+    # at distance 1e-4 from each Weyl point the residual falls roughly as
+    # its square, 1e-4 -> 1e-8 -> 1e-16, below the stop within three steps;
+    # no generator of any step, far or near, exceeds the cap 0.5
+    s = atlas.instance(rid, *params)
+    g = s.g_vee
+    torus = rt.cascade_strongly_orthogonal(g, *s.theta_decomp, s.xi)[2]
+    x0s = g.from_coords(ob._weyl_orbit(s) @ torus)
+    rng = np.random.default_rng(37)
+    us = al.ad_operator(g, x0s) @ rng.normal(size=(len(x0s), g.dim, 1))
+    us *= 1e-4 / np.linalg.norm(us, axis=1, keepdims=True)
+    near = al.conjugate(x0s, g.from_coords(us[..., 0]))
+    far = ob.random_orbit_points(s, range(20))
+    gens = _record_generators(monkeypatch)
+    ob._descend(s, near)
+    assert 0 < len(gens) <= 3
+    ob._descend(s, far)
+    assert max(np.linalg.norm(a, axis=(-2, -1)).max()
+               for a in gens) <= 0.5 * (1 + 1e-12)
