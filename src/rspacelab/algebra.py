@@ -330,18 +330,29 @@ def bracket_residual(alg: LieAlgebraBasis, rows_a: np.ndarray,
 
 def jacobi_residual(alg: LieAlgebraBasis) -> float:
     """Largest entry of the Jacobi sum over all basis triples,
-    [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j], one i at a time."""
+    [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j], summed over the
+    nonzero structure constants only: an exact zero adds nothing, so this
+    is the dense sum taken in another order."""
     d = alg.dim
     c = alg.structure_constants
-    rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
-    worst = 0.0
-    for i in range(d):
-        # jac[j, k, l]: coordinate l of the sum for the triple (b_i, b_j, b_k)
-        jac = ((c[i] @ rows).reshape(d, d, d)
-               + (cols @ c[:, i]).reshape(d, d, d)
-               + (c[:, i] @ rows).reshape(d, d, d).swapaxes(0, 1))
-        worst = max(worst, float(np.abs(jac).max()))
-    return worst
+    i, j, m = np.nonzero(c)  # sorted by i
+    v = c[i, j, m]
+    # join each nonzero c[i,j,m] with the nonzeros c[m,k,l], which are the
+    # entries lo[m] .. lo[m] + count[m] - 1 of the list
+    lo = np.searchsorted(i, m)
+    count = np.searchsorted(i, m, side="right") - lo
+    left = np.repeat(np.arange(len(v)), count)
+    right = np.arange(len(left)) + np.repeat(lo - np.cumsum(count) + count,
+                                             count)
+    # [[b_a,b_b],b_e] has coordinate l; it is the first term of the sum at
+    # the triple (a, b, e) and the second and third at its two rotations
+    a, b, e, l = i[left], j[left], j[right], m[right]
+    keys = np.concatenate([((a * d + b) * d + e) * d + l,
+                           ((e * d + a) * d + b) * d + l,
+                           ((b * d + e) * d + a) * d + l])
+    inverse = np.unique(keys, return_inverse=True)[1]
+    sums = np.bincount(inverse, weights=np.tile(v[left] * v[right], 3))
+    return float(np.abs(sums).max(initial=0.0))
 
 
 def skew_flow(a: np.ndarray):

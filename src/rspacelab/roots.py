@@ -192,19 +192,22 @@ def _cluster_covectors(alphas: np.ndarray):
     Raises ClusteringAmbiguous when two distinct centers are closer than
     10x the merge tolerance TOL_ROOT, since the grouping then depends on it.
     """
-    order = np.lexsort(alphas.T[::-1])
+    def linf(rows):
+        return np.abs(rows[:, None] - rows[None]).max(axis=2)
+
+    near = (linf(alphas) <= TOL_ROOT).tolist()
     groups = []
-    for idx in order:
+    for idx in np.lexsort(alphas.T[::-1]).tolist():
         for g in groups:
-            if np.abs(alphas[idx] - alphas[g[0]]).max() <= TOL_ROOT:
+            if near[idx][g[0]]:
                 g.append(idx)
                 break
         else:
             groups.append([idx])
     centers = np.array([alphas[g].mean(axis=0) for g in groups])
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            d = np.abs(centers[i] - centers[j]).max()
+    dist = linf(centers).tolist()
+    for i, row in enumerate(dist):
+        for d in row[i + 1:]:
             if d < 10 * TOL_ROOT:
                 raise ClusteringAmbiguous(
                     f"root candidates separated by {d:.2e} < 10*tol")

@@ -430,13 +430,38 @@ def test_sample_blocks_cover_every_sample_once():
                        or len(range(count)[b]) == 1 for b in blocks)
 
 
-# --- the bracket kernels against the dense einsums they replace ------------
+# --- the bracket kernels against the dense oracles they replace ------------
 
 def _dense_jacobi(c):
-    jac = (np.einsum("ijm,mkl->ijkl", c, c)
-           + np.einsum("jkm,mil->ijkl", c, c)
-           + np.einsum("kim,mjl->ijkl", c, c))
-    return float(np.abs(jac).max())
+    """The Jacobi residual as the dense per-i loop: d products of (d, d) by
+    (d, d^2) for each of the three cyclic terms."""
+    d = c.shape[0]
+    rows, cols = c.reshape(d, d * d), c.reshape(d * d, d)
+    worst = 0.0
+    for i in range(d):
+        # jac[j, k, l]: coordinate l of the sum for the triple (b_i, b_j, b_k)
+        jac = ((c[i] @ rows).reshape(d, d, d)
+               + (cols @ c[:, i]).reshape(d, d, d)
+               + (c[:, i] @ rows).reshape(d, d, d).swapaxes(0, 1))
+        worst = max(worst, float(np.abs(jac).max()))
+    return worst
+
+
+def _pin_jacobi(g):
+    """The sparse sum equals the dense loop on g's constants, and on them
+    bent at their largest entry and at an exact zero, which a sum over a
+    sparsity pattern taken from elsewhere would miss."""
+    c = np.asarray(g.structure_constants)
+    assert abs(al.jacobi_residual(g) - _dense_jacobi(c)) <= 1e-14
+    zeros = np.argwhere(c == 0)
+    for at in (np.unravel_index(np.abs(c).argmax(), c.shape),
+               tuple(zeros[len(zeros) // 2])):
+        bent = c.copy()
+        bent[at] += 0.01
+        h = al.LieAlgebraBasis(g.family, g.n, g.algebra_id, g.basis, bent,
+                               g.killing_matrix)
+        assert abs(al.jacobi_residual(h) - _dense_jacobi(bent)) <= 1e-14
+        assert al.jacobi_residual(h) >= 1e-3
 
 
 def test_jacobi_residual_matches_the_dense_tensor():
@@ -444,14 +469,17 @@ def test_jacobi_residual_matches_the_dense_tensor():
             atlas.instance("grassmann_complex_hermitian", 1, 1).g_vee]
     assert algs[2].family == "sum"
     for g in algs:
-        c = np.asarray(g.structure_constants)
-        assert abs(al.jacobi_residual(g) - _dense_jacobi(c)) <= 1e-14
-        bent = c.copy()
-        bent[np.unravel_index(np.abs(c).argmax(), c.shape)] += 0.01
-        h = al.LieAlgebraBasis(g.family, g.n, g.algebra_id, g.basis, bent,
-                               g.killing_matrix)
-        assert abs(al.jacobi_residual(h) - _dense_jacobi(bent)) <= 1e-14
-        assert al.jacobi_residual(h) >= 1e-3
+        _pin_jacobi(g)
+
+
+# the default sweep holds the structural rows; unitary_group(4) is su(8)
+_JACOBI_ROWS = (sorted(set(atlas._DEFAULT_SWEEP) | set(rp._STRUCTURAL_SPACES))
+                + [("unitary_group", (4,))])
+
+
+@pytest.mark.parametrize("rid,params", _JACOBI_ROWS)
+def test_jacobi_residual_matches_the_dense_loop_on_every_row(rid, params):
+    _pin_jacobi(atlas.instance(rid, *params).g_vee)
 
 
 def _einsum_residual(g, rows_a, rows_b, target):

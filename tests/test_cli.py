@@ -538,3 +538,15 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(argv):
         assert proc.returncode == cli.EX_OK, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_algebra_and_roots_pass_at_the_top_of_the_su_window(capsys):
+    # unitary_group(6) lives in su(12), dim 143: the Jacobi check sums over
+    # the nonzero structure constants, so this runs in about a second
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--suite",
+                       "algebra,roots", "--space", "unitary_group",
+                       "--params", "6", "--format", "json")
+    assert code == cli.EX_OK
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 8
+    assert all(c["status"] == "pass" for c in checks)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rspacelab import algebra as al
 from rspacelab import atlas
 from rspacelab import orbit as ob
+from rspacelab import reporting as rp
 from rspacelab import roots as rt
 
 # module-level instance for the hypothesis test (fixtures cannot feed @given)
@@ -215,3 +216,56 @@ def test_a_degenerate_functional_fails_the_cascade(monkeypatch):
     monkeypatch.setattr(rt, "generic_weights", _zero_weights)
     with pytest.raises(rt.ClusteringAmbiguous, match="vanishes on a root"):
         rt.cascade_strongly_orthogonal(s.g_vee, *s.theta_decomp, s.xi)
+
+
+def _cluster_loop(alphas):
+    """The clustering as one L-inf distance per pair, in a Python double
+    loop: the lexsort-ordered greedy grouping, then the 10 TOL_ROOT test."""
+    order = np.lexsort(alphas.T[::-1])
+    groups = []
+    for idx in order:
+        for g in groups:
+            if np.abs(alphas[idx] - alphas[g[0]]).max() <= rt.TOL_ROOT:
+                g.append(idx)
+                break
+        else:
+            groups.append([idx])
+    centers = np.array([alphas[g].mean(axis=0) for g in groups])
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            d = np.abs(centers[i] - centers[j]).max()
+            if d < 10 * rt.TOL_ROOT:
+                raise rt.ClusteringAmbiguous(
+                    f"root candidates separated by {d:.2e} < 10*tol")
+    return centers, groups
+
+
+_CLUSTER_ROWS = sorted(set(atlas._DEFAULT_SWEEP) | set(rp._STRUCTURAL_SPACES))
+
+
+@pytest.mark.parametrize("rid,params", _CLUSTER_ROWS)
+def test_clustering_matches_the_pairwise_loop(monkeypatch, rid, params):
+    calls = []
+    fast = rt._cluster_covectors
+
+    def both(alphas):
+        centers, groups = fast(alphas)
+        want_centers, want_groups = _cluster_loop(alphas)
+        assert np.array_equal(centers, want_centers)
+        assert groups == want_groups
+        calls.append(len(groups))
+        return centers, groups
+
+    monkeypatch.setattr(rt, "_cluster_covectors", both)
+    # a fresh instance, so structure is not served from its cache
+    ob.structure(atlas.instantiate(atlas.descriptor(rid, *params)))
+    assert len(calls) == 3  # the torus roots and the two restricted systems
+
+
+def test_near_root_candidates_are_ambiguous_to_both_clusterings():
+    # two candidates 3 TOL_ROOT apart: two groups, whose centers lie closer
+    # than 10 TOL_ROOT
+    alphas = np.array([[1.0, 0.0], [1.0 + 3 * rt.TOL_ROOT, 0.0], [-1.0, 0.0]])
+    for cluster in (rt._cluster_covectors, _cluster_loop):
+        with pytest.raises(rt.ClusteringAmbiguous, match="< 10\\*tol"):
+            cluster(alphas)
