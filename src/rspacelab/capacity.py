@@ -140,37 +140,41 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
     """Brute-force first recurrence time of the orbit curve along a
     direction; independent of the frequency logic.
 
-    The grid is walked block by block and each block is searched for dips
-    as soon as it is computed; a dip is refined by _zoom, and the scan
-    stops at the first one that is a true recurrence.
+    The distance at time t is |r xi r^T - xi|_F with r = exp(t x), and the
+    thresholds are relative to |xi|_F.  The grid is walked block by block
+    and each block is searched for dips as soon as it is computed; a dip is
+    refined by _zoom, and the scan stops at the first one that is a true
+    recurrence.
     """
     x = s.g_vee.from_coords(np.asarray(direction, float) @ s.a_flat)
     xi_m = s.xi
     flow = al.skew_flow(x)  # one decomposition serves every t
     ts = np.linspace(0.0, t_max, grid + 1)[1:]
-    # rot^k for k = 1..block by doubling, then block by block from rot^block
+    # P^k for k = 1..block by doubling, with P one grid step, and the
+    # conjugates M_k = P^k xi P^-k, made once
     block = min(grid, 1024)
     pows = flow(t_max / grid)[None]
     while len(pows) < block:
         pows = np.concatenate([pows, pows[-1] @ pows])
     pows = pows[:block]
-    scale = np.abs(xi_m).max()
+    conj = pows @ xi_m @ pows.transpose(0, 2, 1)
+    scale = np.linalg.norm(xi_m)
 
     def dist(t):
         r = flow(t)
-        return np.abs(r @ xi_m @ r.swapaxes(-1, -2) - xi_m).max(axis=(-2, -1))
+        return np.linalg.norm(r @ xi_m @ r.swapaxes(-1, -2) - xi_m,
+                              axis=(-2, -1))
 
     v = al.bracket(x, s.xi)
     speed = np.sqrt(-al.killing(s.g_vee, v, v) / c_model(s))
 
-    base = np.eye(len(xi_m))
+    base = np.eye(len(xi_m))  # B = P^start, orthogonal
     left = False  # the curve has left the departure basin around t = 0
     run = None  # first index of a dip still open at the end of the last block
     for start in range(0, grid, block):
-        r = base @ pows[:grid - start]
-        moved = r @ xi_m @ r.transpose(0, 2, 1)
-        dists = np.abs(moved - xi_m).max(axis=(1, 2))
-        base, stop = r[-1], start + len(r)
+        stop = min(start + block, grid)
+        dists = _block_distances(conj[:stop - start], base, xi_m)
+        base = base @ pows[stop - start - 1]
         off = 0
         if not left:
             risen = np.flatnonzero(dists > 0.1 * scale)
@@ -196,6 +200,15 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
             if dist(t_star) < 1e-6 * scale:  # true recurrence, not a near miss
                 return float(t_star * speed)
     return np.inf
+
+
+def _block_distances(conj: np.ndarray, base: np.ndarray,
+                     xi_m: np.ndarray) -> np.ndarray:
+    """|B M_k B^T - xi|_F for every matrix M_k of the stack conj, with B
+    orthogonal: it is |M_k - B^T xi B|_F, so one product pair serves the
+    whole stack."""
+    d = (conj - base.T @ xi_m @ base).reshape(len(conj), -1)
+    return np.sqrt(np.einsum("ki,ki->k", d, d))
 
 
 def _zoom(dist, lo: float, hi: float) -> float:

@@ -46,6 +46,23 @@ def singular_values(s: SpaceInstance, us) -> np.ndarray:
     return sv
 
 
+def spectral_norms(s: SpaceInstance, us) -> np.ndarray:
+    """F_inf(a), the largest singular value of ad_a on k, for every flat
+    vector a of the stack us, from the real symmetric ad_a^T ad_a.
+
+    Squaring resolves only the large singular values to round-off, so the
+    norms that need the small ones take singular_values instead."""
+    ads = ob.structure(s).flat_ad_k
+    us = np.asarray(us, float)
+    r, d = ads.shape[:2]
+    f_inf = np.empty(len(us))
+    for b in al.sample_blocks(len(us), d * d):
+        adx = (us[b] @ ads.reshape(r, d * d)).reshape(-1, d, d)
+        f_inf[b] = np.sqrt(np.linalg.eigvalsh(
+            adx.swapaxes(-1, -2) @ adx)[:, -1])
+    return f_inf
+
+
 def norm_kernel(s: SpaceInstance) -> np.ndarray:
     """Orthonormal rows spanning the common kernel of all restricted roots."""
     covs = ob.structure(s).sigma_roots.covectors
@@ -72,9 +89,8 @@ def unit_ball_vs_box(s: SpaceInstance, samples: int = 400,
     # F_inf(u), the largest root value, is zero on the common kernel of
     # the roots; those vectors stay as drawn
     moved = np.abs(us @ covs.T).max(axis=1, initial=0.0) > 1e-12
-    f_inf = singular_values(s, us[moved]).max(axis=1)
-    us[moved] *= (stretch[moved] / f_inf)[:, None]
-    in_ball = singular_values(s, us).max(axis=1) < 1.0
+    us[moved] *= (stretch[moved] / spectral_norms(s, us[moved]))[:, None]
+    in_ball = spectral_norms(s, us) < 1.0
     in_box = np.abs(us @ covs.T).max(axis=1, initial=0.0) < 1.0
     agree = int(np.sum(in_ball == in_box))
     return {"samples": samples, "agree": agree,

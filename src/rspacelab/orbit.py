@@ -424,14 +424,17 @@ def _descend(s: SpaceInstance, pts: np.ndarray) -> np.ndarray:
 
 
 def _gradient_norms(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
-    """Norm of grad H, over a metric-orthonormal tangent frame, at every
-    orbit point of a (k, dim) coordinate stack."""
-    st = structure(s)
-    xc = s.g_vee.coords(s.xi)
-    # dH(v) = 2 pi B(xi, v)/c = -2 pi <xi, v>
-    comps = 2.0 * np.pi * (_tangent_frames(s, a)
-                           @ (s.g_vee.killing_matrix @ xc)) / st.c_orbit
-    return np.linalg.norm(comps, axis=-1)
+    """Norm of grad H at every orbit point of a (k, dim) coordinate stack.
+
+    dH(v) = -2 pi <xi, v>, so grad H is -2 pi times the projection of xi on
+    the tangent space [x, g] at x.  ad_x is skew, so that space is
+    orthogonal to the kernel of ad_x, and on the orbit ad_x^2 = -1 on it:
+    the projection is -[x, [x, xi]], an n x n bracket, and |grad H| =
+    2 pi |[x, [x, xi]]| in the calibrated metric.
+    """
+    x = s.g_vee.from_coords(a)
+    y = al.bracket(x, al.bracket(x, s.xi))
+    return 2.0 * np.pi * np.sqrt(inner(s, y, y))
 
 
 def morse_index(s: SpaceInstance, x: np.ndarray) -> int:
@@ -462,9 +465,12 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     which are Gauss-Newton steps near the critical set, run in lockstep on
     the stack of points, each restart with its own stopping rule, so the
     ends do not depend on the stack).  Each end point must be finite and
-    certify a Riemannian gradient of H below 1e-7, else NonConvergence; the
-    certificate stacks the tangent frames of the end points, in blocks cut
-    by al.sample_blocks.  The ends are then clustered by critical value.
+    certify a Riemannian gradient of H below 1e-7, else NonConvergence.
+    The certificate (_gradient_norms) holds on the orbit only, where the
+    ends lie by construction, as conjugates of xi by exponentials of g; so
+    the eigenvalues of i x at each end must first match those of i xi to
+    1e-9 of their largest, else NonConvergence.  The ends are then
+    clustered by critical value.
     """
     g = s.g_vee
     pts = np.concatenate([s.xi[None], random_orbit_points(
@@ -472,13 +478,17 @@ def find_critical_points(s: SpaceInstance, restarts: int = 50,
     a = _descend(s, pts)
     if not np.isfinite(a).all():
         raise NonConvergence("descent ended at a non-finite point")
-    gn = np.concatenate([_gradient_norms(s, a[b])
-                         for b in al.sample_blocks(len(a), g.dim * g.dim)])
+    ends = g.from_coords(a)
+    w0 = np.linalg.eigvalsh(1j * s.xi)
+    drift = np.abs(np.linalg.eigvalsh(1j * ends) - w0).max()
+    if drift > 1e-9 * np.abs(w0).max():
+        raise NonConvergence(f"descent left the orbit, spectral drift "
+                             f"{drift:.2e}")
+    gn = _gradient_norms(s, a)
     failed = np.flatnonzero(gn > 1e-7)
     if failed.size:
         raise NonConvergence(
             f"certificate failed, grad norm {gn[failed[0]]:.2e}")
-    ends = g.from_coords(a)
     vals = hamiltonian(s, ends)
 
     spread = max(vals.max() - vals.min(), 1.0)

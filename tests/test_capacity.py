@@ -66,6 +66,60 @@ def _ternary(dist, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _product_scan(s, direction, t_max=30.0, grid=60000):
+    """The period scan with three n x n products per grid point, r = B P^k
+    and r xi r^T, and the max-abs distance, its thresholds relative to the
+    largest entry of xi; the same blocks, dip search and zoom as the
+    oracle."""
+    x = s.g_vee.from_coords(np.asarray(direction, float) @ s.a_flat)
+    xi_m = s.xi
+    flow = al.skew_flow(x)
+    ts = np.linspace(0.0, t_max, grid + 1)[1:]
+    block = min(grid, 1024)
+    pows = flow(t_max / grid)[None]
+    while len(pows) < block:
+        pows = np.concatenate([pows, pows[-1] @ pows])
+    pows = pows[:block]
+    scale = np.abs(xi_m).max()
+
+    def dist(t):
+        r = flow(t)
+        return np.abs(r @ xi_m @ r.swapaxes(-1, -2) - xi_m).max(axis=(-2, -1))
+
+    v = al.bracket(x, s.xi)
+    speed = np.sqrt(-al.killing(s.g_vee, v, v) / cap.c_model(s))
+    base = np.eye(len(xi_m))
+    left, run = False, None
+    for start in range(0, grid, block):
+        r = base @ pows[:grid - start]
+        moved = r @ xi_m @ r.transpose(0, 2, 1)
+        dists = np.abs(moved - xi_m).max(axis=(1, 2))
+        base, stop = r[-1], start + len(r)
+        off = 0
+        if not left:
+            risen = np.flatnonzero(dists > 0.1 * scale)
+            if len(risen) == 0:
+                continue
+            left, off = True, int(risen[0])
+        edge = np.diff((dists[off:] < 1e-2 * scale).astype(np.int8),
+                       prepend=int(run is not None), append=0)
+        starts = np.flatnonzero(edge > 0) + start + off
+        ends = np.flatnonzero(edge < 0) + start + off - 1
+        if run is not None:
+            starts = np.r_[run, starts]
+        run = None
+        for i, j in zip(starts.tolist(), ends.tolist()):
+            if j + 1 == stop and stop < grid:
+                run = i
+                break
+            lo = ts[i - 1]
+            hi = ts[j + 1] if j + 1 < grid else ts[j]
+            t_star = cap._zoom(dist, lo, hi)
+            if dist(t_star) < 1e-6 * scale:
+                return float(t_star * speed)
+    return np.inf
+
+
 @pytest.mark.parametrize("rid,params", SCAN_ROWS)
 def test_scan_oracle_zoom_agrees_with_a_ternary_search(rid, params,
                                                        monkeypatch):
@@ -99,15 +153,19 @@ def test_scan_oracle_walks_the_whole_grid_when_nothing_recurs():
     q = atlas.instance("quadric_real", 1, 2)
     irrational = np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0)
     assert cap.systole_scan_oracle(q, irrational) == np.inf
+    assert _product_scan(q, irrational) == np.inf
     # the sphere closes at t = 2 pi sqrt 2, past a window of 5
     s = atlas.instance("sphere", 2)
     d = cap.systole_details(s)
     assert cap.systole_scan_oracle(s, d["direction"], t_max=5.0) == np.inf
+    assert _product_scan(s, d["direction"], t_max=5.0) == np.inf
 
 
 # the grid points on either side of the edge between blocks 16 and 17 of
-# 1024 points both lie in the dip at t ~ 8.868-8.904, which bottoms out at
-# t ~ 8.886: after the edge (t ~ 8.878) for 30.6, before it (~ 8.896) for 30.66
+# 1024 points both lie in the dip that the oracle sees, its Frobenius
+# distance below 1e-2 |xi|_F at t ~ 8.8716-8.8999, which bottoms out at
+# t ~ 8.8858: after the edge (t ~ 8.8781-8.8786) for 30.6, before it
+# (~ 8.8955-8.8960) for 30.66
 @pytest.mark.parametrize("t_max", [30.6, 30.66])
 def test_scan_oracle_follows_a_dip_across_a_block_edge(t_max):
     s = atlas.instance("sphere", 2)
@@ -118,7 +176,7 @@ def test_scan_oracle_follows_a_dip_across_a_block_edge(t_max):
     xi = s.xi
     for t in ts[edge - 1:edge + 1]:
         r = flow(t)
-        assert np.abs(r @ xi @ r.T - xi).max() < 1e-2 * np.abs(xi).max()
+        assert np.linalg.norm(r @ xi @ r.T - xi) < 1e-2 * np.linalg.norm(xi)
     scan = cap.systole_scan_oracle(s, d["direction"], t_max=t_max, grid=grid)
     assert abs(scan - d["systole"]) <= 1e-12 * d["systole"]
 
@@ -129,7 +187,46 @@ def test_scan_oracle_finds_a_late_recurrence():
     q = atlas.instance("quadric_real", 1, 2)
     u = np.array([1.0, 0.5]) / np.hypot(1.0, 0.5)
     want = 2.0 * np.pi * np.sqrt(5.0)
-    assert abs(cap.systole_scan_oracle(q, u) - want) <= 1e-12 * want
+    scan = cap.systole_scan_oracle(q, u)
+    assert abs(scan - want) <= 1e-12 * want
+    assert abs(scan - _product_scan(q, u)) <= 1e-12 * want
+
+
+_CATALOGUE = [(rid, params) for rid, params, _ in PINS]
+
+
+@pytest.mark.parametrize("rid,params", _CATALOGUE)
+def test_scan_oracle_matches_the_product_scan(rid, params):
+    s = atlas.instance(rid, *params)
+    u = cap.systole_details(s)["direction"]
+    want = _product_scan(s, u)
+    assert abs(cap.systole_scan_oracle(s, u) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("rid,params", [("sphere", (2,)),
+                                        ("quadric_real", (1, 2)),
+                                        ("orthogonal_group", (5,))])
+def test_block_distances_are_the_conjugation_distances(rid, params,
+                                                       monkeypatch):
+    # |M_k - B^T xi B|_F is |B M_k B^T - xi|_F with products, on the first
+    # two blocks: B = 1, then B = P^1024
+    s = atlas.instance(rid, *params)
+    calls = []
+    block_distances = cap._block_distances
+
+    def record(conj, base, xi_m):
+        calls.append((conj, base, block_distances(conj, base, xi_m)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cap, "_block_distances", record)
+    cap.systole_scan_oracle(s, cap.systole_details(s)["direction"])
+    assert len(calls) >= 2
+    xi = s.xi
+    for conj, base, dists in calls[:2]:
+        assert len(conj) == 1024
+        want = np.linalg.norm(base @ conj @ base.T - xi, axis=(1, 2))
+        assert np.abs(dists - want).max() <= 1e-13 * np.linalg.norm(xi)
+    assert np.array_equal(calls[0][1], np.eye(len(xi)))
 
 
 def test_systole_pins_cover_the_catalogue():

@@ -154,6 +154,15 @@ def test_block_norm_matches_the_one_row_calls(rid, params):
             assert _close(v, norm(s, p, u)) and _close(v, _loop_norm(s, p, u))
 
 
+@pytest.mark.parametrize("rid,params", sorted(
+    (d.id, d.params) for d in atlas.list_entries() if d.instantiable))
+def test_spectral_norms_are_the_largest_singular_values(rid, params):
+    s = atlas.instance(rid, *params)
+    us = np.random.default_rng(37).normal(size=(50, len(s.a_flat)))
+    want = fin.singular_values(s, us).max(axis=1)
+    assert np.all(np.abs(fin.spectral_norms(s, us) - want) <= 1e-14 * want)
+
+
 @pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
 def test_block_oracles_match_the_sample_loops(rid, params, monkeypatch):
     s = atlas.instance(rid, *params)
@@ -172,9 +181,9 @@ def test_block_oracles_match_the_sample_loops(rid, params, monkeypatch):
         agree += ((_loop_norm(s, np.inf, u) < 1.0)
                   == (np.abs(evaluate(st_.sigma_roots, u)).max() < 1.0))
     seen = []
-    singular_values = fin.singular_values
-    monkeypatch.setattr(fin, "singular_values",
-                        lambda s, us: seen.append(us) or singular_values(s, us))
+    spectral_norms = fin.spectral_norms
+    monkeypatch.setattr(fin, "spectral_norms",
+                        lambda s, us: seen.append(us) or spectral_norms(s, us))
     assert fin.unit_ball_vs_box(s, samples=300, seed=3)["agree"] == agree
     monkeypatch.undo()
     # the ball test ran on the samples the loop tested

@@ -361,7 +361,7 @@ def test_stacked_descent_matches_one_restart_at_a_time(rid, params):
     for pt, end in zip(pts, ends):
         alone = ob._descend(s, pt[None])[0]
         assert np.array_equal(end, alone)
-        # the gradient of H, over a metric-orthonormal tangent frame
+        # the gradient certificate of find_critical_points
         assert ob._gradient_norms(s, end[None])[0] <= 1e-7
 
 
@@ -948,3 +948,53 @@ def test_descent_converges_quadratically_next_to_the_critical_set(
     ob._descend(s, far)
     assert max(np.linalg.norm(a, axis=(-2, -1)).max()
                for a in gens) <= 0.5 * (1 + 1e-12)
+
+
+# --- the gradient certificate ----------------------------------------------
+
+def _frame_gradient_norms(s, a):
+    """|grad H| at every orbit point of a (k, dim) coordinate stack, as dH
+    on the rows of a metric-orthonormal tangent frame: no use of
+    ad_x^2 = -1 on the tangent space."""
+    xc = s.g_vee.coords(s.xi)
+    comps = 2.0 * np.pi * (ob._tangent_frames(s, a)
+                           @ (s.g_vee.killing_matrix @ xc)) \
+        / ob.structure(s).c_orbit
+    return np.linalg.norm(comps, axis=-1)
+
+
+@pytest.mark.parametrize("rid,params", _DESCENT_ROWS + [
+    ("grassmann_complex_hermitian", (1, 1)), ("sphere", (3,))])
+def test_gradient_norm_matches_the_tangent_frames(rid, params):
+    # to 1e-12 relative at random orbit points; at descent ends, where the
+    # gradient is round-off, to 1e-12 of 2 pi |xi|, the largest |grad H|
+    s = atlas.instance(rid, *params)
+    a = s.g_vee.coords(ob.random_orbit_points(s, range(20)))
+    want = _frame_gradient_norms(s, a)
+    assert np.all(np.abs(ob._gradient_norms(s, a) - want) <= 1e-12 * want)
+    ends = ob._descend(s, np.concatenate(
+        [s.xi[None], ob.random_orbit_points(s, range(20, 40))]))
+    scale = 2.0 * np.pi * np.sqrt(ob.inner(s, s.xi, s.xi))
+    assert np.abs(ob._gradient_norms(s, ends)
+                  - _frame_gradient_norms(s, ends)).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("stretch,refused", [(1e-8, True), (1e-11, False)])
+def test_an_end_off_the_orbit_is_refused(stretch, refused, monkeypatch):
+    # (1 + stretch) x keeps [xi, x] = 0 at a critical end, so the bracket
+    # certificate alone would pass it; the spectrum of x is off that of xi
+    # by stretch, and the guard cuts at 1e-9
+    s = atlas.instance("grassmann_complex_hermitian", 1, 1)
+    descend = ob._descend
+
+    def stretched(s, pts):
+        ends = descend(s, pts)
+        ends[0] *= 1.0 + stretch
+        return ends
+
+    monkeypatch.setattr(ob, "_descend", stretched)
+    if refused:
+        with pytest.raises(ob.NonConvergence, match="left the orbit"):
+            ob.find_critical_points(s, restarts=5, seed=0)
+    else:
+        assert ob.find_critical_points(s, restarts=5, seed=0)
