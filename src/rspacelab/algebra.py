@@ -1,9 +1,9 @@
 """Compact classical Lie algebras as dense real matrix algebras.
 
 Everything downstream works in coordinates over a fixed trace-orthonormal
-basis per algebra, so structure constants, Killing forms and ad operators
-are plain numpy arrays.  Complex and quaternionic families are realized by
-real embeddings:
+basis per algebra, so structure constants and ad operators are plain numpy
+arrays, and the Killing form is one number, its multiple of the trace
+form.  Complex and quaternionic families are realized by real embeddings:
 
     a + bi          ->  [[a, -b], [b, a]]          (interleaved 2x2 blocks)
     a + bi + cj+ dk ->  4x4 left-multiplication L_q (interleaved 4x4 blocks)
@@ -70,7 +70,10 @@ class LieAlgebraBasis:
         basis: read-only (dim, size, size) stack of the basis matrices,
             orthonormal for <X,Y> = tr(X^T Y).
         structure_constants: c[i,j,k] with [b_i, b_j] = sum_k c[i,j,k] b_k.
-        killing_matrix: B[i,j] = tr(ad_i ad_j) in this basis.
+        killing_factor: f = sum c^2 / dim, the mean of -B[i,i] =
+            sum_kl c[i,k,l]^2 (c is totally antisymmetric).  B is -f times
+            the identity, B(x, y) = -f tr(x^T y), on a simple algebra and
+            on a sum of copies of one: on every algebra built here.
     """
 
     family: str
@@ -78,7 +81,7 @@ class LieAlgebraBasis:
     algebra_id: str
     basis: np.ndarray
     structure_constants: np.ndarray
-    killing_matrix: np.ndarray
+    killing_factor: float
 
     @property
     def dim(self) -> int:
@@ -131,12 +134,11 @@ def _structure_data(mats, algebra_id: str, family: str, n: int,
         res = np.abs(c @ flat - brackets).max()
         if res > 1e-9:
             raise AlgebraMismatch(f"span not closed under bracket ({res:.2e})")
-    c = c.reshape(d, d, d)
-    # B[i,j] = sum_kl c[i,k,l] c[j,l,k]
-    killing = c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T
+    # np.sum, not a BLAS dot, so f does not depend on the thread count
     return LieAlgebraBasis(family=family, n=n, algebra_id=algebra_id,
-                           basis=stacked, structure_constants=_frozen(c),
-                           killing_matrix=_frozen(killing))
+                           basis=stacked, structure_constants=_frozen(
+                               c.reshape(d, d, d)),
+                           killing_factor=float(np.sum(c * c)) / d)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +292,8 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def killing(alg: LieAlgebraBasis, x: np.ndarray, y: np.ndarray) -> float:
-    """B(x, y) = tr(ad_x ad_y), via the precomputed Killing matrix."""
-    return float(alg.coords(x) @ alg.killing_matrix @ alg.coords(y))
+    """B(x, y) = tr(ad_x ad_y) = -f tr(x^T y), f the Killing factor."""
+    return -alg.killing_factor * float(np.sum(x * y))
 
 
 def sample_blocks(count: int, entries: int) -> list:

@@ -68,8 +68,9 @@ def _unit_lattice(s: SpaceInstance) -> dict:
     active weight w.  In coordinates z, where basis weight j takes the value
     2 pi z_j, every active weight is a rational combination num/den of the
     basis, so the closing vectors are the z in Z^k with num z = 0 mod den.
-    gram is the speed form -B([X, xi], [X, xi])/c_model in these coordinates
-    and lift maps z to flat coordinates.
+    gram is the speed form -B([X, xi], [X, xi])/c_model, which is
+    f |[X, xi]|^2 / c_model, in these coordinates and lift maps z to flat
+    coordinates.
     """
     g = s.g_vee
     ws = _active_weights(s)
@@ -88,7 +89,7 @@ def _unit_lattice(s: SpaceInstance) -> dict:
     lift = 2.0 * np.pi * np.linalg.pinv(basis).T
     adxi = al.ad_operator(g, s.xi)
     vel = (adxi @ (lift @ s.a_flat).T).T
-    gram = -(vel @ g.killing_matrix @ vel.T) / c_model(s)
+    gram = g.killing_factor * (vel @ vel.T) / c_model(s)
     return {"weights": basis, "num": num, "den": den, "gram": gram,
             "lift": lift}
 

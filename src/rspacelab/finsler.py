@@ -6,8 +6,10 @@ algebra k, and its singular values there are the restricted root values
 between the spectral radius (p = inf), whose open unit ball is exactly
 the root box, and the trace norm (p = 1).  F_2 restricted to the
 complement of the common root kernel is a multiple of the calibrated
-Riemannian norm; the multiple squared, divided by c_orbit, is the trace
-form index of k inside the ambient algebra and is reported, not assumed.
+Riemannian norm sqrt(f/c_orbit) |a|, f the Killing factor of the ambient
+algebra (its Killing form is -f times the trace form); the multiple
+squared, divided by c_orbit, is the trace form index of k inside the
+ambient algebra and is reported, not assumed.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ def f2_vs_riemannian(s: SpaceInstance, samples: int = 200,
     us = us - (us @ ker.T) @ ker
     us = us[np.linalg.norm(us, axis=1) >= 1e-6]
     xc = us @ s.a_flat  # g coordinates of the lifts
-    riem = np.sqrt(np.sum((xc @ st.metric) * xc, axis=1))
+    riem = np.sqrt(s.g_vee.killing_factor / st.c_orbit
+                   * np.einsum("ij,ij->i", xc, xc))
     ratios = _schatten(singular_values(s, us), 2.0) / riem
     # the median, from one sort: np.median loads numpy.ma on first use
     n = len(ratios)

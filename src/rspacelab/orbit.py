@@ -6,7 +6,8 @@ sigma-fixed group.  All inner products on the orbit side use the
 calibrated pairing -B/c, where the scale c is the squared Killing length
 of the projection of xi onto one cascade su(2); this makes the generator
 of the orbit circle action a period-one Hamiltonian with area 4 pi on the
-corresponding sphere.
+corresponding sphere.  The Killing form is B = -f tr(x^T y), f the
+algebra's Killing factor, so the pairing is f/c times the trace form.
 """
 
 from __future__ import annotations
@@ -52,13 +53,11 @@ class InstanceStructure:
     gammas: list                     # the cascade roots, highest first
     triples: list                    # their sl2 triples (H, X, Y)
     torus_roots: np.ndarray          # covector rows of every torus root
-    torus_gram: np.ndarray           # -B on the cascade torus coords
-    xi_t: np.ndarray                 # xi in the cascade torus coords
+    xi_t: np.ndarray                 # xi in the orthonormal torus coords
     c_orbit: float
     flat_ad_k: np.ndarray            # ad of s.a_flat's basis on sigma's k
     sigma_roots: rt.RestrictedRootSystem   # roots of (k, a_flat)
     sigma_bar_roots: rt.RestrictedRootSystem  # roots of (g, abar)
-    metric: np.ndarray               # -B/c on g coordinates
 
 
 @functools.cache  # keyed on instance identity
@@ -66,16 +65,14 @@ def structure(s: SpaceInstance) -> InstanceStructure:
     g = s.g_vee
     gammas, triples, torus, roots = rt.cascade_strongly_orthogonal(
         g, *s.theta_decomp, s.xi)
-    bmat = g.killing_matrix
-    gt = -(torus @ bmat @ torus.T)
     xi_t = rt.coords_in(torus, g.coords(s.xi))
 
-    # squared Killing length of the xi component in one cascade su(2): xi
-    # projects onto the coroot gt^-1 gamma, with length gamma(xi)^2 /
-    # gamma(gt^-1 gamma), and gamma(xi) = 1 for a noncompact positive root;
-    # every cascade root must give the same number
-    cs = [1.0 / float(gamma @ np.linalg.solve(gt, gamma))
-          for gamma in gammas]
+    # squared Killing length of the xi component in one cascade su(2): the
+    # torus rows are orthonormal, so -B is f times the identity there, and
+    # xi projects onto the coroot gamma / f, with length gamma(xi)^2 f /
+    # |gamma|^2, and gamma(xi) = 1 for a noncompact positive root; every
+    # cascade root must give the same number
+    cs = [g.killing_factor / float(gamma @ gamma) for gamma in gammas]
     c_orbit = cs[0]
     assert max(cs) - min(cs) < 1e-8 * max(1.0, c_orbit)
 
@@ -86,19 +83,17 @@ def structure(s: SpaceInstance) -> InstanceStructure:
     sigma_roots = rt.compute_restricted_roots(flat_ad_k)
     sigma_bar_roots = rt.compute_restricted_roots(al.ad_from_coords(g, s.abar))
     return InstanceStructure(gammas=gammas, triples=triples,
-                             torus_roots=roots, torus_gram=gt, xi_t=xi_t,
+                             torus_roots=roots, xi_t=xi_t,
                              c_orbit=c_orbit, flat_ad_k=flat_ad_k,
                              sigma_roots=sigma_roots,
-                             sigma_bar_roots=sigma_bar_roots,
-                             metric=-bmat / c_orbit)
+                             sigma_bar_roots=sigma_bar_roots)
 
 
 def inner(s: SpaceInstance, x: np.ndarray, y: np.ndarray):
-    """Calibrated pairing -B(x, y)/c of two matrices, or along broadcasting
-    (..., n, n) stacks of them."""
-    g = s.g_vee
-    xk = g.coords(x) @ g.killing_matrix
-    return -np.sum(xk * g.coords(y), axis=-1) / structure(s).c_orbit
+    """Calibrated pairing -B(x, y)/c = (f/c) tr(x^T y) of two matrices, or
+    along broadcasting (..., n, n) stacks of them."""
+    scale = s.g_vee.killing_factor / structure(s).c_orbit
+    return scale * np.sum(x * y, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -135,30 +130,21 @@ def certificate_residual(s: SpaceInstance, x: np.ndarray) -> float:
     return float(np.abs(np.sort(w1) - np.sort(w0)).max())
 
 
-def _tangent_frames(s: SpaceInstance, a: np.ndarray,
-                    orthonormal_in_metric: bool = True) -> np.ndarray:
-    """Orthonormal rows spanning the tangent space [x, g] at every orbit
-    point of a (k, dim) coordinate stack, as a (k, rank, dim) stack.
+def _tangent_frames(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
+    """Trace-orthonormal rows spanning the tangent space [x, g] at the
+    orbit point x with coordinates a, as a (rank, dim) array; scaled by
+    sqrt(c/f) they are orthonormal in the calibrated metric.
 
     ad_x is antisymmetric in the trace-orthonormal basis, so the tangent
     space, its range, is spanned by the eigenvectors of the symmetric
     ad_x ad_x^T whose eigenvalues pass a 1e-9 relative cut.  On the orbit
-    the nonzero eigenvalues are all equal, and every point has the rank
-    of ad_xi.
+    the nonzero eigenvalues are all equal.
     """
     adx = al.ad_from_coords(s.g_vee, a)
-    w, vecs = np.linalg.eigh(adx @ adx.swapaxes(-1, -2))
-    ranks = np.sum(w > 1e-9 * w[:, -1:], axis=1)
-    rank = int(ranks[0])
-    if np.any(ranks != rank):
-        raise ValueError("the points lie on orbits of different dimension")
+    w, vecs = np.linalg.eigh(adx @ adx.T)
+    rank = int(np.sum(w > 1e-9 * w[-1]))
     # eigh sorts ascending: the range is the last rank eigenvectors
-    rows = vecs[:, :, vecs.shape[-1] - rank:].swapaxes(-1, -2)
-    if not orthonormal_in_metric:
-        return rows
-    gram = rows @ structure(s).metric @ rows.swapaxes(-1, -2)
-    w, vecs = np.linalg.eigh(gram)
-    return (vecs / np.sqrt(w)[:, None, :]).swapaxes(-1, -2) @ rows
+    return vecs[:, len(w) - rank:].T
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +160,15 @@ def kks(s: SpaceInstance, x: np.ndarray, a: np.ndarray, b: np.ndarray):
 def hamiltonian(s: SpaceInstance, xs: np.ndarray):
     """Pairing 2 pi B(xi, x)/c at a point x, or at every point of a
     (..., n, n) stack; minimal exactly at xi, steps of 4 pi."""
-    g = s.g_vee
-    return 2.0 * np.pi * (g.coords(xs) @ (g.coords(s.xi) @ g.killing_matrix)) \
-        / structure(s).c_orbit
+    return -2.0 * np.pi * inner(s, s.xi, xs)
 
 
 def complex_structure_check(s: SpaceInstance, x: np.ndarray) -> float:
-    """Max residual of (ad_x)^2 = -1 on the tangent space at x."""
-    g = s.g_vee
-    xc = g.coords(x)
-    adx = al.ad_from_coords(g, xc)
-    frame = _tangent_frames(s, xc[None], orthonormal_in_metric=False)[0]
-    res = adx @ (adx @ frame.T) + frame.T
-    return float(np.abs(res).max())
+    """Max residual of (ad_x)^2 = -1 on the tangent space at x, read as
+    max |ad_x^3 + ad_x|: ad_x is skew, so the tangent space is its range,
+    and ad_x^2 = -1 there iff ad_x^3 = -ad_x."""
+    adx = al.ad_operator(s.g_vee, x)
+    return float(np.abs(adx @ (adx @ adx) + adx).max())
 
 
 def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -441,17 +423,17 @@ def morse_index(s: SpaceInstance, x: np.ndarray) -> int:
     """Morse index of H at a critical point x, from its exact Hessian.
 
     H(Ad(e^U) x) = H(x) + Q(U) + O(U^3) with Q(U) = -(pi/c) B([xi, U], [x, U])
-    (the first order term vanishes with [xi, x]); Q is taken on the
-    generators U of the tangent frame at x, and the eigenvalues below -1e-8
-    of the largest |eigenvalue| are counted.
+    = (pi f/c) <ad_xi U, ad_x U> (the first order term vanishes with
+    [xi, x]), a positive multiple of U^T (ad_xi^T ad_x + ad_x^T ad_xi) U.
+    Q is taken on all of g: at a critical point ad_xi and ad_x commute, so
+    Q vanishes on the kernel of ad_x and does not couple it to the tangent
+    space, the range of the skew ad_x.  The eigenvalues below -1e-8 of the
+    largest |eigenvalue| are counted.
     """
     g = s.g_vee
-    xc = g.coords(x)
-    adxi, adx = al.ad_operator(g, s.xi), al.ad_from_coords(g, xc)
-    q = adxi.T @ g.killing_matrix @ adx
-    q = -0.5 * np.pi / structure(s).c_orbit * (q + q.T)
-    frame = _tangent_frames(s, xc[None])[0]
-    w = np.linalg.eigvalsh(frame @ q @ frame.T)
+    adxi, adx = al.ad_operator(g, s.xi), al.ad_operator(g, x)
+    q = adxi.T @ adx
+    w = np.linalg.eigvalsh(q + q.T)
     return int(np.sum(w < -1e-8 * np.abs(w).max()))
 
 
@@ -536,13 +518,15 @@ def critical_ladder(s: SpaceInstance) -> list:
     LMS 14 (1982)).
     """
     st = structure(s)
-    gt, xi_t = st.torus_gram, st.xi_t
+    xi_t = st.xi_t
+    # the torus coordinates are orthonormal, so the reflections are
+    # Euclidean, and H = 2 pi B(xi, x)/c is h xi_t . x
+    h = -2.0 * np.pi * s.g_vee.killing_factor / st.c_orbit
     xs = [xi_t]
     for gamma in st.gammas:
-        gv = np.linalg.solve(gt, gamma)
-        xs.append(xs[-1] - 2.0 * (gamma @ xs[-1]) / (gamma @ gv) * gv)
+        xs.append(xs[-1] - 2.0 * (gamma @ xs[-1]) / (gamma @ gamma) * gamma)
     b_xi = st.torus_roots @ xi_t
-    return sorted((2.0 * np.pi * float(-(xi_t @ gt @ x)) / st.c_orbit,
+    return sorted((h * float(xi_t @ x),
                    int(np.sum(b_xi * (st.torus_roots @ x) < -1e-8)))
                   for x in xs)
 
@@ -557,9 +541,9 @@ def _weyl_orbit(s: SpaceInstance) -> np.ndarray:
     """
     st = structure(s)
     betas = st.torus_roots
-    bvecs = np.linalg.solve(st.torus_gram, betas.T).T
-    # reflection in beta: x -> x - 2 beta(x) / beta(bvec) bvec
-    coef = 2.0 / np.einsum("ri,ri->r", betas, bvecs)
+    # the torus coordinates are orthonormal, so the reflection in beta is
+    # Euclidean: x -> x - 2 beta(x) / |beta|^2 beta
+    coef = 2.0 / np.einsum("ri,ri->r", betas, betas)
     seen = {}
     queue = [st.xi_t[None]]
     while queue:
@@ -570,7 +554,7 @@ def _weyl_orbit(s: SpaceInstance) -> np.ndarray:
         for y, key, v in zip(ys, map(tuple, keys.astype(int).tolist()), vals):
             if key not in seen:
                 seen[key] = y
-                queue.append(y - (coef * v)[:, None] * bvecs)
+                queue.append(y - (coef * v)[:, None] * betas)
     return np.array(list(seen.values()))
 
 
@@ -583,8 +567,8 @@ def weyl_critical_values(s: SpaceInstance) -> list:
     capacities (capacity_hermitian_ambient) and of the descent.
     """
     st = structure(s)
-    vals = sorted(2.0 * np.pi * float(-(st.xi_t @ st.torus_gram @ w))
-                  / st.c_orbit for w in _weyl_orbit(s))
+    h = -2.0 * np.pi * s.g_vee.killing_factor / st.c_orbit
+    vals = sorted(h * float(st.xi_t @ w) for w in _weyl_orbit(s))
     out = [vals[0]]
     for v in vals[1:]:
         if v - out[-1] > 1e-6:

@@ -124,7 +124,10 @@ def suite_algebra(spaces, seed, tol):
             "structure constants satisfy the Jacobi identity",
             jac <= tol["alg"], jac, 0.0, tol["alg"]))
 
-        ev = np.linalg.eigvalsh(np.asarray(g.killing_matrix))
+        # the dense Killing matrix B[i,j] = sum_kl c[i,k,l] c[j,l,k]
+        c, d = g.structure_constants, g.dim
+        ev = np.linalg.eigvalsh(
+            c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T)
         if g.family in _KILLING_FACTOR:
             f = float(_KILLING_FACTOR[g.family](g.n))
             res = float(np.abs(ev + f).max())
@@ -217,8 +220,10 @@ def suite_orbit(spaces, seed, tol):
             "the squared tangent rotation is minus the identity",
             j2 <= tol["j2"], j2, 0.0, tol["j2"]))
 
-        # the two-form on every pair of tangent frame generators at once
-        gens = g.from_coords(ob._tangent_frames(s, g.coords(x)[None])[0])
+        # the two-form on every pair of generators of a tangent frame,
+        # orthonormal in -B/c: the trace-orthonormal one times sqrt(c/f)
+        gens = g.from_coords(ob._tangent_frames(s, g.coords(x)) * np.sqrt(
+            ob.structure(s).c_orbit / g.killing_factor))
         omega = ob.kks(s, x, gens[:, None], gens[None, :])
         anti = float(np.abs(omega + omega.T).max())
         sv = np.linalg.svd(omega, compute_uv=False)

@@ -33,9 +33,39 @@ def test_dimensions(family, n):
 ])
 def test_killing_is_family_multiple_of_trace_form(family, n, factor):
     # basis is orthonormal for -tr, so B must be -factor times the identity
-    g = al.build_algebra(family, n)
-    assert np.abs(np.asarray(g.killing_matrix) + factor * np.eye(g.dim)).max() \
-        < 1e-9
+    _pin_killing(al.build_algebra(family, n), factor)
+
+
+def _dense_killing(g):
+    """B[i,j] = tr(ad_i ad_j) = sum_kl c[i,k,l] c[j,l,k], from the
+    structure constants."""
+    c = np.asarray(g.structure_constants)
+    d = g.dim
+    return c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T
+
+
+def _pin_killing(g, factor):
+    """The dense Killing matrix is -f times the identity, f the algebra's
+    Killing factor, and f is the family multiple."""
+    f = g.killing_factor
+    assert abs(f - factor) <= 1e-12 * factor
+    assert np.abs(_dense_killing(g) + f * np.eye(g.dim)).max() <= 1e-12 * f
+
+
+# the catalogue's default rows, and su(12) as unitary_group(6)
+_KILLING_ROWS = sorted(atlas._DEFAULT_SWEEP) + [("unitary_group", (6,))]
+
+
+@pytest.mark.parametrize("rid,params", _KILLING_ROWS)
+def test_killing_is_family_multiple_of_trace_form_on_every_row(rid, params):
+    # a Hermitian row's algebra is two copies of family(m), whose Killing
+    # form is the factor's on each copy
+    family, scale, offset = atlas._ROWS[rid][1:4]
+    m = scale * sum(params) + offset
+    g = atlas.instance(rid, *params).g_vee
+    assert g.family == ("sum" if atlas.descriptor(rid, *params).hermitian
+                        else family)
+    _pin_killing(g, rp._KILLING_FACTOR[family](m))
 
 
 def test_basis_is_trace_orthonormal():
@@ -459,7 +489,7 @@ def _pin_jacobi(g):
         bent = c.copy()
         bent[at] += 0.01
         h = al.LieAlgebraBasis(g.family, g.n, g.algebra_id, g.basis, bent,
-                               g.killing_matrix)
+                               g.killing_factor)
         assert abs(al.jacobi_residual(h) - _dense_jacobi(bent)) <= 1e-14
         assert al.jacobi_residual(h) >= 1e-3
 

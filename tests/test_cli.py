@@ -426,28 +426,33 @@ def test_a_suite_that_raises_becomes_an_error_record(capsys, monkeypatch):
 
 def test_a_suite_error_names_its_innermost_rspacelab_frame(capsys,
                                                            monkeypatch):
-    # a non-square torus Gram makes numpy raise inside critical_ladder
+    # NaN root covectors make numpy's SVD fail inside finsler.norm_kernel
     import numpy as np
 
     from rspacelab import atlas
+    from rspacelab import finsler as fin
     from rspacelab import orbit as ob
+    from rspacelab import roots as rt
 
-    s = atlas.instance("grassmann_real", 1, 1)
+    s = atlas.instance("sphere", 2)
     st_ = ob.structure(s)
-    bad = ob.InstanceStructure(**{**vars(st_), "torus_gram": np.ones((1, 2))})
+    nan = rt.RestrictedRootSystem(**{
+        **vars(st_.sigma_roots),
+        "covectors": np.full_like(st_.sigma_roots.covectors, np.nan)})
+    bad = ob.InstanceStructure(**{**vars(st_), "sigma_roots": nan})
     real = ob.structure
     monkeypatch.setattr(ob, "structure", lambda x: bad if x is s else real(x))
     code, out, err = run(capsys, "verify", "--seed", "1", "--suite",
-                         "critical", "--space", "grassmann_real",
-                         "--params", "1,1", "--format", "json")
+                         "finsler", "--space", "sphere", "--params", "2",
+                         "--format", "json")
     assert code == cli.EX_VERIFY and "Traceback" not in err
-    m = re.fullmatch(r"rspacelab: suite critical raised in critical_ladder "
-                     r"at orbit\.py:(\d+) \(innermost frame "
+    m = re.fullmatch(r"rspacelab: suite finsler raised in norm_kernel "
+                     r"at finsler\.py:(\d+) \(innermost frame "
                      r"_linalg\.py:\d+\)\n", err)
     assert m is not None, err
-    assert "np.linalg.solve" in linecache.getline(ob.__file__,
-                                                  int(m.group(1)))
-    assert [c["id"] for c in json.loads(out)["checks"]] == ["critical.error"]
+    assert "np.linalg.svd" in linecache.getline(fin.__file__,
+                                                int(m.group(1)))
+    assert [c["id"] for c in json.loads(out)["checks"]] == ["finsler.error"]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -48,9 +48,11 @@ def moment_nc(s, x):
 def canonical_one_form(s, v, w):
     """Tautological pairing <v, hor(w)> of the fiber velocity v with the
     horizontal (sigma-odd) part of the test tangent w."""
-    wc = s.g_vee.coords(w)
+    g = s.g_vee
+    wc = g.coords(w)
     hor = 0.5 * (wc - s.sigma @ wc)
-    return float(s.g_vee.coords(v) @ ob.structure(s).metric @ hor)
+    return g.killing_factor / ob.structure(s).c_orbit \
+        * float(g.coords(v) @ hor)
 
 
 def flow_closure_residual(s, x):
@@ -60,8 +62,11 @@ def flow_closure_residual(s, x):
 
 
 def tangent_frame(s, x):
-    """Metric-orthonormal rows spanning the tangent space at the point x."""
-    return ob._tangent_frames(s, s.g_vee.coords(x)[None])[0]
+    """Metric-orthonormal rows spanning the tangent space at the point x:
+    the trace-orthonormal frame times sqrt(c/f)."""
+    g = s.g_vee
+    return ob._tangent_frames(s, g.coords(x)) \
+        * np.sqrt(ob.structure(s).c_orbit / g.killing_factor)
 
 
 def flat_model(s, v):
@@ -140,19 +145,10 @@ def test_transport_stays_on_the_orbit():
 def test_tangent_frame_is_metric_orthonormal():
     s = atlas.instance("sphere", 2)
     x = random_orbit_point(s, 8)
-    frame = tangent_frame(s, x)
-    gram = frame @ ob.structure(s).metric @ frame.T
-    assert np.abs(gram - np.eye(len(frame))).max() < 1e-8
-
-
-def test_stacked_frames_refuse_points_of_different_orbits():
-    # one stack holds one tangent rank; the origin has none
-    s = atlas.instance("sphere", 2)
-    xi = s.g_vee.coords(s.xi)
-    frames = ob._tangent_frames(s, np.stack([xi, -xi]))
-    assert frames.shape == (2, 4, s.g_vee.dim)
-    with pytest.raises(ValueError):
-        ob._tangent_frames(s, np.stack([xi, np.zeros_like(xi)]))
+    gens = s.g_vee.from_coords(tangent_frame(s, x))
+    assert len(gens) == 4
+    gram = ob.inner(s, gens[:, None], gens[None])
+    assert np.abs(gram - np.eye(len(gens))).max() < 1e-8
 
 
 def test_complex_structure_squares_to_minus_one():
@@ -254,7 +250,7 @@ def test_one_form_pairs_with_horizontal_parts():
     k_gen = g.from_coords(s.sigma_decomp[0][0])
     v = al.bracket(x, k_gen)   # sigma-odd (horizontal) at the base
     lam = canonical_one_form(s, v, v)
-    want = g.coords(v) @ ob.structure(s).metric @ g.coords(v)
+    want = ob.inner(s, v, v)
     assert abs(lam - want) < 1e-9
     # sigma-even test directions pair to zero
     _, p_vee = s.theta_decomp
@@ -437,6 +433,27 @@ def test_reflection_ladder_is_the_even_ladder(rid, params):
     assert np.allclose(closed, ladder, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("rid,params", [
+    ("grassmann_real", (2, 2)), ("symplectic_group", (2,)),
+    ("quadric_complex_hermitian", (2,))])
+def test_reflection_ladder_ignores_the_length_of_the_cascade_roots(
+        rid, params, monkeypatch):
+    # a reflection depends on the direction of its root only; on the
+    # orthonormal torus every cascade root has length 1, so a formula that
+    # drops the 1 / |gamma|^2 shows only once the roots are stretched
+    s = atlas.instance(rid, *params)
+    st_ = ob.structure(s)
+    assert all(abs(g @ g - 1.0) < 1e-12 for g in st_.gammas)
+    want = ob.critical_ladder(s)
+    longer = ob.InstanceStructure(
+        **{**vars(st_), "gammas": [2.0 * g for g in st_.gammas]})
+    monkeypatch.setattr(ob, "structure", lambda x: longer)
+    got = ob.critical_ladder(s)
+    assert [i for _, i in got] == [i for _, i in want]
+    assert np.allclose([v for v, _ in got], [v for v, _ in want], rtol=0,
+                       atol=1e-9)
+
+
 def test_reflection_ladder_on_a_large_orbit():
     # 252 torus points and 90 roots: a pairwise dedup is quadratic here
     s = atlas.instantiate(atlas.descriptor("unitary_group", 5))
@@ -517,6 +534,65 @@ def test_descent_indices_match_the_closed_form(rid, params, fd):
               for c in clusters]
     assert all(abs(v - c.value) < 1e-6 for (v, _), c in zip(landed, clusters))
     assert [i for _, i in landed] == fd
+
+
+def _frame_morse_index(s, x):
+    """Morse index of H at a critical point x from the Hessian
+    -(pi/c) B([xi, U], [x, U]), with B the dense Killing matrix, restricted
+    to the generators U of a tangent frame made orthonormal in -B/c by an
+    eigh of its Gram matrix."""
+    g = s.g_vee
+    c = ob.structure(s).c_orbit
+    cs = np.asarray(g.structure_constants)
+    d = g.dim
+    bmat = cs.reshape(d, d * d) @ cs.swapaxes(1, 2).reshape(d, d * d).T
+    xc = g.coords(x)
+    adxi, adx = al.ad_operator(g, s.xi), al.ad_from_coords(g, xc)
+    q = adxi.T @ bmat @ adx
+    q = -0.5 * np.pi / c * (q + q.T)
+    rows = ob._tangent_frames(s, xc)
+    w, vecs = np.linalg.eigh(rows @ (-bmat / c) @ rows.T)
+    frame = (vecs / np.sqrt(w)).T @ rows
+    w = np.linalg.eigvalsh(frame @ q @ frame.T)
+    return int(np.sum(w < -1e-8 * np.abs(w).max()))
+
+
+# the rows of _FD_INDICES and four more Hermitian rows, whose algebra is
+# the sum of two copies of one simple algebra
+_INDEX_ROWS = [(rid, params) for rid, params, _ in _FD_INDICES] + [
+    ("grassmann_complex_hermitian", (1, 2)),
+    ("orthogonal_mod_unitary_hermitian", (3,)),
+    ("symplectic_mod_unitary_hermitian", (1,)),
+    ("quadric_complex_hermitian", (2,))]
+
+
+@pytest.mark.parametrize("rid,params", _INDEX_ROWS)
+def test_morse_index_matches_the_frame_hessian(rid, params):
+    # Q on all of g is Q on the tangent space plus zero on the kernel of
+    # ad_x, so it has the index of Q on a tangent frame
+    s = atlas.instance(rid, *params)
+    a = ob._descend(s, np.concatenate(
+        [s.xi[None], ob.random_orbit_points(s, range(30))]))
+    assert ob._gradient_norms(s, a).max() <= 1e-7
+    ends = s.g_vee.from_coords(a)
+    got = [ob.morse_index(s, x) for x in ends]
+    assert got == [_frame_morse_index(s, x) for x in ends]
+    assert got[0] == 0 and len(set(got)) >= 2
+
+
+@pytest.mark.parametrize("rid,params", _INDEX_ROWS)
+def test_complex_structure_check_matches_the_frame_residual(rid, params):
+    # ad_x^2 = -1 on a tangent frame, and ad_x^3 = -ad_x, at orbit points;
+    # off the orbit, at (1 + 1e-6) x, ad_x^3 + ad_x is about -2e-6 ad_x
+    s = atlas.instance(rid, *params)
+    g = s.g_vee
+    for x in ob.random_orbit_points(s, range(5)):
+        adx = al.ad_operator(g, x)
+        frame = ob._tangent_frames(s, g.coords(x))
+        assert np.abs(adx @ (adx @ frame.T) + frame.T).max() < 1e-12
+        assert ob.complex_structure_check(s, x) < 1e-12
+        assert ob.complex_structure_check(s, (1.0 + 1e-6) * x) \
+            > 1e-6 * np.abs(adx).max()
 
 
 def test_index_gate_fails_on_a_wrong_closed_form_index(monkeypatch):
@@ -953,14 +1029,14 @@ def test_descent_converges_quadratically_next_to_the_critical_set(
 # --- the gradient certificate ----------------------------------------------
 
 def _frame_gradient_norms(s, a):
-    """|grad H| at every orbit point of a (k, dim) coordinate stack, as dH
-    on the rows of a metric-orthonormal tangent frame: no use of
-    ad_x^2 = -1 on the tangent space."""
-    xc = s.g_vee.coords(s.xi)
-    comps = 2.0 * np.pi * (ob._tangent_frames(s, a)
-                           @ (s.g_vee.killing_matrix @ xc)) \
-        / ob.structure(s).c_orbit
-    return np.linalg.norm(comps, axis=-1)
+    """|grad H| at every orbit point of a (k, dim) coordinate stack, as
+    dH(v) = -2 pi <xi, v> on the rows of a metric-orthonormal tangent
+    frame: no use of ad_x^2 = -1 on the tangent space."""
+    g = s.g_vee
+    scale = np.sqrt(ob.structure(s).c_orbit / g.killing_factor)
+    return np.array([np.linalg.norm(2.0 * np.pi * ob.inner(
+        s, s.xi, g.from_coords(ob._tangent_frames(s, row) * scale)))
+        for row in a])
 
 
 @pytest.mark.parametrize("rid,params", _DESCENT_ROWS + [
