@@ -2,8 +2,8 @@
 
 Everything downstream works in coordinates over a fixed trace-orthonormal
 basis per algebra, so structure constants and ad operators are plain numpy
-arrays, and the Killing form is one number, its multiple of the trace
-form.  Complex and quaternionic families are realized by real embeddings:
+arrays, and the metric is the trace form tr(x^T y) of the matrices.
+Complex and quaternionic families are realized by real embeddings:
 
     a + bi          ->  [[a, -b], [b, a]]          (interleaved 2x2 blocks)
     a + bi + cj+ dk ->  4x4 left-multiplication L_q (interleaved 4x4 blocks)
@@ -70,10 +70,6 @@ class LieAlgebraBasis:
         basis: read-only (dim, size, size) stack of the basis matrices,
             orthonormal for <X,Y> = tr(X^T Y).
         structure_constants: c[i,j,k] with [b_i, b_j] = sum_k c[i,j,k] b_k.
-        killing_factor: f = sum c^2 / dim, the mean of -B[i,i] =
-            sum_kl c[i,k,l]^2 (c is totally antisymmetric).  B is -f times
-            the identity, B(x, y) = -f tr(x^T y), on a simple algebra and
-            on a sum of copies of one: on every algebra built here.
     """
 
     family: str
@@ -81,7 +77,6 @@ class LieAlgebraBasis:
     algebra_id: str
     basis: np.ndarray
     structure_constants: np.ndarray
-    killing_factor: float
 
     @property
     def dim(self) -> int:
@@ -134,11 +129,9 @@ def _structure_data(mats, algebra_id: str, family: str, n: int,
         res = np.abs(c @ flat - brackets).max()
         if res > 1e-9:
             raise AlgebraMismatch(f"span not closed under bracket ({res:.2e})")
-    # np.sum, not a BLAS dot, so f does not depend on the thread count
     return LieAlgebraBasis(family=family, n=n, algebra_id=algebra_id,
                            basis=stacked, structure_constants=_frozen(
-                               c.reshape(d, d, d)),
-                           killing_factor=float(np.sum(c * c)) / d)
+                               c.reshape(d, d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +276,12 @@ def subalgebra(alg: LieAlgebraBasis, span_coords: np.ndarray, tag: str) -> LieAl
 
 
 # ---------------------------------------------------------------------------
-# bracket, Killing, ad
+# bracket and ad
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] of two matrices, or of broadcasting (..., n, n) stacks."""
     return x @ y - y @ x
-
-
-def killing(alg: LieAlgebraBasis, x: np.ndarray, y: np.ndarray) -> float:
-    """B(x, y) = tr(ad_x ad_y) = -f tr(x^T y), f the Killing factor."""
-    return -alg.killing_factor * float(np.sum(x * y))
 
 
 def sample_blocks(count: int, entries: int) -> list:

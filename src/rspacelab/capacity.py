@@ -1,10 +1,10 @@
 """Systoles and symplectic capacities of unit disc and sphere bundles.
 
-Two metric scales coexist deliberately.  The calibrated scale -B/c_orbit
-makes the generator sphere have area 4 pi and drives the symplectic side;
-the flat scale -B/c_model reproduces each row's textbook metric (unit
-sphere, principal angles, bi-invariant Frobenius) and drives the reported
-systoles.
+Two metric scales coexist deliberately.  The trace form tr(x^T y), the
+orbit metric, makes the generator sphere have area 4 pi and drives the
+symplectic side; the flat scale tr(x^T y)/c_model reproduces each row's
+textbook metric (unit sphere, principal angles, bi-invariant Frobenius)
+and drives the reported systoles.
 
 The capacity table that `report` prints is built here, and its formats
 are laid out for `cli.render`.  Nothing here loads the oracles in `orbit`
@@ -34,19 +34,18 @@ class LatticeError(RuntimeError):
 
 
 def c_model(s: SpaceInstance) -> float:
-    """Scale of the textbook metric -B/c_model on N.
+    """Scale of the textbook metric tr(x^T y)/c_model on N.
 
-    Unit-radius quadrics keep the Killing length of xi; real and
+    Unit-radius quadrics keep the trace length of xi; real and
     quaternionic Grassmannians use the principal-angle normalization, and
     U(n) the bi-invariant Frobenius metric.
     """
     d = s.descriptor
-    g = s.g_vee
     if d.id == "grassmann_real":
-        return 4.0 * sum(d.params)
+        return 4.0
     if d.id == "unitary_group":
-        return 2.0 * d.params[0]
-    return -al.killing(g, s.xi, s.xi)
+        return 1.0
+    return float(np.sum(s.xi * s.xi))
 
 
 def _active_weights(s: SpaceInstance) -> np.ndarray:
@@ -68,9 +67,8 @@ def _unit_lattice(s: SpaceInstance) -> dict:
     active weight w.  In coordinates z, where basis weight j takes the value
     2 pi z_j, every active weight is a rational combination num/den of the
     basis, so the closing vectors are the z in Z^k with num z = 0 mod den.
-    gram is the speed form -B([X, xi], [X, xi])/c_model, which is
-    f |[X, xi]|^2 / c_model, in these coordinates and lift maps z to flat
-    coordinates.
+    gram is the speed form |[X, xi]|^2 / c_model in these coordinates and
+    lift maps z to flat coordinates.
     """
     g = s.g_vee
     ws = _active_weights(s)
@@ -89,7 +87,7 @@ def _unit_lattice(s: SpaceInstance) -> dict:
     lift = 2.0 * np.pi * np.linalg.pinv(basis).T
     adxi = al.ad_operator(g, s.xi)
     vel = (adxi @ (lift @ s.a_flat).T).T
-    gram = g.killing_factor * (vel @ vel.T) / c_model(s)
+    gram = (vel @ vel.T) / c_model(s)
     return {"weights": basis, "num": num, "den": den, "gram": gram,
             "lift": lift}
 
@@ -167,7 +165,7 @@ def systole_scan_oracle(s: SpaceInstance, direction: np.ndarray,
                               axis=(-2, -1))
 
     v = al.bracket(x, s.xi)
-    speed = np.sqrt(-al.killing(s.g_vee, v, v) / c_model(s))
+    speed = np.sqrt(np.sum(v * v) / c_model(s))
 
     base = np.eye(len(xi_m))  # B = P^start, orthogonal
     left = False  # the curve has left the departure basin around t = 0

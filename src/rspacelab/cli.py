@@ -40,7 +40,7 @@ DEFAULT_TOL = {
     "cap_rel": 1e-6,    # capacity formulas, relative
     "sys_abs": 1e-6,    # pinned systoles, absolute
     "band": 1e-6,       # shell thickness for the cut predicate
-    "spread": 1e-8,     # Schatten-2 vs metric, relative spread
+    "spread": 1e-8,     # Schatten-2 vs root sum and metric, relative
     "mono": 1e-10,      # Schatten exponent monotonicity
 }
 

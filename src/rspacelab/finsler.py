@@ -4,12 +4,12 @@ For a flat direction a the operator ad_a preserves the isotropy-side
 algebra k, and its singular values there are the restricted root values
 |alpha(a)| with multiplicity.  The Schatten family F_p interpolates
 between the spectral radius (p = inf), whose open unit ball is exactly
-the root box, and the trace norm (p = 1).  F_2 restricted to the
-complement of the common root kernel is a multiple of the calibrated
-Riemannian norm sqrt(f/c_orbit) |a|, f the Killing factor of the ambient
-algebra (its Killing form is -f times the trace form); the multiple
-squared, divided by c_orbit, is the trace form index of k inside the
-ambient algebra and is reported, not assumed.
+the root box, and the trace norm (p = 1).  F_2 is a quadratic norm:
+F_2(a)^2 = sum over the roots of m_alpha alpha(a)^2.  Off the common root
+kernel it is a constant multiple of the Riemannian norm |a| of the trace
+form exactly when the weighted root sum sum m_alpha alpha alpha^T is a
+multiple of the identity on the span of the roots, which is reported,
+not assumed.
 """
 
 from __future__ import annotations
@@ -101,12 +101,17 @@ def unit_ball_vs_box(s: SpaceInstance, samples: int = 400,
 
 def f2_vs_riemannian(s: SpaceInstance, samples: int = 200,
                      seed: int = 0) -> dict:
-    """Ratio of F_2 to the calibrated Riemannian norm off the root kernel.
+    """F_2 against the Riemannian norm |a| off the root kernel.
 
-    The ratio squared equals c_orbit times the trace form index kappa of
-    the isotropy algebra in the ambient one, so it is constant per row.
+    ad_a is skew, so F_2(a)^2 = |ad_a|_F^2 = -tr(ad_a^2) on k, which is
+    a^T Q a with Q = sum m_alpha alpha alpha^T over the restricted roots;
+    `identity` is the largest residual of F_2^2 against the root sum,
+    relative to F_2^2.  The ratio F_2/|a| is then constant off the kernel
+    iff the nonzero eigenvalues of Q are equal to 1e-8 relative, which
+    `isotropic` records; `constant` is the median ratio and `spread` the
+    relative spread of the ratios.
     """
-    st = ob.structure(s)
+    roots = ob.structure(s).sigma_roots
     ker = norm_kernel(s)
     if ker.shape[0] == len(s.a_flat):
         raise DegenerateNorm(f"{s.descriptor.label}: all roots vanish")
@@ -114,16 +119,21 @@ def f2_vs_riemannian(s: SpaceInstance, samples: int = 200,
     us = np.random.default_rng(seed).normal(size=(samples, len(s.a_flat)))
     us = us - (us @ ker.T) @ ker
     us = us[np.linalg.norm(us, axis=1) >= 1e-6]
-    xc = us @ s.a_flat  # g coordinates of the lifts
-    riem = np.sqrt(s.g_vee.killing_factor / st.c_orbit
-                   * np.einsum("ij,ij->i", xc, xc))
-    ratios = _schatten(singular_values(s, us), 2.0) / riem
+    f2 = _schatten(singular_values(s, us), 2.0)
+    covs, mults = roots.covectors, roots.multiplicities
+    identity = np.abs(f2 ** 2 - (us @ covs.T) ** 2 @ mults) / f2 ** 2
+    w = np.linalg.eigvalsh((covs.T * mults) @ covs)
+    w = w[w > 1e-9 * w[-1]]
+    # the rows of a_flat are trace-orthonormal, so |a| = |u|
+    ratios = f2 / np.linalg.norm(us, axis=1)
     # the median, from one sort: np.median loads numpy.ma on first use
     n = len(ratios)
     const = float(np.sort(ratios)[(n - 1) // 2:n // 2 + 1].mean())
     spread = float(ratios.max() - ratios.min()) / const
     return {"constant": const, "spread": spread,
-            "kappa": const ** 2 / st.c_orbit, "samples": len(ratios)}
+            "identity": float(identity.max()),
+            "isotropic": bool(w[-1] - w[0] <= 1e-8 * w[-1]),
+            "samples": len(ratios)}
 
 
 def norm_monotonicity(s: SpaceInstance, samples: int = 100,

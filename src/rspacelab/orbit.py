@@ -2,12 +2,11 @@
 
 The complexified space N_C is the full adjoint orbit of the grading
 element xi; the compact real form N sits inside as the orbit of the
-sigma-fixed group.  All inner products on the orbit side use the
-calibrated pairing -B/c, where the scale c is the squared Killing length
-of the projection of xi onto one cascade su(2); this makes the generator
-of the orbit circle action a period-one Hamiltonian with area 4 pi on the
-corresponding sphere.  The Killing form is B = -f tr(x^T y), f the
-algebra's Killing factor, so the pairing is f/c times the trace form.
+sigma-fixed group.  All inner products on the orbit side are the trace
+form tr(x^T y) of the matrices.  Every cascade root has unit length in it
+(structure asserts so), so xi projects onto each cascade su(2) with unit
+squared length, and the generator of the orbit circle action is a
+period-one Hamiltonian with area 4 pi on the corresponding sphere.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ class CriticalCluster:
 
 @dataclass(frozen=True, eq=False)
 class InstanceStructure:
-    """Cascade, calibration and root data shared by the orbit and Finsler
-    layers and by verify; the flat pair itself lives on the instance."""
+    """Cascade and root data shared by the orbit and Finsler layers and by
+    verify; the flat pair itself lives on the instance."""
 
     gammas: list                     # the cascade roots, highest first
     triples: list                    # their sl2 triples (H, X, Y)
     torus_roots: np.ndarray          # covector rows of every torus root
     xi_t: np.ndarray                 # xi in the orthonormal torus coords
-    c_orbit: float
     flat_ad_k: np.ndarray            # ad of s.a_flat's basis on sigma's k
     sigma_roots: rt.RestrictedRootSystem   # roots of (k, a_flat)
     sigma_bar_roots: rt.RestrictedRootSystem  # roots of (g, abar)
@@ -67,14 +65,13 @@ def structure(s: SpaceInstance) -> InstanceStructure:
         g, *s.theta_decomp, s.xi)
     xi_t = rt.coords_in(torus, g.coords(s.xi))
 
-    # squared Killing length of the xi component in one cascade su(2): the
-    # torus rows are orthonormal, so -B is f times the identity there, and
-    # xi projects onto the coroot gamma / f, with length gamma(xi)^2 f /
-    # |gamma|^2, and gamma(xi) = 1 for a noncompact positive root; every
-    # cascade root must give the same number
-    cs = [g.killing_factor / float(gamma @ gamma) for gamma in gammas]
-    c_orbit = cs[0]
-    assert max(cs) - min(cs) < 1e-8 * max(1.0, c_orbit)
+    # xi projects onto the coroot gamma / |gamma|^2 of each cascade root,
+    # with squared length gamma(xi)^2 / |gamma|^2 = 1 / |gamma|^2 in the
+    # orthonormal torus coordinates; the cascade roots are long roots,
+    # which the trace form of the real embedding makes unit vectors, so
+    # the trace form is the calibrated metric
+    assert all(abs(gamma @ gamma - 1.0) < 1e-8 for gamma in gammas), \
+        "a cascade root is not a unit vector of the trace form"
 
     # k is ad-invariant under the flat, so ad on k is the ambient ad
     # compressed to the orthonormal rows of k
@@ -84,16 +81,15 @@ def structure(s: SpaceInstance) -> InstanceStructure:
     sigma_bar_roots = rt.compute_restricted_roots(al.ad_from_coords(g, s.abar))
     return InstanceStructure(gammas=gammas, triples=triples,
                              torus_roots=roots, xi_t=xi_t,
-                             c_orbit=c_orbit, flat_ad_k=flat_ad_k,
+                             flat_ad_k=flat_ad_k,
                              sigma_roots=sigma_roots,
                              sigma_bar_roots=sigma_bar_roots)
 
 
-def inner(s: SpaceInstance, x: np.ndarray, y: np.ndarray):
-    """Calibrated pairing -B(x, y)/c = (f/c) tr(x^T y) of two matrices, or
-    along broadcasting (..., n, n) stacks of them."""
-    scale = s.g_vee.killing_factor / structure(s).c_orbit
-    return scale * np.sum(x * y, axis=(-2, -1))
+def inner(x: np.ndarray, y: np.ndarray):
+    """The orbit metric tr(x^T y) of two matrices, or along broadcasting
+    (..., n, n) stacks of them."""
+    return np.sum(x * y, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +128,7 @@ def certificate_residual(s: SpaceInstance, x: np.ndarray) -> float:
 
 def _tangent_frames(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
     """Trace-orthonormal rows spanning the tangent space [x, g] at the
-    orbit point x with coordinates a, as a (rank, dim) array; scaled by
-    sqrt(c/f) they are orthonormal in the calibrated metric.
+    orbit point x with coordinates a, as a (rank, dim) array.
 
     ad_x is antisymmetric in the trace-orthonormal basis, so the tangent
     space, its range, is spanned by the eigenvectors of the symmetric
@@ -154,13 +149,13 @@ def _tangent_frames(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
 def kks(s: SpaceInstance, x: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Orbit two-form omega_x(v, w) = <x, [a, b]> for v = [x, a] and
     w = [x, b]; a and b may be broadcasting (..., n, n) stacks."""
-    return inner(s, x, al.bracket(a, b))
+    return inner(x, al.bracket(a, b))
 
 
 def hamiltonian(s: SpaceInstance, xs: np.ndarray):
-    """Pairing 2 pi B(xi, x)/c at a point x, or at every point of a
+    """Pairing -2 pi tr(xi^T x) at a point x, or at every point of a
     (..., n, n) stack; minimal exactly at xi, steps of 4 pi."""
-    return -2.0 * np.pi * inner(s, s.xi, xs)
+    return -2.0 * np.pi * inner(s.xi, xs)
 
 
 def complex_structure_check(s: SpaceInstance, x: np.ndarray) -> float:
@@ -377,9 +372,10 @@ def _descend(s: SpaceInstance, pts: np.ndarray) -> np.ndarray:
     max(|G|, 0.5) caps the step at norm 0.5, so a start far from the critical
     set moves along K in bounded steps; near the critical set, which is
     Morse-Bott, the steps converge quadratically.  With scale = max(1,
-    -B(xi, xi)), a restart stops once |[xi, x]| is below 1e-13 sqrt(scale),
-    above the round-off floor where a converged restart stalls, or after
-    60 steps; the certificate in find_critical_points judges the end.
+    -B(xi, xi)), -B(xi, xi) = |ad_xi|_F^2, a restart stops once |[xi, x]|
+    is below 1e-13 sqrt(scale), above the round-off floor where a
+    converged restart stalls, or after 60 steps; the certificate in
+    find_critical_points judges the end.
 
     The restarts move in lockstep on the stack, each with its own stopping
     rule.  A stacked n x n matmul or eigh runs slice by slice, and the end
@@ -388,7 +384,7 @@ def _descend(s: SpaceInstance, pts: np.ndarray) -> np.ndarray:
     """
     g = s.g_vee
     xi = s.xi
-    tol = 1e-13 * np.sqrt(max(1.0, -al.killing(g, xi, xi)))
+    tol = 1e-13 * np.sqrt(max(1.0, np.sum(al.ad_operator(g, xi) ** 2)))
     x = np.array(pts, float)
     live = np.arange(len(x))
     for _ in range(60):
@@ -412,20 +408,19 @@ def _gradient_norms(s: SpaceInstance, a: np.ndarray) -> np.ndarray:
     the tangent space [x, g] at x.  ad_x is skew, so that space is
     orthogonal to the kernel of ad_x, and on the orbit ad_x^2 = -1 on it:
     the projection is -[x, [x, xi]], an n x n bracket, and |grad H| =
-    2 pi |[x, [x, xi]]| in the calibrated metric.
+    2 pi |[x, [x, xi]]|.
     """
     x = s.g_vee.from_coords(a)
     y = al.bracket(x, al.bracket(x, s.xi))
-    return 2.0 * np.pi * np.sqrt(inner(s, y, y))
+    return 2.0 * np.pi * np.sqrt(inner(y, y))
 
 
 def morse_index(s: SpaceInstance, x: np.ndarray) -> int:
     """Morse index of H at a critical point x, from its exact Hessian.
 
-    H(Ad(e^U) x) = H(x) + Q(U) + O(U^3) with Q(U) = -(pi/c) B([xi, U], [x, U])
-    = (pi f/c) <ad_xi U, ad_x U> (the first order term vanishes with
-    [xi, x]), a positive multiple of U^T (ad_xi^T ad_x + ad_x^T ad_xi) U.
-    Q is taken on all of g: at a critical point ad_xi and ad_x commute, so
+    H(Ad(e^U) x) = H(x) + Q(U) + O(U^3) with Q(U) = pi <ad_xi U, ad_x U>
+    (the first order term vanishes with [xi, x]), a positive multiple of
+    U^T (ad_xi^T ad_x + ad_x^T ad_xi) U.  Q is taken on all of g: at a critical point ad_xi and ad_x commute, so
     Q vanishes on the kernel of ad_x and does not couple it to the tangent
     space, the range of the skew ad_x.  The eigenvalues below -1e-8 of the
     largest |eigenvalue| are counted.
@@ -511,7 +506,7 @@ def critical_ladder(s: SpaceInstance) -> list:
 
     On the cascade torus, level j sits at x_j, the reflection of xi in the
     first j cascade roots (strongly orthogonal, so the reflections
-    commute), j = 0..rank_nc, with value 2 pi B(xi, x_j)/c.  The Hessian
+    commute), j = 0..rank_nc, with value -2 pi tr(xi^T x_j).  The Hessian
     there is diagonal on the root spaces, with sign beta(xi) beta(x_j) on
     the real 2-plane of +-beta, so the index counts the torus roots beta
     with beta(xi) beta(x_j) < 0 (Bott, Bull. SMF 84 (1956); Atiyah, Bull.
@@ -520,13 +515,12 @@ def critical_ladder(s: SpaceInstance) -> list:
     st = structure(s)
     xi_t = st.xi_t
     # the torus coordinates are orthonormal, so the reflections are
-    # Euclidean, and H = 2 pi B(xi, x)/c is h xi_t . x
-    h = -2.0 * np.pi * s.g_vee.killing_factor / st.c_orbit
+    # Euclidean, and H is -2 pi xi_t . x
     xs = [xi_t]
     for gamma in st.gammas:
         xs.append(xs[-1] - 2.0 * (gamma @ xs[-1]) / (gamma @ gamma) * gamma)
     b_xi = st.torus_roots @ xi_t
-    return sorted((h * float(xi_t @ x),
+    return sorted((-2.0 * np.pi * float(xi_t @ x),
                    int(np.sum(b_xi * (st.torus_roots @ x) < -1e-8)))
                   for x in xs)
 
@@ -566,9 +560,8 @@ def weyl_critical_values(s: SpaceInstance) -> list:
     optimization; the oracle of critical_ladder, of the ambient
     capacities (capacity_hermitian_ambient) and of the descent.
     """
-    st = structure(s)
-    h = -2.0 * np.pi * s.g_vee.killing_factor / st.c_orbit
-    vals = sorted(h * float(st.xi_t @ w) for w in _weyl_orbit(s))
+    xi_t = structure(s).xi_t
+    vals = sorted(-2.0 * np.pi * float(xi_t @ w) for w in _weyl_orbit(s))
     out = [vals[0]]
     for v in vals[1:]:
         if v - out[-1] > 1e-6:

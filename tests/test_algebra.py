@@ -1,4 +1,5 @@
-"""Structure constants, Killing data and embeddings of the base families."""
+"""Structure constants, the Killing form and embeddings of the base
+families."""
 
 import tracemalloc
 
@@ -10,11 +11,6 @@ from hypothesis import strategies as st
 from rspacelab import algebra as al
 from rspacelab import atlas
 from rspacelab import reporting as rp
-
-
-def pairing(g, x, y):
-    """The positive-definite form <x,y> = -B(x,y)."""
-    return -al.killing(g, x, y)
 
 
 DIMS = {("so", 4): 6, ("so", 5): 10, ("su", 2): 3, ("su", 3): 8,
@@ -45,11 +41,9 @@ def _dense_killing(g):
 
 
 def _pin_killing(g, factor):
-    """The dense Killing matrix is -f times the identity, f the algebra's
-    Killing factor, and f is the family multiple."""
-    f = g.killing_factor
-    assert abs(f - factor) <= 1e-12 * factor
-    assert np.abs(_dense_killing(g) + f * np.eye(g.dim)).max() <= 1e-12 * f
+    """The dense Killing matrix is -factor times the identity."""
+    assert np.abs(_dense_killing(g) + factor * np.eye(g.dim)).max() \
+        <= 1e-12 * factor
 
 
 # the catalogue's default rows, and su(12) as unitary_group(6)
@@ -74,8 +68,8 @@ def test_basis_is_trace_orthonormal():
         for j, y in enumerate(g.basis):
             frob = float(np.sum(x * y))
             assert abs(frob - (i == j)) < 1e-12
-            # the positive pairing is the Killing factor on the diagonal
-            assert abs(pairing(g, x, y) - 3.0 * (i == j)) < 1e-9
+    # the positive pairing -B is the Killing factor on the diagonal
+    assert np.abs(_dense_killing(g) + 3.0 * np.eye(g.dim)).max() < 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,18 +91,6 @@ def test_bracket_identities(seed):
            + al.bracket(y, al.bracket(z, x))
            + al.bracket(z, al.bracket(x, y)))
     assert np.abs(jac).max() < 1e-8
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_killing_is_symmetric_and_invariant(seed):
-    g = al.build_algebra("su", 3)
-    rng = np.random.default_rng(seed)
-    x, y, z = (g.from_coords(rng.normal(size=g.dim)) for _ in range(3))
-    assert abs(al.killing(g, x, y) - al.killing(g, y, x)) < 1e-9
-    inv = al.killing(g, al.bracket(x, y), z) \
-        + al.killing(g, y, al.bracket(x, z))
-    assert abs(inv) < 1e-7
 
 
 def test_ad_operator_matches_bracket():
@@ -488,8 +470,7 @@ def _pin_jacobi(g):
                tuple(zeros[len(zeros) // 2])):
         bent = c.copy()
         bent[at] += 0.01
-        h = al.LieAlgebraBasis(g.family, g.n, g.algebra_id, g.basis, bent,
-                               g.killing_factor)
+        h = al.LieAlgebraBasis(g.family, g.n, g.algebra_id, g.basis, bent)
         assert abs(al.jacobi_residual(h) - _dense_jacobi(bent)) <= 1e-14
         assert al.jacobi_residual(h) >= 1e-3
 

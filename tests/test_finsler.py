@@ -9,6 +9,9 @@ from rspacelab import algebra as al
 from rspacelab import atlas
 from rspacelab import finsler as fin
 from rspacelab import orbit as ob
+from rspacelab import reporting as rp
+from rspacelab import roots as rt
+from rspacelab.cli import DEFAULT_TOL
 from rspacelab.reporting import _STRUCTURAL_SPACES
 
 
@@ -36,19 +39,47 @@ def test_spectral_ball_is_the_root_box(rid, params):
     assert r["fraction"] == 1.0
 
 
-@pytest.mark.parametrize("rid,params,kappa", [
-    ("sphere", (2,), 0.5),
-    ("sphere", (3,), 2.0 / 3.0),
-    ("quadric_real", (1, 2), 1.0 / 3.0),
-    ("grassmann_real", (1, 2), 1.0 / 6.0),
-    ("unitary_group", (2,), 0.5),
-    ("grassmann_quaternionic", (1, 1), 0.75),
+@pytest.mark.parametrize("rid,params,ratio2", [
+    ("sphere", (2,), 1.0),
+    ("sphere", (3,), 2.0),
+    ("quadric_real", (1, 2), 1.0),
+    ("grassmann_real", (1, 2), 0.5),
+    ("unitary_group", (2,), 2.0),
+    ("grassmann_quaternionic", (1, 1), 3.0),
 ])
-def test_quadratic_norm_is_a_metric_multiple(rid, params, kappa):
+def test_quadratic_norm_is_a_metric_multiple(rid, params, ratio2):
     r = fin.f2_vs_riemannian(atlas.instance(rid, *params), samples=150, seed=0)
+    assert r["identity"] <= 1e-8 and r["isotropic"] is True
     assert r["spread"] <= 1e-8
-    # the squared constant over the orbit scale is the trace form index
-    assert abs(r["kappa"] - kappa) < 1e-9
+    # F_2^2 / |a|^2 in the trace form
+    assert abs(r["constant"] ** 2 - ratio2) < 1e-9
+
+
+@pytest.mark.parametrize("rid,params", [("quadric_real", (2, 3)),
+                                        ("quadric_real", (2, 4))])
+def test_quadratic_check_holds_where_the_roots_weigh_unequally(
+        rid, params, monkeypatch):
+    # the two orthogonal roots carry multiplicities q - 1 and p - 1, so
+    # F_2 is no constant multiple of |a|; it is the weighted root sum, and
+    # the check passes, until one multiplicity is off by one
+    s = atlas.instance(rid, *params)
+    r = fin.f2_vs_riemannian(s, samples=120, seed=0)
+    assert r["isotropic"] is False and r["spread"] > 0.1
+    quadratic = [c for c in rp.suite_finsler([(rid, params)], 79, DEFAULT_TOL)
+                 if c["id"].startswith("finsler.quadratic")]
+    assert [c["status"] for c in quadratic] == ["pass"]
+    st_ = ob.structure(s)
+    roots = st_.sigma_roots
+    mults = roots.multiplicities.copy()
+    mults[0] += 1
+    mutated = ob.InstanceStructure(**{**vars(st_), "sigma_roots":
+                                      rt.RestrictedRootSystem(
+                                          roots.covectors, mults,
+                                          roots.zero_multiplicity)})
+    monkeypatch.setattr(ob, "structure", lambda x: mutated)
+    quadratic = [c for c in rp.suite_finsler([(rid, params)], 79, DEFAULT_TOL)
+                 if c["id"].startswith("finsler.quadratic")]
+    assert [c["status"] for c in quadratic] == ["fail"]
 
 
 @pytest.mark.parametrize("rid,params", ROWS)
@@ -194,16 +225,22 @@ def test_block_oracles_match_the_sample_loops(rid, params, monkeypatch):
     # f2_vs_riemannian
     ker = fin.norm_kernel(s)
     rng = np.random.default_rng(4)
-    ratios = []
+    ratios, identity = [], 0.0
     for _ in range(90):
         u = rng.normal(size=len(s.a_flat))
         u = u - ker.T @ (ker @ u)
         if np.linalg.norm(u) < 1e-6:
             continue
         x = s.g_vee.from_coords(u @ s.a_flat)
-        ratios.append(_loop_norm(s, 2.0, u) / np.sqrt(ob.inner(s, x, x)))
+        f2 = _loop_norm(s, 2.0, u)
+        ratios.append(f2 / np.sqrt(np.sum(x * x)))
+        weighted = evaluate(st_.sigma_roots, u) ** 2 \
+            @ st_.sigma_roots.multiplicities
+        identity = max(identity, abs(f2 ** 2 - weighted) / f2 ** 2)
     r = fin.f2_vs_riemannian(s, samples=90, seed=4)
     assert r["samples"] == len(ratios)
+    # both residuals are round-off
+    assert max(r["identity"], identity) <= 1e-12
     assert _close(r["constant"], float(np.median(ratios)))
     assert abs(r["spread"] - (max(ratios) - min(ratios)) / r["constant"]) \
         <= 1e-12

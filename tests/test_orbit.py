@@ -1,5 +1,6 @@
 """Orbit geometry: points, the two-form, momentum, cut shells, descent."""
 
+import functools
 import json
 from math import comb
 from pathlib import Path
@@ -45,14 +46,41 @@ def moment_nc(s, x):
     return s.g_vee.from_coords(0.5 * (xc + s.sigma @ xc))
 
 
+def killing_matrix(g):
+    """The dense Killing matrix B[i,j] = tr(ad_i ad_j) = sum_kl c[i,k,l]
+    c[j,l,k] of g, from its structure constants."""
+    c = np.asarray(g.structure_constants)
+    d = g.dim
+    return c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T
+
+
+@functools.cache  # keyed on instance identity
+def calibrated_metric(s):
+    """The calibrated metric -B/c as a matrix on the coordinates of g.
+
+    c is the squared -B length of the projection of xi onto the first
+    cascade root's su(2): with M = -B on the torus, gamma is dual to
+    v = M^-1 gamma, and xi projects onto v with squared length
+    gamma(xi)^2 / gamma^T M^-1 gamma.
+    """
+    g = s.g_vee
+    bmat = killing_matrix(g)
+    gammas, _, torus, _ = rt.cascade_strongly_orthogonal(
+        g, *s.theta_decomp, s.xi)
+    gamma = gammas[0]
+    m = -torus @ bmat @ torus.T
+    c = (gamma @ torus @ g.coords(s.xi)) ** 2 / (gamma @ np.linalg.solve(
+        m, gamma))
+    return -bmat / c
+
+
 def canonical_one_form(s, v, w):
     """Tautological pairing <v, hor(w)> of the fiber velocity v with the
-    horizontal (sigma-odd) part of the test tangent w."""
+    horizontal (sigma-odd) part of the test tangent w, in -B/c."""
     g = s.g_vee
     wc = g.coords(w)
     hor = 0.5 * (wc - s.sigma @ wc)
-    return g.killing_factor / ob.structure(s).c_orbit \
-        * float(g.coords(v) @ hor)
+    return float(g.coords(v) @ calibrated_metric(s) @ hor)
 
 
 def flow_closure_residual(s, x):
@@ -62,11 +90,11 @@ def flow_closure_residual(s, x):
 
 
 def tangent_frame(s, x):
-    """Metric-orthonormal rows spanning the tangent space at the point x:
-    the trace-orthonormal frame times sqrt(c/f)."""
-    g = s.g_vee
-    return ob._tangent_frames(s, g.coords(x)) \
-        * np.sqrt(ob.structure(s).c_orbit / g.killing_factor)
+    """Rows spanning the tangent space at the point x, orthonormal in -B/c:
+    the trace-orthonormal frame turned by an eigh of its Gram matrix."""
+    rows = ob._tangent_frames(s, s.g_vee.coords(x))
+    w, vecs = np.linalg.eigh(rows @ calibrated_metric(s) @ rows.T)
+    return (vecs / np.sqrt(w)).T @ rows
 
 
 def flat_model(s, v):
@@ -122,15 +150,52 @@ def test_structure_suites_pass_on_every_catalogue_row():
     assert len(counted) == len(rows) == 23
 
 
-def test_calibration_hand_values():
-    # scale c with metric -B/c, set by the cascade sl2 of the ambient orbit
-    for rid, params, c in [("grassmann_real", (1, 1), 2.0),
-                           ("grassmann_complex_hermitian", (1, 1), 2.0),
-                           ("sphere", (2,), 2.0),
-                           ("sphere", (3,), 3.0),
-                           ("grassmann_real", (1, 2), 3.0)]:
-        assert abs(ob.structure(atlas.instance(rid, *params)).c_orbit
-                   - c) < 1e-9
+# every catalogue row at its lowest parameters, and at its smallest point
+# whose ambient algebra has dimension 60 to 160
+_LOWEST = [("grassmann_real", (1, 1)), ("grassmann_quaternionic", (1, 1)),
+           ("unitary_group", (2,)), ("orthogonal_group", (3,)),
+           ("unitary_mod_symplectic", (2,)), ("symplectic_group", (1,)),
+           ("unitary_mod_orthogonal", (2,)), ("sphere", (2,)),
+           ("quadric_real", (1, 1)), ("grassmann_complex_hermitian", (1, 1)),
+           ("orthogonal_mod_unitary_hermitian", (2,)),
+           ("symplectic_mod_unitary_hermitian", (1,)),
+           ("quadric_complex_hermitian", (2,))]
+_DIM_60_TO_160 = [
+    ("grassmann_real", (1, 7)), ("grassmann_quaternionic", (1, 3)),
+    ("unitary_group", (4,)), ("orthogonal_group", (6,)),
+    ("unitary_mod_symplectic", (3,)), ("symplectic_group", (3,)),
+    ("unitary_mod_orthogonal", (6,)), ("sphere", (10,)),
+    ("quadric_real", (1, 9)), ("grassmann_complex_hermitian", (1, 5)),
+    ("orthogonal_mod_unitary_hermitian", (5,)),
+    ("symplectic_mod_unitary_hermitian", (4,)),
+    ("quadric_complex_hermitian", (7,))]
+
+
+@pytest.mark.parametrize("rid,params", _LOWEST + _DIM_60_TO_160)
+def test_cascade_roots_are_unit_vectors_of_the_trace_form(rid, params):
+    # the cascade roots are long roots, and the trace form of the real
+    # embedding gives long roots unit length: this is what makes the trace
+    # form the calibrated orbit metric, and what structure asserts
+    s = atlas.instantiate(atlas.descriptor(rid, *params))
+    if (rid, params) in _DIM_60_TO_160:
+        assert 60 <= s.g_vee.dim <= 160
+    gammas = rt.cascade_strongly_orthogonal(s.g_vee, *s.theta_decomp,
+                                            s.xi)[0]
+    assert len(gammas) == len(s.abar)
+    assert all(abs(gamma @ gamma - 1.0) <= 1e-12 for gamma in gammas)
+
+
+def test_structure_refuses_cascade_roots_off_unit_length(monkeypatch):
+    s = atlas.instantiate(atlas.descriptor("sphere", 3))
+    cascade = rt.cascade_strongly_orthogonal
+
+    def doubled(*args):
+        gammas, triples, torus, roots = cascade(*args)
+        return [2.0 * gamma for gamma in gammas], triples, torus, roots
+
+    monkeypatch.setattr(rt, "cascade_strongly_orthogonal", doubled)
+    with pytest.raises(AssertionError, match="not a unit vector"):
+        ob.structure(s)
 
 
 def test_transport_stays_on_the_orbit():
@@ -147,7 +212,7 @@ def test_tangent_frame_is_metric_orthonormal():
     x = random_orbit_point(s, 8)
     gens = s.g_vee.from_coords(tangent_frame(s, x))
     assert len(gens) == 4
-    gram = ob.inner(s, gens[:, None], gens[None])
+    gram = ob.inner(gens[:, None], gens[None])
     assert np.abs(gram - np.eye(len(gens))).max() < 1e-8
 
 
@@ -250,7 +315,7 @@ def test_one_form_pairs_with_horizontal_parts():
     k_gen = g.from_coords(s.sigma_decomp[0][0])
     v = al.bracket(x, k_gen)   # sigma-odd (horizontal) at the base
     lam = canonical_one_form(s, v, v)
-    want = ob.inner(s, v, v)
+    want = ob.inner(v, v)
     assert abs(lam - want) < 1e-9
     # sigma-even test directions pair to zero
     _, p_vee = s.theta_decomp
@@ -539,21 +604,12 @@ def test_descent_indices_match_the_closed_form(rid, params, fd):
 def _frame_morse_index(s, x):
     """Morse index of H at a critical point x from the Hessian
     -(pi/c) B([xi, U], [x, U]), with B the dense Killing matrix, restricted
-    to the generators U of a tangent frame made orthonormal in -B/c by an
-    eigh of its Gram matrix."""
+    to the generators U of tangent_frame."""
     g = s.g_vee
-    c = ob.structure(s).c_orbit
-    cs = np.asarray(g.structure_constants)
-    d = g.dim
-    bmat = cs.reshape(d, d * d) @ cs.swapaxes(1, 2).reshape(d, d * d).T
-    xc = g.coords(x)
-    adxi, adx = al.ad_operator(g, s.xi), al.ad_from_coords(g, xc)
-    q = adxi.T @ bmat @ adx
-    q = -0.5 * np.pi / c * (q + q.T)
-    rows = ob._tangent_frames(s, xc)
-    w, vecs = np.linalg.eigh(rows @ (-bmat / c) @ rows.T)
-    frame = (vecs / np.sqrt(w)).T @ rows
-    w = np.linalg.eigvalsh(frame @ q @ frame.T)
+    adxi, adx = al.ad_operator(g, s.xi), al.ad_operator(g, x)
+    q = adxi.T @ calibrated_metric(s) @ adx
+    frame = tangent_frame(s, x)
+    w = np.linalg.eigvalsh(0.5 * np.pi * frame @ (q + q.T) @ frame.T)
     return int(np.sum(w < -1e-8 * np.abs(w).max()))
 
 
@@ -1030,12 +1086,12 @@ def test_descent_converges_quadratically_next_to_the_critical_set(
 
 def _frame_gradient_norms(s, a):
     """|grad H| at every orbit point of a (k, dim) coordinate stack, as
-    dH(v) = -2 pi <xi, v> on the rows of a metric-orthonormal tangent
-    frame: no use of ad_x^2 = -1 on the tangent space."""
+    dH(v) = -2 pi <xi, v> in -B/c on the rows of tangent_frame: no use of
+    ad_x^2 = -1 on the tangent space."""
     g = s.g_vee
-    scale = np.sqrt(ob.structure(s).c_orbit / g.killing_factor)
-    return np.array([np.linalg.norm(2.0 * np.pi * ob.inner(
-        s, s.xi, g.from_coords(ob._tangent_frames(s, row) * scale)))
+    dxi = calibrated_metric(s) @ g.coords(s.xi)
+    return np.array([np.linalg.norm(
+        2.0 * np.pi * tangent_frame(s, g.from_coords(row)) @ dxi)
         for row in a])
 
 
@@ -1050,7 +1106,7 @@ def test_gradient_norm_matches_the_tangent_frames(rid, params):
     assert np.all(np.abs(ob._gradient_norms(s, a) - want) <= 1e-12 * want)
     ends = ob._descend(s, np.concatenate(
         [s.xi[None], ob.random_orbit_points(s, range(20, 40))]))
-    scale = 2.0 * np.pi * np.sqrt(ob.inner(s, s.xi, s.xi))
+    scale = 2.0 * np.pi * np.sqrt(ob.inner(s.xi, s.xi))
     assert np.abs(ob._gradient_norms(s, ends)
                   - _frame_gradient_norms(s, ends)).max() <= 1e-12 * scale
 
