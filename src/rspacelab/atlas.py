@@ -381,8 +381,8 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     """Realize a catalogue row, validating the defining structure.
 
     Checks: sigma(xi) = -xi, the spectrum of ad_xi is {0, +-i}, sigma and
-    theta = exp(pi ad_xi) commute, and k splits as h + l; the flat pair is
-    certified maximal by find_maximal_abelian.
+    theta = exp(pi ad_xi) commute and are automorphisms, and k splits as
+    h + l; the flat pair is certified maximal by find_maximal_abelian.
     """
     if not d.instantiable:
         raise UnsupportedRow(f"{d.id} needs an exceptional ambient algebra")
@@ -399,12 +399,13 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     if not ok or np.abs(freqs).max() < 0.5:
         raise UnsupportedRow(f"{d.id}: ad_xi spectrum is not {{0, +-i}}")
 
-    theta = al.make_involution(g, al.expm_skew(np.pi * adxi))
+    theta = al.make_involution(g, al.involution_from_conjugation(
+        g, al.expm_skew(np.pi * xi)))
     if np.abs(theta @ sigma - sigma @ theta).max() >= 1e-9:
         raise UnsupportedRow(f"{d.id}: sigma and theta do not commute")
 
     tdec = al.cartan_decompose(g, theta)
-    sdec = al.cartan_decompose(g, sigma)
+    sdec = al.cartan_decompose(g, al.make_involution(g, sigma))
     k, p_vee = sdec[0], tdec[1]
     l = intersect_rows(k, p_vee)
     h = intersect_rows(k, tdec[0])

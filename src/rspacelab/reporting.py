@@ -125,9 +125,11 @@ def suite_algebra(spaces, seed, tol):
             jac <= tol["alg"], jac, 0.0, tol["alg"]))
 
         # the dense Killing matrix B[i,j] = sum_kl c[i,k,l] c[j,l,k]
-        c, d = g.structure_constants, g.dim
-        ev = np.linalg.eigvalsh(
-            c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T)
+        (i, j, k, v), d = g.structure_constants, g.dim
+        kj = np.argsort(k * d + j, kind="stable")
+        a, b = al._join(j * d + k, (k * d + j)[kj])  # (k, l) = (l', k')
+        bmat = np.bincount(i[a] * d + i[kj[b]], v[a] * v[kj[b]], d * d)
+        ev = np.linalg.eigvalsh(bmat.reshape(d, d))
         if g.family in _KILLING_FACTOR:
             f = float(_KILLING_FACTOR[g.family](g.n))
             res = float(np.abs(ev + f).max())

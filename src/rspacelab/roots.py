@@ -61,7 +61,7 @@ def coords_in(rows: np.ndarray, v) -> np.ndarray:
 
 def _kernel_within(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
     """Rows spanning {v in span(rows) : op v = 0}."""
-    if rows.shape[0] == 0:
+    if rows.shape[0] == 0 or op.shape[0] == 0:
         return rows
     m = op @ rows.T
     _, s, vt = np.linalg.svd(m, full_matrices=True)
@@ -124,18 +124,18 @@ def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
     for m in mc:
         span = _kernel_within(span, ad_from_coords(alg, m))
 
-    certified = False
     for r in range(_ABELIAN_ROUNDS):
         if span.shape[0] <= 1:
-            certified = True
-            break
-        # the candidate span is abelian when [span, span] has no component
-        if bracket_residual(alg, span, span, np.zeros((0, alg.dim))) < 1e-10:
-            certified = True
             break
         x = generic_weights(span.shape[0], r) @ span
-        span = _kernel_within(span, ad_from_coords(alg, x))
-    if not certified:
+        kernel = _kernel_within(span, ad_from_coords(alg, x))
+        # abelian when [span, span] has no component; a span that the kernel
+        # of a generic element of it cuts down is not, so it needs no test
+        if len(kernel) == len(span) and bracket_residual(
+                alg, span, span, np.zeros((0, alg.dim))) < 1e-10:
+            break
+        span = kernel
+    else:
         raise MaximalityNotCertified(
             f"no abelian stabilization within {_ABELIAN_ROUNDS} rounds")
 
@@ -147,8 +147,12 @@ def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
         raise MaximalityNotCertified(
             f"centralizer dim {cent.shape[0]} vs span dim {span.shape[0]}")
 
-    basis = _gram_schmidt(list(mc) + list(span))
-    assert basis.shape[0] == span.shape[0]
+    head = _gram_schmidt(mc) if mc else span[:0]  # then the rest of span
+    basis = np.vstack([head, _kernel_within(span, head)])
+    if (len(basis) != len(span)
+            or np.abs(head - head @ span.T @ span).max(initial=0.0) > 1e-8):
+        raise MaximalityNotCertified(
+            f"{len(basis)} rows with must_contain vs span dim {len(span)}")
     return basis
 
 

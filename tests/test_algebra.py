@@ -32,10 +32,19 @@ def test_killing_is_family_multiple_of_trace_form(family, n, factor):
     _pin_killing(al.build_algebra(family, n), factor)
 
 
+def dense_constants(g):
+    """The (dim, dim, dim) array c of g, with its nonzero list filled in:
+    the form the dense oracles below read."""
+    i, j, k, v = g.structure_constants
+    c = np.zeros((g.dim,) * 3)
+    c[i, j, k] = v
+    return c
+
+
 def _dense_killing(g):
     """B[i,j] = tr(ad_i ad_j) = sum_kl c[i,k,l] c[j,l,k], from the
     structure constants."""
-    c = np.asarray(g.structure_constants)
+    c = dense_constants(g)
     d = g.dim
     return c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T
 
@@ -197,6 +206,43 @@ def test_family_and_size_guards():
         al.build_algebra("u", 3)  # every catalogue row builds so, su or sp
     with pytest.raises(al.SizeOutOfRange):
         al.build_algebra("so", 60)
+
+
+def _list_algebras():
+    """Base families, a direct sum and a subalgebra: every way an algebra
+    gets its list."""
+    g = al.build_algebra("su", 3)
+    k, _ = al.cartan_decompose(g, al.involution_from_conjugation(
+        g, al.embed_complex(np.diag([-1.0, 1.0, 1.0]))))
+    return [al.build_algebra("so", 5), g, al.build_algebra("sp", 2),
+            al.direct_sum(al.build_algebra("su", 2), al.build_algebra("so", 4)),
+            al.subalgebra(g, k, "k")]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_structure_constants_are_the_sorted_nonzero_list(index):
+    g = _list_algebras()[index]
+    i, j, k, v = g.structure_constants
+    assert all(not x.flags.writeable for x in (i, j, k, v))
+    keys = (i * g.dim + j) * g.dim + k
+    assert np.all(np.diff(keys) > 0) and np.all(v != 0)
+    # the Frobenius pairing <[b_i, b_j], b_k> of the matrices themselves
+    b = g.basis
+    brackets = b[:, None] @ b[None, :] - b[None, :] @ b[:, None]
+    dense = np.einsum("ijrs,krs->ijk", brackets, b)
+    assert np.abs(dense_constants(g) - dense).max() <= 1e-15
+    assert np.all(np.abs(dense[dense_constants(g) == 0]) <= 1e-15)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_ad_from_coords_matches_the_dense_product(index):
+    g = _list_algebras()[index]
+    d = g.dim
+    c = dense_constants(g).reshape(d, d * d)
+    xs = np.random.default_rng(index).normal(size=(2, 3, d))
+    for x in (xs[0, 0], xs[1], xs):
+        want = (x @ c).reshape(x.shape[:-1] + (d, d)).swapaxes(-1, -2)
+        assert np.abs(al.ad_from_coords(g, x) - want).max() <= 1e-14
 
 
 def test_subalgebra_rejects_non_closed_span():
@@ -463,14 +509,18 @@ def _pin_jacobi(g):
     """The sparse sum equals the dense loop on g's constants, and on them
     bent at their largest entry and at an exact zero, which a sum over a
     sparsity pattern taken from elsewhere would miss."""
-    c = np.asarray(g.structure_constants)
+    c = dense_constants(g)
     assert abs(al.jacobi_residual(g) - _dense_jacobi(c)) <= 1e-14
     zeros = np.argwhere(c == 0)
     for at in (np.unravel_index(np.abs(c).argmax(), c.shape),
                tuple(zeros[len(zeros) // 2])):
         bent = c.copy()
         bent[at] += 0.01
-        h = al.LieAlgebraBasis(g.family, g.n, g.algebra_id, g.basis, bent)
+        # the bend at an exact zero is a new entry of the list
+        nz = np.nonzero(bent)
+        assert len(nz[0]) == len(g.structure_constants[3]) + (c[at] == 0)
+        h = al.LieAlgebraBasis(g.family, g.n, g.algebra_id, g.basis,
+                               (*nz, bent[nz]))
         assert abs(al.jacobi_residual(h) - _dense_jacobi(bent)) <= 1e-14
         assert al.jacobi_residual(h) >= 1e-3
 
@@ -494,7 +544,7 @@ def test_jacobi_residual_matches_the_dense_loop_on_every_row(rid, params):
 
 
 def _einsum_residual(g, rows_a, rows_b, target):
-    br = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, g.structure_constants,
+    br = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, dense_constants(g),
                    optimize=True)
     proj = np.einsum("abk,tk,tl->abl", br, target, target, optimize=True)
     return float(np.abs(br - proj).max())

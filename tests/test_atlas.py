@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,54 @@ def test_a_sigma_that_misses_theta_is_a_typed_error(monkeypatch, capsys):
     assert cli.main(["atlas", "--space", "sphere"]) == cli.EX_USAGE
     assert capsys.readouterr().err == (
         "rspacelab: sphere: sigma and theta do not commute\n")
+
+
+def test_a_sigma_that_is_no_automorphism_is_a_typed_error(monkeypatch):
+    # flipping one direction u that sigma and theta both fix leaves a
+    # symmetric orthogonal involution that reverses xi and commutes with
+    # theta, but does not respect the bracket
+    s = atlas.instance("sphere", 2)
+    u = atlas.intersect_rows(s.sigma_decomp[0], s.theta_decomp[0])[0]
+    bent = s.sigma - 2.0 * np.outer(u, u)
+    assert np.abs(bent @ bent - np.eye(len(u))).max() < 1e-12
+    assert np.abs(bent @ _theta(s) - _theta(s) @ bent).max() < 1e-12
+    _sphere_row_built_by(monkeypatch, lambda n: (s.g_vee, bent, s.xi))
+    with pytest.raises(al.NotAnAutomorphism):
+        atlas.instantiate(atlas.descriptor("sphere", 2))
+
+
+@pytest.mark.parametrize("rid,params", sorted(atlas._DEFAULT_SWEEP))
+def test_theta_by_conjugation_is_the_exponential_of_ad_xi(rid, params):
+    # Ad(exp(pi xi)) = exp(pi ad_xi); the instance splits along it
+    s = atlas.instance(rid, *params)
+    theta = al.involution_from_conjugation(s.g_vee, al.expm_skew(np.pi * s.xi))
+    assert np.abs(theta - _theta(s)).max() <= 1e-14
+    k, p = s.theta_decomp
+    assert np.abs(k @ _theta(s) - k).max() <= 1e-13
+    assert np.abs(p @ _theta(s) + p).max() <= 1e-13
+
+
+@pytest.mark.parametrize("rid,n", [("quadric_complex_hermitian", 22),
+                                   ("orthogonal_mod_unitary_hermitian", 12)])
+def test_the_doubled_so24_rows_instantiate(rid, n):
+    # so(24) + so(24), dim 552: the bracket is joined on its nonzeros, so
+    # no array of d^3 or d^2 n^2 entries is formed
+    s = atlas.instantiate(atlas.descriptor(rid, n))
+    assert s.g_vee.dim == 552
+    assert atlas.rank_ratio(s) == s.descriptor.table_ratio
+
+
+def test_instantiate_memory_at_the_top_of_the_so_window():
+    d = atlas.descriptor("sphere", 22)
+    tracemalloc.start()
+    try:
+        s = atlas.instantiate(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.g_vee.dim == 276
+    # the dense c alone held 276^3 floats, 168 MB
+    assert peak <= 64 * 2 ** 20
 
 
 def test_an_isotropy_that_misses_a_row_is_a_typed_error(monkeypatch):

@@ -545,13 +545,22 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(argv):
     assert outs[0] == outs[1]
 
 
-def test_algebra_and_roots_pass_at_the_top_of_the_su_window(capsys):
-    # unitary_group(6) lives in su(12), dim 143: the Jacobi check sums over
-    # the nonzero structure constants, so this runs in about a second
+def _algebra_and_roots_pass_at(capsys, rid, *params):
     code, out, _ = run(capsys, "verify", "--seed", "1", "--suite",
-                       "algebra,roots", "--space", "unitary_group",
-                       "--params", "6", "--format", "json")
+                       "algebra,roots", "--space", rid, "--params",
+                       ",".join(map(str, params)), "--format", "json")
     assert code == cli.EX_OK
     checks = json.loads(out)["checks"]
     assert len(checks) == 8
     assert all(c["status"] == "pass" for c in checks)
+
+
+def test_algebra_and_roots_pass_at_the_top_of_the_su_window(capsys):
+    # unitary_group(6) lives in su(12), dim 143: every kernel reads the
+    # nonzero structure constants, so this runs in about half a second
+    _algebra_and_roots_pass_at(capsys, "unitary_group", 6)
+
+
+def test_algebra_and_roots_pass_at_the_top_of_the_doubled_sp_window(capsys):
+    # sp(6) + sp(6), dim 156, where the dense constants took 3 s and 0.9 GB
+    _algebra_and_roots_pass_at(capsys, "symplectic_mod_unitary_hermitian", 6)

@@ -18,6 +18,7 @@ from rspacelab import reporting as rep
 from rspacelab import roots as rt
 from rspacelab.reporting import _STRUCTURAL_SPACES
 from rspacelab.cli import DEFAULT_TOL
+from test_algebra import dense_constants
 
 _S2 = [atlas.instantiate(atlas.descriptor("sphere", 2))]
 
@@ -49,7 +50,7 @@ def moment_nc(s, x):
 def killing_matrix(g):
     """The dense Killing matrix B[i,j] = tr(ad_i ad_j) = sum_kl c[i,k,l]
     c[j,l,k] of g, from its structure constants."""
-    c = np.asarray(g.structure_constants)
+    c = dense_constants(g)
     d = g.dim
     return c.reshape(d, d * d) @ c.swapaxes(1, 2).reshape(d, d * d).T
 

@@ -154,6 +154,40 @@ def test_maximal_abelian_is_abelian_and_certified():
             assert np.abs(al.bracket(x, y)).max() < 1e-9
 
 
+def _so24_torus():
+    """so(24) and the coordinate rows of its 12 planes (2p, 2p + 1), which
+    commute exactly: no nonzero of c joins two of them."""
+    g = al.build_algebra("so", 24)
+    rows = [np.flatnonzero(g.basis[:, 2 * p, 2 * p + 1])[0] for p in range(12)]
+    return g, np.eye(g.dim)[rows]
+
+
+def test_must_contain_with_a_small_last_coefficient_comes_first():
+    # z lies 1e-13 off span(side) and has coefficient 1e-8 on its last row:
+    # Gram-Schmidt on [z] + side normalizes a residual of 1e-8, which lifts
+    # that offset into a twelfth row; the kernel of z in the span does not
+    g, torus = _so24_torus()
+    side = np.linalg.qr(np.random.default_rng(4).normal(size=(11, 11)))[0] \
+        @ torus[:11]
+    a = np.random.default_rng(5).normal(size=11)
+    a[-1] = 1e-8
+    z = a @ side + 1e-13 * torus[11]
+    assert len(rt._gram_schmidt([z] + list(side))) == 12
+    basis = rt.find_maximal_abelian(g, side, must_contain=[z])
+    assert basis.shape == side.shape
+    assert np.abs(basis[0] - z / np.linalg.norm(z)).max() <= 1e-12
+    assert np.abs(basis @ basis.T - np.eye(11)).max() <= 1e-12
+    assert np.abs(basis - basis @ side.T @ side).max() <= 1e-12
+
+
+def test_must_contain_off_the_span_is_a_typed_error():
+    # the twelfth plane commutes with the first eleven but is not among them
+    g, torus = _so24_torus()
+    with pytest.raises(rt.MaximalityNotCertified,
+                       match=r"^12 rows with must_contain vs span dim 11$"):
+        rt.find_maximal_abelian(g, torus[:11], must_contain=[torus[11]])
+
+
 def test_coordinates_in_a_subspace_refuse_a_vector_off_it():
     s = atlas.instance("sphere", 3)
     v = np.array([0.5, -2.0]) @ s.abar
