@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Energy ladders: the closed-form critical levels with their Morse indices,
-beside the gradient-found clusters with their exact-Hessian indices and
-basin populations, and how many predicted levels the descent reached."""
+"""Energy ladders: the closed-form critical levels with the Morse indices
+of their components, beside the gradient-found clusters with their
+exact-Hessian indices and basin populations, and how many predicted levels
+the descent reached."""
 
 import argparse
 
@@ -31,7 +32,8 @@ def main():
         predicted = ob.critical_ladder(s)
         print(f"{s.descriptor.label}  (rank {len(s.abar)})")
         print("  predicted ladder: " + ", ".join(
-            f"{v / np.pi:+.3f}*pi (index {i})" for v, i in predicted))
+            f"{v / np.pi:+.3f}*pi (indices {{{', '.join(map(str, ix))}}})"
+            for v, ix in predicted))
         for c in clusters:
             print(f"  value {c.value / np.pi:+.3f}*pi  index {c.hessian_index}"
                   f"  basin {c.population}/{args.restarts}")

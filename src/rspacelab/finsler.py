@@ -35,17 +35,23 @@ def _schatten(sv: np.ndarray, p: float) -> np.ndarray:
     return (sv ** p).sum(axis=-1) ** (1.0 / p)
 
 
-def singular_values(s: SpaceInstance, us) -> np.ndarray:
-    """Singular values of ad_a on k, one row per flat vector a of the stack
-    us, computed in stacked blocks; F_p(a) is their Schatten p-norm."""
+def _map_flat_ads(s: SpaceInstance, us, f) -> np.ndarray:
+    """f of the stacked ad_a on k, for the flat vectors a of the stack us
+    taken in stacked blocks, the rows of f over all blocks stacked."""
     ads = ob.structure(s).flat_ad_k
     us = np.asarray(us, float)
     r, d = ads.shape[:2]
-    sv = np.empty((len(us), d))
-    for b in al.sample_blocks(len(us), d * d):
-        adx = (us[b] @ ads.reshape(r, d * d)).reshape(-1, d, d)
-        sv[b] = np.abs(np.linalg.eigvalsh(1j * adx))
-    return sv
+    rows = [f((us[b] @ ads.reshape(r, d * d)).reshape(-1, d, d))
+            for b in al.sample_blocks(len(us), d * d)]
+    # an empty stack still has the shape of f's rows
+    return np.concatenate(rows) if rows else f(np.empty((0, d, d)))
+
+
+def singular_values(s: SpaceInstance, us) -> np.ndarray:
+    """Singular values of ad_a on k, one row per flat vector a of the stack
+    us; F_p(a) is their Schatten p-norm."""
+    return _map_flat_ads(s, us, lambda adx: np.abs(np.linalg.eigvalsh(
+        1j * adx)))
 
 
 def spectral_norms(s: SpaceInstance, us) -> np.ndarray:
@@ -54,15 +60,8 @@ def spectral_norms(s: SpaceInstance, us) -> np.ndarray:
 
     Squaring resolves only the large singular values to round-off, so the
     norms that need the small ones take singular_values instead."""
-    ads = ob.structure(s).flat_ad_k
-    us = np.asarray(us, float)
-    r, d = ads.shape[:2]
-    f_inf = np.empty(len(us))
-    for b in al.sample_blocks(len(us), d * d):
-        adx = (us[b] @ ads.reshape(r, d * d)).reshape(-1, d, d)
-        f_inf[b] = np.sqrt(np.linalg.eigvalsh(
-            adx.swapaxes(-1, -2) @ adx)[:, -1])
-    return f_inf
+    return _map_flat_ads(s, us, lambda adx: np.sqrt(np.linalg.eigvalsh(
+        adx.swapaxes(-1, -2) @ adx)[:, -1]))
 
 
 def norm_kernel(s: SpaceInstance) -> np.ndarray:

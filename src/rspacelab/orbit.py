@@ -499,72 +499,68 @@ def critical_gap_report(s: SpaceInstance, restarts: int = 50,
             "populations": [c.population for c in clusters]}
 
 
-def critical_ladder(s: SpaceInstance) -> list:
-    """Critical levels of H with their Morse indices, as sorted
-    (level, index) pairs; the closed form that verify holds the descent's
-    indices against.
-
-    On the cascade torus, level j sits at x_j, the reflection of xi in the
-    first j cascade roots (strongly orthogonal, so the reflections
-    commute), j = 0..rank_nc, with value -2 pi tr(xi^T x_j).  The Hessian
-    there is diagonal on the root spaces, with sign beta(xi) beta(x_j) on
-    the real 2-plane of +-beta, so the index counts the torus roots beta
-    with beta(xi) beta(x_j) < 0 (Bott, Bull. SMF 84 (1956); Atiyah, Bull.
-    LMS 14 (1982)).
-    """
-    st = structure(s)
-    xi_t = st.xi_t
-    # the torus coordinates are orthonormal, so the reflections are
-    # Euclidean, and H is -2 pi xi_t . x
-    xs = [xi_t]
-    for gamma in st.gammas:
-        xs.append(xs[-1] - 2.0 * (gamma @ xs[-1]) / (gamma @ gamma) * gamma)
-    b_xi = st.torus_roots @ xi_t
-    return sorted((-2.0 * np.pi * float(xi_t @ x),
-                   int(np.sum(b_xi * (st.torus_roots @ x) < -1e-8)))
-                  for x in xs)
-
-
-def _weyl_orbit(s: SpaceInstance) -> np.ndarray:
-    """W . xi on the cascade torus, as rows of torus coordinates, from the
-    reflections of xi in the torus roots.
+def _weyl_orbit(s: SpaceInstance):
+    """W . xi on the cascade torus, from the reflections of xi in the torus
+    roots: the points as rows of torus coordinates, and beside them their
+    root values as integer rows, xi first.
 
     ad_xi has spectrum {0, +-i} and W permutes the roots, so every root
     takes a value in {-1, 0, 1} on every point, and these values name the
-    point; the rounded values key the points seen.
+    point; the bytes of the rounded values key the points seen.  A new
+    point waits on the stack with its root values, not its reflections.
     """
     st = structure(s)
-    betas = st.torus_roots
+    betas, r = st.torus_roots, len(st.torus_roots)
     # the torus coordinates are orthonormal, so the reflection in beta is
     # Euclidean: x -> x - 2 beta(x) / |beta|^2 beta
     coef = 2.0 / np.einsum("ri,ri->r", betas, betas)
-    seen = {}
-    queue = [st.xi_t[None]]
-    while queue:
-        ys = queue.pop()
+    seen, stack, ys = {}, [], st.xi_t[None]
+    while True:
         vals = ys @ betas.T
         keys = np.rint(vals)
         assert np.abs(vals - keys).max() < 1e-8, "root value off the integers"
-        for y, key, v in zip(ys, map(tuple, keys.astype(int).tolist()), vals):
+        raw = keys.astype(np.int8).tobytes()
+        for i in range(len(ys)):
+            key = raw[i * r:(i + 1) * r]
             if key not in seen:
-                seen[key] = y
-                queue.append(y - (coef * v)[:, None] * betas)
-    return np.array(list(seen.values()))
+                seen[key] = ys[i].copy()
+                stack.append((seen[key], vals[i].copy()))
+        if not stack:
+            break
+        y, v = stack.pop()
+        ys = y - (coef * v)[:, None] * betas
+    keys = np.frombuffer(b"".join(seen), np.int8).reshape(len(seen), r)
+    return np.array(list(seen.values())), keys.astype(int)
+
+
+def critical_ladder(s: SpaceInstance) -> list:
+    """Critical levels of H with the distinct Morse indices of their
+    components, as sorted (level, [indices]) pairs.
+
+    H is a perfect Morse-Bott function whose critical set meets the torus
+    in the fixed points W . xi (_weyl_orbit), one W_xi-orbit per component,
+    and the level of p is -2 pi tr(xi^T p), -2 pi xi_t . p on the
+    orthonormal torus.  The Hessian at p is diagonal on the root spaces,
+    with sign beta(xi) beta(p) on the real 2-plane of +-beta, so the index
+    of p's component counts the torus roots beta with beta(xi) beta(p) < 0,
+    read off the integer root values (Bott, Bull. SMF 84 (1956); Atiyah,
+    Bull. LMS 14 (1982)).
+    """
+    xi_t = structure(s).xi_t
+    pts, keys = _weyl_orbit(s)
+    vals = [-2.0 * np.pi * float(xi_t @ p) for p in pts]
+    index = np.sum(keys[0] * keys < 0, axis=1).tolist()
+    ladder = []
+    for v, i in sorted(zip(vals, index)):
+        if ladder and v - ladder[-1][0] <= 1e-6:
+            ladder[-1][1].add(i)
+        else:
+            ladder.append((v, {i}))
+    return [(v, sorted(ix)) for v, ix in ladder]
 
 
 def weyl_critical_values(s: SpaceInstance) -> list:
-    """Frozen enumeration of critical values via root reflections.
-
-    The critical set of the pairing meets the torus in the reflection orbit
-    of xi (_weyl_orbit), so the values can be generated without any
-    optimization; the oracle of critical_ladder, of the ambient
-    capacities (capacity_hermitian_ambient) and of the descent.
-    """
-    xi_t = structure(s).xi_t
-    vals = sorted(-2.0 * np.pi * float(xi_t @ w) for w in _weyl_orbit(s))
-    out = [vals[0]]
-    for v in vals[1:]:
-        if v - out[-1] > 1e-6:
-            out.append(v)
-    return out
-
+    """The critical values of H, ascending: the levels of critical_ladder,
+    enumerated without any optimization; the oracle of the ambient
+    capacities (capacity_hermitian_ambient) and of the descent."""
+    return [v for v, _ in critical_ladder(s)]

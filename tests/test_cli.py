@@ -338,6 +338,7 @@ def test_critical_ladders_script_prints_a_ladder_per_orbit():
     assert len(blocks) == 5
     for block in blocks:
         assert "predicted ladder:" in block
+        assert "(indices {0})" in block
         assert "max gap" in block
         assert block.count("  value ") >= 2
 
