@@ -336,10 +336,15 @@ def ad_from_coords(alg: LieAlgebraBasis, xc: np.ndarray) -> np.ndarray:
 def bracket_residual(alg: LieAlgebraBasis, rows_a: np.ndarray,
                      rows_b: np.ndarray, target: np.ndarray) -> float:
     """Largest coordinate of [a, b] outside span(target), over the rows a of
-    rows_a and b of rows_b; target has orthonormal rows, possibly none."""
-    # column b of br[a] holds the coordinates of [a, b]
-    br = ad_from_coords(alg, rows_a) @ rows_b.T
-    return float(np.abs(br - target.T @ (target @ br)).max(initial=0.0))
+    rows_a and b of rows_b; target has orthonormal rows, possibly none.
+    rows_a is taken in sample_blocks, so the ad stack and the bracket table
+    of one block hold at most _BLOCK_ENTRIES floats, or one row's."""
+    res = 0.0
+    for blk in sample_blocks(len(rows_a), alg.dim * (alg.dim + len(rows_b))):
+        # column b of br[a] holds the coordinates of [a, b]
+        br = ad_from_coords(alg, rows_a[blk]) @ rows_b.T
+        res = max(res, np.abs(br - target.T @ (target @ br)).max(initial=0.0))
+    return float(res)
 
 
 def jacobi_residual(alg: LieAlgebraBasis) -> float:

@@ -22,7 +22,6 @@ from ._record import dataclass
 from .algebra import SizeOutOfRange  # re-exported for callers
 
 _PI1 = ("trivial", "Z", "Z2")
-_TOL_INTERSECT = 1e-9  # relative singular value cut of intersect_rows
 
 
 class UnsupportedRow(ValueError):
@@ -81,17 +80,6 @@ class SpaceInstance:
     sigma_decomp: tuple
     a_flat: np.ndarray
     abar: np.ndarray
-
-
-def intersect_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning span(a) cap span(b)."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, a.shape[1]))
-    # x = a^T u in span(b)  <=>  (1 - P_b) a^T u = 0
-    m = a.T - b.T @ (b @ a.T)
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    k = int(np.sum(s > _TOL_INTERSECT * max(1.0, s[0] if len(s) else 0.0)))
-    return vt[k:] @ a
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +387,19 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     if not ok or np.abs(freqs).max() < 0.5:
         raise UnsupportedRow(f"{d.id}: ad_xi spectrum is not {{0, +-i}}")
 
-    theta = al.make_involution(g, al.involution_from_conjugation(
-        g, al.expm_skew(np.pi * xi)))
+    # ad_xi^3 = -ad_xi on the spectrum {0, +-i}, so exp(pi ad_xi) is exactly
+    # 1 + 2 ad_xi^2: +1 on the kernel, cos(pi) = -1 on the rest
+    eye = np.eye(g.dim)
+    theta = al.make_involution(g, eye + 2.0 * adxi @ adxi)
     if np.abs(theta @ sigma - sigma @ theta).max() >= 1e-9:
         raise UnsupportedRow(f"{d.id}: sigma and theta do not commute")
 
     tdec = al.cartan_decompose(g, theta)
     sdec = al.cartan_decompose(g, al.make_involution(g, sigma))
     k, p_vee = sdec[0], tdec[1]
-    l = intersect_rows(k, p_vee)
-    h = intersect_rows(k, tdec[0])
+    # h and l: theta's +1 and -1 eigenspaces inside k
+    h = rt._kernel_within(k, theta - eye)
+    l = rt._kernel_within(k, theta + eye)
     if len(l) + len(h) != len(k):
         raise UnsupportedRow(f"{d.id}: k does not split as h + l")
     a_flat = rt.find_maximal_abelian(g, l)

@@ -33,6 +33,22 @@ class FewerThanTwoClusters(RuntimeError):
     """Gap report needs at least two critical values."""
 
 
+class LadderTooLarge(RuntimeError):
+    """W . xi has more points than _MAX_FIXED_POINTS."""
+
+
+# _weyl_orbit visits each of the chi(M) points of W . xi in a Python loop,
+# with one reflection per root: grassmann_complex_hermitian(4,4) has 4,900
+# points (0.4 s), (4,5) 15,876 (1.9 s), (5,5) 63,504 and (6,6) 853,776.
+# The cap admits (4,5), every non-doubled window top (at most 2,048 points)
+# and, 50 times over, the 400 points of (3,3), the largest row that the
+# tests and the parameter sweeps of verify run.  The rows of the window past
+# it, where the critical and capacity suites are not supported, are
+# grassmann_complex_hermitian(p,q) with C(p+q,p)^2 > 20,000 and
+# orthogonal_mod_unitary_hermitian(n) for n >= 9, with 4^(n-1) points.
+_MAX_FIXED_POINTS = 20_000
+
+
 @dataclass(frozen=True, eq=False)
 class CriticalCluster:
     value: float
@@ -508,6 +524,7 @@ def _weyl_orbit(s: SpaceInstance):
     takes a value in {-1, 0, 1} on every point, and these values name the
     point; the bytes of the rounded values key the points seen.  A new
     point waits on the stack with its root values, not its reflections.
+    Raises LadderTooLarge once more than _MAX_FIXED_POINTS points are seen.
     """
     st = structure(s)
     betas, r = st.torus_roots, len(st.torus_roots)
@@ -525,6 +542,11 @@ def _weyl_orbit(s: SpaceInstance):
             if key not in seen:
                 seen[key] = ys[i].copy()
                 stack.append((seen[key], vals[i].copy()))
+        if len(seen) > _MAX_FIXED_POINTS:
+            raise LadderTooLarge(f"W . xi has more than _MAX_FIXED_POINTS = "
+                                 f"{_MAX_FIXED_POINTS} points, past which "
+                                 f"the critical and capacity suites are "
+                                 f"not supported")
         if not stack:
             break
         y, v = stack.pop()

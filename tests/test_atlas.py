@@ -11,6 +11,7 @@ import pytest
 
 from rspacelab import algebra as al
 from rspacelab import atlas, cli
+from rspacelab import roots as rt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,11 +69,21 @@ def _theta(s):
     return al.expm_skew(np.pi * al.ad_operator(s.g_vee, s.xi))
 
 
+def _intersect_rows(a, b):
+    """Orthonormal rows spanning span(a) cap span(b): the SVD of the part of
+    a's rows off span(b), cut at 1e-9 relative, as instantiate once took l
+    and h."""
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.zeros((0, a.shape[1]))
+    _, s, vt = np.linalg.svd(a.T - b.T @ (b @ a.T), full_matrices=True)
+    return vt[np.sum(s > 1e-9 * max(1.0, s[0])):] @ a
+
+
 def _isotropy_split(s):
     """(l, h): k cap p_vee and k cap the theta-fixed algebra."""
     k_theta, p_vee = s.theta_decomp
     k, _ = s.sigma_decomp
-    return (atlas.intersect_rows(k, p_vee), atlas.intersect_rows(k, k_theta))
+    return _intersect_rows(k, p_vee), _intersect_rows(k, k_theta)
 
 
 def test_grading_element_structure():
@@ -289,7 +300,7 @@ def test_a_sigma_that_is_no_automorphism_is_a_typed_error(monkeypatch):
     # symmetric orthogonal involution that reverses xi and commutes with
     # theta, but does not respect the bracket
     s = atlas.instance("sphere", 2)
-    u = atlas.intersect_rows(s.sigma_decomp[0], s.theta_decomp[0])[0]
+    u = rt._kernel_within(s.sigma_decomp[0], s.theta_decomp[1])[0]
     bent = s.sigma - 2.0 * np.outer(u, u)
     assert np.abs(bent @ bent - np.eye(len(u))).max() < 1e-12
     assert np.abs(bent @ _theta(s) - _theta(s) @ bent).max() < 1e-12
@@ -298,15 +309,55 @@ def test_a_sigma_that_is_no_automorphism_is_a_typed_error(monkeypatch):
         atlas.instantiate(atlas.descriptor("sphere", 2))
 
 
-@pytest.mark.parametrize("rid,params", sorted(atlas._DEFAULT_SWEEP))
-def test_theta_by_conjugation_is_the_exponential_of_ad_xi(rid, params):
-    # Ad(exp(pi xi)) = exp(pi ad_xi); the instance splits along it
-    s = atlas.instance(rid, *params)
-    theta = al.involution_from_conjugation(s.g_vee, al.expm_skew(np.pi * s.xi))
-    assert np.abs(theta - _theta(s)).max() <= 1e-14
+def _instantiate_recorded(monkeypatch, rid, params):
+    """A fresh instance, with the first operator instantiate certifies
+    (theta) and the first two kernels it takes inside k (h, then l)."""
+    ops, kernels = [], []
+    certify, kernel = al.make_involution, rt._kernel_within
+    monkeypatch.setattr(atlas.al, "make_involution",
+                        lambda g, op: ops.append(certify(g, op)) or ops[-1])
+    monkeypatch.setattr(atlas.rt, "_kernel_within", lambda rows, op:
+                        kernels.append(kernel(rows, op)) or kernels[-1])
+    s = atlas.instantiate(atlas.descriptor(rid, *params))
+    return s, ops[0], kernels[0], kernels[1]
+
+
+def _window_top(rid):
+    top = _WINDOW_TOPS[rid]
+    return (top,) if atlas.window(rid)[0] == 1 else (top // 2, top - top // 2)
+
+
+@pytest.mark.parametrize("rid,params", sorted(atlas._DEFAULT_SWEEP) + [
+    (rid, _window_top(rid)) for rid in sorted(_WINDOW_TOPS)])
+def test_theta_by_conjugation_is_the_exponential_of_ad_xi(monkeypatch, rid,
+                                                           params):
+    # Ad(exp(pi xi)) = exp(pi ad_xi) = 1 + 2 ad_xi^2, the theta instantiate
+    # certifies; the instance splits along it, and its h and l are the
+    # intersections of sigma's k with the sides of the conjugation
+    s, theta, h, l = _instantiate_recorded(monkeypatch, rid, params)
+    g = s.g_vee
+    ref = al.involution_from_conjugation(g, al.expm_skew(np.pi * s.xi))
+    assert np.abs(ref - _theta(s)).max() <= 1e-14
+    assert np.abs(theta - ref).max() <= 1e-14
     k, p = s.theta_decomp
     assert np.abs(k @ _theta(s) - k).max() <= 1e-13
     assert np.abs(p @ _theta(s) + p).max() <= 1e-13
+    for rows, side in zip((h, l), al.cartan_decompose(g, ref)):
+        old = _intersect_rows(s.sigma_decomp[0], side)
+        assert rows.shape == old.shape
+        assert np.abs(rows.T @ rows - old.T @ old).max() <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.02, -2.0])
+def test_theta_off_the_factor_two_is_no_involution(factor):
+    # make_involution certifies theta in instantiate; 1 + c ad_xi^2 is
+    # 1 - c on the -1 side of ad_xi^2, an involution only at c = 2
+    s = atlas.instance("sphere", 2)
+    g = s.g_vee
+    adxi = al.ad_operator(g, s.xi)
+    al.make_involution(g, np.eye(g.dim) + 2.0 * adxi @ adxi)
+    with pytest.raises(al.NotAnInvolution):
+        al.make_involution(g, np.eye(g.dim) + factor * adxi @ adxi)
 
 
 @pytest.mark.parametrize("rid,n", [("quadric_complex_hermitian", 22),
@@ -333,8 +384,10 @@ def test_instantiate_memory_at_the_top_of_the_so_window():
 
 
 def test_an_isotropy_that_misses_a_row_is_a_typed_error(monkeypatch):
-    real = atlas.intersect_rows
-    monkeypatch.setattr(atlas, "intersect_rows", lambda a, b: real(a, b)[1:])
+    # h and l each lose a row before the h + l = k count
+    real = rt._kernel_within
+    monkeypatch.setattr(atlas.rt, "_kernel_within",
+                        lambda rows, op: real(rows, op)[1:])
     with pytest.raises(atlas.UnsupportedRow,
                        match=r"^sphere: k does not split as h \+ l$"):
         atlas.instantiate(atlas.descriptor("sphere", 2))

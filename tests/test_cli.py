@@ -103,10 +103,15 @@ def test_verify_csv_has_one_line_per_check(capsys):
 
 
 def test_absurd_tolerance_forces_a_verification_failure(capsys, tmp_path):
-    code, _, _ = run(capsys, "verify", "--seed", "5", "--suite", "algebra",
-                     "--space", "sphere", "--params", "2",
-                     "--tol", "alg=1e-30")
+    # the Killing eigenvalues of sphere(2) miss -f by round-off, a nonzero
+    # residual that a tolerance of 1e-30 fails
+    code, out, _ = run(capsys, "verify", "--seed", "5", "--suite", "algebra",
+                       "--space", "sphere", "--params", "2",
+                       "--tol", "killing=1e-30")
     assert code == cli.EX_VERIFY
+    (failed,) = [c for c in json.loads(out)["checks"] if c["status"] != "pass"]
+    assert failed["id"] == "algebra.killing[sphere(2)]"
+    assert failed["computed"] > 1e-30
 
 
 def test_bad_tolerance_syntax_is_a_usage_error(capsys):

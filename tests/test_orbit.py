@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspacelab import algebra as al
-from rspacelab import atlas
+from rspacelab import atlas, cli
 from rspacelab import finsler as fin
 from rspacelab import orbit as ob
 from rspacelab import reporting as rep
@@ -678,11 +678,16 @@ def test_weyl_orbit_has_euler_characteristic_many_points(rid, params):
     # function with critical points W . xi, and the index at p counts the
     # roots beta with beta(eta) beta(p) < 0; the integer keys are beta(p),
     # rounded, so no root that vanishes at p takes the sign of the
-    # perturbation
+    # perturbation.  eta = xi + 1e-3 rho, rho the half sum of the roots
+    # positive on a random nu: rho pairs with every simple root alpha to
+    # |alpha|^2 / 2, so no root vanishes on it, whatever basis eigh chose
+    # for the torus
     st_ = ob.structure(s)
-    eta = st_.xi_t + 1e-3 * np.random.default_rng(0).normal(
+    betas = st_.torus_roots
+    nu = st_.xi_t + 1e-3 * np.random.default_rng(0).normal(
         size=len(st_.xi_t))
-    beta_eta = st_.torus_roots @ eta
+    eta = st_.xi_t + 1e-3 * betas[betas @ nu > 0].sum(axis=0) / 2
+    beta_eta = betas @ eta
     assert np.abs(beta_eta).min() > 1e-6
     poincare = np.bincount(np.sum(beta_eta * keys < 0, axis=1))
     assert np.array_equal(poincare, _POINCARE[rid](*params))
@@ -728,6 +733,32 @@ def test_weyl_orbit_is_the_batch_enumeration(rid, params):
     want_pts, want_keys = _batch_weyl_orbit(s)
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(keys, want_keys)
+
+
+def test_weyl_orbit_stops_past_its_cap(monkeypatch):
+    # grassmann_complex_hermitian(1,2) has chi = 9 fixed points
+    s = atlas.instance("grassmann_complex_hermitian", 1, 2)
+    monkeypatch.setattr(ob, "_MAX_FIXED_POINTS", 9)
+    assert len(ob._weyl_orbit(s)[0]) == 9
+    monkeypatch.setattr(ob, "_MAX_FIXED_POINTS", 8)
+    with pytest.raises(ob.LadderTooLarge, match="_MAX_FIXED_POINTS = 8 "):
+        ob._weyl_orbit(s)
+
+
+def test_verify_records_a_ladder_past_the_cap_as_suite_errors(monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(ob, "_MAX_FIXED_POINTS", 8)
+    code = cli.main(["verify", "--seed", "1", "--suite", "critical,capacity",
+                     "--space", "grassmann_complex_hermitian",
+                     "--params", "1,2"])
+    out, err = capsys.readouterr()
+    assert code == cli.EX_VERIFY and "Traceback" not in err
+    errors = {c["id"]: c["computed"] for c in json.loads(out)["checks"]
+              if c["status"] == "error"}
+    assert errors == dict.fromkeys(
+        ["critical.error", "capacity.error"],
+        "LadderTooLarge: W . xi has more than _MAX_FIXED_POINTS = 8 points, "
+        "past which the critical and capacity suites are not supported")
 
 
 def test_weyl_orbit_stacks_points_not_their_reflections():

@@ -144,8 +144,9 @@ def test_rootless_flat_contains_everything():
 
 def test_maximal_abelian_is_abelian_and_certified():
     s = atlas.instance("quadric_real", 2, 2)
-    (k, _), (_, p_vee) = s.sigma_decomp, s.theta_decomp
-    a = rt.find_maximal_abelian(s.g_vee, atlas.intersect_rows(k, p_vee))
+    (k, _), (k_theta, _) = s.sigma_decomp, s.theta_decomp
+    # l = k cap p_vee: the span of k that k_theta annihilates
+    a = rt.find_maximal_abelian(s.g_vee, rt._kernel_within(k, k_theta))
     assert a.shape == (2, s.g_vee.dim)
     assert np.abs(a @ a.T - np.eye(2)).max() < 1e-12
     xs = s.g_vee.from_coords(a)
