@@ -289,8 +289,8 @@ def subalgebra(alg: LieAlgebraBasis, span_coords: np.ndarray, tag: str) -> LieAl
     v = np.asarray(span_coords, float)
     if np.linalg.matrix_rank(v, tol=1e-10) != v.shape[0]:
         raise AlgebraMismatch("subalgebra span rows are not independent")
-    q = np.linalg.qr(v.T)[0].T
-    if (res := bracket_residual(alg, q, q, q)) > 1e-9:
+    q, rest = np.split(np.linalg.qr(v.T, "complete")[0].T, [len(v)])
+    if (res := bracket_residual(alg, q, q, rest)) > 1e-9:
         raise AlgebraMismatch(f"span not closed under bracket ({res:.2e})")
     return _structure_data(alg.from_coords(q), f"sub({alg.algebra_id}:{tag})",
                            "sub", 0)
@@ -334,16 +334,16 @@ def ad_from_coords(alg: LieAlgebraBasis, xc: np.ndarray) -> np.ndarray:
 
 
 def bracket_residual(alg: LieAlgebraBasis, rows_a: np.ndarray,
-                     rows_b: np.ndarray, target: np.ndarray) -> float:
-    """Largest coordinate of [a, b] outside span(target), over the rows a of
-    rows_a and b of rows_b; target has orthonormal rows, possibly none.
-    rows_a is taken in sample_blocks, so the ad stack and the bracket table
-    of one block hold at most _BLOCK_ENTRIES floats, or one row's."""
+                     rows_b: np.ndarray, rows_c: np.ndarray) -> float:
+    """Largest |<[a, b], c>| over the rows of rows_a, rows_b and rows_c;
+    [A, B] lies in a span iff the form vanishes on its orthogonal
+    complement.  rows_a goes in sample_blocks: one block's ad stack and
+    bracket table hold at most _BLOCK_ENTRIES floats, or one row's."""
     res = 0.0
     for blk in sample_blocks(len(rows_a), alg.dim * (alg.dim + len(rows_b))):
-        # column b of br[a] holds the coordinates of [a, b]
-        br = ad_from_coords(alg, rows_a[blk]) @ rows_b.T
-        res = max(res, np.abs(br - target.T @ (target @ br)).max(initial=0.0))
+        # column b of ad[a] @ rows_b.T holds the coordinates of [a, b]
+        form = rows_c @ (ad_from_coords(alg, rows_a[blk]) @ rows_b.T)
+        res = max(res, np.abs(form).max(initial=0.0))
     return float(res)
 
 

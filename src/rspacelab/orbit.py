@@ -192,10 +192,8 @@ def _momentum_tn(s: SpaceInstance, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if np.any(odd > 1e-8 * np.maximum(1.0, np.linalg.norm(c, axis=-1))):
             raise NotOnRealForm(f"{what} is not sigma-odd")
     mu = al.bracket(x, v)
-    muc = g.coords(mu)
-    k, _ = s.sigma_decomp
-    off_k = muc - (muc @ k.T) @ k
-    assert np.all(np.linalg.norm(off_k, axis=-1) < 1e-8)
+    _, p = s.sigma_decomp
+    assert np.all(np.linalg.norm(g.coords(mu) @ p.T, axis=-1) < 1e-8)
     return mu
 
 
@@ -555,6 +553,7 @@ def _weyl_orbit(s: SpaceInstance):
     return np.array(list(seen.values())), keys.astype(int)
 
 
+@functools.cache  # keyed on instance identity; callers share the list
 def critical_ladder(s: SpaceInstance) -> list:
     """Critical levels of H with the distinct Morse indices of their
     components, as sorted (level, [indices]) pairs.

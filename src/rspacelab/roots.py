@@ -132,7 +132,7 @@ def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
         # abelian when [span, span] has no component; a span that the kernel
         # of a generic element of it cuts down is not, so it needs no test
         if len(kernel) == len(span) and bracket_residual(
-                alg, span, span, np.zeros((0, alg.dim))) < 1e-10:
+                alg, span, span, np.eye(alg.dim)) < 1e-10:
             break
         span = kernel
     else:

@@ -253,6 +253,14 @@ def test_subalgebra_rejects_non_closed_span():
         al.subalgebra(g, rows, "nonsense")
 
 
+def test_subalgebra_accepts_a_closed_span():
+    # the k of conjugation by diag(-1, 1, 1) is s(u(1) + u(2)), of dim 4
+    g = al.build_algebra("su", 3)
+    k, _ = al.cartan_decompose(g, al.involution_from_conjugation(
+        g, al.embed_complex(np.diag([-1.0, 1.0, 1.0]))))
+    assert al.subalgebra(g, 2.0 * k + k[::-1], "k").dim == len(k) == 4
+
+
 def test_expm_skew_matches_the_pade_exponential():
     expm = pytest.importorskip("scipy.linalg").expm  # test-only oracle
     rng = np.random.default_rng(11)
@@ -543,11 +551,10 @@ def test_jacobi_residual_matches_the_dense_loop_on_every_row(rid, params):
     _pin_jacobi(atlas.instance(rid, *params).g_vee)
 
 
-def _einsum_residual(g, rows_a, rows_b, target):
-    br = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, dense_constants(g),
-                   optimize=True)
-    proj = np.einsum("abk,tk,tl->abl", br, target, target, optimize=True)
-    return float(np.abs(br - proj).max())
+def _einsum_form(g, rows_a, rows_b, rows_c):
+    """<[a, b], c> over all row triples, from the dense constants."""
+    return np.einsum("ai,bj,ck,ijk->abc", rows_a, rows_b, rows_c,
+                     dense_constants(g), optimize=True)
 
 
 @pytest.mark.parametrize("rid,params", rp._STRUCTURAL_SPACES)
@@ -556,13 +563,59 @@ def test_bracket_residual_matches_the_einsum(rid, params):
     g = s.g_vee
     none = np.zeros((0, g.dim))
     for k, p in (s.theta_decomp, s.sigma_decomp):
-        for a, b, t in ((k, k, k), (k, p, p), (p, p, k), (k, k, none)):
-            assert abs(al.bracket_residual(g, a, b, t)
-                       - _einsum_residual(g, a, b, t)) <= 1e-14
-        # [k, p] lies in p, which is orthogonal to k
-        wrong = al.bracket_residual(g, k, p, k)
-        assert abs(wrong - _einsum_residual(g, k, p, k)) <= 1e-14
+        for a, b, c in ((k, p, k), (p, p, p), (k, k, p), (k, k, none),
+                        (k, p, np.eye(g.dim))):
+            want = np.abs(_einsum_form(g, a, b, c)).max(initial=0.0)
+            assert abs(al.bracket_residual(g, a, b, c) - want) <= 1e-14
+        # [k, p] lies in p, which the form does not vanish on
+        wrong = al.bracket_residual(g, k, p, p)
+        assert abs(wrong - np.abs(_einsum_form(g, k, p, p)).max()) <= 1e-14
         assert wrong >= 0.1
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_the_bracket_form_is_totally_antisymmetric(index):
+    g = _list_algebras()[index]  # so(5), su(3), sp(2) and a direct sum
+    rows = np.random.default_rng(index).normal(size=(3, 6, g.dim))
+    t = _einsum_form(g, *rows)
+    assert np.abs(t).max() >= 0.1
+    assert np.abs(t + _einsum_form(g, rows[1], rows[0], rows[2]).transpose(
+        1, 0, 2)).max() <= 1e-14
+    assert np.abs(t + _einsum_form(g, rows[0], rows[2], rows[1]).transpose(
+        0, 2, 1)).max() <= 1e-14
+
+
+def _inclusion_residual(g, k, p):
+    """The largest coordinate of [k,k] off k, [k,p] off p and [p,p] off k:
+    the three inclusions, each by projection on its target span."""
+    def off(rows_a, rows_b, target):
+        br = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, dense_constants(g))
+        return np.abs(br - br @ target.T @ target).max(initial=0.0)
+    return max(off(k, k, k), off(k, p, p), off(p, p, k))
+
+
+def _grading_residual(g, k, p):
+    return max(al.bracket_residual(g, k, p, k),
+               al.bracket_residual(g, p, p, p))
+
+
+@pytest.mark.parametrize("rid,params", rp._STRUCTURAL_SPACES)
+def test_two_form_calls_and_three_inclusions_pass_together(rid, params):
+    s = atlas.instance(rid, *params)
+    for k, p in (s.theta_decomp, s.sigma_decomp):
+        assert _grading_residual(s.g_vee, k, p) <= 1e-14
+        assert _inclusion_residual(s.g_vee, k, p) <= 1e-14
+
+
+@pytest.mark.parametrize("rid,params", [("sphere", (2,)),
+                                        ("unitary_group", (2,))])
+def test_two_form_calls_and_three_inclusions_fail_together(rid, params):
+    s = atlas.instance(rid, *params)
+    for k, p in (s.theta_decomp, s.sigma_decomp):
+        # swap the first row of k with the first row of p
+        k2, p2 = np.vstack([p[:1], k[1:]]), np.vstack([k[:1], p[1:]])
+        assert _grading_residual(s.g_vee, k2, p2) >= 0.5
+        assert _inclusion_residual(s.g_vee, k2, p2) >= 0.5
 
 
 def test_algebra_suite_memory_is_cubic():

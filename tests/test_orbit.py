@@ -747,6 +747,8 @@ def test_weyl_orbit_stops_past_its_cap(monkeypatch):
 
 def test_verify_records_a_ladder_past_the_cap_as_suite_errors(monkeypatch,
                                                               capsys):
+    # a ladder cached before the cap was patched would skip it
+    ob.critical_ladder.cache_clear()
     monkeypatch.setattr(ob, "_MAX_FIXED_POINTS", 8)
     code = cli.main(["verify", "--seed", "1", "--suite", "critical,capacity",
                      "--space", "grassmann_complex_hermitian",
@@ -759,6 +761,18 @@ def test_verify_records_a_ladder_past_the_cap_as_suite_errors(monkeypatch,
         ["critical.error", "capacity.error"],
         "LadderTooLarge: W . xi has more than _MAX_FIXED_POINTS = 8 points, "
         "past which the critical and capacity suites are not supported")
+
+
+def test_a_full_verify_enumerates_the_weyl_orbit_once(monkeypatch):
+    ob.critical_ladder.cache_clear()
+    calls = []
+    orbit = ob._weyl_orbit
+    monkeypatch.setattr(ob, "_weyl_orbit",
+                        lambda s: calls.append(s) or orbit(s))
+    report = rep.run_suites(rep.SUITE_NAMES, 1, "grassmann_complex_hermitian",
+                            (2, 2))
+    assert all(c["status"] != "error" for c in report["checks"])
+    assert len(calls) == 1
 
 
 def test_weyl_orbit_stacks_points_not_their_reflections():
