@@ -476,7 +476,7 @@ def swap_involution(sum_alg: LieAlgebraBasis, split: int) -> np.ndarray:
     return _frozen(op)
 
 
-def cartan_decompose(alg: LieAlgebraBasis, op: np.ndarray) -> tuple:
+def cartan_decompose(op: np.ndarray) -> tuple:
     """Eigenspace split g = k + p of an involution op, as read-only
     orthonormal row bases (k, p) of its +1 and -1 eigenspaces.  For an
     automorphism (make_involution) [k,k], [p,p] in k and [k,p] in p."""

@@ -381,21 +381,20 @@ def instantiate(d: RSpaceDescriptor) -> SpaceInstance:
     if np.linalg.norm(sigma @ xc + xc) > 1e-9:
         raise UnsupportedRow(f"{d.id}: sigma does not reverse xi")
 
+    # ad_xi is skew, so ad_xi^3 = -ad_xi iff its spectrum lies in {0, +-i};
+    # -tr(ad_xi^2) counts the +-i, which a central xi lacks.  Then
+    # exp(pi ad_xi) is exactly 1 + 2 ad_xi^2: +1 on the kernel, -1 elsewhere
     adxi = al.ad_operator(g, xi)
-    freqs = np.linalg.eigvalsh(1j * adxi)
-    ok = np.all((np.abs(freqs) < 1e-9) | (np.abs(np.abs(freqs) - 1.0) < 1e-9))
-    if not ok or np.abs(freqs).max() < 0.5:
+    adxi2 = adxi @ adxi
+    if np.abs(adxi @ adxi2 + adxi).max() > 1e-9 or -np.trace(adxi2) < 0.5:
         raise UnsupportedRow(f"{d.id}: ad_xi spectrum is not {{0, +-i}}")
-
-    # ad_xi^3 = -ad_xi on the spectrum {0, +-i}, so exp(pi ad_xi) is exactly
-    # 1 + 2 ad_xi^2: +1 on the kernel, cos(pi) = -1 on the rest
     eye = np.eye(g.dim)
-    theta = al.make_involution(g, eye + 2.0 * adxi @ adxi)
+    theta = al.make_involution(g, eye + 2.0 * adxi2)
     if np.abs(theta @ sigma - sigma @ theta).max() >= 1e-9:
         raise UnsupportedRow(f"{d.id}: sigma and theta do not commute")
 
-    tdec = al.cartan_decompose(g, theta)
-    sdec = al.cartan_decompose(g, al.make_involution(g, sigma))
+    tdec = al.cartan_decompose(theta)
+    sdec = al.cartan_decompose(al.make_involution(g, sigma))
     k, p_vee = sdec[0], tdec[1]
     # h and l: theta's +1 and -1 eigenspaces inside k
     h = rt._kernel_within(k, theta - eye)

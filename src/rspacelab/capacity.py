@@ -49,15 +49,18 @@ def c_model(s: SpaceInstance) -> float:
 
 
 def _active_weights(s: SpaceInstance) -> np.ndarray:
-    """Every nonzero joint ad frequency on the flat whose eigenvector
-    overlaps xi, one row per eigenvector; alpha and 2 alpha both stay."""
-    g = s.g_vee
-    alphas, vecs = rt._joint_eigen([al.ad_from_coords(g, row)
-                                    for row in s.a_flat])
-    xc = g.coords(s.xi)
-    overlap = np.abs(np.conj(vecs.T) @ xc) ** 2 > 1e-12 * (xc @ xc)
-    nonzero = np.linalg.norm(alphas, axis=1) > 1e-9
-    return alphas[overlap & nonzero]
+    """Every nonzero weight of the flat on an entry of xi, one row per
+    entry; alpha and 2 alpha both stay.
+
+    With X v_r = i lambda_r(X) v_r jointly on the n x n flat matrices,
+    exp(X) xi exp(-X) scales the entry M_rs of M = V^H xi V by
+    exp(i (lambda_r - lambda_s)(X)).
+    """
+    lams, vecs = rt._joint_eigen(s.g_vee.from_coords(s.a_flat))
+    m = np.conj(vecs.T) @ s.xi @ vecs
+    on = np.abs(m) ** 2 > 1e-12 * np.sum(s.xi * s.xi)
+    ws = (lams[:, None] - lams[None])[on]
+    return ws[np.linalg.norm(ws, axis=1) > 1e-9]
 
 
 def _unit_lattice(s: SpaceInstance) -> dict:
@@ -85,8 +88,9 @@ def _unit_lattice(s: SpaceInstance) -> dict:
         raise LatticeError("active weights are not commensurable")
     # row j is the flat vector on which basis weight i takes 2 pi delta_ij
     lift = 2.0 * np.pi * np.linalg.pinv(basis).T
-    adxi = al.ad_operator(g, s.xi)
-    vel = (adxi @ (lift @ s.a_flat).T).T
+    # the trace form of the n x n brackets is their coordinate product
+    vel = al.bracket(g.from_coords(lift @ s.a_flat), s.xi)
+    vel = vel.reshape(len(lift), -1)
     gram = (vel @ vel.T) / c_model(s)
     return {"weights": basis, "num": num, "den": den, "gram": gram,
             "lift": lift}
@@ -252,8 +256,8 @@ def chz_disc(s: SpaceInstance, sys_flat: float) -> tuple:
 
 def capacity_hermitian_ambient(s: SpaceInstance) -> tuple:
     """(c_G, c_HZ) of the ambient Hermitian orbit: the lowest step of its
-    critical ladder, 4 pi, and its spread, 4 pi rank N_C; the levels sit
-    4 pi apart at the reflections of xi in the first j cascade roots."""
+    critical ladder, 4 pi, and its spread, 4 pi rank N_C, in closed form;
+    verify holds them against the levels of W . xi (orbit.critical_ladder)."""
     return 4.0 * np.pi, 4.0 * np.pi * len(s.abar)
 
 

@@ -191,7 +191,7 @@ def suite_roots(spaces, seed, tol):
         for h, x, y in st.triples:
             for a, b, c, f in ((h, x, x, 2.0), (h, y, y, -2.0),
                                (x, y, h, 1.0)):
-                res = max(res, float(np.linalg.norm(a @ b - b @ a - f * c)
+                res = max(res, float(np.linalg.norm(al.bracket(a, b) - f * c)
                                      / np.linalg.norm(c)))
         checks.append(_check(
             f"roots.sl2[{lab}]",

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from ._record import dataclass
-from .algebra import (LieAlgebraBasis, ad_from_coords, bracket_residual,
-                      AlgebraMismatch)
+from .algebra import (LieAlgebraBasis, ad_from_coords, bracket,
+                      bracket_residual, AlgebraMismatch)
 
 TOL_ROOT = 1e-6
 TOL_SL2 = 1e-8
@@ -161,8 +161,8 @@ def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
 
 
 def _joint_eigen(ads):
-    """Simultaneous eigendata of a commuting family of antisymmetric ad
-    matrices, a sequence or a (count, dim, dim) stack.
+    """Simultaneous eigendata of a commuting family of antisymmetric
+    matrices, ad or n x n, a sequence or a (count, dim, dim) stack.
 
     Diagonalizes one fixed generic combination, its weights shifted by one
     prime per attempt, and accepts the eigenvectors once every member of the
@@ -304,12 +304,9 @@ def build_sl2_triple(alg: LieAlgebraBasis, t: np.ndarray, covs: np.ndarray,
     y_mat = np.sign(kappa0) * s * np.conj(e_mat)
     h_mat = (2.0 / kappa0) * c_mat
 
-    def comm(a, b):
-        return a @ b - b @ a
-
-    assert np.abs(comm(h_mat, x_mat) - 2 * x_mat).max() < TOL_SL2
-    assert np.abs(comm(h_mat, y_mat) + 2 * y_mat).max() < TOL_SL2
-    assert np.abs(comm(x_mat, y_mat) - h_mat).max() < TOL_SL2
+    assert np.abs(bracket(h_mat, x_mat) - 2 * x_mat).max() < TOL_SL2
+    assert np.abs(bracket(h_mat, y_mat) + 2 * y_mat).max() < TOL_SL2
+    assert np.abs(bracket(x_mat, y_mat) - h_mat).max() < TOL_SL2
 
     return h_mat, x_mat, y_mat
 

@@ -295,6 +295,24 @@ def test_a_sigma_that_misses_theta_is_a_typed_error(monkeypatch, capsys):
         "rspacelab: sphere: sigma and theta do not commute\n")
 
 
+@pytest.mark.parametrize("scale", [2.0, 0.5, 0.0])
+def test_a_xi_off_the_spectrum_is_a_typed_error(monkeypatch, capsys, scale):
+    # 2 xi and xi / 2 have ad spectrum {0, +-2i} and {0, +-i/2}, which break
+    # ad_xi^3 = -ad_xi; 0 keeps the identity, and -tr(ad_xi^2) = 0 counts
+    # no +-i
+    g, sigma, xi = atlas._build_sphere(2)
+    adxi = al.ad_operator(g, scale * xi)
+    assert (np.abs(adxi @ adxi @ adxi + adxi).max() == 0.0) == (scale == 0.0)
+    _sphere_row_built_by(monkeypatch,
+                         lambda n: (g, sigma, g.element(scale * xi)))
+    with pytest.raises(atlas.UnsupportedRow,
+                       match=r"^sphere: ad_xi spectrum is not \{0, \+-i\}$"):
+        atlas.instantiate(atlas.descriptor("sphere", 2))
+    assert cli.main(["atlas", "--space", "sphere"]) == cli.EX_USAGE
+    assert capsys.readouterr().err == (
+        "rspacelab: sphere: ad_xi spectrum is not {0, +-i}\n")
+
+
 def test_a_sigma_that_is_no_automorphism_is_a_typed_error(monkeypatch):
     # flipping one direction u that sigma and theta both fix leaves a
     # symmetric orthogonal involution that reverses xi and commutes with
@@ -342,7 +360,7 @@ def test_theta_by_conjugation_is_the_exponential_of_ad_xi(monkeypatch, rid,
     k, p = s.theta_decomp
     assert np.abs(k @ _theta(s) - k).max() <= 1e-13
     assert np.abs(p @ _theta(s) + p).max() <= 1e-13
-    for rows, side in zip((h, l), al.cartan_decompose(g, ref)):
+    for rows, side in zip((h, l), al.cartan_decompose(ref)):
         old = _intersect_rows(s.sigma_decomp[0], side)
         assert rows.shape == old.shape
         assert np.abs(rows.T @ rows - old.T @ old).max() <= 1e-12

@@ -1,5 +1,7 @@
 """Systoles, the capacity dichotomy, disc dispatch and the quadric spectrum."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rspacelab import atlas
 from rspacelab import capacity as cap
 from rspacelab import orbit as ob
 from rspacelab import reporting as rep
+from rspacelab import roots as rt
 
 SQRT2PI = np.sqrt(2.0) * np.pi
 
@@ -267,6 +270,54 @@ def test_unit_lattice_on_orthogonal_group():
     assert abs(np.sqrt(z @ lat["gram"] @ z) - d["systole"]) < 1e-12
     scan = cap.systole_scan_oracle(s, d["direction"])
     assert abs(scan - d["systole"]) < 1e-6 * d["systole"]
+
+
+def _active_weights_by_ad(s):
+    """The active weights read off ad on all of g: the joint frequencies of
+    ad of the flat whose eigenvectors overlap the coordinates of xi."""
+    g = s.g_vee
+    alphas, vecs = rt._joint_eigen(al.ad_from_coords(g, s.a_flat))
+    xc = g.coords(s.xi)
+    overlap = np.abs(np.conj(vecs.T) @ xc) ** 2 > 1e-12 * (xc @ xc)
+    return alphas[overlap & (np.linalg.norm(alphas, axis=1) > 1e-9)]
+
+
+def _rows_within(a, b, tol):
+    """Every row of a lies within tol of a row of b, in the max norm."""
+    return np.abs(a[:, None] - b[None]).max(axis=2).min(axis=1).max() <= tol
+
+
+@pytest.mark.parametrize("rid,params", sorted(atlas._DEFAULT_SWEEP) + [
+    ("sphere", (22,)), ("unitary_group", (6,)),
+    ("quadric_complex_hermitian", (22,))])
+def test_active_weights_are_those_of_ad(rid, params):
+    # the weights lambda_r - lambda_s on the nonzero entries of xi in the
+    # joint eigenbasis of the n x n flat are the ad frequencies on xi
+    s = atlas.instance(rid, *params)
+    ws, ref = cap._active_weights(s), _active_weights_by_ad(s)
+    assert len(ws) and len(ref)
+    assert _rows_within(ws, ref, 1e-9) and _rows_within(ref, ws, 1e-9)
+
+
+def test_capacity_table_solves_no_complex_eigenproblem_past_n(monkeypatch):
+    # the closure condition exp(X) xi exp(-X) = xi is read on the n x n
+    # matrices, so no complex eigh or eigvalsh is larger than n, and the
+    # capacity module forms no ad matrix
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        def recorded(a, *args, _solve=getattr(np.linalg, name), **kw):
+            if np.iscomplexobj(a):
+                sizes.append(np.shape(a)[-1])
+            return _solve(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    for d in atlas.list_entries():
+        if d.instantiable:
+            sizes.clear()
+            cap.capacity_table([d])
+            n = atlas.instance(d.id, *d.params).g_vee.size
+            assert sizes and max(sizes) <= n, (d.label, max(sizes), n)
+    text = Path(cap.__file__).read_text()
+    assert "ad_operator" not in text and "ad_from_coords" not in text
 
 
 def test_bc_row_keeps_alpha_beside_two_alpha(monkeypatch):

@@ -209,6 +209,18 @@ def test_transport_stays_on_the_orbit():
     assert ob.certificate_residual(s, again) < 1e-9
 
 
+@pytest.mark.parametrize("rid,params", _STRUCTURAL_SPACES)
+def test_certificate_reads_a_stack_of_orbit_points(rid, params):
+    # the n x n spectrum of i x against that of i xi: round-off on the
+    # orbit, the largest over a stack, and a 1% dilation leaves the orbit
+    s = atlas.instance(rid, *params)
+    pts = ob.random_orbit_points(s, range(6))
+    res = ob.certificate_residual(s, pts)
+    assert res <= 1e-12
+    assert res == max(ob.certificate_residual(s, x) for x in pts)
+    assert ob.certificate_residual(s, 1.01 * pts[0]) >= 1e-3
+
+
 def test_tangent_frame_is_metric_orthonormal():
     s = atlas.instance("sphere", 2)
     x = random_orbit_point(s, 8)
