@@ -388,7 +388,8 @@ def _descend(s: SpaceInstance, pts: np.ndarray) -> np.ndarray:
     -B(xi, xi)), -B(xi, xi) = |ad_xi|_F^2, a restart stops once |[xi, x]|
     is below 1e-13 sqrt(scale), above the round-off floor where a
     converged restart stalls, or after 60 steps; the certificate in
-    find_critical_points judges the end.
+    find_critical_points judges the end.  Each G is projected back onto g,
+    else a stalled restart's steps grow its round-off off the orbit.
 
     The restarts move in lockstep on the stack, each with its own stopping
     rule.  A stacked n x n matmul or eigh runs slice by slice, and the end
@@ -407,6 +408,7 @@ def _descend(s: SpaceInstance, pts: np.ndarray) -> np.ndarray:
         if live.size == 0:
             break
         grad = al.bracket(al.bracket(xi, r), x[live])
+        grad = g.from_coords(g.coords(grad[:, None]))[:, 0]  # back onto g
         c = 0.5 / np.maximum(np.linalg.norm(grad, axis=(-2, -1)), 0.5)
         rot = al.expm_skew(-c[:, None, None] * grad)
         x[live] = rot @ x[live] @ rot.swapaxes(-1, -2)

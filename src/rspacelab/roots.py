@@ -7,9 +7,9 @@ in these coordinates, so i*ad is Hermitian and eigh applies.
 
 Generic elements are fixed, not drawn: their weights are square roots of
 primes (generic_weights), and the certificates each search already runs
-(abelian stabilization with the centralizer dimension, the joint-eigen
-residual, a functional vanishing on no root) prove they were generic
-enough; a failed certificate raises a typed error.
+(an abelian kernel of ad_x in the centralizer, the joint-eigen residual, a
+functional vanishing on no root) prove they were generic enough; a failed
+certificate raises a typed error.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from .algebra import (LieAlgebraBasis, ad_from_coords, bracket,
 TOL_ROOT = 1e-6
 TOL_SL2 = 1e-8
 _TOL_RANK = 1e-9  # relative singular value cut of the kernels and spans
-_ABELIAN_ROUNDS = 10  # refinement budget of find_maximal_abelian
+_ABELIAN_ROUNDS = 10  # generic elements find_maximal_abelian tries
 _EIGEN_ATTEMPTS = 5  # generic combinations _joint_eigen tries
 
 
 class MaximalityNotCertified(RuntimeError):
-    """Centralizer refinement failed to stabilize on an abelian subspace."""
+    """No generic element tried has an abelian kernel in the centralizer."""
 
 
 class ClusteringAmbiguous(RuntimeError):
@@ -102,12 +102,15 @@ def generic_weights(n: int, start: int = 0) -> np.ndarray:
 def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
                          must_contain: Sequence = ()) -> np.ndarray:
     """Orthonormal coordinate rows of a maximal abelian subspace of the span
-    of the rows side, via centralizer refinement.
+    of the rows side: the kernel of one generic element of the centralizer.
 
-    Intersects the current candidate span with the kernel of a fixed
-    generic element of it (weights shifted by one prime per round) until
-    the span stabilizes as abelian; certifies maximality by checking the
-    centralizer of the result inside the full side has the same dimension.
+    With cent the centralizer of must_contain in side and x a fixed generic
+    element of cent, the span is the kernel of ad_x in cent.  Once it is
+    abelian it is maximal: y in side commuting with it commutes with
+    must_contain and with x, so y lies in that kernel (for regular x, ker
+    ad_x is its own centralizer).  A non-abelian kernel means x was not
+    generic; the weights then shift by one prime and the kernel is taken
+    again.
 
     Args:
         side: orthonormal rows of the subspace to search inside (closed
@@ -116,36 +119,24 @@ def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
             have to commute with each other.  They come first in the basis.
 
     Raises:
-        MaximalityNotCertified: refinement did not stabilize in budget, or
-            the result is not maximal.
+        MaximalityNotCertified: no generic element tried has an abelian
+            kernel, or must_contain does not lie in it.
     """
     mc = [np.asarray(m, float) for m in must_contain]
-    span = side
+    cent = side
     for m in mc:
-        span = _kernel_within(span, ad_from_coords(alg, m))
+        cent = _kernel_within(cent, ad_from_coords(alg, m))
 
     for r in range(_ABELIAN_ROUNDS):
-        if span.shape[0] <= 1:
+        x = generic_weights(len(cent), r) @ cent
+        span = _kernel_within(cent, ad_from_coords(alg, x))
+        if len(span) == len(cent):
+            span = cent  # nothing cut: keep the rows of cent
+        if bracket_residual(alg, span, span, np.eye(alg.dim)) < 1e-10:
             break
-        x = generic_weights(span.shape[0], r) @ span
-        kernel = _kernel_within(span, ad_from_coords(alg, x))
-        # abelian when [span, span] has no component; a span that the kernel
-        # of a generic element of it cuts down is not, so it needs no test
-        if len(kernel) == len(span) and bracket_residual(
-                alg, span, span, np.eye(alg.dim)) < 1e-10:
-            break
-        span = kernel
     else:
         raise MaximalityNotCertified(
-            f"no abelian stabilization within {_ABELIAN_ROUNDS} rounds")
-
-    # maximality: centralizer of span inside side must equal span
-    cent = side
-    for row in span:
-        cent = _kernel_within(cent, ad_from_coords(alg, row))
-    if cent.shape[0] != span.shape[0]:
-        raise MaximalityNotCertified(
-            f"centralizer dim {cent.shape[0]} vs span dim {span.shape[0]}")
+            f"no abelian kernel among {_ABELIAN_ROUNDS} generic elements")
 
     head = _gram_schmidt(mc) if mc else span[:0]  # then the rest of span
     basis = np.vstack([head, _kernel_within(span, head)])

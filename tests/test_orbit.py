@@ -442,6 +442,16 @@ def test_stacked_descent_matches_one_restart_at_a_time(rid, params):
         assert ob._gradient_norms(s, end[None])[0] <= 1e-7
 
 
+def test_a_stalled_restart_stays_on_the_orbit():
+    # restart 36 of find_critical_points(seed=54) at the window edge stalls
+    # just above the stop; with generators left off g its steps grow the
+    # round-off off g until the end's spectrum drifts by 4.7e-2
+    s = atlas.instance("grassmann_complex_hermitian", 3, 9)
+    child = np.random.SeedSequence(54).spawn(49)[35]
+    end = ob._descend(s, ob.random_orbit_points(s, [child]))
+    assert ob.certificate_residual(s, s.g_vee.from_coords(end)) <= 1e-12
+
+
 _PINS = json.loads((Path(__file__).parent / "data"
                     / "critical_gap_pins.json").read_text())["pins"]
 

@@ -189,6 +189,54 @@ def test_must_contain_off_the_span_is_a_typed_error():
         rt.find_maximal_abelian(g, torus[:11], must_contain=[torus[11]])
 
 
+def _centralizer(alg, rows, side):
+    """Dimension of the centralizer of rows in the span of the orthonormal
+    rows side, from one SVD of ad(row) @ side.T stacked over the rows with
+    a 1e-9 relative cut, and the singular values relative to the largest."""
+    sv = np.linalg.svd((al.ad_from_coords(alg, rows) @ side.T)
+                       .reshape(-1, len(side)), compute_uv=False)
+    sv = sv / max(1.0, sv.max(initial=0.0))
+    return len(side) - int(np.sum(sv > 1e-9)), sv
+
+
+def _flat_pair_and_torus(s):
+    """(rows, side) of a_flat in l, abar in theta's p and the cascade torus
+    in theta's k, each side taken as instantiate and the cascade take it."""
+    g = s.g_vee
+    (k, _), (k_theta, p_theta) = s.sigma_decomp, s.theta_decomp
+    adxi, eye = al.ad_operator(g, s.xi), np.eye(g.dim)
+    l = rt._kernel_within(k, eye + 2.0 * adxi @ adxi + eye)
+    torus = rt.find_maximal_abelian(g, k_theta,
+                                    must_contain=[g.coords(s.xi)])
+    return [(s.a_flat, l), (s.abar, p_theta), (torus, k_theta)]
+
+
+WINDOW_EDGE = [("grassmann_complex_hermitian", (2, 9)),
+               ("grassmann_complex_hermitian", (3, 9))]
+
+
+@pytest.mark.parametrize("rid,params", atlas._DEFAULT_SWEEP + WINDOW_EDGE)
+def test_the_centralizer_of_each_maximal_abelian_result_is_itself(rid, params):
+    # maximality read independently of find_maximal_abelian's construction:
+    # the rank cut sits in a clean gap, and dropping a row leaves a
+    # centralizer larger than the rows that remain
+    s = atlas.instance(rid, *params)
+    for rows, side in _flat_pair_and_torus(s):
+        dim, sv = _centralizer(s.g_vee, rows, side)
+        assert dim == len(rows)
+        assert not np.any((sv > 1e-12) & (sv < 1e-2))
+        assert _centralizer(s.g_vee, rows[:-1], side)[0] > len(rows) - 1
+
+
+@pytest.mark.parametrize("params,suites", [((2, 9), ["roots", "orbit",
+                                                     "finsler"]),
+                                           ((3, 9), ["roots"])])
+def test_the_window_edge_passes_the_structure_suites(params, suites):
+    report = rp.run_suites(suites, 1, "grassmann_complex_hermitian", params)
+    assert {c["id"].split(".")[0] for c in report["checks"]} == set(suites)
+    assert rp.all_passed(report)
+
+
 def test_coordinates_in_a_subspace_refuse_a_vector_off_it():
     s = atlas.instance("sphere", 3)
     v = np.array([0.5, -2.0]) @ s.abar
