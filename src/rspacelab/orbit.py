@@ -33,22 +33,6 @@ class FewerThanTwoClusters(RuntimeError):
     """Gap report needs at least two critical values."""
 
 
-class LadderTooLarge(RuntimeError):
-    """W . xi has more points than _MAX_FIXED_POINTS."""
-
-
-# _weyl_orbit visits each of the chi(M) points of W . xi in a Python loop,
-# with one reflection per root: grassmann_complex_hermitian(4,4) has 4,900
-# points (0.4 s), (4,5) 15,876 (1.9 s), (5,5) 63,504 and (6,6) 853,776.
-# The cap admits (4,5), every non-doubled window top (at most 2,048 points)
-# and, 50 times over, the 400 points of (3,3), the largest row that the
-# tests and the parameter sweeps of verify run.  The rows of the window past
-# it, where the critical and capacity suites are not supported, are
-# grassmann_complex_hermitian(p,q) with C(p+q,p)^2 > 20,000 and
-# orthogonal_mod_unitary_hermitian(n) for n >= 9, with 4^(n-1) points.
-_MAX_FIXED_POINTS = 20_000
-
-
 @dataclass(frozen=True, eq=False)
 class CriticalCluster:
     value: float
@@ -513,23 +497,20 @@ def critical_gap_report(s: SpaceInstance, restarts: int = 50,
             "populations": [c.population for c in clusters]}
 
 
-def _weyl_orbit(s: SpaceInstance):
-    """W . xi on the cascade torus, from the reflections of xi in the torus
-    roots: the points as rows of torus coordinates, and beside them their
-    root values as integer rows, xi first.
+def _weyl_orbit(betas: np.ndarray, start: np.ndarray):
+    """W . start on the cascade torus, W generated by the reflections in
+    the roots betas: the points as rows of torus coordinates, start first,
+    and beside them their root values as integer rows.
 
-    ad_xi has spectrum {0, +-i} and W permutes the roots, so every root
-    takes a value in {-1, 0, 1} on every point, and these values name the
-    point; the bytes of the rounded values key the points seen.  A new
-    point waits on the stack with its root values, not its reflections.
-    Raises LadderTooLarge once more than _MAX_FIXED_POINTS points are seen.
-    """
-    st = structure(s)
-    betas, r = st.torus_roots, len(st.torus_roots)
+    On W . xi every root takes a value in {-1, 0, 1} (ad_xi has spectrum
+    {0, +-i} and W permutes the roots), and these values name the point;
+    the bytes of the rounded values key the points seen.  A new point
+    waits on the stack with its root values, not its reflections."""
+    r = len(betas)
     # the torus coordinates are orthonormal, so the reflection in beta is
     # Euclidean: x -> x - 2 beta(x) / |beta|^2 beta
     coef = 2.0 / np.einsum("ri,ri->r", betas, betas)
-    seen, stack, ys = {}, [], st.xi_t[None]
+    seen, stack, ys = {}, [], start[None]
     while True:
         vals = ys @ betas.T
         keys = np.rint(vals)
@@ -540,11 +521,6 @@ def _weyl_orbit(s: SpaceInstance):
             if key not in seen:
                 seen[key] = ys[i].copy()
                 stack.append((seen[key], vals[i].copy()))
-        if len(seen) > _MAX_FIXED_POINTS:
-            raise LadderTooLarge(f"W . xi has more than _MAX_FIXED_POINTS = "
-                                 f"{_MAX_FIXED_POINTS} points, past which "
-                                 f"the critical and capacity suites are "
-                                 f"not supported")
         if not stack:
             break
         y, v = stack.pop()
@@ -553,30 +529,54 @@ def _weyl_orbit(s: SpaceInstance):
     return np.array(list(seen.values())), keys.astype(int)
 
 
+def _root_factors(betas: np.ndarray) -> list:
+    """Index arrays of the irreducible factors of the roots betas: the
+    components of the graph joining roots with |inner product| > 1e-9 max."""
+    gram = np.abs(betas @ betas.T)
+    linked = gram > 1e-9 * gram.max()
+    factors, left = [], np.ones(len(betas), bool)
+    while left.any():
+        part = linked[np.argmax(left)]
+        while not np.array_equal(grown := linked[part].any(axis=0), part):
+            part = grown
+        factors.append(np.flatnonzero(part))
+        left &= ~part
+    return factors
+
+
 @functools.cache  # keyed on instance identity; callers share the list
 def critical_ladder(s: SpaceInstance) -> list:
     """Critical levels of H with the distinct Morse indices of their
     components, as sorted (level, [indices]) pairs.
 
     H is a perfect Morse-Bott function whose critical set meets the torus
-    in the fixed points W . xi (_weyl_orbit), one W_xi-orbit per component,
-    and the level of p is -2 pi tr(xi^T p), -2 pi xi_t . p on the
-    orthonormal torus.  The Hessian at p is diagonal on the root spaces,
-    with sign beta(xi) beta(p) on the real 2-plane of +-beta, so the index
-    of p's component counts the torus roots beta with beta(xi) beta(p) < 0,
-    read off the integer root values (Bott, Bull. SMF 84 (1956); Atiyah,
-    Bull. LMS 14 (1982)).
-    """
-    xi_t = structure(s).xi_t
-    pts, keys = _weyl_orbit(s)
-    vals = [-2.0 * np.pi * float(xi_t @ p) for p in pts]
-    index = np.sum(keys[0] * keys < 0, axis=1).tolist()
-    ladder = []
-    for v, i in sorted(zip(vals, index)):
-        if ladder and v - ladder[-1][0] <= 1e-6:
-            ladder[-1][1].add(i)
-        else:
-            ladder.append((v, {i}))
+    in the fixed points W . xi, one W_xi-orbit per component, and the level
+    of p is -2 pi tr(xi^T p), -2 pi xi_t . p on the orthonormal torus.  The
+    Hessian at p is diagonal on the root spaces, with sign beta(xi) beta(p)
+    on the real 2-plane of +-beta, so the index of p's component counts the
+    torus roots beta with beta(xi) beta(p) < 0, read off the integer root
+    values (Bott, Bull. SMF 84 (1956); Atiyah, Bull. LMS 14 (1982)).
+
+    W is the product of the Weyl groups of the torus roots' irreducible
+    factors, whose reflections each move xi_t in their own span only, so
+    W . xi is the product of the factor orbits.  A level adds to the first
+    factor's level each other factor's offset from the bottom -2 pi
+    |xi_t|^2, and an index adds up the factors' indices."""
+    xi_t, roots = structure(s).xi_t, structure(s).torus_roots
+    # the first factor's levels enter unchanged, bitwise on a one-factor row
+    ladder, shift = [(0.0, {0})], 0.0
+    for f in _root_factors(roots):
+        pts, keys = _weyl_orbit(roots[f], xi_t)
+        vals = [-2.0 * np.pi * float(xi_t @ p) for p in pts]
+        index = np.sum(keys[0] * keys < 0, axis=1).tolist()
+        merged = []
+        for v, i in sorted((u + w - shift, a + b) for u, ux in ladder
+                           for a in ux for w, b in zip(vals, index)):
+            if merged and v - merged[-1][0] <= 1e-6:
+                merged[-1][1].add(i)
+            else:
+                merged.append((v, {i}))
+        ladder, shift = merged, -2.0 * np.pi * float(xi_t @ xi_t)
     return [(v, sorted(ix)) for v, ix in ladder]
 
 

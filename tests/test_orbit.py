@@ -506,6 +506,12 @@ def test_no_restart_runs_on_at_the_round_off_floor(monkeypatch):
 _CATALOGUE = [(d.id, d.params) for d in atlas.list_entries() if d.instantiable]
 
 
+def _whole_weyl_orbit(s):
+    """W . xi from the reflections in all torus roots at once."""
+    st_ = ob.structure(s)
+    return ob._weyl_orbit(st_.torus_roots, st_.xi_t)
+
+
 def _even_ladder(s):
     h0 = ob.hamiltonian(s, s.xi)
     return h0 + 4.0 * np.pi * np.arange(len(s.abar) + 1)
@@ -543,6 +549,8 @@ _DOUBLED_PARTNERS = [
     (("orthogonal_mod_unitary_hermitian", (4,)),
      ("unitary_mod_symplectic", (2,))),
     (("orthogonal_mod_unitary_hermitian", (5,)), ("orthogonal_group", (5,))),
+    (("grassmann_complex_hermitian", (4, 4)), ("grassmann_real", (4, 4))),
+    (("orthogonal_mod_unitary_hermitian", (9,)), ("orthogonal_group", (9,))),
 ]
 
 
@@ -691,7 +699,7 @@ _POINCARE_PAIRS = _CATALOGUE + [
 @pytest.mark.parametrize("rid,params", _POINCARE_PAIRS)
 def test_weyl_orbit_has_euler_characteristic_many_points(rid, params):
     s = atlas.instance(rid, *params)
-    pts, keys = ob._weyl_orbit(s)
+    pts, keys = _whole_weyl_orbit(s)
     assert len(pts) == len(keys) == _EULER[rid](*params)
     # distinct points: the root-value keys named no two alike
     gaps = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
@@ -715,13 +723,71 @@ def test_weyl_orbit_has_euler_characteristic_many_points(rid, params):
     assert np.array_equal(poincare, _POINCARE[rid](*params))
 
 
-def test_a_root_value_off_the_integers_raises(monkeypatch):
-    s = atlas.instance("sphere", 2)
-    st_ = ob.structure(s)
-    moved = ob.InstanceStructure(**{**vars(st_), "xi_t": 1.01 * st_.xi_t})
-    monkeypatch.setattr(ob, "structure", lambda s: moved)
+def _whole_orbit_ladder(s):
+    """critical_ladder read off one enumeration of W . xi in all the torus
+    roots, with no split into factors."""
+    xi_t = ob.structure(s).xi_t
+    pts, keys = _whole_weyl_orbit(s)
+    vals = [-2.0 * np.pi * float(xi_t @ p) for p in pts]
+    index = np.sum(keys[0] * keys < 0, axis=1).tolist()
+    ladder = []
+    for v, i in sorted(zip(vals, index)):
+        if ladder and v - ladder[-1][0] <= 1e-6:
+            ladder[-1][1].add(i)
+        else:
+            ladder.append((v, {i}))
+    return [(v, sorted(ix)) for v, ix in ladder]
+
+
+# the doubled rows at the first four window parameters of each
+# one-parameter row, and at (1,2), (2,2), (2,3), (3,3)
+_DOUBLED_SWEEP = (
+    [("grassmann_complex_hermitian", pq)
+     for pq in ((1, 2), (2, 2), (2, 3), (3, 3))]
+    + [(rid, (n,)) for rid in ("quadric_complex_hermitian",
+                               "orthogonal_mod_unitary_hermitian")
+       for n in (2, 3, 4, 5)]
+    + [("symplectic_mod_unitary_hermitian", (n,)) for n in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("rid,params", sorted(set(_CATALOGUE
+                                                  + _DOUBLED_SWEEP)))
+def test_factor_ladder_is_the_whole_orbit_ladder(rid, params):
+    # a doubled row's roots split into the two copies of its factor's, and
+    # so(4) = su(2) + su(2) splits sphere(2); one factor runs the whole
+    # enumeration, so its ladder is the same bitwise, and the sum of the
+    # factor levels rounds differently from the level of the product point
+    s = atlas.instance(rid, *params)
+    factors = ob._root_factors(ob.structure(s).torus_roots)
+    assert (len(factors) > 1) == (rid.endswith("_hermitian")
+                                  or (rid, params) == ("sphere", (2,)))
+    got, want = ob.critical_ladder(s), _whole_orbit_ladder(s)
+    if len(factors) == 1:
+        assert got == want
+    assert [ix for _, ix in got] == [ix for _, ix in want]
+    assert np.allclose([v for v, _ in got], [v for v, _ in want],
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rid,params", [
+    ("grassmann_complex_hermitian", (5, 5)),
+    ("grassmann_complex_hermitian", (6, 6)),
+    ("orthogonal_mod_unitary_hermitian", (12,))])
+def test_factor_orbits_multiply_to_the_euler_characteristic(rid, params):
+    # W . xi has 63,504, 853,776 and 4,194,304 points here; only the two
+    # factor orbits, of 252, 924 and 2,048 points, are enumerated
+    st_ = ob.structure(atlas.instance(rid, *params))
+    factors = ob._root_factors(st_.torus_roots)
+    sizes = [len(ob._weyl_orbit(st_.torus_roots[f], st_.xi_t)[0])
+             for f in factors]
+    assert len(factors) == 2
+    assert sizes[0] * sizes[1] == _EULER[rid](*params)
+
+
+def test_a_root_value_off_the_integers_raises():
+    st_ = ob.structure(atlas.instance("sphere", 2))
     with pytest.raises(AssertionError, match="root value off the integers"):
-        ob._weyl_orbit(s)
+        ob._weyl_orbit(st_.torus_roots, 1.01 * st_.xi_t)
 
 
 def _batch_weyl_orbit(s):
@@ -751,38 +817,28 @@ def test_weyl_orbit_is_the_batch_enumeration(rid, params):
     # leaves the stack, and the stack is taken in the same order, so the
     # points and their keys come out bitwise alike
     s = atlas.instance(rid, *params)
-    pts, keys = ob._weyl_orbit(s)
+    pts, keys = _whole_weyl_orbit(s)
     want_pts, want_keys = _batch_weyl_orbit(s)
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(keys, want_keys)
 
 
-def test_weyl_orbit_stops_past_its_cap(monkeypatch):
-    # grassmann_complex_hermitian(1,2) has chi = 9 fixed points
-    s = atlas.instance("grassmann_complex_hermitian", 1, 2)
-    monkeypatch.setattr(ob, "_MAX_FIXED_POINTS", 9)
-    assert len(ob._weyl_orbit(s)[0]) == 9
-    monkeypatch.setattr(ob, "_MAX_FIXED_POINTS", 8)
-    with pytest.raises(ob.LadderTooLarge, match="_MAX_FIXED_POINTS = 8 "):
-        ob._weyl_orbit(s)
-
-
-def test_verify_records_a_ladder_past_the_cap_as_suite_errors(monkeypatch,
-                                                              capsys):
-    # a ladder cached before the cap was patched would skip it
-    ob.critical_ladder.cache_clear()
-    monkeypatch.setattr(ob, "_MAX_FIXED_POINTS", 8)
-    code = cli.main(["verify", "--seed", "1", "--suite", "critical,capacity",
-                     "--space", "grassmann_complex_hermitian",
-                     "--params", "1,2"])
+@pytest.mark.parametrize("rid,params", [
+    ("grassmann_complex_hermitian", (4, 4)),
+    ("orthogonal_mod_unitary_hermitian", (9,))])
+def test_verify_runs_the_ladder_suites_past_the_whole_orbit(rid, params,
+                                                           capsys):
+    # W . xi has 4,900 and 65,536 points here; the ladder enumerates only
+    # the two factor orbits, of 70 and 256 points
+    cli.main(["verify", "--seed", "1", "--suite", "critical,capacity",
+              "--space", rid, "--params", ",".join(map(str, params))])
     out, err = capsys.readouterr()
-    assert code == cli.EX_VERIFY and "Traceback" not in err
-    errors = {c["id"]: c["computed"] for c in json.loads(out)["checks"]
-              if c["status"] == "error"}
-    assert errors == dict.fromkeys(
-        ["critical.error", "capacity.error"],
-        "LadderTooLarge: W . xi has more than _MAX_FIXED_POINTS = 8 points, "
-        "past which the critical and capacity suites are not supported")
+    assert "Traceback" not in err
+    status = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+    assert not [i for i in status if i.endswith(".error")]
+    gated = [i for i in status if i.startswith("capacity.")
+             or i.startswith("critical.indices")]
+    assert gated and all(status[i] == "pass" for i in gated)
 
 
 def test_a_full_verify_enumerates_the_weyl_orbit_once(monkeypatch):
@@ -790,11 +846,13 @@ def test_a_full_verify_enumerates_the_weyl_orbit_once(monkeypatch):
     calls = []
     orbit = ob._weyl_orbit
     monkeypatch.setattr(ob, "_weyl_orbit",
-                        lambda s: calls.append(s) or orbit(s))
+                        lambda *a: calls.append(a) or orbit(*a))
     report = rep.run_suites(rep.SUITE_NAMES, 1, "grassmann_complex_hermitian",
                             (2, 2))
     assert all(c["status"] != "error" for c in report["checks"])
-    assert len(calls) == 1
+    # one enumeration per irreducible factor of the torus roots: the row is
+    # doubled, so two
+    assert len(calls) == 2
 
 
 def test_weyl_orbit_stacks_points_not_their_reflections():
@@ -804,7 +862,7 @@ def test_weyl_orbit_stacks_points_not_their_reflections():
     ob.structure(s)
     tracemalloc.start()
     try:
-        ob._weyl_orbit(s)
+        _whole_weyl_orbit(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1227,7 +1285,7 @@ def test_descent_step_is_the_gauss_newton_step(rid, params, monkeypatch):
     torus = rt.cascade_strongly_orthogonal(g, *s.theta_decomp, s.xi)[2]
     adxi = al.ad_operator(g, s.xi)
     rng = np.random.default_rng(36)
-    x0s = g.from_coords(ob._weyl_orbit(s)[0] @ torus)
+    x0s = g.from_coords(_whole_weyl_orbit(s)[0] @ torus)
     # tangent generators u move each x0 by |[u, x0]| = |u| = 1e-4
     us = al.ad_operator(g, x0s) @ rng.normal(size=(len(x0s), g.dim, 1))
     us *= 1e-4 / np.linalg.norm(us, axis=1, keepdims=True)
@@ -1328,7 +1386,7 @@ def test_descent_converges_quadratically_next_to_the_critical_set(
     s = atlas.instance(rid, *params)
     g = s.g_vee
     torus = rt.cascade_strongly_orthogonal(g, *s.theta_decomp, s.xi)[2]
-    x0s = g.from_coords(ob._weyl_orbit(s)[0] @ torus)
+    x0s = g.from_coords(_whole_weyl_orbit(s)[0] @ torus)
     rng = np.random.default_rng(37)
     us = al.ad_operator(g, x0s) @ rng.normal(size=(len(x0s), g.dim, 1))
     us *= 1e-4 / np.linalg.norm(us, axis=1, keepdims=True)
