@@ -497,44 +497,33 @@ def critical_gap_report(s: SpaceInstance, restarts: int = 50,
             "populations": [c.population for c in clusters]}
 
 
-def _weyl_orbit(betas: np.ndarray, start: np.ndarray):
-    """W . start on the cascade torus, W generated by the reflections in
-    the roots betas: the points as rows of torus coordinates, start first,
-    and beside them their root values as integer rows.
+def _weyl_orbit(cart: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """W . start as integer root-value rows, start first, W generated by
+    the reflections whose Cartan numbers are the rows of cart.
 
     On W . xi every root takes a value in {-1, 0, 1} (ad_xi has spectrum
-    {0, +-i} and W permutes the roots), and these values name the point;
-    the bytes of the rounded values key the points seen.  A new point
-    waits on the stack with its root values, not its reflections."""
-    r = len(betas)
-    # the torus coordinates are orthonormal, so the reflection in beta is
-    # Euclidean: x -> x - 2 beta(x) / |beta|^2 beta
-    coef = 2.0 / np.einsum("ri,ri->r", betas, betas)
-    seen, stack, ys = {}, [], start[None]
-    while True:
-        vals = ys @ betas.T
-        keys = np.rint(vals)
-        assert np.abs(vals - keys).max() < 1e-8, "root value off the integers"
-        raw = keys.astype(np.int8).tobytes()
-        for i in range(len(ys)):
-            key = raw[i * r:(i + 1) * r]
-            if key not in seen:
-                seen[key] = ys[i].copy()
-                stack.append((seen[key], vals[i].copy()))
-        if not stack:
-            break
-        y, v = stack.pop()
-        ys = y - (coef * v)[:, None] * betas
-    keys = np.frombuffer(b"".join(seen), np.int8).reshape(len(seen), r)
-    return np.array(list(seen.values())), keys.astype(int)
+    {0, +-i} and W permutes the roots), and these values name the point.
+    The reflection in beta sends the values v to v - v_beta cart[beta]; it
+    fixes v where v_beta = 0 and is the reflection in -beta, so a point is
+    reflected only in the roots positive on it."""
+    cart, start = cart.astype(np.int8), start.astype(np.int8)
+    seen, stack = {start.tobytes(): None}, [start]
+    while stack:
+        v = stack.pop()
+        pos = v > 0
+        for w in v - v[pos, None] * cart[pos]:
+            if (key := w.tobytes()) not in seen:
+                seen[key] = None
+                stack.append(w)
+    return np.frombuffer(b"".join(seen), np.int8).reshape(len(seen), -1)
 
 
-def _root_factors(betas: np.ndarray) -> list:
-    """Index arrays of the irreducible factors of the roots betas: the
-    components of the graph joining roots with |inner product| > 1e-9 max."""
-    gram = np.abs(betas @ betas.T)
-    linked = gram > 1e-9 * gram.max()
-    factors, left = [], np.ones(len(betas), bool)
+def _root_factors(cart: np.ndarray) -> list:
+    """Index arrays of the irreducible factors of the roots with Cartan
+    numbers cart: the components of the graph joining the roots whose
+    Cartan number is nonzero."""
+    linked = cart != 0
+    factors, left = [], np.ones(len(cart), bool)
     while left.any():
         part = linked[np.argmax(left)]
         while not np.array_equal(grown := linked[part].any(axis=0), part):
@@ -550,33 +539,39 @@ def critical_ladder(s: SpaceInstance) -> list:
     components, as sorted (level, [indices]) pairs.
 
     H is a perfect Morse-Bott function whose critical set meets the torus
-    in the fixed points W . xi, one W_xi-orbit per component, and the level
-    of p is -2 pi tr(xi^T p), -2 pi xi_t . p on the orthonormal torus.  The
-    Hessian at p is diagonal on the root spaces, with sign beta(xi) beta(p)
-    on the real 2-plane of +-beta, so the index of p's component counts the
-    torus roots beta with beta(xi) beta(p) < 0, read off the integer root
-    values (Bott, Bull. SMF 84 (1956); Atiyah, Bull. LMS 14 (1982)).
-
-    W is the product of the Weyl groups of the torus roots' irreducible
-    factors, whose reflections each move xi_t in their own span only, so
-    W . xi is the product of the factor orbits.  A level adds to the first
-    factor's level each other factor's offset from the bottom -2 pi
-    |xi_t|^2, and an index adds up the factors' indices."""
+    in the fixed points W . xi, one W_xi-orbit per component; the level of
+    p is -2 pi xi_t . p, and the index of p's component counts the torus
+    roots beta with beta(xi) beta(p) < 0 (Bott, Bull. SMF 84 (1956);
+    Atiyah, Bull. LMS 14 (1982)).  W is the product of the Weyl groups of
+    the irreducible factors F of the torus roots, so W . xi is the product
+    of the factor orbits, each walked on integer root values k
+    (_weyl_orbit).  On F the roots B_F pair as sum beta(x) beta(y) =
+    c_F x . y, so p's level is the bottom -2 pi |xi_t|^2 plus, per factor,
+    (2 pi / c_F)(k0 . k0 - k0 . k) with k0 the root values of xi."""
     xi_t, roots = structure(s).xi_t, structure(s).torus_roots
-    # the first factor's levels enter unchanged, bitwise on a one-factor row
-    ladder, shift = [(0.0, {0})], 0.0
-    for f in _root_factors(roots):
-        pts, keys = _weyl_orbit(roots[f], xi_t)
-        vals = [-2.0 * np.pi * float(xi_t @ p) for p in pts]
-        index = np.sum(keys[0] * keys < 0, axis=1).tolist()
+    vals = roots @ xi_t
+    k0 = np.rint(vals).astype(int)
+    assert np.abs(vals - k0).max(initial=0.0) < 1e-8, \
+        "root value off the integers"
+    cart = rt.cartan_numbers(roots)
+    ladder = [(-2.0 * np.pi * float(xi_t @ xi_t), {0})]
+    for f in _root_factors(cart):
+        gram = roots[f].T @ roots[f]
+        g2 = gram @ gram
+        c = np.trace(g2) / np.trace(gram)
+        assert np.abs(g2 - c * gram).max() <= 1e-9 * c * c, \
+            "Killing pairing off a multiple of the trace form"
+        keys = _weyl_orbit(cart[np.ix_(f, f)], k0[f])
+        offsets = (2.0 * np.pi / c) * (k0[f] @ k0[f] - keys @ k0[f])
+        index = np.sum(k0[f] * keys < 0, axis=1)
         merged = []
-        for v, i in sorted((u + w - shift, a + b) for u, ux in ladder
-                           for a in ux for w, b in zip(vals, index)):
+        for v, i in sorted((u + w, a + b) for u, ux in ladder for a in ux
+                           for w, b in zip(offsets.tolist(), index.tolist())):
             if merged and v - merged[-1][0] <= 1e-6:
                 merged[-1][1].add(i)
             else:
                 merged.append((v, {i}))
-        ladder, shift = merged, -2.0 * np.pi * float(xi_t @ xi_t)
+        ladder = merged
     return [(v, sorted(ix)) for v, ix in ladder]
 
 

@@ -46,7 +46,7 @@ class CascadeStalled(RuntimeError):
 
 
 class RootSpaceEmpty(LookupError):
-    """No eigenvectors attached to the requested root."""
+    """A root vector spans no sl2 triple: [E, conj E] vanishes."""
 
 
 def coords_in(rows: np.ndarray, v) -> np.ndarray:
@@ -64,7 +64,7 @@ def _kernel_within(rows: np.ndarray, op: np.ndarray) -> np.ndarray:
     if rows.shape[0] == 0 or op.shape[0] == 0:
         return rows
     m = op @ rows.T
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    _, s, vt = np.linalg.svd(m, full_matrices=len(m) < m.shape[1])
     scale = max(1.0, s[0] if len(s) else 0.0)
     null = vt[np.sum(s > _TOL_RANK * scale):]
     return null @ rows
@@ -256,31 +256,36 @@ def complex_root_spaces(alg: LieAlgebraBasis, t: np.ndarray) -> tuple:
     return centers[live], [vecs[:, groups[i]] for i in live]
 
 
-def _root_index(covs: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Indices of the covector rows within 10 TOL_ROOT of beta."""
-    return np.flatnonzero(np.abs(covs - beta).max(axis=1) <= 10 * TOL_ROOT)
+def cartan_numbers(betas: np.ndarray) -> np.ndarray:
+    """The integer Cartan numbers 2 (beta_a . beta_b) / |beta_a|^2 of the
+    root rows betas, as a square matrix.
+
+    Row a is the reflection in beta_a read on root values: it sends a
+    point whose root values are v to v - v_a row a.  Column b is beta_b
+    read on every coroot; that map is linear and one-to-one on the span of
+    the roots, so beta + gamma is a root iff their columns add up to a
+    column."""
+    gram = betas @ betas.T
+    cart = 2.0 * gram / np.diag(gram)[:, None]
+    out = np.rint(cart)
+    assert np.abs(cart - out).max(initial=0.0) < 1e-8, \
+        "Cartan number off the integers"
+    return out.astype(int)
 
 
-def _is_root(covs: np.ndarray, beta: np.ndarray) -> bool:
-    return _root_index(covs, beta).size > 0
-
-
-def build_sl2_triple(alg: LieAlgebraBasis, t: np.ndarray, covs: np.ndarray,
-                     vectors: list, beta: np.ndarray) -> tuple:
+def build_sl2_triple(alg: LieAlgebraBasis, t: np.ndarray, beta: np.ndarray,
+                     vectors: np.ndarray) -> tuple:
     """Normalized sl2 (H, X, Y) through the root space of beta, for the
-    torus rows t and its roots covs with their vectors (complex_root_spaces):
-    [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H.  H, X and Y are complex matrices of
-    the complexified ambient algebra; Re X, Im X and Im H span the compact
-    real form su(2) inside it.
+    torus rows t, the root beta and the columns spanning its root space
+    (complex_root_spaces): [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H.  H, X and
+    Y are complex matrices of the complexified ambient algebra; Re X, Im X
+    and Im H span the compact real form su(2) inside it.
 
     With C = [E, conj E] one has [C, E] = kappa0 E for a real kappa0 (it is
     negative in the compact form); H = (2/kappa0) C and a balanced rescaling
     of E, conj E then satisfy the standard relations without touching beta.
     """
-    hit = _root_index(covs, beta)
-    if hit.size == 0:
-        raise RootSpaceEmpty(f"root {beta} not present")
-    v = vectors[hit[0]][:, 0]
+    v = vectors[:, 0]
 
     e_mat = alg.from_coords(v.real) + 1j * alg.from_coords(v.imag)
     c_mat = e_mat @ np.conj(e_mat) - np.conj(e_mat) @ e_mat  # [E, conj E]
@@ -315,7 +320,9 @@ def cascade_strongly_orthogonal(alg: LieAlgebraBasis, k: np.ndarray,
     taken against a maximal torus of k through z; noncompact positive means
     the root evaluates to +1 on z.  At each step the highest remaining root
     (for a fixed generic functional) is kept and everything not strongly
-    orthogonal to it is discarded.
+    orthogonal to it is discarded: every root beta with beta + gamma or
+    beta - gamma a root, read on the integer Cartan columns
+    (cartan_numbers).
 
     Raises:
         ClusteringAmbiguous: the functional vanishes on a root, so it picks
@@ -332,31 +339,24 @@ def cascade_strongly_orthogonal(alg: LieAlgebraBasis, k: np.ndarray,
     covs, vectors = complex_root_spaces(alg, t)
     z_t = coords_in(t, zc)
 
-    pool = [c for c in covs if abs(float(c @ z_t) - 1.0) <= 1e-6]
-    if not pool:
+    pool = np.flatnonzero(np.abs(covs @ z_t - 1.0) <= 1e-6)
+    if not pool.size:
         raise CascadeStalled("no noncompact positive roots")
 
     func = generic_weights(len(t))
     if np.abs(covs @ func).min() <= 1e-9 * np.linalg.norm(func):
         raise ClusteringAmbiguous("cascade functional vanishes on a root")
-    gammas = []
-    guard = 0
+    cols = cartan_numbers(covs).T
+    root_cols = {c.tobytes() for c in cols}
+    pool = pool[np.argsort(-(covs[pool] @ func), kind="stable")].tolist()
+    picked = []
     while pool:
-        guard += 1
-        if guard > alg.dim:
-            raise CascadeStalled("cascade exceeded dimension bound")
-        pool.sort(key=lambda b: -(func @ b))
-        gamma = pool[0]
-        gammas.append(gamma)
-        pool = [b for b in pool[1:]
-                if not _is_root(covs, b + gamma)
-                and not _is_root(covs, b - gamma)
-                and np.abs(b - gamma).max() > 10 * TOL_ROOT]
+        g, *pool = pool
+        picked.append(g)
+        pool = [b for b in pool
+                if (cols[b] + cols[g]).tobytes() not in root_cols
+                and (cols[b] - cols[g]).tobytes() not in root_cols]
 
-    triples = [build_sl2_triple(alg, t, covs, vectors, g) for g in gammas]
-    # pairwise strong orthogonality of the kept roots
-    for i in range(len(gammas)):
-        for j in range(i + 1, len(gammas)):
-            assert not _is_root(covs, gammas[i] + gammas[j])
-            assert not _is_root(covs, gammas[i] - gammas[j])
+    gammas = [covs[i] for i in picked]
+    triples = [build_sl2_triple(alg, t, covs[i], vectors[i]) for i in picked]
     return gammas, triples, t, covs

@@ -5,6 +5,7 @@ import json
 import tracemalloc
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -506,10 +507,32 @@ def test_no_restart_runs_on_at_the_round_off_floor(monkeypatch):
 _CATALOGUE = [(d.id, d.params) for d in atlas.list_entries() if d.instantiable]
 
 
-def _whole_weyl_orbit(s):
-    """W . xi from the reflections in all torus roots at once."""
+def _batch_weyl_orbit(s):
+    """W . xi as float torus points with their integer root values, from
+    the Euclidean reflections in all torus roots at once, with tuple keys
+    and a stack that holds, for every point found, the whole (roots, rank)
+    batch of its reflections."""
     st_ = ob.structure(s)
-    return ob._weyl_orbit(st_.torus_roots, st_.xi_t)
+    betas = st_.torus_roots
+    coef = 2.0 / np.einsum("ri,ri->r", betas, betas)
+    seen = {}
+    queue = [st_.xi_t[None]]
+    while queue:
+        ys = queue.pop()
+        vals = ys @ betas.T
+        keys = map(tuple, np.rint(vals).astype(int).tolist())
+        for y, key, v in zip(ys, keys, vals):
+            if key not in seen:
+                seen[key] = y
+                queue.append(y - (coef * v)[:, None] * betas)
+    return np.array(list(seen.values())), np.array(list(seen))
+
+
+def _integer_start(st_):
+    """The Cartan numbers of the torus roots and the root values of xi,
+    the input of the production walk _weyl_orbit."""
+    return (rt.cartan_numbers(st_.torus_roots),
+            np.rint(st_.torus_roots @ st_.xi_t).astype(int))
 
 
 def _even_ladder(s):
@@ -699,7 +722,7 @@ _POINCARE_PAIRS = _CATALOGUE + [
 @pytest.mark.parametrize("rid,params", _POINCARE_PAIRS)
 def test_weyl_orbit_has_euler_characteristic_many_points(rid, params):
     s = atlas.instance(rid, *params)
-    pts, keys = _whole_weyl_orbit(s)
+    pts, keys = _batch_weyl_orbit(s)
     assert len(pts) == len(keys) == _EULER[rid](*params)
     # distinct points: the root-value keys named no two alike
     gaps = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
@@ -727,7 +750,7 @@ def _whole_orbit_ladder(s):
     """critical_ladder read off one enumeration of W . xi in all the torus
     roots, with no split into factors."""
     xi_t = ob.structure(s).xi_t
-    pts, keys = _whole_weyl_orbit(s)
+    pts, keys = _batch_weyl_orbit(s)
     vals = [-2.0 * np.pi * float(xi_t @ p) for p in pts]
     index = np.sum(keys[0] * keys < 0, axis=1).tolist()
     ladder = []
@@ -754,16 +777,14 @@ _DOUBLED_SWEEP = (
                                                   + _DOUBLED_SWEEP)))
 def test_factor_ladder_is_the_whole_orbit_ladder(rid, params):
     # a doubled row's roots split into the two copies of its factor's, and
-    # so(4) = su(2) + su(2) splits sphere(2); one factor runs the whole
-    # enumeration, so its ladder is the same bitwise, and the sum of the
-    # factor levels rounds differently from the level of the product point
+    # so(4) = su(2) + su(2) splits sphere(2); the levels read off integer
+    # root values and the Killing pairing share no arithmetic with the
+    # float points of the oracle, so they agree to round-off
     s = atlas.instance(rid, *params)
-    factors = ob._root_factors(ob.structure(s).torus_roots)
+    factors = ob._root_factors(_integer_start(ob.structure(s))[0])
     assert (len(factors) > 1) == (rid.endswith("_hermitian")
                                   or (rid, params) == ("sphere", (2,)))
     got, want = ob.critical_ladder(s), _whole_orbit_ladder(s)
-    if len(factors) == 1:
-        assert got == want
     assert [ix for _, ix in got] == [ix for _, ix in want]
     assert np.allclose([v for v, _ in got], [v for v, _ in want],
                        rtol=0, atol=1e-12)
@@ -776,51 +797,60 @@ def test_factor_ladder_is_the_whole_orbit_ladder(rid, params):
 def test_factor_orbits_multiply_to_the_euler_characteristic(rid, params):
     # W . xi has 63,504, 853,776 and 4,194,304 points here; only the two
     # factor orbits, of 252, 924 and 2,048 points, are enumerated
-    st_ = ob.structure(atlas.instance(rid, *params))
-    factors = ob._root_factors(st_.torus_roots)
-    sizes = [len(ob._weyl_orbit(st_.torus_roots[f], st_.xi_t)[0])
-             for f in factors]
+    cart, k0 = _integer_start(ob.structure(atlas.instance(rid, *params)))
+    factors = ob._root_factors(cart)
+    sizes = [len(ob._weyl_orbit(cart[np.ix_(f, f)], k0[f])) for f in factors]
     assert len(factors) == 2
     assert sizes[0] * sizes[1] == _EULER[rid](*params)
 
 
-def test_a_root_value_off_the_integers_raises():
-    st_ = ob.structure(atlas.instance("sphere", 2))
+def _ladder_of(monkeypatch, xi_t, torus_roots, factors=None):
+    """critical_ladder, uncached, of a structure with these xi_t and roots,
+    and the given factors in place of _root_factors."""
+    fake = SimpleNamespace(xi_t=xi_t, torus_roots=torus_roots)
+    monkeypatch.setattr(ob, "structure", lambda _: fake)
+    if factors is not None:
+        monkeypatch.setattr(ob, "_root_factors", lambda _: factors)
+    return ob.critical_ladder.__wrapped__(None)
+
+
+def test_a_root_value_off_the_integers_raises(monkeypatch):
+    st_ = ob.structure(atlas.instance("grassmann_complex_hermitian", 1, 2))
     with pytest.raises(AssertionError, match="root value off the integers"):
-        ob._weyl_orbit(st_.torus_roots, 1.01 * st_.xi_t)
+        _ladder_of(monkeypatch, 1.01 * st_.xi_t, st_.torus_roots)
 
 
-def _batch_weyl_orbit(s):
-    """W . xi with tuple keys and a stack that holds, for every point found,
-    the whole (roots, rank) batch of its reflections."""
-    st_ = ob.structure(s)
-    betas = st_.torus_roots
-    coef = 2.0 / np.einsum("ri,ri->r", betas, betas)
-    seen = {}
-    queue = [st_.xi_t[None]]
-    while queue:
-        ys = queue.pop()
-        vals = ys @ betas.T
-        keys = map(tuple, np.rint(vals).astype(int).tolist())
-        for y, key, v in zip(ys, keys, vals):
-            if key not in seen:
-                seen[key] = y
-                queue.append(y - (coef * v)[:, None] * betas)
-    return np.array(list(seen.values())), np.array(list(seen))
+def test_a_factor_of_two_pairings_fails_the_killing_certificate(monkeypatch):
+    # the two copies of a doubled row's roots, the second scaled by 2, keep
+    # their Cartan numbers and integer root values, but as one "factor"
+    # their roots pair as c x . y on the first copy's span and 4 c x . y on
+    # the second's
+    s = atlas.instance("grassmann_complex_hermitian", 1, 2)
+    st_, want = ob.structure(s), ob.critical_ladder(s)
+    roots = st_.torus_roots.copy()
+    first, second = ob._root_factors(rt.cartan_numbers(roots))
+    roots[second] *= 2.0
+    got = _ladder_of(monkeypatch, st_.xi_t, roots)
+    assert [ix for _, ix in got] == [ix for _, ix in want]
+    assert np.allclose([v for v, _ in got], [v for v, _ in want],
+                       rtol=0, atol=1e-12)
+    with pytest.raises(AssertionError, match="Killing pairing off"):
+        _ladder_of(monkeypatch, st_.xi_t, roots,
+                   [np.concatenate([first, second])])
 
 
 @pytest.mark.parametrize("rid,params", [
     ("unitary_group", (3,)), ("grassmann_complex_hermitian", (2, 3)),
     ("orthogonal_mod_unitary_hermitian", (4,))])
 def test_weyl_orbit_is_the_batch_enumeration(rid, params):
-    # a point's reflections are formed from the same root values when it
-    # leaves the stack, and the stack is taken in the same order, so the
-    # points and their keys come out bitwise alike
+    # the integer walk in all the torus roots at once finds the root values
+    # of the Euclidean reflections of the float points, xi first
     s = atlas.instance(rid, *params)
-    pts, keys = _whole_weyl_orbit(s)
-    want_pts, want_keys = _batch_weyl_orbit(s)
-    assert np.array_equal(pts, want_pts)
-    assert np.array_equal(keys, want_keys)
+    keys = ob._weyl_orbit(*_integer_start(ob.structure(s)))
+    want = _batch_weyl_orbit(s)[1]
+    assert np.array_equal(keys[0], want[0])
+    assert len(keys) == len(want)
+    assert set(map(bytes, keys)) == set(map(bytes, want.astype(np.int8)))
 
 
 @pytest.mark.parametrize("rid,params", [
@@ -857,12 +887,13 @@ def test_a_full_verify_enumerates_the_weyl_orbit_once(monkeypatch):
 
 def test_weyl_orbit_stacks_points_not_their_reflections():
     # 400 points and 60 roots on a rank-10 torus: one batch of reflections
-    # per point found keeps up to 400 x 60 x 10 floats, about 2 MiB
+    # per point found kept up to 400 x 60 x 10 floats, about 2 MiB; the
+    # walk keeps one 60-byte row of root values per point
     s = atlas.instance("grassmann_complex_hermitian", 3, 3)
-    ob.structure(s)
+    start = _integer_start(ob.structure(s))
     tracemalloc.start()
     try:
-        _whole_weyl_orbit(s)
+        ob._weyl_orbit(*start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1285,7 +1316,7 @@ def test_descent_step_is_the_gauss_newton_step(rid, params, monkeypatch):
     torus = rt.cascade_strongly_orthogonal(g, *s.theta_decomp, s.xi)[2]
     adxi = al.ad_operator(g, s.xi)
     rng = np.random.default_rng(36)
-    x0s = g.from_coords(_whole_weyl_orbit(s)[0] @ torus)
+    x0s = g.from_coords(_batch_weyl_orbit(s)[0] @ torus)
     # tangent generators u move each x0 by |[u, x0]| = |u| = 1e-4
     us = al.ad_operator(g, x0s) @ rng.normal(size=(len(x0s), g.dim, 1))
     us *= 1e-4 / np.linalg.norm(us, axis=1, keepdims=True)
@@ -1386,7 +1417,7 @@ def test_descent_converges_quadratically_next_to_the_critical_set(
     s = atlas.instance(rid, *params)
     g = s.g_vee
     torus = rt.cascade_strongly_orthogonal(g, *s.theta_decomp, s.xi)[2]
-    x0s = g.from_coords(_whole_weyl_orbit(s)[0] @ torus)
+    x0s = g.from_coords(_batch_weyl_orbit(s)[0] @ torus)
     rng = np.random.default_rng(37)
     us = al.ad_operator(g, x0s) @ rng.normal(size=(len(x0s), g.dim, 1))
     us *= 1e-4 / np.linalg.norm(us, axis=1, keepdims=True)

@@ -10,6 +10,7 @@ from rspacelab import atlas
 from rspacelab import orbit as ob
 from rspacelab import reporting as rp
 from rspacelab import roots as rt
+from test_orbit import _CATALOGUE, _DOUBLED_SWEEP
 
 # module-level instance for the hypothesis test (fixtures cannot feed @given)
 _SPHERE = [atlas.instantiate(atlas.descriptor("sphere", 2))]
@@ -81,13 +82,16 @@ def test_cascade_triples_satisfy_sl2_relations():
         assert cn(cb(x, y) - h) < 1e-8 * cn(h)
 
 
-def test_strongly_orthogonal_sums_are_not_roots():
-    s = atlas.instance("sphere", 2)
+@pytest.mark.parametrize("rid,params", sorted(set(_CATALOGUE
+                                                  + _DOUBLED_SWEEP)))
+def test_strongly_orthogonal_sums_are_not_roots(rid, params):
+    # float geometry: no sum or difference of two cascade roots lies near
+    # a root of the torus clustered afresh from its ad operators
+    s = atlas.instance(rid, *params)
     gammas, _, torus, _ = rt.cascade_strongly_orthogonal(
         s.g_vee, *s.theta_decomp, s.xi)
     gammas = np.array(gammas)
-    if len(gammas) < 2:
-        return
+    assert len(gammas) == len(s.abar)
     covs = rt.compute_restricted_roots(
         al.ad_from_coords(s.g_vee, torus)).covectors
     for i in range(len(gammas)):
@@ -96,6 +100,15 @@ def test_strongly_orthogonal_sums_are_not_roots():
                 cand = gammas[i] + sign * gammas[j]
                 dist = np.min(np.linalg.norm(covs - cand, axis=1))
                 assert dist > 1e-6, "cascade produced a non-orthogonal pair"
+
+
+def test_a_root_off_the_lattice_has_no_cartan_numbers():
+    roots = ob.structure(atlas.instance("unitary_group", 3)).torus_roots
+    assert np.array_equal(np.diag(rt.cartan_numbers(roots)), [2] * len(roots))
+    roots = roots.copy()
+    roots[0] *= 1.01
+    with pytest.raises(AssertionError, match="Cartan number off the integers"):
+        rt.cartan_numbers(roots)
 
 
 def evaluate(roots, x):
