@@ -14,9 +14,9 @@ ever exponentiate is a real orthogonal matrix.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from ._record import dataclass
+import numpy as np
 
 TOL_ALG = 1e-10
 

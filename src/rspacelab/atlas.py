@@ -13,12 +13,12 @@ and Hermitian spaces via the doubled ambient k + k with the swap.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as al
 from . import roots as rt
-from ._record import dataclass
 from .algebra import SizeOutOfRange  # re-exported for callers
 
 _PI1 = ("trivial", "Z", "Z2")

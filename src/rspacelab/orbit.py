@@ -12,12 +12,12 @@ period-one Hamiltonian with area 4 pi on the corresponding sphere.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as al
 from . import roots as rt
-from ._record import dataclass
 from .atlas import SpaceInstance, instance, rank_ratio
 
 
@@ -419,10 +419,11 @@ def morse_index(s: SpaceInstance, x: np.ndarray) -> int:
 
     H(Ad(e^U) x) = H(x) + Q(U) + O(U^3) with Q(U) = pi <ad_xi U, ad_x U>
     (the first order term vanishes with [xi, x]), a positive multiple of
-    U^T (ad_xi^T ad_x + ad_x^T ad_xi) U.  Q is taken on all of g: at a critical point ad_xi and ad_x commute, so
-    Q vanishes on the kernel of ad_x and does not couple it to the tangent
-    space, the range of the skew ad_x.  The eigenvalues below -1e-8 of the
-    largest |eigenvalue| are counted.
+    U^T (ad_xi^T ad_x + ad_x^T ad_xi) U.  Q is taken on all of g: at a
+    critical point ad_xi and ad_x commute, so Q vanishes on the kernel of
+    ad_x and does not couple it to the tangent space, the range of the skew
+    ad_x.  The eigenvalues below -1e-8 of the largest |eigenvalue| are
+    counted.
     """
     g = s.g_vee
     adxi, adx = al.ad_operator(g, s.xi), al.ad_operator(g, x)

@@ -14,11 +14,11 @@ certificate raises a typed error.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._record import dataclass
 from .algebra import (LieAlgebraBasis, ad_from_coords, bracket,
                       bracket_residual, AlgebraMismatch)
 

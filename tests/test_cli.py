@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rspacelab import cli
+from rspacelab import cli, reporting
 
 
 def run(capsys, *argv):
@@ -137,6 +137,32 @@ def test_a_zero_tolerance_is_accepted(capsys):
     code, _, _ = run(capsys, "verify", "--seed", "5", "--suite", "roots",
                      "--space", "sphere", "--params", "2", "--tol", "sl2=0")
     assert code in (cli.EX_OK, cli.EX_VERIFY)
+
+
+def _statuses(tol=None):
+    report = reporting.run_suites(cli.SUITE_NAMES, 7, tol=tol)
+    return {c["id"]: c["status"] for c in report["checks"]}
+
+
+def test_loosening_a_tolerance_never_fails_a_passing_check():
+    # a larger tolerance accepts more, so every check that passes at the
+    # defaults passes at 1000 times any one of them
+    default = _statuses()
+    assert len(default) == 122 and set(default.values()) == {"pass"}
+    for name, value in cli.DEFAULT_TOL.items():
+        assert _statuses({name: 1000 * value}) == default, name
+
+
+def test_a_cluster_takes_the_indices_of_its_nearest_level(capsys):
+    # at gap_rel=1 every level of sphere(2) lies within tolerance of every
+    # cluster
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--suite", "critical",
+                       "--space", "sphere", "--params", "2",
+                       "--tol", "gap_rel=1")
+    assert code == cli.EX_OK
+    (indices,) = [c for c in json.loads(out)["checks"]
+                  if c["id"] == "critical.indices[sphere(2)]"]
+    assert indices["expected"] == [[0], [2], [4]]
 
 
 def test_same_seed_reports_are_byte_identical(capsys, tmp_path):

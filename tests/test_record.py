@@ -1,6 +1,7 @@
 """Frozen record classes, and checks over the package source as a whole."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -12,15 +13,13 @@ import numpy as np
 import pytest
 
 from rspacelab import algebra, atlas, capacity, finsler, orbit, roots
-from rspacelab import _record
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rspacelab"
 
 RECORDS = [cls for mod in (algebra, atlas, capacity, finsler, orbit, roots)
            for _, cls in inspect.getmembers(mod, inspect.isclass)
-           if cls.__module__ == mod.__name__
-           and getattr(cls.__init__, "__module__", None) == _record.__name__]
+           if cls.__module__ == mod.__name__ and dataclasses.is_dataclass(cls)]
 
 VALUE_RECORDS = {"RSpaceDescriptor"}
 
@@ -37,6 +36,7 @@ def _args(cls):
 
 def test_every_record_class_is_found():
     assert len(RECORDS) == 6
+    assert all(c.__dataclass_params__.frozen for c in RECORDS)
     assert {c.__name__ for c in RECORDS if c.__eq__ is not object.__eq__} \
         == VALUE_RECORDS
 
@@ -234,13 +234,11 @@ def _child_imports(*argv):
                          if line.startswith("import time:")}
 
 
-def test_the_cli_never_imports_dataclasses():
-    # the stdlib decorator generates and execs code per class at import
+def test_atlas_never_imports_numpy_random_or_the_suites():
     out, imported = _child_imports("atlas", "--space", "sphere",
                                    "--params", "2")
     assert "sphere(2)" in out
     assert "rspacelab.cli" in imported and "numpy" in imported
-    assert "dataclasses" not in imported
     # the production path draws no random numbers and atlas runs no suite
     assert "numpy.random" not in imported
     assert "rspacelab.reporting" not in imported
