@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -132,14 +133,21 @@ def _parse_tol(pairs):
 
 
 def _emit(text: str, out) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return EX_OK
     try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        print(f"rspacelab: cannot write {out}: {e}", file=sys.stderr)
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w") as fh:
+                fh.write(text)
+    except OSError as e:  # a closed pipe, a full disk
+        print(f"rspacelab: cannot write {out or 'stdout'}: {e}",
+              file=sys.stderr)
+        if out is None:
+            # the text is still buffered: send it to devnull, so the flush
+            # at exit succeeds instead of reporting the error again
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return EX_IO
     return EX_OK
 

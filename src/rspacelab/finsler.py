@@ -18,6 +18,7 @@ import numpy as np
 
 from . import algebra as al
 from . import orbit as ob
+from . import roots as rt
 from .atlas import SpaceInstance
 
 # the Schatten exponents norm_monotonicity compares, in ascending order
@@ -66,12 +67,8 @@ def spectral_norms(s: SpaceInstance, us) -> np.ndarray:
 
 def norm_kernel(s: SpaceInstance) -> np.ndarray:
     """Orthonormal rows spanning the common kernel of all restricted roots."""
-    covs = ob.structure(s).sigma_roots.covectors
-    if not len(covs):
-        return np.eye(len(s.a_flat))
-    _, sv, vt = np.linalg.svd(covs)
-    keep = int(np.sum(sv > 1e-9 * sv[0]))
-    return vt[keep:]
+    return rt._kernel_within(np.eye(len(s.a_flat)),
+                             ob.structure(s).sigma_roots.covectors)
 
 
 def unit_ball_vs_box(s: SpaceInstance, samples: int = 400,

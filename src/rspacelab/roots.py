@@ -8,8 +8,8 @@ in these coordinates, so i*ad is Hermitian and eigh applies.
 Generic elements are fixed, not drawn: their weights are square roots of
 primes (generic_weights), and the certificates each search already runs
 (an abelian kernel of ad_x in the centralizer, the joint-eigen residual, a
-functional vanishing on no root) prove they were generic enough; a failed
-certificate raises a typed error.
+functional vanishing on no root) prove they were generic enough.  Each
+search takes one element; a failed certificate raises a typed error at it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from .algebra import (LieAlgebraBasis, ad_from_coords, bracket,
 TOL_ROOT = 1e-6
 TOL_SL2 = 1e-8
 _TOL_RANK = 1e-9  # relative singular value cut of the kernels and spans
-_ABELIAN_ROUNDS = 10  # generic elements find_maximal_abelian tries
-_EIGEN_ATTEMPTS = 5  # generic combinations _joint_eigen tries
 
 
 class MaximalityNotCertified(RuntimeError):
-    """No generic element tried has an abelian kernel in the centralizer."""
+    """The generic element's kernel in the centralizer is not abelian."""
 
 
 class ClusteringAmbiguous(RuntimeError):
@@ -82,21 +80,19 @@ def _gram_schmidt(rows_list: Sequence[np.ndarray]) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, len(rows_list[0])))
 
 
-def generic_weights(n: int, start: int = 0) -> np.ndarray:
-    """Fixed generic weights: the square roots of the primes number
-    start .. start + n - 1 (2 is number 0).
+def generic_weights(n: int) -> np.ndarray:
+    """Fixed generic weights: the square roots of the first n primes.
 
     Square roots of distinct primes satisfy no rational linear relation, so
     a combination with these weights vanishes on no nonzero rational vector.
     """
-    count = start + n
-    limit = 16 * (count + 8)  # above the count-th prime while count < 10^6
+    limit = 16 * (n + 8)  # above the n-th prime while n < 10^6
     sieve = np.ones(limit, bool)
     sieve[:2] = False
     for p in range(2, int(limit ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    return np.sqrt(np.flatnonzero(sieve)[start:count].astype(float))
+    return np.sqrt(np.flatnonzero(sieve)[:n].astype(float))
 
 
 def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
@@ -109,8 +105,7 @@ def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
     abelian it is maximal: y in side commuting with it commutes with
     must_contain and with x, so y lies in that kernel (for regular x, ker
     ad_x is its own centralizer).  A non-abelian kernel means x was not
-    generic; the weights then shift by one prime and the kernel is taken
-    again.
+    generic, and the search raises there.
 
     Args:
         side: orthonormal rows of the subspace to search inside (closed
@@ -119,24 +114,22 @@ def find_maximal_abelian(alg: LieAlgebraBasis, side: np.ndarray,
             have to commute with each other.  They come first in the basis.
 
     Raises:
-        MaximalityNotCertified: no generic element tried has an abelian
-            kernel, or must_contain does not lie in it.
+        MaximalityNotCertified: the kernel of the generic element is not
+            abelian, or must_contain does not lie in it.
     """
     mc = [np.asarray(m, float) for m in must_contain]
     cent = side
     for m in mc:
         cent = _kernel_within(cent, ad_from_coords(alg, m))
 
-    for r in range(_ABELIAN_ROUNDS):
-        x = generic_weights(len(cent), r) @ cent
-        span = _kernel_within(cent, ad_from_coords(alg, x))
-        if len(span) == len(cent):
-            span = cent  # nothing cut: keep the rows of cent
-        if bracket_residual(alg, span, span, np.eye(alg.dim)) < 1e-10:
-            break
-    else:
+    x = generic_weights(len(cent)) @ cent
+    span = _kernel_within(cent, ad_from_coords(alg, x))
+    if len(span) == len(cent):
+        span = cent  # nothing cut: keep the rows of cent
+    residual = bracket_residual(alg, span, span, np.eye(alg.dim))
+    if not residual < 1e-10:  # a NaN residual certifies nothing
         raise MaximalityNotCertified(
-            f"no abelian kernel among {_ABELIAN_ROUNDS} generic elements")
+            f"kernel of the generic element not abelian: {residual:.2e}")
 
     head = _gram_schmidt(mc) if mc else span[:0]  # then the rest of span
     basis = np.vstack([head, _kernel_within(span, head)])
@@ -155,30 +148,25 @@ def _joint_eigen(ads):
     """Simultaneous eigendata of a commuting family of antisymmetric
     matrices, ad or n x n, a sequence or a (count, dim, dim) stack.
 
-    Diagonalizes one fixed generic combination, its weights shifted by one
-    prime per attempt, and accepts the eigenvectors once every member of the
-    family is diagonal on them to 1e-8.
+    Diagonalizes one fixed generic combination and accepts its eigenvectors
+    when every member of the family is diagonal on them to 1e-8.
 
     Returns (alphas, vecs): alphas[m, j] is the frequency of ads[j] on
     eigenvector column vecs[:, m], meaning ads[j] v = i alpha v.
+
+    Raises ClusteringAmbiguous when a member is not diagonal to 1e-8.
     """
-    last = None
-    for attempt in range(_EIGEN_ATTEMPTS):
-        cvec = generic_weights(len(ads), attempt)
-        m = sum(cv * a for cv, a in zip(cvec, ads))
-        _, vecs = np.linalg.eigh(1j * m)
-        alphas = np.empty((vecs.shape[1], len(ads)))
-        residual = 0.0
-        for j, a in enumerate(ads):
-            av = a @ vecs
-            alphas[:, j] = (np.conj(vecs) * av).sum(axis=0).imag
-            residual = max(residual, np.abs(av - 1j * alphas[:, j] * vecs).max())
-        if residual <= 1e-8:
-            return alphas, vecs
-        last = residual
-    raise ClusteringAmbiguous(
-        f"joint diagonalization residual {last:.2e} after {_EIGEN_ATTEMPTS} "
-        "attempts")
+    m = sum(cv * a for cv, a in zip(generic_weights(len(ads)), ads))
+    _, vecs = np.linalg.eigh(1j * m)
+    alphas = np.empty((vecs.shape[1], len(ads)))
+    residual = 0.0
+    for j, a in enumerate(ads):
+        av = a @ vecs
+        alphas[:, j] = (np.conj(vecs) * av).sum(axis=0).imag
+        residual = max(residual, np.abs(av - 1j * alphas[:, j] * vecs).max())
+    if residual <= 1e-8:
+        return alphas, vecs
+    raise ClusteringAmbiguous(f"joint diagonalization residual {residual:.2e}")
 
 
 def _cluster_covectors(alphas: np.ndarray):

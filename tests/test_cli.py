@@ -314,10 +314,11 @@ def test_version_and_help_exit_cleanly(capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_child(*args):
+def run_child(*args, stdout=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=300)
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,6 +333,34 @@ def test_size_outside_the_window_is_a_usage_error(argv):
     assert proc.stderr.startswith("rspacelab: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _assert_stdout_io_error(proc):
+    assert proc.returncode == cli.EX_IO
+    assert proc.stderr.startswith("rspacelab: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["atlas"], ["report"],
+                                  ["verify", "--seed", "7"]],
+                         ids=["atlas", "report", "verify"])
+def test_a_stdout_pipe_without_a_reader_is_an_io_error(argv):
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the command writes
+    try:
+        proc = run_child("-m", "rspacelab", *argv, stdout=w)
+    finally:
+        os.close(w)
+    _assert_stdout_io_error(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_is_an_io_error():
+    with open("/dev/full", "w") as full:
+        proc = run_child("-m", "rspacelab", "atlas", stdout=full)
+    _assert_stdout_io_error(proc)
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -458,11 +487,11 @@ def test_a_suite_that_raises_becomes_an_error_record(capsys, monkeypatch):
 
 def test_a_suite_error_names_its_innermost_rspacelab_frame(capsys,
                                                            monkeypatch):
-    # NaN root covectors make numpy's SVD fail inside finsler.norm_kernel
+    # NaN root covectors make numpy's SVD fail inside roots._kernel_within,
+    # which finsler.norm_kernel calls
     import numpy as np
 
     from rspacelab import atlas
-    from rspacelab import finsler as fin
     from rspacelab import orbit as ob
     from rspacelab import roots as rt
 
@@ -478,11 +507,11 @@ def test_a_suite_error_names_its_innermost_rspacelab_frame(capsys,
                          "finsler", "--space", "sphere", "--params", "2",
                          "--format", "json")
     assert code == cli.EX_VERIFY and "Traceback" not in err
-    m = re.fullmatch(r"rspacelab: suite finsler raised in norm_kernel "
-                     r"at finsler\.py:(\d+) \(innermost frame "
+    m = re.fullmatch(r"rspacelab: suite finsler raised in _kernel_within "
+                     r"at roots\.py:(\d+) \(innermost frame "
                      r"_linalg\.py:\d+\)\n", err)
     assert m is not None, err
-    assert "np.linalg.svd" in linecache.getline(fin.__file__,
+    assert "np.linalg.svd" in linecache.getline(rt.__file__,
                                                 int(m.group(1)))
     assert [c["id"] for c in json.loads(out)["checks"]] == ["finsler.error"]
 

@@ -241,6 +241,31 @@ def test_the_centralizer_of_each_maximal_abelian_result_is_itself(rid, params):
         assert _centralizer(s.g_vee, rows[:-1], side)[0] > len(rows) - 1
 
 
+@pytest.mark.parametrize("rid,params", atlas._DEFAULT_SWEEP + WINDOW_EDGE)
+def test_the_certificates_pass_with_a_wide_margin(monkeypatch, rid, params):
+    # each search takes one generic element, so its certificate must clear
+    # the cut by orders of magnitude: the abelian residual is cut at 1e-10
+    # and the joint-eigen residual at 1e-8, and over every point of the
+    # size windows they stay below 1.1e-13 and 7.2e-12
+    s = atlas.instance(rid, *params)
+    for rows, _ in _flat_pair_and_torus(s):
+        assert al.bracket_residual(s.g_vee, rows, rows,
+                                   np.eye(s.g_vee.dim)) <= 1e-12
+    residuals = []
+    solve = rt._joint_eigen
+
+    def measured(ads):
+        alphas, vecs = solve(ads)
+        residuals.append(max(np.abs(a @ vecs - 1j * alphas[:, j] * vecs).max()
+                             for j, a in enumerate(ads)))
+        return alphas, vecs
+
+    monkeypatch.setattr(rt, "_joint_eigen", measured)
+    ob.structure.__wrapped__(s)  # past the cache, so every solve runs
+    assert len(residuals) == 3  # the torus roots and the two restricted systems
+    assert max(residuals) <= 1e-10
+
+
 @pytest.mark.parametrize("params,suites", [((2, 9), ["roots", "orbit",
                                                      "finsler"]),
                                            ((3, 9), ["roots"])])
@@ -271,32 +296,44 @@ def test_a_matrix_where_coordinates_belong_raises_a_typed_error():
 
 def test_generic_weights_are_square_roots_of_primes():
     assert np.allclose(rt.generic_weights(5) ** 2, [2, 3, 5, 7, 11])
-    assert np.allclose(rt.generic_weights(3, 2) ** 2, [5, 7, 11])
-    w = rt.generic_weights(400, 10)
+    w = rt.generic_weights(400)
     assert len(w) == 400 and np.all(np.diff(w) > 0)
+    assert np.array_equal(w[:5], rt.generic_weights(5))
 
 
-def _zero_weights(n, start=0):
-    return np.zeros(n)
+class _CountedZeroWeights:
+    """generic_weights degenerated to zeros, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, n):
+        self.calls += 1
+        return np.zeros(n)
 
 
 def test_a_degenerate_element_fails_the_abelian_certificate(monkeypatch):
-    monkeypatch.setattr(rt, "generic_weights", _zero_weights)
+    # one generic element per search: the first failed certificate raises
+    zero = _CountedZeroWeights()
+    monkeypatch.setattr(rt, "generic_weights", zero)
     d = atlas.descriptor("sphere", 3)
-    with pytest.raises(rt.MaximalityNotCertified):
+    with pytest.raises(rt.MaximalityNotCertified, match="not abelian"):
         atlas.instantiate(d)
+    assert zero.calls == 1
 
 
 def test_a_degenerate_combination_fails_the_eigen_residual(monkeypatch):
     s = atlas.instantiate(atlas.descriptor("quadric_real", 2, 2))
-    monkeypatch.setattr(rt, "generic_weights", _zero_weights)
-    with pytest.raises(rt.ClusteringAmbiguous):
+    zero = _CountedZeroWeights()
+    monkeypatch.setattr(rt, "generic_weights", zero)
+    with pytest.raises(rt.ClusteringAmbiguous, match="residual"):
         rt.compute_restricted_roots(al.ad_from_coords(s.g_vee, s.abar))
+    assert zero.calls == 1
 
 
 def test_a_degenerate_element_fails_the_structure(monkeypatch):
     s = atlas.instantiate(atlas.descriptor("grassmann_complex_hermitian", 1, 2))
-    monkeypatch.setattr(rt, "generic_weights", _zero_weights)
+    monkeypatch.setattr(rt, "generic_weights", _CountedZeroWeights())
     with pytest.raises((rt.MaximalityNotCertified, rt.ClusteringAmbiguous)):
         ob.structure(s)
 
@@ -309,7 +346,7 @@ def test_a_degenerate_functional_fails_the_cascade(monkeypatch):
     # only the functional degenerates: torus and roots are the generic ones
     monkeypatch.setattr(rt, "find_maximal_abelian", lambda *a, **k: torus)
     monkeypatch.setattr(rt, "complex_root_spaces", lambda *a: spaces)
-    monkeypatch.setattr(rt, "generic_weights", _zero_weights)
+    monkeypatch.setattr(rt, "generic_weights", _CountedZeroWeights())
     with pytest.raises(rt.ClusteringAmbiguous, match="vanishes on a root"):
         rt.cascade_strongly_orthogonal(s.g_vee, *s.theta_decomp, s.xi)
 
