@@ -13,9 +13,6 @@ and `finsler` or the verify suites (`reporting`).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 import numpy as np
 
 from . import algebra as al
@@ -26,7 +23,8 @@ from .cli import render
 
 
 class LatticeError(RuntimeError):
-    """Active weights are incommensurable, or the shortest vector misses xi."""
+    """An active weight is off the integer span of the basis weights, or the
+    shortest vector misses xi."""
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +62,12 @@ def _active_weights(s: SpaceInstance) -> np.ndarray:
 
 
 def _unit_lattice(s: SpaceInstance) -> dict:
-    """Closing vectors of the flat as an integer lattice with its speed form.
+    """Closing vectors of the flat, the lattice Z^k, and its speed form.
 
     X in the flat closes, Ad(exp X) xi = xi, iff w(X) is in 2 pi Z for every
     active weight w.  In coordinates z, where basis weight j takes the value
-    2 pi z_j, every active weight is a rational combination num/den of the
-    basis, so the closing vectors are the z in Z^k with num z = 0 mod den.
+    2 pi z_j, every active weight must be an integer combination of the
+    basis, else LatticeError; then the closing vectors are exactly Z^k.
     gram is the speed form |[X, xi]|^2 / c_model in these coordinates and
     lift maps z to flat coordinates.
     """
@@ -80,42 +78,33 @@ def _unit_lattice(s: SpaceInstance) -> dict:
         if np.linalg.matrix_rank(np.array(basis + [w]), tol=1e-8) > len(basis):
             basis.append(w)
     basis = np.array(basis)
-    coeffs = ws @ np.linalg.pinv(basis)
-    fracs = [Fraction(float(c)).limit_denominator(64) for c in coeffs.ravel()]
-    den = lcm(*(f.denominator for f in fracs))
-    num = np.array([int(f * den) for f in fracs]).reshape(coeffs.shape)
-    if np.abs(num @ basis / den - ws).max() > 1e-8:
-        raise LatticeError("active weights are not commensurable")
+    coeffs = np.rint(ws @ np.linalg.pinv(basis))
+    if np.abs(coeffs @ basis - ws).max() > 1e-8:
+        raise LatticeError("active weights off the integer span of the basis")
     # row j is the flat vector on which basis weight i takes 2 pi delta_ij
     lift = 2.0 * np.pi * np.linalg.pinv(basis).T
     # the trace form of the n x n brackets is their coordinate product
     vel = al.bracket(g.from_coords(lift @ s.a_flat), s.xi)
     vel = vel.reshape(len(lift), -1)
     gram = (vel @ vel.T) / c_model(s)
-    return {"weights": basis, "num": num, "den": den, "gram": gram,
-            "lift": lift}
+    return {"weights": basis, "gram": gram, "lift": lift}
 
 
 def _proven_box(lat: dict) -> np.ndarray:
-    """Half-widths b with every closing z no longer than den * e_j in the box.
-
-    den * e_j always closes; any z with z^T G z <= R^2 has
-    |z_i| <= R sqrt((G^-1)_ii) by Cauchy-Schwarz.
-    """
+    """Half-widths b with every z no longer than the shortest e_j in the box:
+    z^T G z <= R^2 = min_j G_jj gives |z_i| <= R sqrt((G^-1)_ii) by
+    Cauchy-Schwarz."""
     gram = lat["gram"]
-    r2 = lat["den"] ** 2 * np.diag(gram).min()
-    reach = np.sqrt(r2 * np.diag(np.linalg.inv(gram)))
+    reach = np.sqrt(np.diag(gram).min() * np.diag(np.linalg.inv(gram)))
     return np.floor(reach + 1e-9).astype(int)
 
 
 def _shortest_in_box(lat: dict, box) -> tuple:
-    """Shortest nonzero closing z with |z_i| <= box_i: (z, length, count)."""
+    """Shortest nonzero z with |z_i| <= box_i: (z, length, count)."""
     axes = [np.arange(-b, b + 1) for b in box]
     zs = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
     zs = zs[np.any(zs != 0, axis=1)]
-    closes = np.all((zs @ lat["num"].T) % lat["den"] == 0, axis=1)
     q = np.einsum("ni,ij,nj->n", zs, lat["gram"], zs)
-    q[~closes] = np.inf
     best = int(np.argmin(q))
     return zs[best], float(np.sqrt(q[best])), len(zs)
 

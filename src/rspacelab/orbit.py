@@ -304,8 +304,9 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     directions u, normal of shape (samples, rank); one radius factor t per
     sample, uniform on [0.1, 0.95) for the first samples // 2 (interior)
     and on [1.05, 2.0) for the rest (exterior); the k generators, normal of
-    shape (samples, dim k).  X = u t r / max |alpha(u)|, and a sample whose
-    u lies on the common kernel of the roots is dropped from the totals.
+    shape (samples, dim k).  X = u t r / max |alpha(u)| with u projected on
+    the span of the roots, as its part on their common kernel moves nothing
+    but the round-off, and a sample with no part left is dropped.
     """
     st = structure(s)
     g = s.g_vee
@@ -322,6 +323,7 @@ def moment_image_spectrum_check(s: SpaceInstance, samples: int = 1000,
     t = rng.uniform(lo, hi)
     xi, (k, _) = s.xi, s.sigma_decomp
     ks = rng.normal(size=(samples, k.shape[0]))
+    us = us @ np.linalg.pinv(covs) @ covs
     m = np.abs(us @ covs.T).max(axis=1)
     keep = m >= 1e-9  # u on the common root kernel has no box radius
     interior, ks = interior[keep], ks[keep]
@@ -547,33 +549,36 @@ def critical_ladder(s: SpaceInstance) -> list:
     the irreducible factors F of the torus roots, so W . xi is the product
     of the factor orbits, each walked on integer root values k
     (_weyl_orbit).  On F the roots B_F pair as sum beta(x) beta(y) =
-    c_F x . y, so p's level is the bottom -2 pi |xi_t|^2 plus, per factor,
-    (2 pi / c_F)(k0 . k0 - k0 . k) with k0 the root values of xi."""
+    c_F x . y with c_F an integer, so p's level is the bottom
+    -2 pi |xi_t|^2 plus 2 pi times its exact key, the sum over factors of
+    (k0 . k0 - k0 . k) / c_F with k0 the root values of xi."""
+    from fractions import Fraction  # on first use: importing orbit loads none
     xi_t, roots = structure(s).xi_t, structure(s).torus_roots
     vals = roots @ xi_t
     k0 = np.rint(vals).astype(int)
     assert np.abs(vals - k0).max(initial=0.0) < 1e-8, \
         "root value off the integers"
     cart = rt.cartan_numbers(roots)
-    ladder = [(-2.0 * np.pi * float(xi_t @ xi_t), {0})]
+    ladder = {Fraction(0): {0}}
     for f in _root_factors(cart):
         gram = roots[f].T @ roots[f]
         g2 = gram @ gram
-        c = np.trace(g2) / np.trace(gram)
-        assert np.abs(g2 - c * gram).max() <= 1e-9 * c * c, \
-            "Killing pairing off a multiple of the trace form"
+        c_f = round(np.trace(g2) / np.trace(gram))
+        assert np.abs(g2 - c_f * gram).max() <= 1e-9 * c_f * c_f, \
+            "Killing pairing off an integer multiple of the trace form"
         keys = _weyl_orbit(cart[np.ix_(f, f)], k0[f])
-        offsets = (2.0 * np.pi / c) * (k0[f] @ k0[f] - keys @ k0[f])
-        index = np.sum(k0[f] * keys < 0, axis=1)
-        merged = []
-        for v, i in sorted((u + w, a + b) for u, ux in ladder for a in ux
-                           for w, b in zip(offsets.tolist(), index.tolist())):
-            if merged and v - merged[-1][0] <= 1e-6:
-                merged[-1][1].add(i)
-            else:
-                merged.append((v, {i}))
-        ladder = merged
-    return [(v, sorted(ix)) for v, ix in ladder]
+        # the factor's distinct (offset, index) steps
+        steps = set(zip((k0[f] @ k0[f] - keys @ k0[f]).tolist(),
+                        np.sum(k0[f] * keys < 0, axis=1).tolist()))
+        summed = {}
+        for key, ix in ladder.items():
+            for d, i in steps:
+                summed.setdefault(key + Fraction(d, c_f), set()).update(
+                    a + i for a in ix)
+        ladder = summed
+    bottom = -2.0 * np.pi * float(xi_t @ xi_t)
+    return [(bottom + 2.0 * np.pi * float(key), sorted(ladder[key]))
+            for key in sorted(ladder)]
 
 
 def weyl_critical_values(s: SpaceInstance) -> list:

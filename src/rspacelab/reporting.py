@@ -224,9 +224,12 @@ def suite_orbit(spaces, seed, tol):
             j2 <= tol["j2"], j2, 0.0, tol["j2"]))
 
         # the two-form on every pair of generators of an orthonormal
-        # tangent frame
+        # tangent frame: <x, [a_i, a_j]> = <[x, a_i], a_j> by invariance of
+        # the trace form, so r brackets and one product, not r^2 brackets
         gens = g.from_coords(ob._tangent_frames(s, g.coords(x)))
-        omega = ob.kks(s, x, gens[:, None], gens[None, :])
+        r = len(gens)
+        vel = al.bracket(x, gens).reshape(r, -1)
+        omega = vel @ gens.reshape(r, -1).T
         anti = float(np.abs(omega + omega.T).max())
         sv = np.linalg.svd(omega, compute_uv=False)
         checks.append(_check(
@@ -263,6 +266,7 @@ def suite_orbit(spaces, seed, tol):
                                                 seed=seed + 100 * k + 3)
         except ob.NotOnRealForm as e:  # no root on the flat, no box
             _skip(cid, str(e))
+            _skip(f"orbit.moment_radius[{lab}]", str(e))
             continue
         ok = (mi["interior_pass"] == mi["interior_total"]
               and mi["exterior_pass"] == mi["exterior_total"])
@@ -272,6 +276,11 @@ def suite_orbit(spaces, seed, tol):
             ok,
             [mi["interior_pass"], mi["exterior_pass"]],
             [mi["interior_total"], mi["exterior_total"]], 0.0))
+        mis = mi["max_spectral_mismatch"]
+        checks.append(_check(
+            f"orbit.moment_radius[{lab}]",
+            "the spectral radius of the momentum is max |alpha(X)|",
+            mis <= 1e-9, mis, 0.0, 1e-9))
     return checks
 
 

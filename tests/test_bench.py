@@ -50,9 +50,16 @@ def test_bench_digest_is_that_of_the_sources_it_measured(bench):
     # measured src/ is that of the last commit that wrote BENCH_1.json, or
     # the working tree while BENCH_1.json has changes not yet committed
     wb = _load_script()
+    if wb.git("rev-parse", "--show-toplevel") != str(ROOT):
+        pytest.skip("no git history here: the commit that wrote "
+                    "BENCH_1.json, whose src/ it measured, cannot be read")
     pending = wb.git("status", "--porcelain", "--", "BENCH_1.json")
     rev = None if pending else wb.git("log", "-1", "--format=%H", "--",
                                       "BENCH_1.json")
+    if not pending:
+        assert wb.git("rev-parse", f"{rev}^") == bench["base_commit"], (
+            "the commit that wrote BENCH_1.json, the child of "
+            f"{bench['base_commit']}, is not in this repository's history")
     assert bench["src_sha256"] == wb.src_digest(rev)
 
 

@@ -253,23 +253,42 @@ def test_unit_lattice_on_orthogonal_group():
     ws = cap._active_weights(s)
     basis = lat["weights"]
     # a basis of active weights that spans every active weight with
-    # coefficients num / den
+    # integer coefficients
     assert basis.shape == (2, 2)
     assert all(np.abs(ws - b).max(axis=1).min() < 1e-12 for b in basis)
     assert np.linalg.matrix_rank(ws, tol=1e-8) == 2
-    assert np.abs(lat["num"] @ basis / lat["den"] - ws).max() < 1e-9
-    # the box holds every z no longer than the closing vector den * e_j
-    radius = lat["den"] * np.sqrt(np.diag(lat["gram"]).min())
+    coeffs = ws @ np.linalg.pinv(basis)
+    assert np.abs(coeffs - np.rint(coeffs)).max() < 1e-9
+    # so every z in Z^2 closes
+    for z in [(1, 0), (0, 1), (1, 1), (2, -1), (-3, 2)]:
+        x = s.g_vee.from_coords(np.array(z) @ lat["lift"] @ s.a_flat)
+        assert np.abs(al.conjugate(s.xi, x, 1.0) - s.xi).max() < 1e-9
+    # the box holds every z no longer than the shortest e_j
+    radius = np.sqrt(np.diag(lat["gram"]).min())
     reach = radius * np.sqrt(np.diag(np.linalg.inv(lat["gram"])))
     box = np.asarray(d["box"])
     assert np.all(reach < box + 1)
     assert d["tested"] == np.prod(2 * box + 1) - 1
     assert d["skipped_irrational"] == 0
     z = np.asarray(d["closing"])
-    assert np.all(lat["num"] @ z % lat["den"] == 0)
     assert abs(np.sqrt(z @ lat["gram"] @ z) - d["systole"]) < 1e-12
     scan = cap.systole_scan_oracle(s, d["direction"])
     assert abs(scan - d["systole"]) < 1e-6 * d["systole"]
+
+
+def test_half_integer_weight_is_off_the_lattice(monkeypatch):
+    # D4-type weights e_i +- e_j, listed so that the shortest-first basis
+    # is {e1 - e2, e1 + e2, e3 - e4, e3 + e4}; then e2 - e3 has the
+    # coefficients (-1/2, 1/2, -1/2, -1/2) and no integer lattice holds it
+    s = atlas.instance("unitary_group", 4)
+    assert s.a_flat.shape[0] == 4
+    e = np.eye(4)
+    ws = np.array([e[0] - e[1], e[0] + e[1], e[2] - e[3], e[2] + e[3],
+                   e[1] - e[2], e[1] + e[2], e[0] - e[2], e[0] + e[2],
+                   e[1] - e[3], e[1] + e[3], e[0] - e[3], e[0] + e[3]])
+    monkeypatch.setattr(cap, "_active_weights", lambda _s: ws)
+    with pytest.raises(cap.LatticeError, match="integer span"):
+        cap._unit_lattice(s)
 
 
 def _active_weights_by_ad(s):

@@ -148,7 +148,7 @@ def test_loosening_a_tolerance_never_fails_a_passing_check():
     # a larger tolerance accepts more, so every check that passes at the
     # defaults passes at 1000 times any one of them
     default = _statuses()
-    assert len(default) == 122 and set(default.values()) == {"pass"}
+    assert len(default) == 127 and set(default.values()) == {"pass"}
     for name, value in cli.DEFAULT_TOL.items():
         assert _statuses({name: 1000 * value}) == default, name
 
@@ -413,11 +413,13 @@ def test_verify_skips_the_vacuous_moment_claim(space, params):
                          "--space", space, "--params", params)
         assert proc.returncode == cli.EX_OK, proc.stderr
         label = f"{space}({params})"
-        assert (f"rspacelab: skipped orbit.moment_membership[{label}]: "
-                "flat carries no roots") in proc.stderr
         ids = [c["id"] for c in json.loads(proc.stdout)["checks"]]
         assert f"orbit.certificate[{label}]" in ids
-        assert f"orbit.moment_membership[{label}]" not in ids
+        for cid in (f"orbit.moment_membership[{label}]",
+                    f"orbit.moment_radius[{label}]"):
+            assert (f"rspacelab: skipped {cid}: flat carries no roots"
+                    in proc.stderr)
+            assert cid not in ids
 
 
 def test_report_builds_no_cascade(capsys, monkeypatch):

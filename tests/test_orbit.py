@@ -254,16 +254,49 @@ def test_two_form_is_antisymmetric_and_bilinear(seed):
 
 def test_stacked_two_form_matches_the_pairwise_two_form():
     # the orbit suite evaluates the form on every pair of frame generators
-    # in one stacked call; each entry is the two-form of its pair
+    # as <[x, a_i], a_j>, one stack of brackets and one product; each entry
+    # is the two-form of its pair
     s = atlas.instance("unitary_group", 2)
     g = s.g_vee
     x = random_orbit_point(s, 5)
     gens = g.from_coords(tangent_frame(s, x))
-    omega = ob.kks(s, x, gens[:, None], gens[None, :])
-    assert omega.shape == (len(gens), len(gens))
+    r = len(gens)
+    omega = al.bracket(x, gens).reshape(r, -1) @ gens.reshape(r, -1).T
+    assert omega.shape == (r, r)
     for i, a in enumerate(gens):
         for j, b in enumerate(gens):
             assert abs(omega[i, j] - ob.kks(s, x, a, b)) <= 1e-12
+
+
+def test_orbit_suite_builds_no_stack_of_pairwise_brackets():
+    # at grassmann_complex_hermitian(3,3), rank 36 on 24 x 24 matrices, the
+    # rank^2 stack of brackets [a_i, a_j] held 12 MB at its peak; the
+    # product form of the two-form holds 0.5 MB and the whole suite 3.7 MB
+    atlas.instance("grassmann_complex_hermitian", 3, 3)
+    tracemalloc.start()
+    try:
+        checks = rep.suite_orbit([("grassmann_complex_hermitian", (3, 3))],
+                                 1, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {c["status"] for c in checks} == {"pass"}
+    assert peak < 6 << 20
+
+
+def test_moment_radius_gate_fails_on_a_spectral_mismatch(monkeypatch):
+    rows = [("sphere", (2,))]
+
+    def radius(checks):
+        return [c for c in checks if c["id"].startswith("orbit.moment_radius")]
+
+    [ok] = radius(rep.suite_orbit(rows, 1, DEFAULT_TOL))
+    assert ok["status"] == "pass" and ok["computed"] <= 1e-12
+    check = ob.moment_image_spectrum_check
+    monkeypatch.setattr(ob, "moment_image_spectrum_check", lambda *a, **k: {
+        **check(*a, **k), "max_spectral_mismatch": 1e-6})
+    [bad] = radius(rep.suite_orbit(rows, 1, DEFAULT_TOL))
+    assert bad["status"] == "fail" and bad["computed"] == 1e-6
 
 
 def test_hamiltonian_field_is_the_circle_action():
@@ -378,6 +411,18 @@ def test_moment_image_membership(rid, params):
     assert r["interior_pass"] == r["interior_total"]
     assert r["exterior_pass"] == r["exterior_total"]
     assert r["max_spectral_mismatch"] < 1e-9
+
+
+def test_moment_radius_is_round_off_of_the_radius_not_of_the_kernel():
+    # the roots of unitary_group(2) span one line of its rank-2 flat;
+    # sample 108 of seed 459 drew u within 4.2e-7 of their kernel, which
+    # scaled X to 2.6e6 and the spectral mismatch to 7e-10 while u's kernel
+    # part stayed in the sample
+    s = atlas.instance("unitary_group", 2)
+    r = ob.moment_image_spectrum_check(s, samples=200, seed=459)
+    assert r["interior_pass"] == r["interior_total"]
+    assert r["exterior_pass"] == r["exterior_total"]
+    assert r["max_spectral_mismatch"] <= 1e-13
 
 
 def test_projective_line_has_two_critical_clusters():
