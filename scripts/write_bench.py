@@ -15,7 +15,7 @@ This script imports no numpy, so it is a small launcher: a child's max RSS
 counts from this process's RSS when it forks (`launcher_rss_mb`), not from
 that of `perfbench/run.py`.  Every child runs with one BLAS thread.
 
-    python3 scripts/write_bench.py --out BENCH_1.json
+    python3 scripts/write_bench.py --out BENCH_<n>.json
 
 takes about two and a half minutes on 2 cores.
 
@@ -214,7 +214,8 @@ def machine():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="BENCH_1.json")
+    ap.add_argument("--out", required=True,
+                    help="BENCH_<n>.json at the repo root, n the next number")
     args = ap.parse_args()
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

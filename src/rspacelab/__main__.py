@@ -1,3 +1,3 @@
-from .cli import main
+from .cli import run
 
-raise SystemExit(main())
+raise SystemExit(run())

@@ -6,12 +6,14 @@ sysexits conventions: 0 on success, 2 when a verification fails, 64 for
 usage errors, 74 for output I/O failures.  `render` writes every table in
 every format, `_row_id` reads a table-row label for all three commands,
 and `_entries` picks the catalogue rows `atlas` and `report` read.
+`run` is the process entry: `main`, then a frozen heap for the exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -290,5 +292,15 @@ def main(argv=None) -> int:
         return int(e.code or 0)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run() -> int:
+    """The process entry of `python -m rspacelab` and of the console
+    script: main(), then a frozen heap."""
+    code = main()
+    # main() has flushed its output, or closed its --out file, and the
+    # process is about to exit: freeze the heap, so that the collections
+    # the interpreter runs at exit do not walk the ~22,000 objects that
+    # numpy and the imports made, only to drop them.  Exit still runs the
+    # atexit handlers and flushes the standard streams.  main() alone, as
+    # the tests and library callers call it, leaves the collector as it is
+    gc.freeze()
+    return code

@@ -1,6 +1,7 @@
 """Exit codes, formats and determinism of the command line front end."""
 
 import csv
+import gc
 import io
 import json
 import linecache
@@ -361,6 +362,65 @@ def test_a_full_stdout_is_an_io_error():
     with open("/dev/full", "w") as full:
         proc = run_child("-m", "rspacelab", "atlas", stdout=full)
     _assert_stdout_io_error(proc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["atlas", "--space", "sphere", "--params", "2"],
+    ["report", "--space", "sphere", "--params", "2"],
+    ["verify", "--seed", "1", "--suite", "algebra,roots", "--space", "sphere",
+     "--params", "2"],
+], ids=["atlas", "report", "verify"])
+def test_main_leaves_the_collector_unfrozen(capsys, argv):
+    # only the process entry freezes the heap; tests and library callers
+    # that call main() keep a collector that still sees what they make
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, *argv)
+    assert code == cli.EX_OK
+    assert gc.get_freeze_count() == frozen
+
+
+# an atexit hook registered before the imports runs after every other one,
+# when only the interpreter's own teardown is left: it counts the objects
+# that the collections at exit would still walk
+_UNFROZEN_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print(len(gc.get_objects()), file=sys.stderr))
+from rspacelab import cli
+sys.argv[1:] = ["report", "--space", "sphere", "--params", "3",
+                "--format", "json"]
+raise SystemExit(cli.{entry}())
+"""
+
+
+@pytest.mark.parametrize("entry,low,high", [("run", 0, 100),
+                                            ("main", 10_000, None)])
+def test_the_process_entry_leaves_nothing_to_collect_at_exit(entry, low,
+                                                             high):
+    proc = run_child("-c", _UNFROZEN_AT_EXIT.format(entry=entry))
+    assert proc.returncode == cli.EX_OK, proc.stderr
+    assert json.loads(proc.stdout)["rows"][0]["space"] == "sphere(3)"
+    unfrozen = int(proc.stderr.strip().splitlines()[-1])
+    assert unfrozen >= low and (high is None or unfrozen < high)
+
+
+@pytest.mark.parametrize("argv", [["atlas", "--format", "json"],
+                                  ["report", "--format", "json"],
+                                  ["verify", "--seed", "7"]],
+                         ids=["atlas", "report", "verify"])
+def test_the_module_entry_writes_what_main_writes(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = [sys.executable, "-m", "rspacelab", *argv]
+    proc = subprocess.run(child, cwd=ROOT, env=env, capture_output=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), err.encode())
+    path = tmp_path / "out.json"
+    proc = subprocess.run(child + ["--out", str(path)], cwd=ROOT, env=env,
+                          capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, b"", err.encode())
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("argv,expected", [
